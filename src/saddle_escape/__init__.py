@@ -10,7 +10,7 @@ Layout:
 - spectral: symmetric eigensplits into stable/unstable blocks and exact
   linear trajectory products.
 - methods: gradient descent, mirror descent, proximal point, and the two
-  manifold variants, plus the shared run() driver.
+  manifold variants, plus the run() driver and its lockstep run_batch().
 - lyapunov_perron: the sequence-space contraction machinery — K1/K2 bounds,
   the operator T, Picard fixed points, shooting cross-checks, and charts.
 - harness_cli: JSON-configured experiments and the saddle-escape CLI.
@@ -28,13 +28,13 @@ from .spectral import (SpectralError, SpectralSplit, SplitVector,
                        classify_coordinate_limit, quadratic_trajectory, split,
                        transition_product)
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
-                      METHOD_IDS, STEP_ERROR, EmbeddedManifold, ManifoldError,
-                      MethodError, MirrorDomainError, MirrorMap,
+                      METHOD_IDS, STEP_ERROR, BatchResult, EmbeddedManifold,
+                      ManifoldError, MethodError, MirrorDomainError, MirrorMap,
                       RiemannianMetric, Terminal, TrajectoryRecord,
                       constant_metric, entropy_mirror_map,
                       euclidean_mirror_map, gd_step, identity_metric,
                       intrinsic_manifold_step, make_step, manifold_step,
-                      mirror_step, proximal_step, run, unit_sphere)
+                      mirror_step, proximal_step, run, run_batch, unit_sphere)
 from .lyapunov_perron import (CertificateError, ContractionCertificate,
                               LyapunovError, ManifoldChart, PerronProblem,
                               SequenceSpaceElement, StablePointResult,

@@ -13,7 +13,7 @@ Four experiments, selected by subcommand:
 
 Configs are JSON (schema = ExperimentConfig).  Exit codes: 0 success,
 1 experiment assertion failed, 2 configuration error.  The env var
-SADDLE_ESCAPE_THREADS caps worker fan-out where experiments parallelize.
+SADDLE_ESCAPE_THREADS sizes the thread pool of ``chart``'s Picard solves.
 
 Reproducibility: per-trial RNG substreams come from a splittable seed
 construction (SeedSequence spawn keys), and CSV numbers are written as
@@ -39,7 +39,7 @@ from .lyapunov_perron import (CertificateError, LyapunovError, chart,
                               remainder_from_objective)
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
                       METHOD_IDS, STEP_ERROR, RiemannianMetric, TrajectoryRecord,
-                      constant_metric, identity_metric, run)
+                      constant_metric, run, run_batch)
 from .objectives import Objective, classify_critical_point
 
 __all__ = [
@@ -318,90 +318,17 @@ def _draw_init(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1])
 
 
-def _batch_mode(method_id: str, obj: Objective,
-                metric: Optional[RiemannianMetric]):
-    """Linear per-step transfer available?  Returns (mode, matrix) or None.
-
-    Quadratic objectives make every supported update linear in x, so whole
-    trial populations advance with one matrix op per step instead of one
-    Python call per trial per step.
-    """
-    A = getattr(obj, "quadratic_matrix", None)
-    if A is None:
-        return None
-    if method_id in ("gd", "mirror-euclidean"):
-        return ("linear", A)
-    if method_id == "manifold-intrinsic":
-        m = metric if metric is not None else identity_metric(obj.dimension)
-        if m.constant_matrix is None:
-            return None
-        return ("linear", A @ m.constant_matrix.T)
-    if method_id == "prox":
-        return ("prox", A)
-    return None
-
-
-def _avoidance_batch(obj, schedule, mode, A_eff, X0, cfg):
-    """Advance all trials in lockstep; returns (code, k_final, XF, err_msg).
-
-    Codes: 0 escaped, 1 converged, 2 budget exhausted, 3 step error.  The
-    stopping logic mirrors methods.run exactly: escape checked before the
-    convergence window, k_final = k+1 at escape/convergence, = k at a step
-    error.
-    """
-    n, d = X0.shape
-    X = X0.copy()
-    code = np.full(n, 2, dtype=np.int64)
-    k_final = np.full(n, cfg.budget, dtype=np.int64)
-    XF = np.zeros_like(X0)
-    quiet = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    eye = np.eye(d)
-    err_msg = None
-    for k in range(cfg.budget):
-        a = schedule.value(k)
-        Xa = X[active]
-        if mode == "linear":
-            Xn = Xa - a * (Xa @ A_eff)
-        else:  # prox: (I + a A) z = x per trial
-            try:
-                Xn = np.linalg.solve(eye + a * A_eff, Xa.T).T
-            except np.linalg.LinAlgError:
-                code[active] = 3
-                k_final[active] = k
-                XF[active] = Xa
-                err_msg = f"singular proximal system I + alpha_k A at k={k} (alpha={a:g})"
-                active = active[:0]
-                break
-        motion = np.linalg.norm(Xn - Xa, axis=1)
-        X[active] = Xn
-        quiet[active] = np.where(motion < cfg.conv_tol, quiet[active] + 1, 0)
-        bad = ~np.all(np.isfinite(Xn), axis=1)
-        esc = np.zeros(len(active), dtype=bool)
-        np.greater(np.linalg.norm(Xn, axis=1), cfg.escape_radius, out=esc,
-                   where=~bad)
-        conv = ~bad & ~esc & (quiet[active] >= cfg.window)
-        done = bad | esc | conv
-        if done.any():
-            di = active[done]
-            code[di] = np.select([bad[done], esc[done]], [3, 0], default=1)
-            k_final[di] = np.where(bad[done], k, k + 1)
-            XF[di] = np.where(bad[done][:, None], Xa[done], Xn[done])
-            active = active[~done]
-            if active.size == 0:
-                break
-    XF[active] = X[active]
-    return code, k_final, XF, err_msg
-
-
-def avoidance_experiment(cfg: ExperimentConfig,
-                         force_sequential: bool = False) -> AvoidanceReport:
+def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     """Monte Carlo over seeded uniform inits from cfg.init_box.
 
-    Classifies every terminal (step errors get their own bucket, never
-    dropped) and counts saddle hits: terminal converged_to_point whose limit
-    classifies strict_saddle and lies within SADDLE_PROXIMITY of a registered
-    critical point (when the objective registers any).
+    All trials go through :func:`methods.run_batch`: lockstep for gd,
+    mirror-euclidean and constant-metric manifold-intrinsic on vectorized
+    objectives and for prox on quadratics, one ``run`` per trial otherwise;
+    either way each trial ends as ``run`` would end it.  Classifies every
+    terminal (step errors get their own bucket, never dropped) and counts
+    saddle hits: terminal converged_to_point whose limit classifies
+    strict_saddle and lies within SADDLE_PROXIMITY of a registered critical
+    point (when the objective registers any).
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -413,30 +340,14 @@ def avoidance_experiment(cfg: ExperimentConfig,
             f"dimension is {obj.dimension}")
     inits = np.stack([_draw_init(cfg.seed, t, box) for t in range(cfg.trials)])
 
-    mode = None if force_sequential else _batch_mode(cfg.method_id, obj, metric)
-    rows = []
-    if mode is not None:
-        kind_code, k_final, XF, err_msg = _avoidance_batch(
-            obj, schedule, mode[0], mode[1], inits, cfg)
-        kinds = [_TERMINAL_KINDS[c] for c in kind_code]
-        grads = obj.grad(XF) if obj.vectorized else np.stack([obj.grad(x) for x in XF])
-        grad_norms = np.linalg.norm(np.asarray(grads, dtype=float), axis=1)
-        for t in range(cfg.trials):
-            rows.append({"trial": t, "init": inits[t], "terminal": kinds[t],
-                         "k_final": int(k_final[t]), "final": XF[t],
-                         "grad_norm": float(grad_norms[t]),
-                         "saddle_hit": False, "message": err_msg if kind_code[t] == 3 else None})
-    else:
-        for t in range(cfg.trials):
-            rec = run(cfg.method_id, obj, schedule, inits[t], budget=cfg.budget,
-                      conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
-                      stride=cfg.stride, window=cfg.window, grad_tol=cfg.grad_tol,
-                      eig_tol=cfg.eig_tol, metric=metric, seed=cfg.seed)
-            rows.append({"trial": t, "init": inits[t],
-                         "terminal": rec.terminal.kind, "k_final": rec.k_final,
-                         "final": rec.final_point,
-                         "grad_norm": float(rec.grad_norms[-1]),
-                         "saddle_hit": False, "message": rec.terminal.message})
+    res = run_batch(cfg.method_id, obj, schedule, inits, budget=cfg.budget,
+                    conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
+                    window=cfg.window, metric=metric)
+    grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)  # built-ins are vectorized
+    rows = [{"trial": t, "init": inits[t], "terminal": res.terminal[t],
+             "k_final": int(res.k_final[t]), "final": res.final[t],
+             "grad_norm": float(grad_norms[t]), "saddle_hit": False,
+             "message": res.message[t]} for t in range(cfg.trials)]
 
     registered = [np.asarray(p, dtype=float) for p in obj.critical_points]
     saddle_hits = 0

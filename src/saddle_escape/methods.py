@@ -10,13 +10,14 @@ Implemented methods (registry ids in ``METHOD_IDS``):
 - ``manifold-intrinsic``: x_{k+1} = x_k - alpha_k M(x_k)^{-1} grad f(x_k)
 
 ``run`` drives any of them with escape / Cauchy-window convergence / budget
-termination and stride-decimated recording.
+termination and stride-decimated recording; ``run_batch`` applies the same
+rules to a whole population of starting points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +44,8 @@ __all__ = [
     "Terminal",
     "TrajectoryRecord",
     "run",
+    "BatchResult",
+    "run_batch",
     "METHOD_IDS",
     "ESCAPED_REGION",
     "CONVERGED_TO_POINT",
@@ -409,14 +412,13 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     k_next_record = stride
     for k in range(budget):
         try:
-            x_new = step(k, x)
+            x_new = np.asarray(step(k, x), dtype=float)
+            if np.any(np.isnan(x_new)):
+                raise MethodError(f"non-finite iterate at k={k + 1}")
         except MethodError as err:
+            if record.ks[-1] != k:
+                note(k, x)
             record.terminal = Terminal(STEP_ERROR, message=str(err))
-            record.k_final = k
-            return record
-        x_new = np.asarray(x_new, dtype=float)
-        if np.any(np.isnan(x_new)):
-            record.terminal = Terminal(STEP_ERROR, message=f"non-finite iterate at k={k + 1}")
             record.k_final = k
             return record
         motion = float(np.linalg.norm(x_new - x))
@@ -444,3 +446,97 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     record.terminal = Terminal(BUDGET_EXHAUSTED)
     record.k_final = budget
     return record
+
+
+BatchResult = NamedTuple("BatchResult", [
+    ("terminal", list), ("k_final", np.ndarray), ("final", np.ndarray), ("message", list)])
+BatchResult.__doc__ = """Per-row terminal kind, k_final, final point and step-error message."""
+
+
+def _lockstep_update(method_id: str, obj: Objective, metric: RiemannianMetric | None):
+    """Row-wise ``(alpha, X) -> (X_next, G)`` for a population, or None if there is none.
+
+    ``G`` is the gradient when a non-finite row of it is a step error (gd).
+    """
+    A = getattr(obj, "quadratic_matrix", None)
+    if method_id == "prox" and A is not None:
+        eye = np.eye(obj.dimension)
+        return lambda a, X: (np.linalg.solve(eye + a * A, X.T).T, None)
+    if not obj.vectorized:
+        return None
+    if method_id == "gd":
+        def gd(a, X):
+            G = obj.grad(X)
+            return X - a * G, G
+        return gd
+    if method_id == "mirror-euclidean":
+        return lambda a, X: (X - a * obj.grad(X), None)
+    if method_id != "manifold-intrinsic":
+        return None
+    M = (metric or identity_metric(obj.dimension)).constant_matrix
+    return None if M is None else lambda a, X: (X - a * (obj.grad(X) @ M.T), None)
+
+
+def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,
+              budget: int = DEFAULT_BUDGET, conv_tol: float = 1e-9,
+              escape_radius: float = DEFAULT_ESCAPE_RADIUS, window: int = CONVERGENCE_WINDOW,
+              metric: RiemannianMetric | None = None) -> BatchResult:
+    """Run every row of ``X0`` to the terminal :func:`run` would give it.
+
+    gd and mirror-euclidean on vectorized objectives, manifold-intrinsic with
+    a constant metric and prox on quadratics advance the still-active rows in
+    lockstep: one batched step per k with alpha_k = ``schedule.value(k)``,
+    finished rows dropped from the active set.  The stopping order is
+    ``run``'s: step error at k, escape, Cauchy window, budget.  Any other
+    method/objective pair calls ``run`` once per row.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    if budget < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
+        raise MethodError(f"run_batch needs budget >= 1 and X0 of shape (n, {obj.dimension}), "
+                          f"got {budget} and {X0.shape}")
+    update = _lockstep_update(method_id, obj, metric)
+    if update is None:
+        recs = [run(method_id, obj, schedule, x0, budget=budget, conv_tol=conv_tol,
+                    escape_radius=escape_radius, stride=budget, window=window, metric=metric)
+                for x0 in X0]  # stride=budget: only the final state is kept
+        return BatchResult([r.terminal.kind for r in recs],
+                           np.array([r.k_final for r in recs], dtype=np.int64),
+                           np.array([r.final_point for r in recs]).reshape(X0.shape),
+                           [r.terminal.message for r in recs])
+
+    n = len(X0)
+    terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
+    k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()
+    X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
+    for k in range(budget):
+        alpha = schedule.value(k)
+        try:
+            Xn, G = update(alpha, X)
+        except np.linalg.LinAlgError:  # one singular prox system stops every row
+            msg = f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})"
+            for r in rows:
+                terminal[r], message[r] = STEP_ERROR, msg
+            k_final[rows], final[rows] = k, X
+            return BatchResult(terminal, k_final, final, message)
+        quiet = np.where(np.linalg.norm(Xn - X, axis=1) < conv_tol, quiet + 1, 0)
+        radius = np.linalg.norm(Xn, axis=1)
+        stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
+        if not stop.any():
+            X = Xn
+            continue
+        for j in np.flatnonzero(stop):
+            if G is not None and not np.all(np.isfinite(G[j])):
+                end = STEP_ERROR, k, X[j], f"non-finite gradient at k={k}, x={X[j]}"
+            elif np.any(np.isnan(Xn[j])):
+                end = STEP_ERROR, k, X[j], f"non-finite iterate at k={k + 1}"
+            elif radius[j] > escape_radius:
+                end = ESCAPED_REGION, k + 1, Xn[j], None
+            else:
+                end = CONVERGED_TO_POINT, k + 1, Xn[j], None
+            r = rows[j]
+            terminal[r], k_final[r], final[r], message[r] = end
+        X, rows, quiet = Xn[~stop], rows[~stop], quiet[~stop]
+        if not rows.size:
+            break
+    final[rows] = X
+    return BatchResult(terminal, k_final, final, message)

@@ -160,7 +160,9 @@ def cubic_perturbed_saddle(a: float) -> Objective:
 
     def _grad(z):
         x, y = z[..., 0], z[..., 1]
-        return np.stack([x + 2.0 * a * x * y, -y + a * x * x], axis=-1)
+        g = np.empty(z.shape)
+        g[..., 0], g[..., 1] = x + 2.0 * a * x * y, -y + a * x * x
+        return g
 
     def _hess(z):
         x, y = z[..., 0], z[..., 1]

@@ -140,28 +140,63 @@ def test_report_rows_sorted_by_trial(tmp_path):
 # avoidance experiment
 # ---------------------------------------------------------------------------
 
+def assert_matches_run(cfg, rtol=None):
+    """Every avoidance row equals a methods.run from the same init.
+
+    Terminal, k_final and final-point bits must agree exactly, and
+    grad_norm (computed row-wise from the final points) within 2 ulp of
+    run's.  ``rtol`` relaxes the final point where one point and a batch
+    round differently: products with a non-identity metric, and the prox
+    solve, where LAPACK divides by the pivots for one right-hand side but
+    multiplies by their reciprocals for several.
+    """
+    rep = avoidance_experiment(cfg)
+    obj = build_objective(cfg.objective)
+    schedule = sch.from_config(cfg.schedule)
+    metric = None if cfg.metric is None else mth.constant_metric(np.asarray(cfg.metric))
+    counts = dict.fromkeys(rep.counts, 0)
+    for row in rep.rows:
+        rec = mth.run(cfg.method_id, obj, schedule, row["init"], budget=cfg.budget,
+                      conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
+                      stride=cfg.stride, window=cfg.window, metric=metric)
+        counts[rec.terminal.kind] += 1
+        assert row["terminal"] == rec.terminal.kind
+        assert row["k_final"] == rec.k_final
+        assert row["message"] == rec.terminal.message
+        if rtol is None:
+            assert row["final"].tobytes() == rec.final_point.tobytes()
+            ulp = np.spacing(max(abs(row["grad_norm"]), abs(rec.grad_norms[-1])))
+            assert abs(row["grad_norm"] - rec.grad_norms[-1]) <= 2 * ulp
+        else:
+            np.testing.assert_allclose(row["final"], rec.final_point, rtol=rtol, atol=1e-12)
+            np.testing.assert_allclose(row["grad_norm"], rec.grad_norms[-1], rtol=rtol)
+    assert rep.counts == counts
+    return rep
+
+
 def test_batch_and_sequential_paths_agree():
-    cfg = make_cfg(trials=30, budget=3000)
-    fast = avoidance_experiment(cfg)
-    slow = avoidance_experiment(cfg, force_sequential=True)
-    assert fast.counts == slow.counts
-    assert fast.saddle_hits == slow.saddle_hits
-    for a, b in zip(fast.rows, slow.rows):
-        assert a["terminal"] == b["terminal"]
-        assert a["k_final"] == b["k_final"]
-        np.testing.assert_allclose(a["final"], b["final"], rtol=1e-9, atol=1e-9)
+    cubic = {"name": "cubic", "a": 0.1}
+    for over in ({}, {"method_id": "mirror-euclidean"}, {"method_id": "manifold-intrinsic"},
+                 {"objective": cubic}, {"objective": cubic, "init_box": [[-1.0, 1.0], [0.0, 0.0]]}):
+        assert_matches_run(make_cfg(trials=30, budget=3000, **over))
 
 
 def test_batch_and_sequential_agree_for_prox():
-    cfg = make_cfg(method_id="prox", trials=20, budget=3000,
-                   schedule={"kind": "power", "c": 1.0, "p": 1.0, "offset": 3},
-                   escape_radius=50.0, conv_tol=1e-13)
-    fast = avoidance_experiment(cfg)
-    slow = avoidance_experiment(cfg, force_sequential=True)
-    assert fast.counts == slow.counts
-    for a, b in zip(fast.rows, slow.rows):
-        assert a["k_final"] == b["k_final"]
-        np.testing.assert_allclose(a["final"], b["final"], rtol=1e-9, atol=1e-12)
+    assert_matches_run(make_cfg(method_id="prox", trials=20, budget=3000,
+                                schedule={"kind": "power", "c": 1.0, "p": 1.0, "offset": 3},
+                                escape_radius=50.0, conv_tol=1e-13), rtol=1e-9)
+    # I + alpha_5 A is singular for A = diag(1, -7) and alpha_k = 1/(k+2): the
+    # step error at k = 5 must report x_5, not the last stride-recorded point
+    rep = assert_matches_run(make_cfg(method_id="prox", trials=6, objective={
+        "name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -7.0]]}), rtol=1e-9)
+    assert rep.counts["step_error"] == 6
+    assert all(row["k_final"] == 5 and not np.array_equal(row["final"], row["init"])
+               for row in rep.rows)
+
+
+def test_batch_matches_run_for_constant_metric():
+    assert_matches_run(make_cfg(method_id="manifold-intrinsic", trials=20, budget=3000,
+                                metric=[[2.0, 0.5], [0.5, 1.0]]), rtol=1e-9)
 
 
 def test_forced_axis_converges_to_saddle():

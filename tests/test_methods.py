@@ -15,7 +15,7 @@ from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    entropy_mirror_map, euclidean_mirror_map,
                                    gd_step, intrinsic_manifold_step, make_step,
                                    manifold_step, mirror_step, proximal_step,
-                                   run, unit_sphere)
+                                   run, run_batch, unit_sphere)
 
 HARMONIC = sch.power(1.0, 1.0, 2)
 
@@ -232,6 +232,68 @@ def test_run_step_error_captured():
     rec = run("gd", f, HARMONIC, np.array([1.0]))
     assert rec.terminal.kind == STEP_ERROR
     assert rec.k_final == 0
+
+
+def test_run_step_error_records_final_state():
+    # I + alpha_5 A is singular for A = diag(1, -7), alpha_k = 1/(k+2)
+    f = obj_mod.quadratic(np.diag([1.0, -7.0]))
+    x = np.array([0.3, 0.2])
+    rec = run("prox", f, HARMONIC, x, stride=10)
+    assert rec.terminal.kind == STEP_ERROR
+    assert rec.k_final == rec.ks[-1] == 5
+    for k in range(5):
+        x = proximal_step(f, HARMONIC, k, x)
+    assert rec.final_point.tobytes() == x.tobytes()
+    assert rec.grad_norms[-1] == float(np.linalg.norm(f.grad(x)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("method_id", ["gd", "mirror-euclidean", "manifold-intrinsic"])
+def test_run_batch_matches_run(method_id, bad):
+    # f = -x^2/2 until |x| > 5, where the gradient turns non-finite: rows
+    # converge (x0 = 0), exhaust the budget, escape or hit a step error
+    def grad(x):
+        return np.where(np.abs(x) > 5.0, bad, -x)
+
+    X0 = np.array([[0.0], [1e-3], [0.5], [1.0], [-2.0], [4.9]])
+    for vectorized in (True, False):  # lockstep and per-row paths
+        f = obj_mod.Objective(1, lambda x: -0.5 * x[..., 0] ** 2, grad,
+                              lambda x: -np.eye(1), vectorized=vectorized)
+        for radius in (3.0, 1e3):
+            res = run_batch(method_id, f, HARMONIC, X0, budget=200, conv_tol=1e-12,
+                            escape_radius=radius)
+            for i, x0 in enumerate(X0):
+                rec = run(method_id, f, HARMONIC, x0, budget=200, conv_tol=1e-12,
+                          escape_radius=radius)
+                assert res.terminal[i] == rec.terminal.kind
+                assert res.k_final[i] == rec.k_final
+                assert res.message[i] == rec.terminal.message
+                assert res.final[i].tobytes() == rec.final_point.tobytes()
+            assert set(res.terminal) >= {CONVERGED_TO_POINT, BUDGET_EXHAUSTED}
+            # only gd checks its gradient; an infinite iterate is an escape
+            escapes = radius < 5.0 or (bad == np.inf and method_id != "gd")
+            assert (ESCAPED_REGION if escapes else STEP_ERROR) in res.terminal
+
+
+def test_run_batch_checks_escape_before_convergence():
+    # conv_tol 1e9 and window 1 make every step quiet: after one step,
+    # (0, 1.8) escapes radius 1 while (0, 0.2) converges, as in run
+    X0 = np.array([[0.1, 0.1], [0.1, 0.9]])
+    res = run_batch("gd", obj_mod.fig1(), HARMONIC, X0, conv_tol=1e9, window=1,
+                    escape_radius=1.0)
+    assert res.terminal == [CONVERGED_TO_POINT, ESCAPED_REGION]
+    for i, x0 in enumerate(X0):
+        rec = run("gd", obj_mod.fig1(), HARMONIC, x0, conv_tol=1e9, window=1,
+                  escape_radius=1.0)
+        assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == \
+            (res.terminal[i], 1)
+
+
+def test_run_batch_rejects_bad_shape():
+    with pytest.raises(MethodError):
+        run_batch("gd", obj_mod.fig1(), HARMONIC, np.zeros((3, 3)))
+    with pytest.raises(MethodError):
+        run_batch("gd", obj_mod.fig1(), HARMONIC, np.zeros((3, 2)), budget=0)
 
 
 def test_run_mirror_entropy_stays_on_simplex():
