@@ -5,13 +5,15 @@ descent must eventually leave along the y-axis -- unless the schedule decays
 so fast that the iterate freezes in place first.
 
 Run:  python3 demos/race_to_escape.py [output_dir]
+(the CSVs go to a fresh temporary directory when output_dir is omitted)
 """
 
 import sys
+import tempfile
 
 from saddle_escape import ExperimentConfig, fig1_experiment
 
-out = sys.argv[1] if len(sys.argv) > 1 else "demo_out"
+out = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="race_to_escape-")
 
 cfg = ExperimentConfig.from_dict({"experiment": "fig1", "output_dir": out})
 records = fig1_experiment(cfg)

@@ -12,8 +12,7 @@ Four experiments, selected by subcommand:
 - ``run`` (``single_run`` in configs): one trajectory from an explicit init.
 
 Configs are JSON (schema = ExperimentConfig).  Exit codes: 0 success,
-1 experiment assertion failed, 2 configuration error.  The env var
-SADDLE_ESCAPE_THREADS sizes the thread pool of ``chart``'s Picard solves.
+1 experiment assertion failed, 2 configuration error.
 
 Reproducibility: per-trial RNG substreams come from a splittable seed
 construction (SeedSequence spawn keys), and CSV numbers are written as
@@ -38,8 +37,8 @@ from . import schedules as sched_mod
 from .lyapunov_perron import (CertificateError, LyapunovError, chart,
                               remainder_from_objective)
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
-                      METHOD_IDS, STEP_ERROR, RiemannianMetric, TrajectoryRecord,
-                      constant_metric, run, run_batch)
+                      METHOD_IDS, STEP_ERROR, MethodError, RiemannianMetric,
+                      TrajectoryRecord, constant_metric, run, run_batch)
 from .objectives import Objective, classify_critical_point
 
 __all__ = [
@@ -55,11 +54,9 @@ __all__ = [
     "emit_plot_data",
     "main",
     "SADDLE_PROXIMITY",
-    "THREADS_ENV",
 ]
 
 SADDLE_PROXIMITY = 1e-4  # "converged to the saddle" needs the limit this close
-THREADS_ENV = "SADDLE_ESCAPE_THREADS"
 EXPERIMENTS = ("avoidance", "fig1", "chart", "single_run")
 
 # figure-1 schedules; offsets keep alpha_0 * lambda_max away from the
@@ -130,17 +127,13 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.method_id not in METHOD_IDS:
             raise ConfigError(f"method_id must be one of {METHOD_IDS}, got {self.method_id!r}")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        for name in ("trials", "budget", "stride", "window"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or \
                 not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.budget, int) or self.budget < 1:
-            raise ConfigError(f"budget must be an integer >= 1, got {self.budget!r}")
-        if not isinstance(self.stride, int) or self.stride < 1:
-            raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ConfigError(f"window must be an integer >= 1, got {self.window!r}")
         for name in ("conv_tol", "escape_radius", "grad_tol", "eig_tol"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
@@ -212,14 +205,14 @@ def build_objective(spec: dict) -> Objective:
             raise ConfigError("quadratic objective needs exactly a 'matrix' field")
         try:
             return objectives.quadratic(np.asarray(spec["matrix"], dtype=float))
-        except objectives.ObjectiveError as err:
+        except (TypeError, ValueError) as err:  # ObjectiveError is a ValueError
             raise ConfigError(f"bad quadratic matrix: {err}") from err
     if name == "cubic":
         if keys != {"a"}:
             raise ConfigError("cubic objective needs exactly an 'a' field")
         try:
             return objectives.cubic_perturbed_saddle(float(spec["a"]))
-        except objectives.ObjectiveError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"bad cubic coefficient: {err}") from err
     raise ConfigError(f"unknown objective name {name!r}")
 
@@ -234,17 +227,25 @@ def _build_schedule(spec: dict) -> sched_mod.StepSchedule:
 def _build_metric(cfg: ExperimentConfig, obj: Objective) -> Optional[RiemannianMetric]:
     if cfg.metric is None:
         return None
-    return constant_metric(np.asarray(cfg.metric, dtype=float))
-
-
-def _worker_cap(default: int = 1) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return default
+    d = obj.dimension
     try:
-        return max(1, int(raw))
-    except ValueError as err:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from err
+        M = np.asarray(cfg.metric, dtype=float)
+        if M.shape != (d, d):
+            raise MethodError(f"expected a {d}x{d} matrix, got shape {M.shape}")
+        return constant_metric(M)
+    except (TypeError, ValueError, MethodError) as err:
+        raise ConfigError(f"bad metric {cfg.metric!r}: {err}") from err
+
+
+def _point(value, dim: int, name: str) -> np.ndarray:
+    """A config list of ``dim`` numbers as a float vector."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
+    if x.shape != (dim,):
+        raise ConfigError(f"{name} must have {dim} coordinates, got {value!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def fig1_experiment(cfg: ExperimentConfig) -> dict:
     records attached) when any of that fails.
     """
     obj = objectives.fig1()
-    x0 = np.asarray(cfg.init if cfg.init is not None else [0.5, 0.5], dtype=float)
+    x0 = _point(cfg.init if cfg.init is not None else [0.5, 0.5], obj.dimension, "init")
     os.makedirs(cfg.output_dir, exist_ok=True)
     records = {}
     for label, spec in FIG1_SCHEDULES:
@@ -437,20 +438,37 @@ def chart_experiment(cfg: ExperimentConfig):
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
     ccfg = dict(cfg.chart)
+
+    def option(name, default, kind=float, zero_ok=False):
+        """chart.<name> if set: a positive (nonnegative if ``zero_ok``) ``kind``."""
+        v = ccfg.pop(name, default)
+        if v is default:
+            return v
+        typed = isinstance(v, (int, float) if kind is float else int) and not isinstance(v, bool)
+        if not (typed and math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
+            what = ("nonnegative " if zero_ok else "positive ") + (
+                "finite number" if kind is float else "integer")
+            raise ConfigError(f"chart.{name} must be a {what}, got {v!r}")
+        return v
+
     x_star = ccfg.pop("critical_point", None)
     if x_star is None:
         if not obj.critical_points:
             raise ConfigError("objective registers no critical point; "
                               "set chart.critical_point")
         x_star = obj.critical_points[0]
+    points = option("grid_points", 11, int)
+    halfwidth = option("grid_halfwidth", None)
+    fp_tol = option("fp_tol", 1e-10)
+    fp_budget = option("fp_budget", 500, int)
     try:
         prob, cert = remainder_from_objective(
-            obj, np.asarray(x_star, dtype=float), schedule,
-            delta0=ccfg.pop("delta0", 0.1),
-            epsilon=ccfg.pop("epsilon", None),
-            max_halvings=ccfg.pop("max_halvings", 20),
-            horizon=ccfg.pop("horizon", None),
-            horizon_cap=ccfg.pop("horizon_cap", 100_000))
+            obj, _point(x_star, obj.dimension, "chart.critical_point"), schedule,
+            delta0=option("delta0", 0.1),
+            epsilon=option("epsilon", None, zero_ok=True),
+            max_halvings=option("max_halvings", 20, int, zero_ok=True),
+            horizon=option("horizon", None, int),
+            horizon_cap=option("horizon_cap", 100_000, int))
     except (CertificateError, LyapunovError) as err:
         raise ExperimentAssertionError(f"contraction not certified: {err}") from err
     if not cert.valid:
@@ -462,15 +480,10 @@ def chart_experiment(cfg: ExperimentConfig):
     if len(prob.split.stable_indices) != 1:
         raise ConfigError("the chart driver grids a one-dimensional stable block; "
                           "use saddle_escape.lyapunov_perron.chart directly otherwise")
-    points = ccfg.pop("grid_points", 11)
-    halfwidth = ccfg.pop("grid_halfwidth", None)
-    fp_tol = ccfg.pop("fp_tol", 1e-10)
-    fp_budget = ccfg.pop("fp_budget", 500)
     if halfwidth is None:
         halfwidth = prob.delta / 2.0
-    grid = np.linspace(-halfwidth, halfwidth, int(points))
-    ch = chart(prob, grid, fp_tol=fp_tol, fp_budget=fp_budget,
-               workers=_worker_cap())
+    grid = np.linspace(-halfwidth, halfwidth, points)
+    ch = chart(prob, grid, fp_tol=fp_tol, fp_budget=fp_budget)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     d_s = len(prob.split.stable_indices)
@@ -520,7 +533,7 @@ def single_run_experiment(cfg: ExperimentConfig) -> TrajectoryRecord:
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
     metric = _build_metric(cfg, obj)
-    rec = run(cfg.method_id, obj, schedule, np.asarray(cfg.init, dtype=float),
+    rec = run(cfg.method_id, obj, schedule, _point(cfg.init, obj.dimension, "init"),
               budget=cfg.budget, conv_tol=cfg.conv_tol,
               escape_radius=cfg.escape_radius, stride=cfg.stride,
               window=cfg.window, grad_tol=cfg.grad_tol, eig_tol=cfg.eig_tol,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -107,8 +106,9 @@ class PerronProblem:
     tail_tol : float
         Target for truncated series tails.
     eta_batch : callable (ks, X) -> matrix, optional
-        Vectorized remainder: row i is eta(ks[i], X[i]).  Enables the fast
-        cumprod path in :func:`apply_T`.
+        Vectorized remainder: row i is eta(ks[i], X[i]).  When omitted it is
+        ``eta`` applied row by row; every reader in this module calls
+        ``eta_batch`` only.
     tail_estimate : float, optional
         Recorded a-priori estimate of the truncated backward tail at this
         horizon (filled in by :func:`remainder_from_objective`; a
@@ -134,6 +134,8 @@ class PerronProblem:
             raise LyapunovError(f"delta must be positive, got {self.delta}")
         if self.epsilon < 0:
             raise LyapunovError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if self.eta_batch is None:
+            self.eta_batch = _rowwise(self.eta)
         self.alphas = np.asarray(self.schedule.values(self.horizon + 1), dtype=float)
 
     @property
@@ -150,21 +152,15 @@ class PerronProblem:
         """
         rng = np.random.default_rng(seed)
         d = self.dimension
-        zero = np.zeros(d)
         for k in sample_ks:
-            e0 = np.asarray(self.eta(k, zero), dtype=float)
+            X = _sample_ball(rng, pairs, d, self.delta)
+            Y = _sample_ball(rng, pairs, d, self.delta)
+            E = np.asarray(self.eta_batch(np.full(2 * pairs + 1, k),
+                                          np.vstack([np.zeros((1, d)), X, Y])), dtype=float)
+            e0, EX, EY = E[0], E[1:pairs + 1], E[pairs + 1:]
             if float(np.linalg.norm(e0)) > 1e-14:
                 raise LyapunovError(
                     f"eta(k={k}, 0) = {e0} is not zero (norm {np.linalg.norm(e0):.3e})")
-            X = _sample_ball(rng, pairs, d, self.delta)
-            Y = _sample_ball(rng, pairs, d, self.delta)
-            if self.eta_batch is not None:
-                ks = np.full(pairs, k)
-                EX = np.asarray(self.eta_batch(ks, X), dtype=float)
-                EY = np.asarray(self.eta_batch(ks, Y), dtype=float)
-            else:
-                EX = np.array([self.eta(k, x) for x in X], dtype=float)
-                EY = np.array([self.eta(k, y) for y in Y], dtype=float)
             gaps = np.linalg.norm(X - Y, axis=1)
             keep = gaps > 1e-12
             quot = np.linalg.norm(EX - EY, axis=1)[keep] / gaps[keep]
@@ -174,6 +170,11 @@ class PerronProblem:
                 raise LyapunovError(
                     f"sampled Lipschitz quotient {worst:.6e} at k={k} exceeds "
                     f"alpha_k*epsilon*(1+1e-2) = {cap:.6e}")
+
+
+def _rowwise(eta: Callable[[int, np.ndarray], np.ndarray]):
+    """The batched form (ks, X) -> rows of a scalar remainder eta(k, x)."""
+    return lambda ks, X: np.array([eta(int(k), x) for k, x in zip(ks, X)], dtype=float)
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -411,14 +412,19 @@ def contraction_constant(prob: PerronProblem, k_max: int = 10_000,
         k2 = 0.0  # empty unstable block: no backward sums exist
     else:
         k2 = bound_K2(prob.split, prob.schedule, k_probe, prob.tail_tol)
-    alpha0 = float(prob.schedule.value(0))
-    k_total = 1.0 - alpha0 * lam_s + prob.epsilon * (k1 + k2)
+    return _certificate(k1, k2, lam_s, lam_u, float(prob.schedule.value(0)), prob.epsilon)
+
+
+def _certificate(k1: float, k2: float, lam_s: float, lam_u: Optional[float],
+                 alpha0: float, eps: float) -> ContractionCertificate:
+    """K = 1 - alpha0*lambda_s + eps*(K1 + K2), valid when K < 1, and the
+    largest certifiable epsilon alpha0*lambda_s / (K1 + K2)."""
+    k_total = 1.0 - alpha0 * lam_s + eps * (k1 + k2)
     denom = k1 + k2
-    eps_star = alpha0 * lam_s / denom if denom > 0 else math.inf
-    return ContractionCertificate(k1=k1, k2=k2, k=float(k_total),
-                                  lambda_stable=lam_s, lambda_unstable=lam_u,
-                                  alpha0=alpha0, epsilon=prob.epsilon,
-                                  valid=bool(k_total < 1.0), epsilon_star=float(eps_star))
+    return ContractionCertificate(
+        k1=k1, k2=k2, k=float(k_total), lambda_stable=lam_s, lambda_unstable=lam_u,
+        alpha0=alpha0, epsilon=eps, valid=bool(k_total < 1.0),
+        epsilon_star=float(alpha0 * lam_s / denom) if denom > 0 else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +442,10 @@ def _as_stable_vector(prob: PerronProblem, x0_plus) -> np.ndarray:
 
 
 def _eta_all(prob: PerronProblem, U: np.ndarray) -> np.ndarray:
-    n = U.shape[0]
-    if prob.eta_batch is not None:
-        E = np.asarray(prob.eta_batch(np.arange(n), U), dtype=float)
-        if E.shape != U.shape:
-            raise LyapunovError(f"eta_batch returned shape {E.shape}, expected {U.shape}")
-        return E
-    return np.array([prob.eta(k, U[k]) for k in range(n)], dtype=float)
+    E = np.asarray(prob.eta_batch(np.arange(U.shape[0]), U), dtype=float)
+    if E.shape != U.shape:
+        raise LyapunovError(f"eta_batch returned shape {E.shape}, expected {U.shape}")
+    return E
 
 
 def apply_T(prob: PerronProblem, x0_plus, u) -> SequenceSpaceElement:
@@ -597,7 +600,8 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
         raise LyapunovError(f"x0 must have shape ({prob.dimension},), got {x.shape}")
     traj = [x.copy()]
     for k in range(num_steps):
-        x = (1.0 - alphas[k] * lam) * x + np.asarray(prob.eta(k, x), dtype=float)
+        x = (1.0 - alphas[k] * lam) * x + np.asarray(
+            prob.eta_batch(np.array([k]), x[None, :]), dtype=float)[0]
         traj.append(x.copy())
         if stop_radius is not None and float(np.linalg.norm(x)) > stop_radius:
             return np.asarray(traj), k + 1
@@ -619,23 +623,10 @@ def self_consistency_error(prob: PerronProblem, seq) -> float:
     return float(np.max(np.linalg.norm(stepped - U[1:], axis=1)))
 
 
-def _exit_side(prob: PerronProblem, x0: np.ndarray, steps: int, uix: int,
-               factors: np.ndarray) -> int:
-    """-1/+1: escaped B(0, delta) with that sign of the unstable coordinate;
-    0: stayed inside for all steps."""
-    x = x0.copy()
-    delta = prob.delta
-    eta = prob.eta
-    for k in range(steps):
-        x = factors[k] * x + eta(k, x)
-        if x @ x > delta * delta:
-            return 1 if x[uix] > 0 else -1
-    return 0
-
-
 def _exit_sides_batch(prob: PerronProblem, X0: np.ndarray, steps: int, uix: int,
                       factors: np.ndarray) -> np.ndarray:
-    """Per-row _exit_side for a batch of starts, advanced in lockstep."""
+    """Per start, advanced in lockstep: -1/+1 when it left B(0, delta) with
+    that sign of the unstable coordinate, 0 when it stayed inside for all steps."""
     m = X0.shape[0]
     X = X0.copy()
     sides = np.zeros(m, dtype=np.int64)
@@ -668,9 +659,8 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
     the lower edge of the bounded zone (whose width shrinks like 1/steps).
     Returns the bracket midpoint once it is narrower than ``width``.
 
-    When the problem carries a vectorized remainder each round probes many
-    candidates in lockstep (one pass of the dynamics per round instead of
-    one per probe); otherwise this is plain bisection.
+    Each round splits the bracket into 32 cells and runs the 31 interior
+    candidates through the dynamics in lockstep, one pass per round.
     """
     if len(prob.split.unstable_indices) != 1:
         raise LyapunovError("shooting validation needs a one-dimensional unstable block")
@@ -685,9 +675,7 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
         X0 = np.zeros((len(cs), prob.dimension))
         X0[:, six] = xp[None, :]
         X0[:, uix] = cs
-        if prob.eta_batch is not None:
-            return _exit_sides_batch(prob, X0, steps, uix, factors)
-        return np.array([_exit_side(prob, x0, steps, uix, factors) for x0 in X0])
+        return _exit_sides_batch(prob, X0, steps, uix, factors)
 
     lo, hi = -abs(bracket), abs(bracket)
     s_lo, s_hi = sides_of([lo, hi])
@@ -705,9 +693,8 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
             "no stable point bracketed")
     if s_lo == 1:  # orient: lo escapes downward, hi upward
         lo, hi = hi, lo
-    m = 33 if prob.eta_batch is not None else 3
     while abs(hi - lo) > width:
-        cs = np.linspace(lo, hi, m)
+        cs = np.linspace(lo, hi, 33)
         interior = np.where(sides_of(cs[1:-1]) == -1, -1, 1)
         # first candidate (scanning from lo) that no longer exits downward
         j = 1 + int(np.argmax(np.concatenate([interior, [1]])))
@@ -740,16 +727,11 @@ class ManifoldChart:
     partial: bool
     failures: list
 
-    @property
-    def phi_samples(self) -> dict:
-        return {tuple(np.atleast_1d(g).tolist()): p
-                for g, p in zip(self.grid, self.phi) if p is not None}
-
 
 def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
           fp_budget: int = 500, delta_grid: Optional[float] = None,
           tangency_spacings: Sequence[float] = (1e-2, 1e-3),
-          tangency_tol: float = 1e-3, workers: Optional[int] = None) -> ManifoldChart:
+          tangency_tol: float = 1e-3) -> ManifoldChart:
     """Map solve_stable_point over a grid of stable-block anchors.
 
     Also solves at 0 (the chart must vanish there), takes central
@@ -767,15 +749,7 @@ def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
         if float(np.linalg.norm(g)) > delta_grid:
             raise LyapunovError(
                 f"grid point {g} lies outside the chart radius delta_grid={delta_grid:g}")
-
-    def solve_many(vecs):
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_chart_sample, prob, g, fp_tol, fp_budget) for g in vecs]
-                return [f.result() for f in futs]
-        return [_chart_sample(prob, g, fp_tol, fp_budget) for g in vecs]
-
-    results = solve_many(grid_vecs)
+    results = [_chart_sample(prob, g, fp_tol, fp_budget) for g in grid_vecs]
     phi_vals = [r[0] for r in results]
     residuals = [r[1] for r in results]
     iters = [r[2] for r in results]
@@ -902,18 +876,20 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     def eta(k: int, z: np.ndarray) -> np.ndarray:
         return schedule.value(k) * psi(z)
 
-    eta_batch = None
     if obj.vectorized:
-        alpha_cache = _AlphaCache(schedule)
-
         def psi_batch(Z: np.ndarray) -> np.ndarray:
             W = Z @ Qi.T
             return -((np.asarray(obj.grad(x_star[None, :] + W)) - W @ H.T) @ Q.T)
+    else:
+        def psi_batch(Z: np.ndarray) -> np.ndarray:
+            return np.array([psi(z) for z in Z])
 
-        def eta_batch(ks, Z):  # noqa: F811 - deliberate rebind
-            ks = np.asarray(ks)
-            alph = alpha_cache.range(0, int(ks.max()) + 1)[ks]
-            return alph[:, None] * psi_batch(np.asarray(Z, dtype=float))
+    alpha_cache = _AlphaCache(schedule)
+
+    def eta_batch(ks, Z):
+        ks = np.asarray(ks)
+        alph = alpha_cache.range(0, int(ks.max()) + 1)[ks]
+        return alph[:, None] * psi_batch(np.asarray(Z, dtype=float))
 
     a_coef = getattr(obj, "cubic_coefficient", None)
     is_quadratic = getattr(obj, "quadratic_matrix", None) is not None
@@ -938,15 +914,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         elif a_coef is not None:
             eps_val = 6.0 * abs(a_coef) * delta
         else:
-            eps_val = _sampled_epsilon(psi, psi_batch if eta_batch else None,
-                                       sp.dimension, delta, n_pairs, safety, seed)
-        k_total = 1.0 - alpha0 * lam_s + eps_val * (k1 + k2)
-        denom = k1 + k2
-        cert = ContractionCertificate(
-            k1=k1, k2=k2, k=float(k_total), lambda_stable=lam_s,
-            lambda_unstable=lam_u, alpha0=alpha0, epsilon=eps_val,
-            valid=bool(k_total < 1.0),
-            epsilon_star=float(alpha0 * lam_s / denom) if denom > 0 else math.inf)
+            eps_val = _sampled_epsilon(psi_batch, sp.dimension, delta, n_pairs, safety, seed)
+        cert = _certificate(k1, k2, lam_s, lam_u, alpha0, eps_val)
         if cert.valid or epsilon is not None:
             break
         delta *= 0.5
@@ -977,17 +946,13 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     return prob, cert
 
 
-def _sampled_epsilon(psi, psi_batch, d: int, delta: float, n_pairs: int,
+def _sampled_epsilon(psi_batch, d: int, delta: float, n_pairs: int,
                      safety: float, seed: int) -> float:
     """Estimate the Lipschitz modulus of psi on B(0, delta) from random pairs."""
     rng = np.random.default_rng(seed)
     X = _sample_ball(rng, n_pairs, d, delta)
     Y = _sample_ball(rng, n_pairs, d, delta)
-    if psi_batch is not None:
-        PX, PY = psi_batch(X), psi_batch(Y)
-    else:
-        PX = np.array([psi(x) for x in X])
-        PY = np.array([psi(y) for y in Y])
+    PX, PY = psi_batch(X), psi_batch(Y)
     gaps = np.linalg.norm(X - Y, axis=1)
     keep = gaps > 1e-12
     quot = np.linalg.norm(PX - PY, axis=1)[keep] / gaps[keep]

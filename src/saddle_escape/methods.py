@@ -256,12 +256,7 @@ def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
     if use_closed_form:
         if A is None:
             raise MethodError("closed-form proximal step requires a quadratic objective")
-        M = np.eye(obj.dimension) + alpha * A
-        try:
-            return np.linalg.solve(M, x)
-        except np.linalg.LinAlgError as err:
-            raise MethodError(
-                f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})") from err
+        return _quadratic_resolvent(A, alpha, k, x)
 
     z = x.copy()
     identity = np.eye(obj.dimension)
@@ -293,6 +288,20 @@ def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
     raise MethodError(
         f"proximal Newton did not reach inner_tol={inner_tol:g} within "
         f"{inner_budget} iterations at k={k} (residual {res_norm:.3e})")
+
+
+def _quadratic_resolvent(A: np.ndarray, alpha: float, k: int, X: np.ndarray) -> np.ndarray:
+    """(I + alpha A)^{-1} applied to each row of X (or to a single point X).
+
+    An explicit inverse times the rows keeps each row's bits independent of
+    how many rows there are; a multi-right-hand-side solve does not.
+    """
+    try:
+        R = np.linalg.inv(np.eye(A.shape[0]) + alpha * A)
+    except np.linalg.LinAlgError as err:
+        raise MethodError(
+            f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})") from err
+    return X @ R.T
 
 
 def manifold_step(obj: Objective, manifold: EmbeddedManifold, schedule: StepSchedule,
@@ -454,27 +463,26 @@ BatchResult.__doc__ = """Per-row terminal kind, k_final, final point and step-er
 
 
 def _lockstep_update(method_id: str, obj: Objective, metric: RiemannianMetric | None):
-    """Row-wise ``(alpha, X) -> (X_next, G)`` for a population, or None if there is none.
+    """Row-wise ``(k, alpha, X) -> (X_next, G)`` for a population, or None if there is none.
 
     ``G`` is the gradient when a non-finite row of it is a step error (gd).
     """
     A = getattr(obj, "quadratic_matrix", None)
     if method_id == "prox" and A is not None:
-        eye = np.eye(obj.dimension)
-        return lambda a, X: (np.linalg.solve(eye + a * A, X.T).T, None)
+        return lambda k, a, X: (_quadratic_resolvent(A, a, k, X), None)
     if not obj.vectorized:
         return None
     if method_id == "gd":
-        def gd(a, X):
+        def gd(k, a, X):
             G = obj.grad(X)
             return X - a * G, G
         return gd
     if method_id == "mirror-euclidean":
-        return lambda a, X: (X - a * obj.grad(X), None)
+        return lambda k, a, X: (X - a * obj.grad(X), None)
     if method_id != "manifold-intrinsic":
         return None
     M = (metric or identity_metric(obj.dimension)).constant_matrix
-    return None if M is None else lambda a, X: (X - a * (obj.grad(X) @ M.T), None)
+    return None if M is None else lambda k, a, X: (X - a * (obj.grad(X) @ M.T), None)
 
 
 def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,
@@ -511,11 +519,10 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
     for k in range(budget):
         alpha = schedule.value(k)
         try:
-            Xn, G = update(alpha, X)
-        except np.linalg.LinAlgError:  # one singular prox system stops every row
-            msg = f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})"
+            Xn, G = update(k, alpha, X)
+        except MethodError as err:  # one singular prox system stops every row
             for r in rows:
-                terminal[r], message[r] = STEP_ERROR, msg
+                terminal[r], message[r] = STEP_ERROR, str(err)
             k_final[rows], final[rows] = k, X
             return BatchResult(terminal, k_final, final, message)
         quiet = np.where(np.linalg.norm(Xn - X, axis=1) < conv_tol, quiet + 1, 0)

@@ -17,7 +17,7 @@ spurious rounding from matrix multiplication and no O(d^3) cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,15 +66,6 @@ class SpectralSplit:
     Q_inv: np.ndarray
     stable_indices: np.ndarray
     unstable_indices: np.ndarray
-    P_plus: np.ndarray = field(init=False)
-    P_minus: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        d = self.eigenvalues.size
-        self.P_plus = np.zeros((d, d))
-        self.P_minus = np.zeros((d, d))
-        self.P_plus[self.stable_indices, self.stable_indices] = 1.0
-        self.P_minus[self.unstable_indices, self.unstable_indices] = 1.0
 
     @property
     def dimension(self) -> int:
