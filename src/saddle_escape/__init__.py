@@ -24,9 +24,8 @@ from .objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE, NOT_CRITICAL,
                          STRICT_SADDLE, CriticalPointClass, EigensolverError,
                          Objective, ObjectiveError, classify_critical_point,
                          cubic_perturbed_saddle, fig1, quadratic)
-from .spectral import (SpectralError, SpectralSplit, SplitVector,
-                       classify_coordinate_limit, quadratic_trajectory, split,
-                       transition_product)
+from .spectral import (SpectralError, SpectralSplit, classify_coordinate_limit,
+                       quadratic_trajectory, split, transition_product)
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
                       METHOD_IDS, STEP_ERROR, BatchResult, EmbeddedManifold,
                       ManifoldError, MethodError, MirrorDomainError, MirrorMap,

@@ -136,7 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
         for name in ("conv_tol", "escape_radius", "grad_tol", "eig_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+                    and math.isfinite(v)):
                 raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
         box = self.init_box
         if not isinstance(box, (list, tuple)) or len(box) == 0:
@@ -220,7 +221,7 @@ def build_objective(spec: dict) -> Objective:
 def _build_schedule(spec: dict) -> sched_mod.StepSchedule:
     try:
         return sched_mod.from_config(spec)
-    except sched_mod.ScheduleError as err:
+    except (TypeError, ValueError) as err:  # ScheduleError is a ValueError
         raise ConfigError(f"bad schedule: {err}") from err
 
 
@@ -322,10 +323,10 @@ def _draw_init(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
 def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     """Monte Carlo over seeded uniform inits from cfg.init_box.
 
-    All trials go through :func:`methods.run_batch`: lockstep for gd,
-    mirror-euclidean and constant-metric manifold-intrinsic on vectorized
-    objectives and for prox on quadratics, one ``run`` per trial otherwise;
-    either way each trial ends as ``run`` would end it.  Classifies every
+    All trials advance in lockstep through :func:`methods.run_batch`: one
+    batched step for gd, mirror-euclidean and constant-metric
+    manifold-intrinsic on vectorized objectives and for prox on quadratics,
+    row by row otherwise; each trial ends as ``run`` would end it.  Classifies every
     terminal (step errors get their own bucket, never dropped) and counts
     saddle hits: terminal converged_to_point whose limit classifies
     strict_saddle and lies within SADDLE_PROXIMITY of a registered critical

@@ -585,6 +585,33 @@ def _raw_alphas(prob: PerronProblem, num_steps: int) -> np.ndarray:
     return np.asarray(prob.schedule.values(num_steps + 1), dtype=float)
 
 
+def _raw_advance(prob: PerronProblem, X0: np.ndarray, steps: int, radius: Optional[float],
+                 path: Optional[list] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the rows of X0 in lockstep by x_{k+1} = (I - alpha_k H) x_k + eta(k, x_k).
+
+    Returns (exits, X): per row the first k <= steps with x_k . x_k >
+    radius^2 (-1 if none; a row leaves the active set there) and x at that
+    k (at ``steps`` if none).  ``path`` collects each step's active rows.
+    """
+    factors = 1.0 - _raw_alphas(prob, steps)[:steps, None] * prob.split.eigenvalues[None, :]
+    r2 = np.inf if radius is None else radius * radius
+    exits, final = np.full(X0.shape[0], -1, dtype=np.int64), X0.copy()
+    X, rows = X0, np.arange(X0.shape[0])  # active rows only
+    for k in range(steps):
+        X = factors[k][None, :] * X + np.asarray(
+            prob.eta_batch(np.full(rows.size, k), X), dtype=float)
+        if path is not None:
+            path.append(X)
+        out = np.einsum("ij,ij->i", X, X) > r2
+        if out.any():
+            exits[rows[out]], final[rows[out]] = k + 1, X[out]
+            X, rows = X[~out], rows[~out]
+            if not rows.size:
+                break
+    final[rows] = X
+    return exits, final
+
+
 def iterate_raw(prob: PerronProblem, x0, num_steps: int,
                 stop_radius: Optional[float] = None) -> tuple[np.ndarray, Optional[int]]:
     """Run the raw recursion x_{k+1} = (I - alpha_k H) x_k + eta(k, x_k).
@@ -593,19 +620,12 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
     is the first k with ||x_k|| > stop_radius, or None if the trajectory
     stayed inside for all num_steps (trajectory then has num_steps+1 rows).
     """
-    lam = prob.split.eigenvalues
-    alphas = _raw_alphas(prob, num_steps)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     if x.shape != (prob.dimension,):
         raise LyapunovError(f"x0 must have shape ({prob.dimension},), got {x.shape}")
-    traj = [x.copy()]
-    for k in range(num_steps):
-        x = (1.0 - alphas[k] * lam) * x + np.asarray(
-            prob.eta_batch(np.array([k]), x[None, :]), dtype=float)[0]
-        traj.append(x.copy())
-        if stop_radius is not None and float(np.linalg.norm(x)) > stop_radius:
-            return np.asarray(traj), k + 1
-    return np.asarray(traj), None
+    path = [x[None]]
+    exits, _ = _raw_advance(prob, x[None], num_steps, stop_radius, path)
+    return np.concatenate(path), (int(exits[0]) if exits[0] >= 0 else None)
 
 
 def self_consistency_error(prob: PerronProblem, seq) -> float:
@@ -621,30 +641,6 @@ def self_consistency_error(prob: PerronProblem, seq) -> float:
     E = _eta_all(prob, U[:N])
     stepped = (1.0 - alphas[:N, None] * lam[None, :]) * U[:N] + E
     return float(np.max(np.linalg.norm(stepped - U[1:], axis=1)))
-
-
-def _exit_sides_batch(prob: PerronProblem, X0: np.ndarray, steps: int, uix: int,
-                      factors: np.ndarray) -> np.ndarray:
-    """Per start, advanced in lockstep: -1/+1 when it left B(0, delta) with
-    that sign of the unstable coordinate, 0 when it stayed inside for all steps."""
-    m = X0.shape[0]
-    X = X0.copy()
-    sides = np.zeros(m, dtype=np.int64)
-    active = np.arange(m)
-    d2 = prob.delta * prob.delta
-    for k in range(steps):
-        Xa = X[active]
-        Xn = factors[k][None, :] * Xa + np.asarray(
-            prob.eta_batch(np.full(active.size, k), Xa), dtype=float)
-        X[active] = Xn
-        out = np.einsum("ij,ij->i", Xn, Xn) > d2
-        if out.any():
-            oi = active[out]
-            sides[oi] = np.where(Xn[out, uix] > 0.0, 1, -1)
-            active = active[~out]
-            if active.size == 0:
-                break
-    return sides
 
 
 def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
@@ -667,15 +663,15 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
     xp = _as_stable_vector(prob, x0_plus)
     uix = int(prob.split.unstable_indices[0])
     six = prob.split.stable_indices
-    lam = prob.split.eigenvalues
-    alphas = _raw_alphas(prob, steps)
-    factors = 1.0 - alphas[:steps, None] * lam[None, :]
 
     def sides_of(cs) -> np.ndarray:
+        """-1/+1 for a start that leaves B(0, delta) with that sign of the
+        unstable coordinate, 0 for one that stays inside for all steps."""
         X0 = np.zeros((len(cs), prob.dimension))
         X0[:, six] = xp[None, :]
         X0[:, uix] = cs
-        return _exit_sides_batch(prob, X0, steps, uix, factors)
+        exits, X = _raw_advance(prob, X0, steps, prob.delta)
+        return np.where(exits < 0, 0, np.where(X[:, uix] > 0.0, 1, -1))
 
     lo, hi = -abs(bracket), abs(bracket)
     s_lo, s_hi = sides_of([lo, hi])

@@ -9,9 +9,9 @@ Implemented methods (registry ids in ``METHOD_IDS``):
 - ``manifold-sphere``:   project-then-renormalize gradient step on the unit sphere
 - ``manifold-intrinsic``: x_{k+1} = x_k - alpha_k M(x_k)^{-1} grad f(x_k)
 
-``run`` drives any of them with escape / Cauchy-window convergence / budget
-termination and stride-decimated recording; ``run_batch`` applies the same
-rules to a whole population of starting points.
+One lockstep loop iterates them: ``run_batch`` advances a population of
+starting points to step error / escape / Cauchy-window convergence / budget,
+and ``run`` is its one-row case, with stride-decimated recording.
 """
 
 from __future__ import annotations
@@ -389,72 +389,35 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
         metric: RiemannianMetric | None = None, seed: int | None = None) -> TrajectoryRecord:
     """Iterate ``method_id`` from ``x0`` until escape, convergence, or budget.
 
-    Convergence is declared after ``window`` consecutive steps of motion
-    below ``conv_tol`` (a Cauchy-window test); the limit is then classified
-    with :func:`classify_critical_point`.  Escape means ``||x_k|| >
-    escape_radius``.  Step errors (mirror domain violations, singular
-    proximal systems, ...) terminate the run with the ``step_error`` tag
-    instead of raising.  Points are recorded every ``stride`` steps plus the
-    final state.
+    This is the one-row case of :func:`run_batch`: the same steps and the
+    same stopping rules.  Convergence is declared after ``window``
+    consecutive steps of motion below ``conv_tol`` (a Cauchy-window test);
+    the limit is then classified with :func:`classify_critical_point`.
+    Escape means ``||x_k|| > escape_radius``.  Step errors (mirror domain
+    violations, singular proximal systems, ...) terminate the run with the
+    ``step_error`` tag instead of raising.  Points are recorded every
+    ``stride`` steps plus the final state.
     """
-    if budget < 1:
-        raise MethodError(f"run needs budget >= 1, got {budget}")
-    if stride < 1:
-        raise MethodError(f"run needs stride >= 1, got {stride}")
-    x = np.asarray(x0, dtype=float).copy()
+    if budget < 1 or stride < 1:
+        raise MethodError(f"run needs budget >= 1 and stride >= 1, got {budget} and {stride}")
+    x = np.array(x0, dtype=float)
     if x.shape != (obj.dimension,):
         raise MethodError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
-    step = make_step(method_id, obj, schedule,
-                     mirror_map=mirror_map, manifold=manifold, metric=metric)
-
-    record = TrajectoryRecord(method_id=method_id, schedule_id=schedule.describe(),
-                              terminal=Terminal(BUDGET_EXHAUSTED), k_final=0, seed=seed)
-
-    def note(k: int, pt: np.ndarray) -> None:
-        record.ks.append(k)
-        record.points.append(pt.copy())
-        record.step_sizes.append(schedule.value(k))
-        record.grad_norms.append(float(np.linalg.norm(obj.grad(pt))))
-
-    note(0, x)
-    quiet = 0  # consecutive sub-conv_tol steps
-    k_next_record = stride
-    for k in range(budget):
-        try:
-            x_new = np.asarray(step(k, x), dtype=float)
-            if np.any(np.isnan(x_new)):
-                raise MethodError(f"non-finite iterate at k={k + 1}")
-        except MethodError as err:
-            if record.ks[-1] != k:
-                note(k, x)
-            record.terminal = Terminal(STEP_ERROR, message=str(err))
-            record.k_final = k
-            return record
-        motion = float(np.linalg.norm(x_new - x))
-        x = x_new
-        k_now = k + 1
-        if k_now >= k_next_record:
-            note(k_now, x)
-            k_next_record += stride
-        if float(np.linalg.norm(x)) > escape_radius:
-            if record.ks[-1] != k_now:
-                note(k_now, x)
-            record.terminal = Terminal(ESCAPED_REGION)
-            record.k_final = k_now
-            return record
-        quiet = quiet + 1 if motion < conv_tol else 0
-        if quiet >= window:
-            if record.ks[-1] != k_now:
-                note(k_now, x)
-            cls = classify_critical_point(obj, x, grad_tol=grad_tol, eig_tol=eig_tol)
-            record.terminal = Terminal(CONVERGED_TO_POINT, point=x.copy(), point_class=cls)
-            record.k_final = k_now
-            return record
-    if record.ks[-1] != budget:
-        note(budget, x)
-    record.terminal = Terminal(BUDGET_EXHAUSTED)
-    record.k_final = budget
-    return record
+    update = _update(method_id, obj, schedule, mirror_map, manifold, metric)
+    path: list = []
+    res = _advance(update, x[None], budget, conv_tol, escape_radius, window, path, stride)
+    k_final, final = int(res.k_final[0]), res.final[0]
+    kept = [(k, X[0]) for k, X in path if k < k_final] + [(k_final, final)]
+    terminal = Terminal(res.terminal[0], message=res.message[0])
+    if terminal.kind == CONVERGED_TO_POINT:
+        terminal.point = final.copy()
+        terminal.point_class = classify_critical_point(obj, final, grad_tol=grad_tol,
+                                                       eig_tol=eig_tol)
+    return TrajectoryRecord(
+        method_id=method_id, schedule_id=schedule.describe(), terminal=terminal,
+        k_final=k_final, ks=[k for k, _ in kept], points=[p for _, p in kept],
+        step_sizes=[schedule.value(k) for k, _ in kept],
+        grad_norms=[float(np.linalg.norm(obj.grad(p))) for _, p in kept], seed=seed)
 
 
 BatchResult = NamedTuple("BatchResult", [
@@ -462,80 +425,91 @@ BatchResult = NamedTuple("BatchResult", [
 BatchResult.__doc__ = """Per-row terminal kind, k_final, final point and step-error message."""
 
 
-def _lockstep_update(method_id: str, obj: Objective, metric: RiemannianMetric | None):
-    """Row-wise ``(k, alpha, X) -> (X_next, G)`` for a population, or None if there is none.
+_NO_ERROR = {}.get  # error(j) of an update that has no per-row step errors
 
-    ``G`` is the gradient when a non-finite row of it is a step error (gd).
+
+def _update(method_id: str, obj: Objective, schedule: StepSchedule,
+            mirror_map: MirrorMap | None = None, manifold: EmbeddedManifold | None = None,
+            metric: RiemannianMetric | None = None):
+    """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
+
+    gd and mirror-euclidean (default map) on vectorized objectives,
+    manifold-intrinsic with a constant metric on them and prox on quadratics
+    step all rows at once.  Every other pair applies :func:`make_step`'s
+    one-point step row by row; a ``MethodError`` sets that row to NaN.
+    ``error(j)`` is row j's step-error message or None.  A row with a step
+    error is never finite, so it stops and only stopping rows are asked.
     """
     A = getattr(obj, "quadratic_matrix", None)
     if method_id == "prox" and A is not None:
-        return lambda k, a, X: (_quadratic_resolvent(A, a, k, X), None)
-    if not obj.vectorized:
-        return None
-    if method_id == "gd":
-        def gd(k, a, X):
+        return lambda k, X: (_quadratic_resolvent(A, schedule.value(k), k, X), _NO_ERROR)
+    if obj.vectorized and method_id == "gd":
+        def gd(k, X):
             G = obj.grad(X)
-            return X - a * G, G
+            return X - schedule.value(k) * G, lambda j: None if np.all(np.isfinite(G[j])) \
+                else f"non-finite gradient at k={k}, x={X[j]}"
         return gd
-    if method_id == "mirror-euclidean":
-        return lambda k, a, X: (X - a * obj.grad(X), None)
-    if method_id != "manifold-intrinsic":
-        return None
-    M = (metric or identity_metric(obj.dimension)).constant_matrix
-    return None if M is None else lambda k, a, X: (X - a * (obj.grad(X) @ M.T), None)
+    if obj.vectorized and method_id == "mirror-euclidean" and mirror_map is None:
+        return lambda k, X: (X - schedule.value(k) * obj.grad(X), _NO_ERROR)
+    if obj.vectorized and method_id == "manifold-intrinsic":
+        M = (metric or identity_metric(obj.dimension)).constant_matrix
+        if M is not None:
+            return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ M.T), _NO_ERROR)
+
+    step = make_step(method_id, obj, schedule,
+                     mirror_map=mirror_map, manifold=manifold, metric=metric)
+
+    def rowwise(k, X):
+        Xn, errors = np.empty_like(X), {}
+        for j, x in enumerate(X):
+            try:
+                Xn[j] = step(k, x)
+            except MethodError as err:
+                Xn[j], errors[j] = np.nan, str(err)
+        return Xn, errors.get
+    return rowwise
 
 
-def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,
-              budget: int = DEFAULT_BUDGET, conv_tol: float = 1e-9,
-              escape_radius: float = DEFAULT_ESCAPE_RADIUS, window: int = CONVERGENCE_WINDOW,
-              metric: RiemannianMetric | None = None) -> BatchResult:
-    """Run every row of ``X0`` to the terminal :func:`run` would give it.
+def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius: float,
+             window: int, path: list | None = None, stride: int = 1) -> BatchResult:
+    """Advance the rows of ``X0`` in lockstep until each one stops.
 
-    gd and mirror-euclidean on vectorized objectives, manifold-intrinsic with
-    a constant metric and prox on quadratics advance the still-active rows in
-    lockstep: one batched step per k with alpha_k = ``schedule.value(k)``,
-    finished rows dropped from the active set.  The stopping order is
-    ``run``'s: step error at k, escape, Cauchy window, budget.  Any other
-    method/objective pair calls ``run`` once per row.
+    One ``update(k, X)`` per k over the still-active rows; finished rows
+    leave the active set.  Each row stops at the first of: step error at k
+    (final state x_k), escape, Cauchy window, budget.  With ``path``,
+    ``(k, X)`` is appended for k = 0 and every ``stride``-th k, X being the
+    rows that were active for that step.
     """
-    X0 = np.asarray(X0, dtype=float)
-    if budget < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
-        raise MethodError(f"run_batch needs budget >= 1 and X0 of shape (n, {obj.dimension}), "
-                          f"got {budget} and {X0.shape}")
-    update = _lockstep_update(method_id, obj, metric)
-    if update is None:
-        recs = [run(method_id, obj, schedule, x0, budget=budget, conv_tol=conv_tol,
-                    escape_radius=escape_radius, stride=budget, window=window, metric=metric)
-                for x0 in X0]  # stride=budget: only the final state is kept
-        return BatchResult([r.terminal.kind for r in recs],
-                           np.array([r.k_final for r in recs], dtype=np.int64),
-                           np.array([r.final_point for r in recs]).reshape(X0.shape),
-                           [r.terminal.message for r in recs])
-
     n = len(X0)
     terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
     k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()
     X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
+    if path is not None:
+        path.append((0, X0))
     for k in range(budget):
-        alpha = schedule.value(k)
         try:
-            Xn, G = update(k, alpha, X)
+            Xn, error = update(k, X)
         except MethodError as err:  # one singular prox system stops every row
             for r in rows:
                 terminal[r], message[r] = STEP_ERROR, str(err)
             k_final[rows], final[rows] = k, X
             return BatchResult(terminal, k_final, final, message)
-        quiet = np.where(np.linalg.norm(Xn - X, axis=1) < conv_tol, quiet + 1, 0)
-        radius = np.linalg.norm(Xn, axis=1)
+        if path is not None and (k + 1) % stride == 0:
+            path.append((k + 1, Xn))
+        # row norms as np.linalg.norm(axis=1) computes them, without its overhead
+        D = Xn - X
+        quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
+        radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
         stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
         if not stop.any():
             X = Xn
             continue
         for j in np.flatnonzero(stop):
-            if G is not None and not np.all(np.isfinite(G[j])):
-                end = STEP_ERROR, k, X[j], f"non-finite gradient at k={k}, x={X[j]}"
-            elif np.any(np.isnan(Xn[j])):
-                end = STEP_ERROR, k, X[j], f"non-finite iterate at k={k + 1}"
+            msg = error(j)
+            if msg is None and np.any(np.isnan(Xn[j])):
+                msg = f"non-finite iterate at k={k + 1}"
+            if msg is not None:
+                end = STEP_ERROR, k, X[j], msg
             elif radius[j] > escape_radius:
                 end = ESCAPED_REGION, k + 1, Xn[j], None
             else:
@@ -547,3 +521,25 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
             break
     final[rows] = X
     return BatchResult(terminal, k_final, final, message)
+
+
+def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,
+              budget: int = DEFAULT_BUDGET, conv_tol: float = 1e-9,
+              escape_radius: float = DEFAULT_ESCAPE_RADIUS, window: int = CONVERGENCE_WINDOW,
+              metric: RiemannianMetric | None = None) -> BatchResult:
+    """Run every row of ``X0`` to the terminal :func:`run` would give it.
+
+    All rows advance in lockstep, one step per k with alpha_k =
+    ``schedule.value(k)``, and finished rows leave the active set.  gd and
+    mirror-euclidean on vectorized objectives, manifold-intrinsic with a
+    constant metric and prox on quadratics take one batched step for all
+    rows; every other method/objective pair steps row by row in the same
+    loop.  The stopping order is ``run``'s: step error at k, escape, Cauchy
+    window, budget.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    if budget < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
+        raise MethodError(f"run_batch needs budget >= 1 and X0 of shape (n, {obj.dimension}), "
+                          f"got {budget} and {X0.shape}")
+    return _advance(_update(method_id, obj, schedule, metric=metric), X0, budget, conv_tol,
+                    escape_radius, window)

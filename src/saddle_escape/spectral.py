@@ -26,7 +26,6 @@ from .schedules import DIVERGENT, StepSchedule
 __all__ = [
     "SpectralError",
     "SpectralSplit",
-    "SplitVector",
     "split",
     "transition_product",
     "quadratic_trajectory",
@@ -70,31 +69,6 @@ class SpectralSplit:
     @property
     def dimension(self) -> int:
         return self.eigenvalues.size
-
-    def to_diagonal_frame(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.Q.T
-
-    def from_diagonal_frame(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float) @ self.Q_inv.T
-
-    def split_vector(self, z: np.ndarray) -> "SplitVector":
-        z = np.asarray(z, dtype=float)
-        return SplitVector(plus=z[..., self.stable_indices],
-                           minus=z[..., self.unstable_indices])
-
-    def merge_vector(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.dimension)
-        z[self.stable_indices] = plus
-        z[self.unstable_indices] = minus
-        return z
-
-
-@dataclass(frozen=True)
-class SplitVector:
-    """A vector in the diagonal frame, split into stable/unstable coordinates."""
-
-    plus: np.ndarray
-    minus: np.ndarray
 
 
 def split(G: np.ndarray) -> SpectralSplit:

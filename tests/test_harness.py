@@ -15,6 +15,7 @@ from saddle_escape.harness_cli import (AvoidanceReport, ConfigError,
                                        build_objective, chart_experiment,
                                        emit_plot_data, fig1_experiment, main,
                                        single_run_experiment)
+from reference import reference_run
 
 BASE = {
     "experiment": "avoidance",
@@ -66,6 +67,8 @@ def test_unknown_field_is_named():
     ("budget", True),
     ("stride", True),
     ("window", True),
+    ("conv_tol", True),
+    ("escape_radius", True),
 ])
 def test_invalid_values_rejected(field, value):
     with pytest.raises(ConfigError):
@@ -143,7 +146,7 @@ def test_report_rows_sorted_by_trial(tmp_path):
 # ---------------------------------------------------------------------------
 
 def assert_matches_run(cfg, rtol=None):
-    """Every avoidance row equals a methods.run from the same init.
+    """Every avoidance row equals a methods.run and a reference_run from the same init.
 
     Terminal, k_final and final-point bits must agree exactly, and
     grad_norm (computed row-wise from the final points) within 2 ulp of
@@ -154,21 +157,26 @@ def assert_matches_run(cfg, rtol=None):
     obj = build_objective(cfg.objective)
     schedule = sch.from_config(cfg.schedule)
     metric = None if cfg.metric is None else mth.constant_metric(np.asarray(cfg.metric))
+    step = mth.make_step(cfg.method_id, obj, schedule, metric=metric)
     counts = dict.fromkeys(rep.counts, 0)
     for row in rep.rows:
         rec = mth.run(cfg.method_id, obj, schedule, row["init"], budget=cfg.budget,
                       conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
                       stride=cfg.stride, window=cfg.window, metric=metric)
+        kind, k_final, final, message = reference_run(
+            step, row["init"], budget=cfg.budget, conv_tol=cfg.conv_tol,
+            escape_radius=cfg.escape_radius, window=cfg.window)
         counts[rec.terminal.kind] += 1
-        assert row["terminal"] == rec.terminal.kind
-        assert row["k_final"] == rec.k_final
-        assert row["message"] == rec.terminal.message
+        assert row["terminal"] == rec.terminal.kind == kind
+        assert row["k_final"] == rec.k_final == k_final
+        assert row["message"] == rec.terminal.message == message
         if rtol is None:
-            assert row["final"].tobytes() == rec.final_point.tobytes()
+            assert row["final"].tobytes() == rec.final_point.tobytes() == final.tobytes()
             ulp = np.spacing(max(abs(row["grad_norm"]), abs(rec.grad_norms[-1])))
             assert abs(row["grad_norm"] - rec.grad_norms[-1]) <= 2 * ulp
         else:
-            np.testing.assert_allclose(row["final"], rec.final_point, rtol=rtol, atol=1e-12)
+            for other in (rec.final_point, final):
+                np.testing.assert_allclose(row["final"], other, rtol=rtol, atol=1e-12)
             np.testing.assert_allclose(row["grad_norm"], rec.grad_norms[-1], rtol=rtol)
     assert rep.counts == counts
     return rep
@@ -361,9 +369,12 @@ QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
                "chart": {"critical_point": [0.0]}}),
     ("avoidance", {"objective": {"name": "cubic", "a": "x"}}),
     ("avoidance", {"objective": {"name": "quadratic", "matrix": "x"}}),
+    ("avoidance", {"schedule": {"kind": "power", "c": "x", "p": 1.0, "offset": 2}}),
+    ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
+    ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
-        "cubic-a-text", "matrix-text"])
+        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, command, over):
     data = dict(BASE, trials=2, budget=10, output_dir=str(tmp_path / "o"), **over)
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])

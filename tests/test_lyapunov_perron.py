@@ -306,6 +306,29 @@ def test_iterate_raw_on_manifold_stays_bounded():
     assert np.linalg.norm(traj[-1]) < prob.delta
 
 
+def test_iterate_raw_matches_plain_loop():
+    # iterate_raw is the one-row case of the lockstep raw loop shooting uses;
+    # its bits and exit step are those of the plain one-point recursion
+    prob = cubic_problem(horizon=4000, batch=True)
+    lam = prob.split.eigenvalues
+    exits = []
+    for z0, radius in (([0.04, 0.0], 0.1), ([0.05, 0.01], 0.1), ([0.0, -0.02], 0.1),
+                       ([0.04, 1e-3], 0.1), ([0.04, 0.0], None)):
+        traj, exit_step = iterate_raw(prob, np.array(z0), 3000, stop_radius=radius)
+        x = np.array(z0)
+        want, want_exit = [x], None
+        for k in range(3000):
+            x = (1.0 - HARMONIC.value(k) * lam) * x + prob.eta_batch([k], x[None])[0]
+            want.append(x)
+            if radius is not None and np.linalg.norm(x) > radius:
+                want_exit = k + 1
+                break
+        assert exit_step == want_exit
+        assert traj.tobytes() == np.array(want).tobytes()
+        exits.append(exit_step)
+    assert None in exits and any(e is not None for e in exits)
+
+
 def test_shooting_agrees_with_picard():
     prob = cubic_problem(horizon=4000)
     xp = np.array([0.04])

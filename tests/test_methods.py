@@ -16,6 +16,7 @@ from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    gd_step, intrinsic_manifold_step, make_step,
                                    manifold_step, mirror_step, proximal_step,
                                    run, run_batch, unit_sphere)
+from reference import reference_run
 
 HARMONIC = sch.power(1.0, 1.0, 2)
 
@@ -262,6 +263,7 @@ def test_run_batch_matches_run(method_id, bad):
         for radius in (3.0, 1e3):
             res = run_batch(method_id, f, HARMONIC, X0, budget=200, conv_tol=1e-12,
                             escape_radius=radius)
+            step = make_step(method_id, f, HARMONIC)
             for i, x0 in enumerate(X0):
                 rec = run(method_id, f, HARMONIC, x0, budget=200, conv_tol=1e-12,
                           escape_radius=radius)
@@ -269,6 +271,12 @@ def test_run_batch_matches_run(method_id, bad):
                 assert res.k_final[i] == rec.k_final
                 assert res.message[i] == rec.terminal.message
                 assert res.final[i].tobytes() == rec.final_point.tobytes()
+                kind, k_final, final, message = reference_run(
+                    step, x0, budget=200, conv_tol=1e-12, escape_radius=radius,
+                    window=mth.CONVERGENCE_WINDOW)
+                assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                    (kind, k_final, message)
+                assert res.final[i].tobytes() == final.tobytes()
             assert set(res.terminal) >= {CONVERGED_TO_POINT, BUDGET_EXHAUSTED}
             # only gd checks its gradient; an infinite iterate is an escape
             escapes = radius < 5.0 or (bad == np.inf and method_id != "gd")
@@ -282,11 +290,34 @@ def test_run_batch_checks_escape_before_convergence():
     res = run_batch("gd", obj_mod.fig1(), HARMONIC, X0, conv_tol=1e9, window=1,
                     escape_radius=1.0)
     assert res.terminal == [CONVERGED_TO_POINT, ESCAPED_REGION]
+    step = make_step("gd", obj_mod.fig1(), HARMONIC)
     for i, x0 in enumerate(X0):
         rec = run("gd", obj_mod.fig1(), HARMONIC, x0, conv_tol=1e9, window=1,
                   escape_radius=1.0)
+        ref = reference_run(step, x0, budget=mth.DEFAULT_BUDGET, conv_tol=1e9,
+                            escape_radius=1.0, window=1)
         assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == \
-            (res.terminal[i], 1)
+            ref[:2] == (res.terminal[i], 1)
+        assert res.final[i].tobytes() == rec.final_point.tobytes() == ref[2].tobytes()
+
+
+def test_run_batch_steps_rowwise_pairs_independently():
+    # mirror-entropy on a non-vectorized objective steps row by row: the row
+    # on the simplex boundary stops at k = 0, the others run to the budget
+    f = linear_objective([1.0, -1.0, 0.0])
+    X0 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+    res = run_batch("mirror-entropy", f, HARMONIC, X0, budget=200)
+    assert res.terminal == [BUDGET_EXHAUSTED, STEP_ERROR, BUDGET_EXHAUSTED]
+    assert list(res.k_final) == [200, 0, 200]
+    assert res.message[1].startswith("mirror iterate touched the simplex boundary")
+    assert res.final[1].tobytes() == X0[1].tobytes()
+    step = make_step("mirror-entropy", f, HARMONIC)
+    for i, x0 in enumerate(X0):
+        kind, k_final, final, message = reference_run(
+            step, x0, budget=200, conv_tol=1e-9, escape_radius=mth.DEFAULT_ESCAPE_RADIUS,
+            window=mth.CONVERGENCE_WINDOW)
+        assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
+        assert res.final[i].tobytes() == final.tobytes()
 
 
 def test_run_batch_rejects_bad_shape():
