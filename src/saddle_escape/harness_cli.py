@@ -148,6 +148,8 @@ class ExperimentConfig:
             lo, hi = pair
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ConfigError(f"init_box[{i}] needs finite low <= high, got {pair!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string path, got {self.output_dir!r}")
         if not isinstance(self.objective, dict):
             raise ConfigError(f"objective must be a JSON object, got {self.objective!r}")
         if not isinstance(self.schedule, dict):

@@ -17,9 +17,10 @@ contraction when
     K = 1 - alpha_0 * lambda_stable + epsilon * (K1 + K2) < 1,
 
 where K1 bounds the forward sums  sup_k sum_i alpha_i prod_{j>i}(1-alpha_j
-lambda)  and K2 bounds the backward sums of inverse products.  Both constants
-are computed numerically here, with the analytic caps that make them
-certificates rather than guesses.
+lambda)  and K2 bounds the backward sums of inverse products.  Both sums
+telescope, so no series is summed here: K1 = 1/lambda_stable and
+K2 = 1/|lambda_unstable| are closed forms, and the truncation tail at the
+horizon N is bounded by one product over alpha_0..alpha_N.
 
 Everything in this module works in the diagonal frame (coordinates z = Q x of
 :class:`~saddle_escape.spectral.SpectralSplit`); conversion happens at the
@@ -29,7 +30,6 @@ boundary, in :func:`remainder_from_objective`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -58,14 +58,10 @@ __all__ = [
     "shooting_oracle",
     "chart",
     "remainder_from_objective",
-    "DEFAULT_K_PROBES",
     "DEFAULT_TAIL_TOL",
-    "MAX_K2_TERMS",
 ]
 
-DEFAULT_K_PROBES = (-1, 0, 1, 2, 4, 8, 16, 32)
 DEFAULT_TAIL_TOL = 1e-10
-MAX_K2_TERMS = 10_000_000
 
 # fall back from the cumprod closed forms to sequential scans outside this range
 _PRODUCT_UNDERFLOW = 1e-250
@@ -110,10 +106,10 @@ class PerronProblem:
         ``eta`` applied row by row; every reader in this module calls
         ``eta_batch`` only.
     tail_estimate : float, optional
-        Recorded a-priori estimate of the truncated backward tail at this
-        horizon (filled in by :func:`remainder_from_objective`; a
-        geometric-ratio extrapolation, i.e. an estimate rather than a bound
-        when the series decays subgeometrically).
+        Recorded a-priori bound on the backward tail that the horizon cuts
+        off the sum anchoring entry 0, epsilon * delta * P_N / |lambda_u|
+        with P_N = prod_{j<=N} (1 + alpha_j |lambda_u|)^{-1} (filled in by
+        :func:`remainder_from_objective`).
     """
 
     split: SpectralSplit
@@ -246,14 +242,16 @@ class ContractionCertificate:
 # contraction constants
 # ---------------------------------------------------------------------------
 
-def bound_K1(split_: SpectralSplit, schedule: StepSchedule, k_max: int = 10_000) -> float:
+def bound_K1(split_: SpectralSplit, schedule: StepSchedule) -> float:
     """Bound the forward variation-of-constants sums on the stable block.
 
     With lambda the least positive eigenvalue, the partial sums
     S_k = sum_{t<=k} alpha_t * prod_{j=t+1..k} (1 - alpha_j * lambda)
-    obey the recursion S_{k+1} = (1 - alpha_{k+1} lambda) S_k + alpha_{k+1},
-    S_0 = alpha_0.  Returns max_{k <= k_max} S_k and asserts the analytic cap
-    S_k <= 2/lambda (in fact S_k <= 1/lambda once every alpha_k*lambda < 1).
+    telescope: alpha_t = (1 - (1 - alpha_t lambda)) / lambda gives
+    S_k = (1 - Q_k) / lambda with Q_k = prod_{j<=k} (1 - alpha_j lambda).
+    Every factor lies in (0, 1) once alpha_0 * lambda < 1, because the
+    schedule is nonincreasing, so S_k < 1/lambda for every k; 1/lambda is
+    the supremum whenever sum alpha_k diverges.  Returns 1/lambda.
 
     Raises CertificateError when no positive eigenvalue exists or
     alpha_0 * lambda >= 1 (the very first factor would not contract).
@@ -263,109 +261,28 @@ def bound_K1(split_: SpectralSplit, schedule: StepSchedule, k_max: int = 10_000)
     if pos.size == 0:
         raise CertificateError("no positive eigenvalue: the stable block is empty")
     lam = float(np.min(pos))
-    alphas = np.asarray(schedule.values(k_max + 1), dtype=float)
-    if alphas[0] * lam >= 1.0:
+    alpha0 = float(schedule.value(0))
+    if alpha0 * lam >= 1.0:
         raise CertificateError(
-            f"alpha_0 * lambda = {alphas[0] * lam:.6g} >= 1; "
+            f"alpha_0 * lambda = {alpha0 * lam:.6g} >= 1; "
             "the first stable factor does not contract — shrink the schedule")
-    if np.any(alphas * lam >= 1.0):
-        raise CertificateError("alpha_k * lambda >= 1 at some k; schedule not admissible")
-    s = alphas[0]
-    best = s
-    for k in range(1, k_max + 1):
-        s = (1.0 - alphas[k] * lam) * s + alphas[k]
-        if s > best:
-            best = s
-    if best > 2.0 / lam:
-        raise CertificateError(
-            f"K1 = {best:.6g} violates the analytic cap 2/lambda = {2.0 / lam:.6g}")
-    return float(best)
+    return 1.0 / lam
 
 
-class _AlphaCache:
-    """Grow-on-demand view of a schedule's value array (amortized O(n))."""
-
-    def __init__(self, schedule: StepSchedule, initial: int = 4096):
-        self.schedule = schedule
-        self.arr = np.asarray(schedule.values(initial), dtype=float)
-
-    def range(self, a: int, b: int) -> np.ndarray:
-        if b > self.arr.shape[0]:
-            n = max(b, 2 * self.arr.shape[0])
-            self.arr = np.asarray(self.schedule.values(n), dtype=float)
-        return self.arr[a:b]
-
-
-def _k2_series(cache: _AlphaCache, lam: float, k: int, tail_tol: float,
-               max_terms: int, warn_on_cap: bool = True) -> tuple[float, float, bool]:
-    """Sum a_i = alpha_{k+1+i} * prod_{j=k+1}^{k+1+i} (1 - alpha_j lam)^{-1}.
-
-    Stops once the running term drops below tail_tol * (1 - ratio) — the
-    remaining geometric-majorant tail is then below tail_tol — and adds the
-    extrapolated tail  term * ratio / (1 - ratio).  Returns
-    (sum_with_tail, tail_estimate, hit_cap).
-
-    If ``max_terms`` summands are consumed while the terms are still
-    decaying, the truncated sum plus the same extrapolation is returned with
-    hit_cap=True (and a RuntimeWarning).  Terms that have stopped decaying at
-    the cap mean the series cannot be certified numerically: CertificateError.
-    """
-    chunk = 65536
-    start = k + 1
-    total = 0.0
-    carry = 1.0
-    i0 = 0
-    prev_last = None
-    last = ratio = None
-    while i0 < max_terms:
-        m = min(chunk, max_terms - i0)
-        alph = cache.range(start + i0, start + i0 + m)
-        inv = 1.0 / (1.0 - alph * lam)
-        cp = carry * np.cumprod(inv)
-        terms = alph * cp
-        total += float(np.sum(terms))
-        carry = float(cp[-1])
-        last = float(terms[-1])
-        if last == 0.0:  # underflowed: the tail is numerically zero
-            return total, 0.0, False
-        if m >= 2:
-            ratio = last / float(terms[-2])
-        elif prev_last is not None:
-            ratio = last / prev_last
-        else:
-            ratio = None
-        prev_last = last
-        if ratio is not None and ratio < 1.0 and last < tail_tol * (1.0 - ratio):
-            tail = last * ratio / (1.0 - ratio)
-            return total + tail, tail, False
-        i0 += m
-    if ratio is None or ratio >= 1.0:
-        raise CertificateError(
-            f"backward series terms stopped decaying after {max_terms} summands "
-            f"(last ratio {ratio}); the bound is not numerically certifiable")
-    tail = last * ratio / (1.0 - ratio)
-    if warn_on_cap:
-        warnings.warn(
-            f"backward series truncated at {max_terms} summands before reaching "
-            f"tail_tol={tail_tol:g}; adding geometric tail estimate {tail:.3e}",
-            RuntimeWarning, stacklevel=3)
-    return total + tail, tail, True
-
-
-def bound_K2(split_: SpectralSplit, schedule: StepSchedule,
-             k_probe: Sequence[int] = DEFAULT_K_PROBES,
-             tail_tol: float = DEFAULT_TAIL_TOL,
-             max_terms: int = MAX_K2_TERMS) -> float:
+def bound_K2(split_: SpectralSplit, schedule: StepSchedule) -> float:
     """Bound the backward tail sums on the unstable block.
 
-    With lambda the strictly negative eigenvalue closest to zero (the slowest
-    inverse decay, hence the dominant coordinate), computes for each probe k
+    With mu = |lambda| for the strictly negative eigenvalue closest to zero
+    (the slowest inverse decay, hence the dominant coordinate), each probe k
+    has the sum
 
-        R_k = sum_{i>=0} alpha_{k+1+i} * prod_{j=k+1}^{k+1+i} (1 - alpha_j lambda)^{-1}
+        R_k = sum_{i>=0} alpha_{k+1+i} * P_i,
+        P_i = prod_{j=k+1}^{k+1+i} (1 + alpha_j mu)^{-1}.
 
-    by direct truncated summation (see :func:`_k2_series` for the stopping
-    safeguard) and returns the max over probes.  Probe k = -1 covers the sum
-    anchoring the unstable coordinate of the 0-th sequence entry.
+    Each term telescopes, alpha_{k+1+i} * P_i = (P_{i-1} - P_i) / mu with
+    P_{-1} = 1, so R_k = (1 - P_inf) / mu <= 1/mu for every k and every
+    positive ``schedule``, with equality when sum alpha_k diverges.
+    Returns 1/mu, or 0.0 for an empty unstable block.
 
     A zero eigenvalue in the unstable block makes the terms non-decaying
     (inverse factors equal to 1), so it is rejected outright.
@@ -378,20 +295,10 @@ def bound_K2(split_: SpectralSplit, schedule: StepSchedule,
     negs = evals[evals < 0]
     if negs.size == 0:
         return 0.0  # empty unstable block: no backward sums to bound
-    lam = float(np.max(negs))
-    cache = _AlphaCache(schedule)
-    best = 0.0
-    for k in k_probe:
-        if k < -1:
-            raise CertificateError(f"k_probe entries must be >= -1, got {k}")
-        value, _, _ = _k2_series(cache, lam, k, tail_tol, max_terms)
-        if value > best:
-            best = value
-    return float(best)
+    return 1.0 / abs(float(np.max(negs)))
 
 
-def contraction_constant(prob: PerronProblem, k_max: int = 10_000,
-                         k_probe: Sequence[int] = DEFAULT_K_PROBES) -> ContractionCertificate:
+def contraction_constant(prob: PerronProblem) -> ContractionCertificate:
     """Assemble the contraction certificate K = 1 - alpha0*lambda + eps*(K1+K2).
 
     A zero remainder (epsilon = 0) needs no K2: the backward sums carry a
@@ -405,13 +312,11 @@ def contraction_constant(prob: PerronProblem, k_max: int = 10_000,
     lam_s = float(np.min(pos))
     negs = evals[evals < 0]
     lam_u = float(np.max(negs)) if negs.size else None
-    k1 = bound_K1(prob.split, prob.schedule, k_max)
+    k1 = bound_K1(prob.split, prob.schedule)
     if prob.epsilon == 0.0:
         k2 = 0.0  # zero remainder: the K2 term is multiplied by epsilon = 0
-    elif negs.size == 0 and not np.any(evals == 0.0):
-        k2 = 0.0  # empty unstable block: no backward sums exist
     else:
-        k2 = bound_K2(prob.split, prob.schedule, k_probe, prob.tail_tol)
+        k2 = bound_K2(prob.split, prob.schedule)
     return _certificate(k1, k2, lam_s, lam_u, float(prob.schedule.value(0)), prob.epsilon)
 
 
@@ -811,6 +716,20 @@ def _chart_sample(prob, g, fp_tol, fp_budget):
 # from an objective to a problem (conjugation into the diagonal frame)
 # ---------------------------------------------------------------------------
 
+class _AlphaCache:
+    """Grow-on-demand view of a schedule's value array (amortized O(n))."""
+
+    def __init__(self, schedule: StepSchedule, initial: int = 4096):
+        self.schedule = schedule
+        self.arr = np.asarray(schedule.values(initial), dtype=float)
+
+    def range(self, a: int, b: int) -> np.ndarray:
+        if b > self.arr.shape[0]:
+            n = max(b, 2 * self.arr.shape[0])
+            self.arr = np.asarray(self.schedule.values(n), dtype=float)
+        return self.arr[a:b]
+
+
 def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                              method: str = "gd", delta0: float = 0.1,
                              max_halvings: int = 20, horizon: Optional[int] = None,
@@ -818,8 +737,6 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                              tail_tol: float = DEFAULT_TAIL_TOL,
                              epsilon: Optional[float] = None,
                              n_pairs: int = 10_000, safety: float = 1.5, seed: int = 0,
-                             k_max: int = 10_000,
-                             k_probe: Sequence[int] = DEFAULT_K_PROBES,
                              ) -> tuple[PerronProblem, ContractionCertificate]:
     """Build the diagonal-frame remainder problem for a method at a saddle.
 
@@ -838,10 +755,13 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     otherwise.
 
     delta starts at delta0 and is halved (at most max_halvings times) until
-    the certificate K < 1 holds.  The horizon is grown until the a-priori
-    truncation estimate epsilon*delta*(backward-series tail beyond N) falls
-    under tail_tol, capped at horizon_cap; the achieved estimate is recorded
-    on the problem as ``tail_estimate``.
+    the certificate K < 1 holds.  The backward sum anchoring entry 0 loses
+    its terms beyond the horizon N; they telescope to at most
+    epsilon*delta*P_N/|lambda_u| with P_N = prod_{j<=N} (1 + alpha_j
+    |lambda_u|)^{-1}.  Unless ``horizon`` is given, N is the smallest value
+    in [min(1024, horizon_cap), horizon_cap] whose bound is below tail_tol,
+    or horizon_cap if none is; the bound at N is recorded on the problem as
+    ``tail_estimate``.
 
     Returns (PerronProblem, ContractionCertificate).  Only gradient descent
     is implemented: the other methods linearize differently at critical
@@ -890,12 +810,12 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     a_coef = getattr(obj, "cubic_coefficient", None)
     is_quadratic = getattr(obj, "quadratic_matrix", None) is not None
 
-    k1 = bound_K1(sp, schedule, k_max)
+    k1 = bound_K1(sp, schedule)
     if is_quadratic and not epsilon:
         # exactly-zero remainder: the backward bound enters with weight 0
         k2 = 0.0
     else:
-        k2 = bound_K2(sp, schedule, k_probe, tail_tol)
+        k2 = bound_K2(sp, schedule)
     lam_s = float(np.min(evals[evals > 0]))
     lam_u = float(np.max(evals[evals < 0]))
     alpha0 = float(schedule.value(0))
@@ -920,21 +840,18 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
             f"no contraction after {max_halvings} delta-halvings "
             f"(K = {cert.k:.6g}, epsilon needs to be < {cert.epsilon_star:.6g})")
 
-    cache = _AlphaCache(schedule)
+    mu = -lam_u
+    last = horizon_cap if horizon is None else horizon
+    if last < 1:
+        raise LyapunovError(f"horizon and horizon_cap must be >= 1, got {last}")
+    alphas = np.asarray(schedule.values(last + 1), dtype=float)
+    # tails[N] bounds the terms beyond N: eps*delta*P_N/mu
+    tails = eps_val * delta * np.exp(-np.cumsum(np.log1p(mu * alphas))) / mu
     if horizon is None:
-        n = 1024
-        while True:
-            _, tail_est, capped = _k2_series(cache, lam_u, -1, 0.0, max_terms=n + 1,
-                                             warn_on_cap=False)
-            if not capped or eps_val * delta * tail_est < tail_tol or n >= horizon_cap:
-                break
-            n = min(2 * n, horizon_cap)
-        horizon = n
-        tail_estimate = eps_val * delta * tail_est
-    else:
-        _, tail_est, _ = _k2_series(cache, lam_u, -1, 0.0, max_terms=horizon + 1,
-                                    warn_on_cap=False)
-        tail_estimate = eps_val * delta * tail_est
+        first = min(1024, horizon_cap)
+        met = np.flatnonzero(tails[first:] < tail_tol)
+        horizon = first + int(met[0]) if met.size else horizon_cap
+    tail_estimate = tails[horizon]
 
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=int(horizon), tail_tol=tail_tol,

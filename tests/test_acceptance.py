@@ -27,6 +27,8 @@ from saddle_escape.methods import (CONVERGED_TO_POINT, ESCAPED_REGION,
                                    entropy_mirror_map)
 from saddle_escape.objectives import Objective, fig1
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_c01_quadratic_closed_form():
     t0 = time.perf_counter()

@@ -283,7 +283,6 @@ def test_chart_experiment_quadratic(tmp_path):
     assert len(lines) == 1 + 11
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # harmonic K2 truncation
 def test_chart_experiment_uncertifiable_epsilon(tmp_path):
     cfg = make_cfg(experiment="chart", output_dir=str(tmp_path),
                    objective={"name": "quadratic",
@@ -343,6 +342,15 @@ def test_cli_assertion_failure_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_chart_horizon_cap_below_1024(tmp_path):
+    data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+            "chart": {"horizon_cap": 500}, "output_dir": str(tmp_path / "c")}
+    code = main(["chart", "--config", write_cfg(tmp_path, "h.json", data)])
+    assert code == 0
+    cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+    assert cert["horizon"] == 500
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     data = dict(BASE, trials=6, budget=200)
     cfg_path = write_cfg(tmp_path, "e.json", data)
@@ -372,11 +380,13 @@ QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
     ("avoidance", {"schedule": {"kind": "power", "c": "x", "p": 1.0, "offset": 2}}),
     ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
     ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
+    ("avoidance", {"output_dir": 5}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
-        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text"])
+        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
+        "output_dir-int"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, command, over):
-    data = dict(BASE, trials=2, budget=10, output_dir=str(tmp_path / "o"), **over)
+    data = {**BASE, "trials": 2, "budget": 10, "output_dir": str(tmp_path / "o"), **over}
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err

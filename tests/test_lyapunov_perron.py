@@ -5,10 +5,12 @@ implementation that evaluates every transition product with an explicit
 inner loop — the vectorized cumprod scans must reproduce those sums.
 """
 
-import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (k1_recursion, k2_exact_constant, k2_partial_power_harmonic,
+                     power_alpha, telescoped_unstable)
 
 from saddle_escape import lyapunov_perron as lp
 from saddle_escape import objectives as obj_mod
@@ -22,6 +24,8 @@ from saddle_escape.lyapunov_perron import (CertificateError, LyapunovError,
                                            shooting_oracle, solve_stable_point,
                                            sup_distance)
 from saddle_escape.spectral import split
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 HARMONIC = sch.power(1.0, 1.0, 2)
 
@@ -167,15 +171,38 @@ def test_sup_distance():
 # ---------------------------------------------------------------------------
 
 def test_bound_K1_harmonic_recursion_value():
-    # S_k = (k+1)/(k+2) for alpha = 1/(k+2), lambda = 1; max at the window end
+    # S_k = (k+1)/(k+2) for alpha = 1/(k+2), lambda = 1: the recursion climbs
+    # towards its supremum 1/lambda = 1, which bound_K1 returns exactly
     sp = split(np.diag([1.0, -1.0]))
-    k1 = bound_K1(sp, HARMONIC, k_max=10_000)
-    assert k1 == pytest.approx(10_001.0 / 10_002.0, rel=1e-12)
+    k1 = bound_K1(sp, HARMONIC)
+    assert k1 == 1.0
+    alphas = HARMONIC.values(10_001)
+    s = alphas[0]
+    for a in alphas[1:]:
+        s = (1.0 - a) * s + a
+    assert s == pytest.approx(10_001.0 / 10_002.0, rel=1e-12)
+    assert s < k1
+
+
+@pytest.mark.parametrize("lam,alphas,schedule", [
+    (Fraction(1), [power_alpha(t) for t in range(300)], HARMONIC),
+    (Fraction(1, 2), [power_alpha(t) for t in range(300)], HARMONIC),
+    (Fraction(2), [power_alpha(t, offset=4) for t in range(300)], sch.power(1.0, 1.0, 4)),
+    (Fraction(1), [power_alpha(t, p=2) for t in range(300)], sch.power(1.0, 2.0, 2)),
+    (Fraction(1), [Fraction(1, 2)] * 300, sch.constant(0.5)),
+], ids=["harmonic", "harmonic-lam-half", "harmonic-offset4-lam2", "summable-p2", "constant-half"])
+def test_bound_K1_dominates_exact_recursion(lam, alphas, schedule):
+    # every exact prefix value S_k stays below the closed form 1/lambda
+    k1 = bound_K1(split(np.diag([float(lam), -1.0])), schedule)
+    assert k1 == 1.0 / float(lam)
+    prefix = k1_recursion(lam, alphas)
+    assert max(prefix) < Fraction(k1)
+    assert prefix == sorted(prefix)
 
 
 def test_bound_K1_constant_half():
     sp = split(np.diag([1.0, -1.0]))
-    k1 = bound_K1(sp, sch.constant(0.5), k_max=200)
+    k1 = bound_K1(sp, sch.constant(0.5))
     assert k1 == pytest.approx(1.0, rel=1e-12)
     assert k1 <= 2.0  # the certified cap 2/lambda
 
@@ -183,44 +210,51 @@ def test_bound_K1_constant_half():
 def test_bound_K1_rejects_overlong_first_step():
     sp = split(np.diag([2.0, -2.0]))
     with pytest.raises(CertificateError):
-        bound_K1(sp, HARMONIC, k_max=100)  # alpha_0 * 2 = 1
+        bound_K1(sp, HARMONIC)  # alpha_0 * 2 = 1
 
 
 def test_bound_K2_constant_exact_one():
     # alpha = 1/2, lambda = -1: R = sum_i (3/2)^{-i} ... = 1 exactly
     sp = split(np.diag([1.0, -1.0]))
-    k2 = bound_K2(sp, sch.constant(0.5), k_probe=(0,), tail_tol=1e-10)
-    assert k2 == pytest.approx(1.0, abs=1e-9)
+    k2 = bound_K2(sp, sch.constant(0.5))
+    assert k2 == 1.0
+
+
+@pytest.mark.parametrize("alpha,lam", [(Fraction(1, 2), Fraction(1)),
+                                       (Fraction(1, 4), Fraction(2)),
+                                       (Fraction(1, 10), Fraction(1, 2))])
+def test_bound_K2_matches_exact_constant_series(alpha, lam):
+    sp = split(np.diag([1.0, -float(lam)]))
+    assert bound_K2(sp, sch.constant(float(alpha))) == float(k2_exact_constant(alpha, lam))
 
 
 def test_bound_K2_harmonic_telescopes_to_one():
-    # for alpha = 1/(k+2), lambda = -1 every R_k telescopes to exactly 1;
-    # the 1/k decay forces truncation + an explicit tail estimate
+    # for alpha = 1/(k+2), lambda = -1 every R_k telescopes to exactly 1
     sp = split(np.diag([1.0, -1.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        k2 = bound_K2(sp, HARMONIC, k_probe=(-1, 0, 4), tail_tol=1e-10)
-    assert k2 == pytest.approx(1.0, abs=1e-5)
+    k2 = bound_K2(sp, HARMONIC)
+    assert k2 == 1.0
+    for k in (-1, 0, 4):
+        partials = [k2_partial_power_harmonic(k, n) for n in (1, 10, 1000)]
+        assert all(p < Fraction(k2) for p in partials)
+        assert partials[-1] > Fraction(99, 100)  # the bound is the supremum
 
 
 def test_bound_K2_rejects_zero_eigenvalue():
     sp = split(np.diag([1.0, 0.0, -1.0]))
     with pytest.raises(CertificateError):
-        bound_K2(sp, HARMONIC, k_probe=(0,), tail_tol=1e-10)
+        bound_K2(sp, HARMONIC)
 
 
 def test_bound_K2_empty_unstable_block_is_zero():
     sp = split(np.eye(2))
-    assert bound_K2(sp, HARMONIC, k_probe=(0,), tail_tol=1e-10) == 0.0
+    assert bound_K2(sp, HARMONIC) == 0.0
 
 
 def test_contraction_constant_composition():
     prob = cubic_problem(a=0.1, delta=0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cert = contraction_constant(prob)
-    assert cert.k1 == pytest.approx(10_001.0 / 10_002.0, rel=1e-12)
-    assert cert.k2 == pytest.approx(1.0, abs=1e-5)
+    cert = contraction_constant(prob)
+    assert cert.k1 == 1.0
+    assert cert.k2 == 1.0
     expect = 1.0 - 0.5 * 1.0 + 0.06 * (cert.k1 + cert.k2)
     assert cert.k == pytest.approx(expect, rel=1e-12)
     assert cert.valid
@@ -420,7 +454,7 @@ def test_remainder_cubic_constant_schedule_certifies_by_halving():
     # constant alpha with |lambda| = 1 gives K1 -> 1 and K2 = 1 exactly
     # (alpha * sum (1+alpha)^-i = 1); delta0 = 0.1 fails K < 1 by a hair
     # (0.9 + 0.06*2 > 1), so exactly one halving is needed
-    assert cert.k2 == pytest.approx(1.0, abs=1e-9)
+    assert cert.k2 == 1.0
     assert cert.valid
     assert prob.delta == pytest.approx(0.05)
     assert prob.epsilon == pytest.approx(0.6 * prob.delta, rel=1e-12)
@@ -448,6 +482,51 @@ def test_remainder_gd_only():
     f = obj_mod.cubic_perturbed_saddle(0.1)
     with pytest.raises(NotImplementedError):
         remainder_from_objective(f, np.zeros(2), HARMONIC, method="prox")
+
+
+def test_remainder_harmonic_certificate_is_closed_form():
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, cert = remainder_from_objective(f, np.zeros(2), HARMONIC)
+    assert (cert.k1, cert.k2) == (1.0, 1.0)
+    assert cert.k == pytest.approx(0.5 + 0.06 * 2, rel=1e-15)
+    assert cert.epsilon_star == pytest.approx(0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("horizon", [None, 200])
+def test_remainder_tail_estimate_telescopes(horizon):
+    # mu = 1 under 1/(k+2): P_N = 1/prod_{j<=N}(1 + alpha_j) = 2/(N+3)
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon=horizon)
+    N = prob.horizon
+    assert N == (100_000 if horizon is None else horizon)  # 1e-10 needs N ~ 1.2e8
+    p_n = 1 / telescoped_unstable(N)
+    assert p_n == Fraction(2, N + 3)
+    assert prob.tail_estimate == pytest.approx(
+        prob.epsilon * prob.delta * float(p_n), rel=1e-12)
+
+
+def test_remainder_horizon_is_smallest_meeting_tail_tol():
+    # eps*delta*2/(N+3) < 1.3e-6 first holds at N + 3 = 9231
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, tail_tol=1.3e-6)
+    assert prob.horizon == 9228
+    assert prob.tail_estimate < 1.3e-6
+
+
+@pytest.mark.parametrize("cap", [1, 500, 1023, 2000])
+def test_remainder_horizon_respects_small_cap(cap):
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon_cap=cap)
+    assert prob.horizon == cap
+    assert prob.tail_estimate == pytest.approx(
+        prob.epsilon * prob.delta * 2.0 / (cap + 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{"horizon": 0}, {"horizon": -3}, {"horizon_cap": 0}])
+def test_remainder_rejects_nonpositive_horizon(kwargs):
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    with pytest.raises(LyapunovError, match="horizon"):
+        remainder_from_objective(f, np.zeros(2), HARMONIC, **kwargs)
 
 
 def test_remainder_rejects_definite_hessian():
