@@ -26,7 +26,9 @@ print(f"  backward bound K2     = {cert.k2:.12f}")
 print(f"  remainder slope eps   = {cert.epsilon:.6f}  (delta = {prob.delta})")
 print(f"  contraction factor K  = {cert.k:.12f}  -> valid: {cert.valid}")
 print(f"  certifiable up to eps < {cert.epsilon_star:.6f}")
-print(f"  horizon N = {prob.horizon}, truncation tail <= {prob.tail_estimate:.2e}")
+print(f"  horizon N = {prob.horizon}, truncation tail <= {prob.tail_estimate:.2e}"
+      f"  (orbit decay rate gamma = {prob.decay_rate:g})")
+print(f"  horizon capped: {prob.horizon_capped}  (tail_tol = {prob.tail_tol:g})")
 print()
 
 grid = np.linspace(-0.05, 0.05, 5)

@@ -434,10 +434,15 @@ def chart_experiment(cfg: ExperimentConfig):
     """Certify contraction at the objective's saddle and export the chart.
 
     Writes chart.csv (columns x0_plus_*, x0_minus_*, residual, picard_iters)
-    and certificate.json (K1, K2, K, delta, epsilon, horizon, ...) into
-    cfg.output_dir.  An uncertifiable contraction raises
-    ExperimentAssertionError carrying the largest certifiable epsilon.
+    and certificate.json (K1, K2, K, delta, epsilon, horizon, horizon_capped,
+    ...) into cfg.output_dir.  An uncertifiable contraction raises
+    ExperimentAssertionError carrying the largest certifiable epsilon; a
+    method other than gd is a ConfigError.
     """
+    if cfg.method_id != "gd":
+        raise ConfigError(f"chart certifies gradient descent only, got method_id "
+                          f"{cfg.method_id!r}; the other methods linearize differently "
+                          "at a saddle and have no certificate yet")
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
     ccfg = dict(cfg.chart)
@@ -511,7 +516,8 @@ def chart_experiment(cfg: ExperimentConfig):
         "alpha0": cert.alpha0, "epsilon": cert.epsilon,
         "epsilon_star": cert.epsilon_star, "valid": cert.valid,
         "delta": prob.delta, "horizon": prob.horizon,
-        "tail_estimate": prob.tail_estimate,
+        "tail_estimate": prob.tail_estimate, "tail_tol": prob.tail_tol,
+        "horizon_capped": prob.horizon_capped, "decay_rate": prob.decay_rate,
         "phi_zero_norm": ch.phi_zero_norm,
         "dphi_norms": {repr(h): v for h, v in ch.dphi_norms.items()},
         "tangency_ok": ch.tangency_ok, "continuity_ok": ch.continuity_ok,
@@ -606,6 +612,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"K1={cert.k1:.6g} K2={cert.k2:.6g} K={cert.k:.6g} "
                   f"delta={prob.delta:.6g} epsilon={cert.epsilon:.6g} "
                   f"N={prob.horizon}")
+            if prob.horizon_capped:
+                print(f"horizon capped: the tail bound {prob.tail_estimate:.3g} at N="
+                      f"{prob.horizon} misses tail_tol {prob.tail_tol:.3g}")
             print(f"tangency_ok={ch.tangency_ok} continuity_ok={ch.continuity_ok} "
                   f"partial={ch.partial}")
             print(f"wrote chart.csv and certificate.json under {cfg.output_dir}")

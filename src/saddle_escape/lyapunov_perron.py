@@ -19,8 +19,9 @@ contraction when
 where K1 bounds the forward sums  sup_k sum_i alpha_i prod_{j>i}(1-alpha_j
 lambda)  and K2 bounds the backward sums of inverse products.  Both sums
 telescope, so no series is summed here: K1 = 1/lambda_stable and
-K2 = 1/|lambda_unstable| are closed forms, and the truncation tail at the
-horizon N is bounded by one product over alpha_0..alpha_N.
+K2 = 1/|lambda_unstable| are closed forms.  The tail that the horizon N
+drops is bounded in closed form too, along the decay of the fixed orbit
+that a weighted sequence space proves (:func:`tail_horizon`).
 
 Everything in this module works in the diagonal frame (coordinates z = Q x of
 :class:`~saddle_escape.spectral.SpectralSplit`); conversion happens at the
@@ -58,6 +59,8 @@ __all__ = [
     "shooting_oracle",
     "chart",
     "remainder_from_objective",
+    "TailBound",
+    "tail_horizon",
     "DEFAULT_TAIL_TOL",
 ]
 
@@ -107,9 +110,14 @@ class PerronProblem:
         ``eta_batch`` only.
     tail_estimate : float, optional
         Recorded a-priori bound on the backward tail that the horizon cuts
-        off the sum anchoring entry 0, epsilon * delta * P_N / |lambda_u|
-        with P_N = prod_{j<=N} (1 + alpha_j |lambda_u|)^{-1} (filled in by
-        :func:`remainder_from_objective`).
+        off the sum anchoring entry 0 (see :func:`tail_horizon`; filled in
+        by :func:`remainder_from_objective`).
+    horizon_capped : bool
+        True when ``tail_estimate`` misses ``tail_tol``: the horizon search
+        stopped at its cap, or a given horizon is too short.
+    decay_rate : float
+        The rate gamma of the weights w_k = prod_{j<k} (1 - alpha_j gamma)
+        behind ``tail_estimate``; 0 is the unweighted bound.
     """
 
     split: SpectralSplit
@@ -121,6 +129,8 @@ class PerronProblem:
     tail_tol: float = DEFAULT_TAIL_TOL
     eta_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     tail_estimate: Optional[float] = None
+    horizon_capped: bool = False
+    decay_rate: float = 0.0
     alphas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -713,6 +723,117 @@ def _chart_sample(prob, g, fp_tol, fp_budget):
 
 
 # ---------------------------------------------------------------------------
+# the truncation horizon
+# ---------------------------------------------------------------------------
+
+# weight rates gamma = rung * lambda_s tried for the tail bound, largest first;
+# a larger gamma proves faster decay and so a shorter horizon, and eighths
+# land within 1/8 lambda_s of the largest certifiable rate
+_DECAY_LADDER = (0.875, 0.75, 0.625, 0.5, 0.375, 0.25, 0.125)
+
+
+class TailBound(NamedTuple):
+    """Output of tail_horizon."""
+
+    horizon: int
+    tail_estimate: float
+    capped: bool
+    decay_rate: float
+
+
+def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
+                 delta: float, *, order: int = 1, horizon: Optional[int] = None,
+                 horizon_cap: int = 100_000,
+                 tail_tol: float = DEFAULT_TAIL_TOL) -> TailBound:
+    """Pick the horizon N from a bound on the tail it drops, orbit decay included.
+
+    Entry 0 of T sums the unstable remainders backward,
+    v_0^- = -sum_{i>=0} eta^-(i, u_i) / P_i with P_i = prod_{j<=i}
+    (1 + alpha_j mu) and mu = |lambda_u|; the horizon N keeps the terms
+    i < N.  A remainder of ``order`` 1 has only its Lipschitz modulus,
+    |eta(i, u)| <= alpha_i epsilon |u|.  One of ``order`` 2 (quadratic in z,
+    like the cubic objective's) has the modulus epsilon r / delta on
+    B(0, r), so |eta(i, u)| <= alpha_i epsilon |u|^2 / delta.
+
+    Weights (Perron's weighted sequence space).  Measure sequences by
+    sup_k |u_k| / w_k with w_k = prod_{j<k} (1 - alpha_j gamma) and
+    0 <= gamma < lambda_s, and let rho_j = (1 - alpha_j lambda_s) /
+    (1 - alpha_j gamma), which lies in (0, 1).  On the stable block the
+    anchor term carries prod_{j<=k} rho_j <= rho_0, and the forward sums
+    S_k = rho_k S_{k-1} + alpha_k / (1 - alpha_k gamma) telescope, because
+    alpha_k / (1 - alpha_k gamma) = (1 - rho_k) / (lambda_s - gamma), to
+    (1 - prod_{j<=k} rho_j) / (lambda_s - gamma) < 1 / (lambda_s - gamma).
+    On the unstable block w_i / w_k <= 1 for i >= k, so the backward sums
+    only shrink and 1/mu still bounds them.  So
+
+        K_w = rho_0 + epsilon * (1 / (lambda_s - gamma) + 1/mu)
+
+    plays the part of K (gamma = 0 gives K_w = K): when K_w < 1, T maps the
+    weighted delta-ball into itself and contracts there, so its fixed
+    orbit, the one the unweighted certificate finds, decays:
+    |u_i| <= delta w_i.
+
+    Tail.  The dropped terms are then at most
+
+        tail(N) = epsilon * delta * sum_{i>=N} alpha_i w_i^m / P_i,   m = order,
+
+    and this telescopes as well.  With q_i = w_{i+1}^m / P_i,
+    q_{i-1} - q_i = (alpha_i w_i^m / P_i) d_i where
+    d_i = mu + m gamma - (m - 1) alpha_i gamma^2 (m = 1, 2), and d_i >= d_N
+    for i >= N on a nonincreasing schedule, so
+
+        tail(N) <= epsilon * delta * w_N^m / (P_{N-1} d_N).
+
+    That closed form is ``tail_estimate``; it decreases strictly in N.  With
+    gamma = 0 it is the unweighted epsilon * delta / (mu P_{N-1}).
+
+    gamma is the largest of lambda_s * (7/8, 6/8, ..., 1/8) with K_w < 1,
+    else 0.  Unless ``horizon`` is given, N is the smallest value in
+    [min(1024, horizon_cap), horizon_cap] whose bound is below ``tail_tol``,
+    or ``horizon_cap`` if none is (``capped`` then says so).  The search
+    evaluates the bound on prefixes of doubling length, so it allocates
+    O(N), not O(horizon_cap).
+    """
+    if order not in (1, 2):
+        raise LyapunovError(f"remainder order must be 1 or 2, got {order}")
+    last = horizon_cap if horizon is None else horizon
+    if last < 1:
+        raise LyapunovError(f"horizon and horizon_cap must be >= 1, got {last}")
+    evals = split_.eigenvalues
+    negs = evals[evals < 0]
+    if negs.size == 0:
+        raise LyapunovError("the tail bound needs a strictly negative eigenvalue")
+    bound_K1(split_, schedule)  # raises unless alpha_0 * lambda_s < 1
+    lam_s = float(np.min(evals[evals > 0]))
+    mu = -float(np.max(negs))
+    alpha0 = float(schedule.value(0))
+    gamma = next((r * lam_s for r in _DECAY_LADDER
+                  if (1.0 - alpha0 * lam_s) / (1.0 - alpha0 * r * lam_s)
+                  + epsilon * (1.0 / (lam_s - r * lam_s) + 1.0 / mu) < 1.0), 0.0)
+
+    def bounds(n: int) -> np.ndarray:
+        """The closed-form tail bound at N = 1..n (entry N - 1)."""
+        a = np.asarray(schedule.values(n + 1), dtype=float)
+        log_w_over_p = np.cumsum(order * np.log1p(-gamma * a[:n]) - np.log1p(mu * a[:n]))
+        d = mu + order * gamma - (order - 1) * gamma * gamma * a[1:]
+        return epsilon * delta * np.exp(log_w_over_p) / d
+
+    if horizon is None:
+        lo = n = min(1024, horizon_cap)
+        while True:
+            tails = bounds(n)
+            met = np.flatnonzero(tails[lo - 1:] < tail_tol)
+            if met.size or n == horizon_cap:
+                break
+            lo, n = n + 1, min(2 * n, horizon_cap)
+        horizon = lo + int(met[0]) if met.size else horizon_cap
+    else:
+        tails = bounds(horizon)
+    tail = float(tails[horizon - 1])
+    return TailBound(int(horizon), tail, not tail < tail_tol, gamma)
+
+
+# ---------------------------------------------------------------------------
 # from an objective to a problem (conjugation into the diagonal frame)
 # ---------------------------------------------------------------------------
 
@@ -755,13 +876,11 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     otherwise.
 
     delta starts at delta0 and is halved (at most max_halvings times) until
-    the certificate K < 1 holds.  The backward sum anchoring entry 0 loses
-    its terms beyond the horizon N; they telescope to at most
-    epsilon*delta*P_N/|lambda_u| with P_N = prod_{j<=N} (1 + alpha_j
-    |lambda_u|)^{-1}.  Unless ``horizon`` is given, N is the smallest value
-    in [min(1024, horizon_cap), horizon_cap] whose bound is below tail_tol,
-    or horizon_cap if none is; the bound at N is recorded on the problem as
-    ``tail_estimate``.
+    the certificate K < 1 holds.  The horizon, its tail bound and whether
+    the bound misses tail_tol come from :func:`tail_horizon`, with the
+    analytic cubic modulus as an order-2 remainder (a sampled or given
+    epsilon is constant in the radius, order 1), and are recorded on the
+    problem as ``horizon``, ``tail_estimate`` and ``horizon_capped``.
 
     Returns (PerronProblem, ContractionCertificate).  Only gradient descent
     is implemented: the other methods linearize differently at critical
@@ -840,22 +959,13 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
             f"no contraction after {max_halvings} delta-halvings "
             f"(K = {cert.k:.6g}, epsilon needs to be < {cert.epsilon_star:.6g})")
 
-    mu = -lam_u
-    last = horizon_cap if horizon is None else horizon
-    if last < 1:
-        raise LyapunovError(f"horizon and horizon_cap must be >= 1, got {last}")
-    alphas = np.asarray(schedule.values(last + 1), dtype=float)
-    # tails[N] bounds the terms beyond N: eps*delta*P_N/mu
-    tails = eps_val * delta * np.exp(-np.cumsum(np.log1p(mu * alphas))) / mu
-    if horizon is None:
-        first = min(1024, horizon_cap)
-        met = np.flatnonzero(tails[first:] < tail_tol)
-        horizon = first + int(met[0]) if met.size else horizon_cap
-    tail_estimate = tails[horizon]
-
+    analytic_cubic = epsilon is None and not is_quadratic and a_coef is not None
+    tb = tail_horizon(sp, schedule, eps_val, delta, order=2 if analytic_cubic else 1,
+                      horizon=horizon, horizon_cap=horizon_cap, tail_tol=tail_tol)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
-                         epsilon=eps_val, horizon=int(horizon), tail_tol=tail_tol,
-                         eta_batch=eta_batch, tail_estimate=float(tail_estimate))
+                         epsilon=eps_val, horizon=tb.horizon, tail_tol=tail_tol,
+                         eta_batch=eta_batch, tail_estimate=tb.tail_estimate,
+                         horizon_capped=tb.capped, decay_rate=tb.decay_rate)
     return prob, cert
 
 

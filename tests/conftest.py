@@ -9,7 +9,7 @@ _CRITERIA = {
     "c06": "entropy-mirror step reproduces the multiplicative-weights formula to 1e-12",
     "c07": "sequence operator contracts at the certified rate; Picard residuals decay at <= K",
     "c08": "chart matches the shooting oracle to 1e-4; tangent at 0; off-manifold inits escape",
-    "c09": "forward bound respects the 2/lambda cap; backward bound hits its closed form",
+    "c09": "forward bound stays within 2/lambda and rejects alpha_0*lambda >= 1; backward bound hits its closed form",
     "c10": "identical config and seed give byte-identical CSV output",
 }
 

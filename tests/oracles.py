@@ -75,6 +75,72 @@ def k2_partial_power_harmonic(k: int, n_terms: int) -> Fraction:
     return total
 
 
+def weights(gamma: Fraction, alphas: list[Fraction]) -> list[Fraction]:
+    """w_i = prod_{j<i} (1 - alpha_j gamma) for i = 0..len(alphas), exact."""
+    out = [Fraction(1)]
+    for a in alphas:
+        out.append(out[-1] * (1 - a * gamma))
+    return out
+
+
+def weighted_forward_sums(lam: Fraction, gamma: Fraction,
+                          alphas: list[Fraction]) -> list[Fraction]:
+    """S_k = rho_k S_{k-1} + alpha_k / (1 - alpha_k gamma), S_{-1} = 0, exact prefix.
+
+    rho_k = (1 - alpha_k lam) / (1 - alpha_k gamma): the forward sums of the
+    stable block in the sequence space weighted by w_k.
+    """
+    out, s = [], Fraction(0)
+    for a in alphas:
+        s = (1 - a * lam) / (1 - a * gamma) * s + a / (1 - a * gamma)
+        out.append(s)
+    return out
+
+
+def weighted_tail_sum(alphas: list[Fraction], gamma: Fraction, mu: Fraction, order: int,
+                      start: int, stop: int) -> Fraction:
+    """sum_{i=start}^{stop-1} alpha_i w_i^order / P_i, exact.
+
+    w_i = prod_{j<i} (1 - alpha_j gamma), P_i = prod_{j<=i} (1 + alpha_j mu):
+    the terms that a horizon of ``start`` drops from entry 0's backward sum,
+    per unit epsilon * delta, along an orbit with |u_i| <= delta w_i.
+    """
+    w, p, total = Fraction(1), Fraction(1), Fraction(0)
+    for i in range(stop):
+        p *= 1 + alphas[i] * mu
+        if i >= start:
+            total += alphas[i] * w ** order / p
+        w *= 1 - alphas[i] * gamma
+    return total
+
+
+def weighted_tail_bound(alphas: list[Fraction], gamma: Fraction, mu: Fraction,
+                        order: int, n: int) -> Fraction:
+    """w_N^m / (P_{N-1} d_N) with d_N = mu + m gamma - (m - 1) alpha_N gamma^2, exact.
+
+    Telescoping q_i = w_{i+1}^m / P_i bounds weighted_tail_sum(start=N) by
+    this for every stop (m = order, 1 or 2, nonincreasing alphas).  Numerator
+    and denominator are multiplied out as integers and reduced once.
+    """
+    num, den = 1, 1
+    for a in alphas[:n]:
+        f = (1 - a * gamma) ** order / (1 + a * mu)
+        num, den = num * f.numerator, den * f.denominator
+    d = mu + order * gamma - (order - 1) * alphas[n] * gamma * gamma
+    return Fraction(num, den) / d
+
+
+def manufactured_remainder(alpha: float, z1: float, c: float, lam: float, mu: float) -> float:
+    """Second coordinate of the remainder whose stable manifold is z2 = c z1^2.
+
+    The linear dynamics diag(1 - alpha lam, 1 + alpha mu) on (u, w), written in
+    z = (u, w + c u^2), step z2 by (1 + alpha mu) z2 plus this; the first
+    coordinate has no remainder.  The orbits with w = 0 are exactly the
+    ones that stay bounded, for every step schedule.
+    """
+    return c * z1 * z1 * (alpha * alpha * lam * lam - alpha * (2.0 * lam + mu))
+
+
 def mwu_step(x: list[float], grad: list[float], alpha: float) -> list[float]:
     """Multiplicative-weights update, the direct exponential form."""
     weights = [xi * math.exp(-alpha * gi) for xi, gi in zip(x, grad)]

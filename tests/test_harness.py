@@ -342,13 +342,29 @@ def test_cli_assertion_failure_exit_code(tmp_path):
     assert code == 1
 
 
-def test_cli_chart_horizon_cap_below_1024(tmp_path):
+def test_cli_chart_horizon_cap_below_1024(tmp_path, capsys):
     data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
             "chart": {"horizon_cap": 500}, "output_dir": str(tmp_path / "c")}
     code = main(["chart", "--config", write_cfg(tmp_path, "h.json", data)])
     assert code == 0
     cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
     assert cert["horizon"] == 500
+    assert cert["horizon_capped"] is True
+    assert cert["tail_estimate"] > cert["tail_tol"]
+    assert "horizon capped" in capsys.readouterr().out
+
+
+def test_cli_chart_default_horizon_meets_tail_tol(tmp_path, capsys):
+    data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+            "output_dir": str(tmp_path / "c")}
+    code = main(["chart", "--config", write_cfg(tmp_path, "h.json", data)])
+    assert code == 0
+    cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+    assert cert["horizon_capped"] is False
+    assert cert["tail_estimate"] < cert["tail_tol"]
+    assert cert["horizon"] < 10_000 and cert["decay_rate"] == 0.625
+    assert (cert["K1"], cert["K2"], cert["K"], cert["valid"]) == (1.0, 1.0, 0.62, True)
+    assert "horizon capped" not in capsys.readouterr().out
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
@@ -381,10 +397,12 @@ QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
     ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
     ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
     ("avoidance", {"output_dir": 5}),
+    ("chart", {"experiment": "chart", "method_id": "prox",
+               "objective": {"name": "cubic", "a": 0.1}}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
         "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
-        "output_dir-int"])
+        "output_dir-int", "chart-method-prox"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, command, over):
     data = {**BASE, "trials": 2, "budget": 10, "output_dir": str(tmp_path / "o"), **over}
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])

@@ -10,9 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (k1_recursion, k2_exact_constant, k2_partial_power_harmonic,
-                     power_alpha, telescoped_unstable)
+                     manufactured_remainder, power_alpha, telescoped_unstable,
+                     weighted_forward_sums, weighted_tail_bound, weighted_tail_sum,
+                     weights)
 
 from saddle_escape import lyapunov_perron as lp
+from saddle_escape import methods
 from saddle_escape import objectives as obj_mod
 from saddle_escape import schedules as sch
 from saddle_escape.lyapunov_perron import (CertificateError, LyapunovError,
@@ -22,7 +25,7 @@ from saddle_escape.lyapunov_perron import (CertificateError, LyapunovError,
                                            remainder_from_objective,
                                            self_consistency_error,
                                            shooting_oracle, solve_stable_point,
-                                           sup_distance)
+                                           sup_distance, tail_horizon)
 from saddle_escape.spectral import split
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -492,25 +495,49 @@ def test_remainder_harmonic_certificate_is_closed_form():
     assert cert.epsilon_star == pytest.approx(0.25, rel=1e-15)
 
 
+def exact_tail(prob, order, n):
+    """epsilon * delta * weighted_tail_bound at N = n on exact 1/(k+2) steps."""
+    alphas = [power_alpha(t) for t in range(n + 1)]
+    return Fraction(prob.epsilon) * Fraction(prob.delta) * weighted_tail_bound(
+        alphas, Fraction(prob.decay_rate), Fraction(1), order, n)
+
+
 @pytest.mark.parametrize("horizon", [None, 200])
 def test_remainder_tail_estimate_telescopes(horizon):
-    # mu = 1 under 1/(k+2): P_N = 1/prod_{j<=N}(1 + alpha_j) = 2/(N+3)
+    # eps(r) = 6|a| r: an order-2 remainder; K_w < 1 up to gamma = 5/8
     f = obj_mod.cubic_perturbed_saddle(0.1)
     prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon=horizon)
     N = prob.horizon
-    assert N == (100_000 if horizon is None else horizon)  # 1e-10 needs N ~ 1.2e8
-    p_n = 1 / telescoped_unstable(N)
-    assert p_n == Fraction(2, N + 3)
-    assert prob.tail_estimate == pytest.approx(
-        prob.epsilon * prob.delta * float(p_n), rel=1e-12)
+    assert N == (3017 if horizon is None else horizon)  # unweighted: N ~ 1.2e8
+    assert prob.decay_rate == 0.625
+    assert prob.horizon_capped == (horizon is not None)
+    assert prob.tail_estimate == pytest.approx(float(exact_tail(prob, 2, N)), rel=1e-12)
+
+
+def test_remainder_tail_estimate_unweighted_is_telescoped_form():
+    # epsilon = 0.24 certifies K = 0.98 but no weighted rung (K_w(1/8) = 1.048):
+    # gamma = 0 and the bound is eps*delta/(mu P_{N-1}) = eps*delta*2/(N+2)
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, cert = remainder_from_objective(f, np.zeros(2), HARMONIC, epsilon=0.24,
+                                          horizon_cap=5000)
+    assert cert.valid and prob.decay_rate == 0.0
+    assert prob.horizon == 5000 and prob.horizon_capped
+    p_n = 1 / telescoped_unstable(prob.horizon - 1)
+    assert p_n == Fraction(2, prob.horizon + 2)
+    assert prob.tail_estimate == pytest.approx(0.24 * prob.delta * float(p_n), rel=1e-12)
+    assert prob.tail_estimate == pytest.approx(float(exact_tail(prob, 1, prob.horizon)),
+                                               rel=1e-12)
 
 
 def test_remainder_horizon_is_smallest_meeting_tail_tol():
-    # eps*delta*2/(N+3) < 1.3e-6 first holds at N + 3 = 9231
+    # N lands in the second, third and fourth window of the doubling search
     f = obj_mod.cubic_perturbed_saddle(0.1)
-    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, tail_tol=1.3e-6)
-    assert prob.horizon == 9228
-    assert prob.tail_estimate < 1.3e-6
+    for tail_tol, expected in ((1e-9, 1084), (1e-10, 3017), (1e-11, 8396)):
+        prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, tail_tol=tail_tol)
+        N = prob.horizon
+        assert N == expected and not prob.horizon_capped
+        assert prob.tail_estimate < tail_tol
+        assert exact_tail(prob, 2, N) < Fraction(tail_tol) <= exact_tail(prob, 2, N - 1)
 
 
 @pytest.mark.parametrize("cap", [1, 500, 1023, 2000])
@@ -518,8 +545,145 @@ def test_remainder_horizon_respects_small_cap(cap):
     f = obj_mod.cubic_perturbed_saddle(0.1)
     prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon_cap=cap)
     assert prob.horizon == cap
-    assert prob.tail_estimate == pytest.approx(
-        prob.epsilon * prob.delta * 2.0 / (cap + 3), rel=1e-12)
+    assert prob.horizon_capped
+    assert prob.tail_estimate == pytest.approx(float(exact_tail(prob, 2, cap)), rel=1e-12)
+    assert Fraction(prob.tail_tol) <= exact_tail(prob, 2, cap)
+
+
+class RecordingSchedule(sch.ConstantSchedule):
+    """A constant schedule that records every length asked of ``values``."""
+
+    def __init__(self, c):
+        super().__init__(c)
+        self.lengths = []
+
+    def values(self, n):
+        self.lengths.append(n)
+        return super().values(n)
+
+
+def test_remainder_horizon_search_allocates_prefixes_only():
+    # the bound meets tail_tol at the first candidate N = 1024, far below the cap
+    s = RecordingSchedule(0.1)
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, _ = remainder_from_objective(f, np.zeros(2), s, horizon_cap=2_000_000)
+    assert prob.horizon == 1024 and not prob.horizon_capped
+    assert s.lengths and max(s.lengths) <= 4096
+
+
+def test_tail_bound_dominates_exact_weighted_sums():
+    # the closed form bounds every partial sum of the dropped terms and is
+    # their limit up to the d_i / d_N factor
+    alphas = [power_alpha(t) for t in range(1001)]
+    for gamma, order in ((Fraction(0), 1), (Fraction(1, 2), 1), (Fraction(1, 2), 2),
+                         (Fraction(3, 4), 2)):
+        for n in (1, 10, 50):
+            bound = weighted_tail_bound(alphas, gamma, Fraction(1), order, n)
+            partial = weighted_tail_sum(alphas, gamma, Fraction(1), order, n, 1000)
+            assert partial < bound
+            assert partial > bound * Fraction(9, 10)
+
+
+def test_weighted_forward_sums_telescope():
+    # S_k = (1 - prod_{j<=k} rho_j) / (lambda - gamma) < 1/(lambda - gamma)
+    alphas = [power_alpha(t) for t in range(300)]
+    lam = Fraction(1)
+    for gamma in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        sums = weighted_forward_sums(lam, gamma, alphas)
+        w = weights(gamma, alphas)
+        q = Fraction(1)  # prod_{j<=k} rho_j = q / w_{k+1}, q = prod_{j<=k} (1 - alpha_j lam)
+        for k, (a, s_k) in enumerate(zip(alphas, sums)):
+            q *= 1 - a * lam
+            assert s_k == (1 - q / w[k + 1]) / (lam - gamma)
+        assert max(sums) < 1 / (lam - gamma)
+    assert weighted_forward_sums(lam, Fraction(0), alphas) == k1_recursion(lam, alphas)
+
+
+@pytest.mark.parametrize("epsilon,rate", [(0.0, 0.875), (0.06, 0.625), (0.1, 0.5),
+                                          (0.15, 0.25), (0.24, 0.0)])
+def test_decay_rate_is_largest_certified_rung(epsilon, rate):
+    # K_w = rho_0 + eps * (1/(lambda_s - gamma) + 1/mu), lambda_s = mu = 1, alpha_0 = 1/2
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, epsilon=epsilon)
+    assert prob.decay_rate == rate
+
+    def k_w(gamma):
+        a0 = power_alpha(0)
+        return (1 - a0) / (1 - a0 * gamma) + Fraction(epsilon) * (1 / (1 - gamma) + 1)
+
+    assert rate == 0.0 or k_w(Fraction(rate)) < 1
+    higher = [Fraction(r, 8) for r in range(1, 8) if Fraction(r, 8) > rate]
+    assert all(k_w(r) >= 1 for r in higher)
+
+
+def test_fixed_orbit_lies_in_weighted_ball():
+    # the weighted contraction puts the whole fixed orbit in |u_k| <= delta w_k
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC)
+    w = np.concatenate([[1.0], np.cumprod(1.0 - prob.decay_rate * prob.alphas[:-1])])
+    for g in (-prob.delta / 2, prob.delta / 4, prob.delta / 2):
+        U = solve_stable_point(prob, [g]).sequence.points
+        assert np.all(np.linalg.norm(U, axis=1) <= prob.delta * w)
+
+
+def manufactured_problem(c=0.1, lam=1.0, mu=1.0, delta=0.1):
+    """The exact-manifold problem z2 = c z1^2, horizon from tail_horizon."""
+    sp = split(np.diag([lam, -mu]))
+
+    def eta_batch(ks, Z):
+        al = np.array([HARMONIC.value(int(k)) for k in ks])
+        E = np.zeros_like(Z)
+        E[:, 1] = manufactured_remainder(al, Z[:, 0], c, lam, mu)
+        return E
+
+    def eta(k, z):
+        return eta_batch(np.array([k]), z[None])[0]
+
+    # |d eta_2 / d z1| <= 2 c alpha (2 lam + mu) |z1|: an order-2 modulus
+    epsilon = 2.0 * c * delta * (2.0 * lam + mu)
+    tb = tail_horizon(sp, HARMONIC, epsilon, delta, order=2)
+    return PerronProblem(split=sp, schedule=HARMONIC, eta=eta, delta=delta,
+                         epsilon=epsilon, horizon=tb.horizon, eta_batch=eta_batch,
+                         tail_estimate=tb.tail_estimate, horizon_capped=tb.capped,
+                         decay_rate=tb.decay_rate)
+
+
+def test_chart_matches_manufactured_manifold():
+    c = 0.1
+    prob = manufactured_problem(c=c)
+    assert contraction_constant(prob).k == pytest.approx(0.62, rel=1e-15)
+    assert prob.decay_rate == 0.625 and not prob.horizon_capped
+    assert prob.horizon < 10_000
+    grid = np.linspace(-prob.delta / 2, prob.delta / 2, 11)
+    ch = chart(prob, grid)
+    assert not ch.partial
+    gap = max(abs(float(p[0]) - c * float(g[0]) ** 2) for g, p in zip(ch.grid, ch.phi))
+    assert gap <= 1e-12
+
+
+def test_gd_keeps_chart_starts_and_loses_displaced_ones():
+    # the chart and gd describe the same map: on-chart starts in the original
+    # coordinates stay in B(x*, delta); the same starts nudged by 1e-3 along
+    # the unstable coordinate leave it
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    x_star = np.zeros(2)
+    prob, _ = remainder_from_objective(f, x_star, HARMONIC)
+    ch = chart(prob, np.linspace(-prob.delta / 2, prob.delta / 2, 11))
+    uix = int(prob.split.unstable_indices[0])
+    Z = np.zeros((len(ch.grid), 2))
+    Z[:, prob.split.stable_indices] = np.stack(ch.grid)
+    Z[:, uix] = [float(p[0]) for p in ch.phi]
+
+    def run_from(Z):
+        X0 = x_star[None, :] + Z @ prob.split.Q_inv.T
+        return methods.run_batch("gd", f, HARMONIC, X0, budget=5000,
+                                 escape_radius=prob.delta).terminal
+
+    assert methods.ESCAPED_REGION not in run_from(Z)
+    for sign in (1.0, -1.0):
+        shifted = Z.copy()
+        shifted[:, uix] += sign * 1e-3
+        assert run_from(shifted) == [methods.ESCAPED_REGION] * len(Z)
 
 
 @pytest.mark.parametrize("kwargs", [{"horizon": 0}, {"horizon": -3}, {"horizon_cap": 0}])
