@@ -437,7 +437,7 @@ def chart_experiment(cfg: ExperimentConfig):
     and certificate.json (K1, K2, K, delta, epsilon, horizon, horizon_capped,
     ...) into cfg.output_dir.  An uncertifiable contraction raises
     ExperimentAssertionError carrying the largest certifiable epsilon; a
-    method other than gd is a ConfigError.
+    method other than gd or a grid_halfwidth above delta/2 is a ConfigError.
     """
     if cfg.method_id != "gd":
         raise ConfigError(f"chart certifies gradient descent only, got method_id "
@@ -490,6 +490,9 @@ def chart_experiment(cfg: ExperimentConfig):
                           "use saddle_escape.lyapunov_perron.chart directly otherwise")
     if halfwidth is None:
         halfwidth = prob.delta / 2.0
+    elif halfwidth > prob.delta / 2.0:
+        raise ConfigError(f"chart.grid_halfwidth = {halfwidth!r} exceeds delta/2 "
+                          f"for the certified delta = {prob.delta:g}")
     grid = np.linspace(-halfwidth, halfwidth, points)
     ch = chart(prob, grid, fp_tol=fp_tol, fp_budget=fp_budget)
 

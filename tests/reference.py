@@ -1,9 +1,15 @@
-"""A plain one-point trajectory loop, the reference for methods.run and run_batch.
+"""Plain loops, the references for the library's vectorized paths.
 
-``methods.run`` is the one-row case of the lockstep loop behind ``run_batch``,
-so comparing the two checks the loop only against itself.  This loop steps
-one point with ``make_step`` and applies the same stopping rules (no
-recording), as an independent implementation to compare both against.
+``reference_run`` is a one-point trajectory loop for ``methods.run`` and
+``run_batch``.  ``methods.run`` is the one-row case of the lockstep loop
+behind ``run_batch``, so comparing the two checks the loop only against
+itself.  This loop steps one point with ``make_step`` and applies the same
+stopping rules (no recording), as an independent implementation to compare
+both against.
+
+``reference_scan_T`` evaluates the Lyapunov-Perron operator by its plain
+recursions, one entry at a time, for the segmented cumprod scan behind
+``lyapunov_perron.apply_T``.
 """
 
 import numpy as np
@@ -36,3 +42,31 @@ def reference_run(step, x0, *, budget, conv_tol, escape_radius, window):
         if quiet >= window:
             return CONVERGED_TO_POINT, k + 1, x, None
     return BUDGET_EXHAUSTED, budget, x, None
+
+
+def reference_scan_T(prob, xp, E):
+    """T from the remainder rows E by its recursions, one entry per step.
+
+    Stable block forward, v+_{k+1} = f_k v+_k + eta+_k from v+_0 = xp;
+    unstable block backward, t_m = (eta-_m + t_{m+1}) / g_m from
+    t_{N+1} = 0, with v-_m = -t_m, except that entry 0 drops the (N, 0)
+    term eta-_N / prod_{j<=N} g_j.  The factors 1 - alpha_k lambda are
+    formed here from ``prob.alphas``, and the dropped term's product in log
+    space, so no product over- or underflows.
+    """
+    N = prob.horizon
+    S, Uix = prob.split.stable_indices, prob.split.unstable_indices
+    lam = prob.split.eigenvalues
+    V = np.zeros_like(E)
+    vp = np.array(xp, dtype=float)
+    V[0, S] = vp
+    for k in range(N):
+        vp = (1.0 - prob.alphas[k] * lam[S]) * vp + E[k, S]
+        V[k + 1, S] = vp
+    t = np.zeros(len(Uix))
+    for m in range(N, -1, -1):
+        t = (E[m, Uix] + t) / (1.0 - prob.alphas[m] * lam[Uix])
+        V[m, Uix] = -t
+    log_prod = np.sum(np.log(1.0 - prob.alphas[:, None] * lam[None, Uix]), axis=0)
+    V[0, Uix] = -(t - np.exp(-log_prod) * E[N, Uix])
+    return V

@@ -275,6 +275,7 @@ def test_c10_deterministic_output(tmp_path):
     cfg = ExperimentConfig.from_dict(data)
     p1 = emit_plot_data(avoidance_experiment(cfg), str(tmp_path / "first.csv"))
     p2 = emit_plot_data(avoidance_experiment(cfg), str(tmp_path / "second.csv"))
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        b1, b2 = f1.read(), f2.read()
     assert b1 == b2
     assert len(b1.splitlines()) == 201

@@ -109,7 +109,8 @@ def test_trajectory_csv_format(tmp_path):
     rec = mth.run("gd", obj_mod.fig1(), sch.power(1.0, 1.0, 2),
                   np.array([0.5, 0.5]), stride=50)
     path = emit_plot_data(rec, str(tmp_path / "t.csv"))
-    lines = open(path, newline="").read().split("\n")
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\n")
     assert lines[0] == "k,x_1,x_2,step_size,grad_norm"
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -125,7 +126,8 @@ def test_empty_trajectory_csv_is_header_only(tmp_path):
                                k_final=0, ks=[], points=[], step_sizes=[],
                                grad_norms=[], seed=None)
     path = emit_plot_data(rec, str(tmp_path / "e.csv"))
-    content = open(path).read()
+    with open(path) as fh:
+        content = fh.read()
     assert content.count("\n") == 1
     assert content.startswith("k,")
 
@@ -135,7 +137,8 @@ def test_report_rows_sorted_by_trial(tmp_path):
     rep = avoidance_experiment(cfg)
     rep.rows.reverse()  # emission must not depend on incoming order
     path = emit_plot_data(rep, str(tmp_path / "r.csv"))
-    lines = open(path).read().strip().split("\n")
+    with open(path) as fh:
+        lines = fh.read().strip().split("\n")
     assert lines[0].startswith("trial,x0_1,x0_2,terminal,k_final,")
     trials = [int(line.split(",")[0]) for line in lines[1:]]
     assert trials == sorted(trials)
@@ -231,7 +234,8 @@ def test_avoidance_rerun_is_byte_identical(tmp_path):
     cfg = make_cfg(trials=25, budget=2000)
     p1 = emit_plot_data(avoidance_experiment(cfg), str(tmp_path / "a.csv"))
     p2 = emit_plot_data(avoidance_experiment(cfg), str(tmp_path / "b.csv"))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_different_seed_changes_draws():
@@ -399,10 +403,12 @@ QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
     ("avoidance", {"output_dir": 5}),
     ("chart", {"experiment": "chart", "method_id": "prox",
                "objective": {"name": "cubic", "a": 0.1}}),
+    ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+               "chart": {"grid_halfwidth": 1.0}}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
         "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
-        "output_dir-int", "chart-method-prox"])
+        "output_dir-int", "chart-method-prox", "grid_halfwidth-beyond-delta"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, command, over):
     data = {**BASE, "trials": 2, "budget": 10, "output_dir": str(tmp_path / "o"), **over}
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])

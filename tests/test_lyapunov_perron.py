@@ -13,6 +13,7 @@ from oracles import (k1_recursion, k2_exact_constant, k2_partial_power_harmonic,
                      manufactured_remainder, power_alpha, telescoped_unstable,
                      weighted_forward_sums, weighted_tail_bound, weighted_tail_sum,
                      weights)
+from reference import reference_scan_T
 
 from saddle_escape import lyapunov_perron as lp
 from saddle_escape import methods
@@ -131,6 +132,47 @@ def test_apply_T_matches_naive_reference_cubic():
     V = apply_T(prob, xp, U).points
     V_ref = apply_T_reference(prob, xp, U)
     np.testing.assert_allclose(V, V_ref, atol=1e-14)
+
+
+# problems whose running products leave the range of one closed-form run:
+# 0.9^k and 1.1^k on a constant schedule, and factors -0.5 and 0 at k = 0, 1
+# for lambda = 3 under 1/(k+2)
+CUT_CASES = {
+    "cubic-constant-6000": (obj_mod.cubic_perturbed_saddle(0.1), sch.constant(0.1), 6000, None),
+    "cubic-constant-20000": (obj_mod.cubic_perturbed_saddle(0.1), sch.constant(0.1), 20000, None),
+    "quadratic-zero-factor": (obj_mod.quadratic(np.diag([3.0, 1.0, -1.0])), HARMONIC, 3000, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUT_CASES))
+def test_apply_T_matches_plain_recursion_across_runs(case):
+    f, schedule, horizon, eps = CUT_CASES[case]
+    prob, _ = remainder_from_objective(f, np.zeros(f.dimension), schedule,
+                                       horizon=horizon, epsilon=eps)
+    assert len(prob.stable_runs) + len(prob.unstable_runs) > 2
+    d, d_s = prob.dimension, len(prob.split.stable_indices)
+    rng = np.random.default_rng(7)
+    xp = np.full(d_s, prob.delta / (4 * np.sqrt(d_s)))
+    # a sequence that does not decay along k
+    U = rng.uniform(-1.0, 1.0, size=(prob.horizon + 1, d)) * prob.delta / (2 * np.sqrt(d))
+    E = prob.eta_batch(np.arange(prob.horizon + 1), U)
+    np.testing.assert_allclose(apply_T(prob, xp, U).points, reference_scan_T(prob, xp, E),
+                               rtol=0, atol=1e-15)
+    # remainder rows of the certified size alpha_k * epsilon * delta, fed to
+    # the scan directly (the quadratic's own remainder is zero).  The unstable
+    # closed form differences a forward cumsum scaled by products up to 1e4,
+    # so it rounds to about 2^-53 * 1e4 * sum_i 1/P_i <= 1e-11 of the rows' size
+    E = (rng.uniform(-1.0, 1.0, size=U.shape)
+         * (prob.alphas * prob.epsilon * prob.delta)[:, None])
+    np.testing.assert_allclose(lp._scan_T(prob, xp, E), reference_scan_T(prob, xp, E),
+                               rtol=0, atol=1e-11 * float(np.max(np.abs(E))))
+
+
+def test_default_chart_scans_in_one_run():
+    prob, _ = remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
+                                       HARMONIC)
+    assert [(a, b) for a, b, _, _ in prob.stable_runs] == [(0, prob.horizon)]
+    assert [(a, b) for a, b, _, _ in prob.unstable_runs] == [(0, prob.horizon + 1)]
 
 
 def test_apply_T_anchors_the_stable_coordinate():
@@ -493,6 +535,16 @@ def test_remainder_harmonic_certificate_is_closed_form():
     assert (cert.k1, cert.k2) == (1.0, 1.0)
     assert cert.k == pytest.approx(0.5 + 0.06 * 2, rel=1e-15)
     assert cert.epsilon_star == pytest.approx(0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("f", [obj_mod.cubic_perturbed_saddle(0.1),
+                               obj_mod.cubic_perturbed_saddle(0.0),
+                               obj_mod.quadratic(np.diag([1.0, -1.0]))],
+                         ids=["cubic", "cubic-a0", "quadratic"])
+@pytest.mark.parametrize("eps", [None, 0.0, 0.05])
+def test_remainder_certificate_is_contraction_constant(f, eps):
+    prob, cert = remainder_from_objective(f, np.zeros(2), HARMONIC, epsilon=eps)
+    assert cert == contraction_constant(prob)
 
 
 def exact_tail(prob, order, n):
