@@ -186,11 +186,8 @@ class PerronProblem:
             if float(np.linalg.norm(e0)) > 1e-14:
                 raise LyapunovError(
                     f"eta(k={k}, 0) = {e0} is not zero (norm {np.linalg.norm(e0):.3e})")
-            gaps = np.linalg.norm(X - Y, axis=1)
-            keep = gaps > 1e-12
-            quot = np.linalg.norm(EX - EY, axis=1)[keep] / gaps[keep]
+            worst = _lipschitz_quotient(X, Y, EX, EY)
             cap = self.schedule.value(k) * self.epsilon * (1.0 + 1e-2)
-            worst = float(np.max(quot)) if quot.size else 0.0
             if worst > cap:
                 raise LyapunovError(
                     f"sampled Lipschitz quotient {worst:.6e} at k={k} exceeds "
@@ -227,6 +224,14 @@ def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     r = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
     return v * r
+
+
+def _lipschitz_quotient(X: np.ndarray, Y: np.ndarray, FX: np.ndarray, FY: np.ndarray) -> float:
+    """Largest |F(x) - F(y)| / |x - y| over the row pairs more than 1e-12 apart, else 0.0."""
+    gaps = np.linalg.norm(X - Y, axis=1)
+    keep = gaps > 1e-12
+    quot = np.linalg.norm(FX - FY, axis=1)[keep] / gaps[keep]
+    return float(np.max(quot)) if quot.size else 0.0
 
 
 @dataclass
@@ -972,10 +977,4 @@ def _sampled_epsilon(psi_batch, d: int, delta: float, n_pairs: int,
     rng = np.random.default_rng(seed)
     X = _sample_ball(rng, n_pairs, d, delta)
     Y = _sample_ball(rng, n_pairs, d, delta)
-    PX, PY = psi_batch(X), psi_batch(Y)
-    gaps = np.linalg.norm(X - Y, axis=1)
-    keep = gaps > 1e-12
-    quot = np.linalg.norm(PX - PY, axis=1)[keep] / gaps[keep]
-    if not quot.size:
-        return 0.0
-    return float(np.max(quot)) * safety
+    return _lipschitz_quotient(X, Y, psi_batch(X), psi_batch(Y)) * safety

@@ -256,7 +256,10 @@ def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
     if use_closed_form:
         if A is None:
             raise MethodError("closed-form proximal step requires a quadratic objective")
-        return _quadratic_resolvent(A, alpha, k, x)
+        RT = _resolvents(A, [alpha])  # the lockstep prox stepper's arithmetic, one step
+        if not len(RT):
+            raise _singular_resolvent(k, alpha)
+        return x @ RT[0]
 
     z = x.copy()
     identity = np.eye(obj.dimension)
@@ -290,18 +293,34 @@ def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
         f"{inner_budget} iterations at k={k} (residual {res_norm:.3e})")
 
 
-def _quadratic_resolvent(A: np.ndarray, alpha: float, k: int, X: np.ndarray) -> np.ndarray:
-    """(I + alpha A)^{-1} applied to each row of X (or to a single point X).
+def _resolvents(A: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
+    """Transposed resolvents ((I + alpha A)^{-1})^T, one per alpha, up to the first singular one.
 
-    An explicit inverse times the rows keeps each row's bits independent of
-    how many rows there are; a multi-right-hand-side solve does not.
+    ``X @ RT[i]`` applies the i-th resolvent to each row of X, or to a single
+    point X.  One stacked inverse; each matrix gets the bits its own
+    ``np.linalg.inv`` gives it.  An explicit inverse times the rows keeps
+    each row's bits independent of how many rows there are, which a
+    multi-right-hand-side solve does not, and so does storing the transposes
+    C-contiguous: ``X @ R.T`` on the F-ordered view takes one BLAS path for a
+    single row and another for many.  If a matrix is singular, the result
+    stops just before it.
     """
+    M = np.eye(A.shape[0]) + np.asarray(alphas, dtype=float)[:, None, None] * A
     try:
-        R = np.linalg.inv(np.eye(A.shape[0]) + alpha * A)
-    except np.linalg.LinAlgError as err:
-        raise MethodError(
-            f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})") from err
-    return X @ R.T
+        R = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        inverses = []
+        for m in M:
+            try:
+                inverses.append(np.linalg.inv(m))
+            except np.linalg.LinAlgError:
+                break
+        R = np.array(inverses).reshape(-1, *A.shape)
+    return R.transpose(0, 2, 1).copy()
+
+
+def _singular_resolvent(k: int, alpha: float) -> MethodError:
+    return MethodError(f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})")
 
 
 def manifold_step(obj: Objective, manifold: EmbeddedManifold, schedule: StepSchedule,
@@ -398,12 +417,13 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     ``step_error`` tag instead of raising.  Points are recorded every
     ``stride`` steps plus the final state.
     """
-    if budget < 1 or stride < 1:
-        raise MethodError(f"run needs budget >= 1 and stride >= 1, got {budget} and {stride}")
+    if budget < 1 or stride < 1 or window < 1:
+        raise MethodError(f"run needs budget, stride and window >= 1, "
+                          f"got {budget}, {stride} and {window}")
     x = np.array(x0, dtype=float)
     if x.shape != (obj.dimension,):
         raise MethodError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
-    update = _update(method_id, obj, schedule, mirror_map, manifold, metric)
+    update = _update(method_id, obj, schedule, budget, mirror_map, manifold, metric)
     path: list = []
     res = _advance(update, x[None], budget, conv_tol, escape_radius, window, path, stride)
     k_final, final = int(res.k_final[0]), res.final[0]
@@ -426,9 +446,10 @@ BatchResult.__doc__ = """Per-row terminal kind, k_final, final point and step-er
 
 
 _NO_ERROR = {}.get  # error(j) of an update that has no per-row step errors
+_RESOLVENT_BLOCK = 1 << 16  # doubles in one block of prox resolvents
 
 
-def _update(method_id: str, obj: Objective, schedule: StepSchedule,
+def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
             mirror_map: MirrorMap | None = None, manifold: EmbeddedManifold | None = None,
             metric: RiemannianMetric | None = None):
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
@@ -439,10 +460,27 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
     one-point step row by row; a ``MethodError`` sets that row to NaN.
     ``error(j)`` is row j's step-error message or None.  A row with a step
     error is never finite, so it stops and only stopping rows are asked.
+
+    Prox on a quadratic inverts its resolvents a block of steps at a time
+    (:func:`_resolvents`, at most ``_RESOLVENT_BLOCK`` doubles and never past
+    ``budget``), with alpha_k = ``schedule.value(k)`` as in the one-point
+    step; the steps must come in order k = 0, 1, ....  A block stops before
+    its first singular system, and that step raises the ``MethodError``.
     """
     A = getattr(obj, "quadratic_matrix", None)
     if method_id == "prox" and A is not None:
-        return lambda k, X: (_quadratic_resolvent(A, schedule.value(k), k, X), _NO_ERROR)
+        block = max(1, min(1024, _RESOLVENT_BLOCK // A.size))
+        k0, RT = 0, np.empty((0,) + A.shape)
+
+        def prox(k, X):
+            nonlocal k0, RT
+            if not 0 <= k - k0 < len(RT):
+                k0 = k
+                RT = _resolvents(A, [schedule.value(j) for j in range(k, min(k + block, budget))])
+                if not len(RT):
+                    raise _singular_resolvent(k, schedule.value(k))
+            return X @ RT[k - k0], _NO_ERROR
+        return prox
     if obj.vectorized and method_id == "gd":
         def gd(k, X):
             G = obj.grad(X)
@@ -476,14 +514,37 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
 
     One ``update(k, X)`` per k over the still-active rows; finished rows
     leave the active set.  Each row stops at the first of: step error at k
-    (final state x_k), escape, Cauchy window, budget.  With ``path``,
-    ``(k, X)`` is appended for k = 0 and every ``stride``-th k, X being the
-    rows that were active for that step.
+    (final state x_k), escape, Cauchy window (``window`` >= 1), budget.
+    With ``path``, ``(k, X)`` is appended for k = 0 and every ``stride``-th
+    k, X being the rows that were active for that step.  An empty ``X0``
+    takes no step.
+
+    While no row has a quiet streak, one whole-batch bound settles most
+    steps: if the sum of all squares of X_{k+1} is below escape_radius^2 and
+    the smallest squared row motion above conv_tol^2, no row escapes, none
+    starts a streak and none stops, so the per-row bookkeeping is skipped.
+    Otherwise it runs, and so the rows get the same ends and bits either way.
     """
     n = len(X0)
     terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
     k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()
+    if not n:
+        return BatchResult(terminal, k_final, final, message)
     X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
+    # Rounding of the whole-batch bound: the per-row code takes the square
+    # root of a sum of d squares, and the bound's two sums add n*d and d
+    # squares.  Each is off by at most a relative (n*d)·2^-53 < 5e-10 for
+    # n*d <= 2^22, plus a few 2^-53 for the roots and the thresholds, which
+    # the 1e-9 margins cover.  Squares below the normal range carry no
+    # relative bound, hence the floor at tiny; a tiny, negative or NaN
+    # radius and a larger batch skip the bound.  NaN fails both tests, and
+    # the cap at the largest double makes inf and an overflowing sum fail
+    # the first.
+    big, tiny = np.finfo(float).max, np.finfo(float).tiny
+    bounded = escape_radius >= 2.0 ** -500 and X0.size <= 1 << 22
+    below = min(escape_radius * escape_radius * (1.0 - 1e-9), big) if bounded else -1.0
+    above = max(conv_tol * conv_tol, tiny) * (1.0 + 1e-9)
+    streak = False  # some active row has a quiet streak
     if path is not None:
         path.append((0, X0))
     for k in range(budget):
@@ -496,13 +557,18 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             return BatchResult(terminal, k_final, final, message)
         if path is not None and (k + 1) % stride == 0:
             path.append((k + 1, Xn))
-        # row norms as np.linalg.norm(axis=1) computes them, without its overhead
         D = Xn - X
+        if not streak:
+            flat = Xn.ravel()
+            if flat @ flat <= below and np.einsum("ij,ij->i", D, D).min() > above:
+                X = Xn
+                continue
+        # row norms as np.linalg.norm(axis=1) computes them, without its overhead
         quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
         radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
         stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
         if not stop.any():
-            X = Xn
+            X, streak = Xn, bool(quiet.any())
             continue
         for j in np.flatnonzero(stop):
             msg = error(j)
@@ -517,6 +583,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             r = rows[j]
             terminal[r], k_final[r], final[r], message[r] = end
         X, rows, quiet = Xn[~stop], rows[~stop], quiet[~stop]
+        streak = bool(quiet.any())
         if not rows.size:
             break
     final[rows] = X
@@ -535,11 +602,11 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
     constant metric and prox on quadratics take one batched step for all
     rows; every other method/objective pair steps row by row in the same
     loop.  The stopping order is ``run``'s: step error at k, escape, Cauchy
-    window, budget.
+    window, budget.  An empty ``X0`` returns an empty result at once.
     """
     X0 = np.asarray(X0, dtype=float)
-    if budget < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
-        raise MethodError(f"run_batch needs budget >= 1 and X0 of shape (n, {obj.dimension}), "
-                          f"got {budget} and {X0.shape}")
-    return _advance(_update(method_id, obj, schedule, metric=metric), X0, budget, conv_tol,
-                    escape_radius, window)
+    if budget < 1 or window < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
+        raise MethodError(f"run_batch needs budget and window >= 1 and X0 of shape "
+                          f"(n, {obj.dimension}), got {budget}, {window} and {X0.shape}")
+    return _advance(_update(method_id, obj, schedule, budget, metric=metric), X0, budget,
+                    conv_tol, escape_radius, window)

@@ -341,3 +341,158 @@ def test_run_requires_matching_dimension():
     f = obj_mod.fig1()
     with pytest.raises(MethodError):
         run("gd", f, HARMONIC, np.array([1.0, 2.0, 3.0]))
+
+
+def test_prox_non_diagonal_batch_run_and_reference_agree_bitwise():
+    # a non-diagonal A under 1/(k+3): every row's bits must not depend on how
+    # many rows step with it, across the 1024-step resolvent block boundary
+    f = obj_mod.quadratic(np.array([[2.0, 0.5], [0.5, -1.0]]))
+    s = sch.power(1.0, 1.0, 3)
+    X0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 2))
+    opts = dict(budget=1500, conv_tol=1e-12, escape_radius=1e12)
+    res = run_batch("prox", f, s, X0, **opts)
+    assert res.terminal == [BUDGET_EXHAUSTED] * 20
+    step = make_step("prox", f, s)
+    for i, x0 in enumerate(X0):
+        rec = run("prox", f, s, x0, **opts)
+        ref = reference_run(step, x0, window=mth.CONVERGENCE_WINDOW, **opts)
+        assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == ref[:2]
+        assert res.final[i].tobytes() == rec.final_point.tobytes() == ref[2].tobytes()
+
+
+def test_prox_singular_resolvent_in_a_later_block():
+    # I + alpha_k diag(1, -1502) is singular at k = 1500 under 1/(k+2), in the
+    # second block of resolvents: every row stops there with the step error
+    f = obj_mod.quadratic(np.diag([1.0, -1502.0]))
+    X0 = np.array([[0.1, 0.0], [0.5, 0.0], [1.0, 0.0], [-2.0, 0.0]])
+    res = run_batch("prox", f, HARMONIC, X0)
+    assert res.terminal == [STEP_ERROR] * 4
+    assert list(res.k_final) == [1500] * 4
+    assert all("at k=1500 " in m for m in res.message)
+    step = make_step("prox", f, HARMONIC)
+    for i, x0 in enumerate(X0):
+        kind, k_final, final, message = reference_run(
+            step, x0, budget=mth.DEFAULT_BUDGET, conv_tol=1e-9,
+            escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
+        assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
+        assert res.final[i].tobytes() == final.tobytes()
+
+
+def test_run_batch_thresholds_at_exact_norms_and_motions():
+    # escape_radius at a row's exact norm and conv_tol at a row's exact
+    # motion, and their neighbouring doubles: each comparison goes the way
+    # the one-point loop takes it.  Under 1/(k+3) on fig1, x shrinks like
+    # 1/k^2 and y grows like k^2, so norms and motions are monotone.
+    f, s = obj_mod.fig1(), sch.power(1.0, 1.0, 3)
+    X0 = np.array([[0.5, 0.0], [0.3, 0.0], [0.7, 1e-3], [-0.2, 0.4], [0.9, 0.0]])
+    step = make_step("gd", f, s)
+
+    def orbit(x):
+        xs = [x]
+        for k in range(40):
+            xs.append(step(k, xs[-1]))
+        return xs
+
+    radius = float(np.linalg.norm(orbit(X0[3])[20]))
+    ys = orbit(X0[1])
+    motion = float(np.linalg.norm(ys[31] - ys[30]))
+    budget = 200
+    for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
+        for conv_tol in (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf)):
+            for window in (1, 3):
+                opts = dict(budget=budget, conv_tol=conv_tol, escape_radius=escape_radius,
+                            window=window)
+                res = run_batch("gd", f, s, X0, **opts)
+                for i, x0 in enumerate(X0):
+                    kind, k_final, final, message = reference_run(step, x0, **opts)
+                    assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                        (kind, k_final, message)
+                    assert res.final[i].tobytes() == final.tobytes()
+                    alone = run_batch("gd", f, s, x0[None], **opts)
+                    assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
+                    assert alone.final[0].tobytes() == final.tobytes()
+    # the neighbours decide: row 3 escapes one step later at its exact norm,
+    # and row 1 turns quiet one step later at its exact motion
+    ref = [reference_run(step, X0[3], budget=budget, conv_tol=0.0, escape_radius=r,
+                         window=1)[:2] for r in (radius, np.nextafter(radius, 0.0))]
+    assert ref == [(ESCAPED_REGION, 21), (ESCAPED_REGION, 20)]
+    ref = [reference_run(step, X0[1], budget=budget, conv_tol=t, escape_radius=1e3,
+                         window=1)[:2] for t in (motion, np.nextafter(motion, np.inf))]
+    assert ref == [(CONVERGED_TO_POINT, 32), (CONVERGED_TO_POINT, 31)]
+
+
+def test_run_batch_long_step_restarts_quiet_streaks():
+    # constant steps down a slope whose gradient alternates between -1 and
+    # -1/4 every 0.05: runs of 20 short steps (quiet under conv_tol 0.005)
+    # alternate with 5 long ones.  With window 30 no row may converge; a
+    # long step that did not restart the streaks would let them add up.
+    def grad(x):
+        return np.where(np.floor(x / 0.05) % 2 == 0, -1.0, -0.25)
+
+    f = obj_mod.Objective(1, lambda x: -x[..., 0], grad, lambda x: np.zeros((1, 1)),
+                          vectorized=True)
+    s = sch.constant(0.01)
+    X0 = np.array([[0.0], [0.012], [0.031], [0.077]])
+    opts = dict(budget=300, conv_tol=0.005, escape_radius=1e3, window=30)
+    res = run_batch("gd", f, s, X0, **opts)
+    assert res.terminal == [BUDGET_EXHAUSTED] * 4
+    step = make_step("gd", f, s)
+    for i, x0 in enumerate(X0):
+        final = reference_run(step, x0, **opts)[2]
+        assert res.final[i].tobytes() == final.tobytes()
+        alone = run_batch("gd", f, s, x0[None], **opts)  # no other row to break a long run
+        assert alone.terminal == [BUDGET_EXHAUSTED]
+        assert alone.final[0].tobytes() == final.tobytes()
+    # with window 20 the same rows do converge, inside their first short run
+    res = run_batch("gd", f, s, X0, **dict(opts, window=20))
+    assert res.terminal == [CONVERGED_TO_POINT] * 4
+
+
+@pytest.mark.parametrize("escape_radius", [-1.0, 0.0, 1e-200, 1e300, np.inf])
+def test_run_batch_extreme_escape_radii_match_reference(escape_radius):
+    # a negative or zero radius lets no row stay; 1e300 is finite, so a
+    # row whose squared norm overflows escapes it; inf lets every row stay
+    f = obj_mod.fig1()
+    X0 = np.array([[0.5, 1e-3], [0.0, 1e160], [-0.3, 0.0], [1e-170, 0.0]])
+    step = make_step("gd", f, HARMONIC)
+    opts = dict(budget=50, conv_tol=1e-12, escape_radius=escape_radius, window=3)
+    with np.errstate(over="ignore"):  # the squares of the second row overflow
+        res = run_batch("gd", f, HARMONIC, X0, **opts)
+        for i, x0 in enumerate(X0):
+            kind, k_final, final, message = reference_run(step, x0, **opts)
+            assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                (kind, k_final, message)
+            assert res.final[i].tobytes() == final.tobytes()
+            alone = run_batch("gd", f, HARMONIC, x0[None], **opts)
+            assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
+            assert alone.final[0].tobytes() == final.tobytes()
+
+
+def test_run_and_run_batch_reject_window_below_one():
+    f = obj_mod.fig1()
+    with pytest.raises(MethodError, match="window"):
+        run("gd", f, HARMONIC, np.array([0.5, 0.5]), window=0)
+    with pytest.raises(MethodError, match="window"):
+        run_batch("gd", f, HARMONIC, np.array([[0.5, 0.5]]), window=0)
+
+
+def test_empty_run_batch_takes_no_step(monkeypatch):
+    calls = []
+    real = mth._update
+
+    def counting(*args, **kwargs):
+        update = real(*args, **kwargs)
+
+        def counted(k, X):
+            calls.append(k)
+            return update(k, X)
+        return counted
+
+    monkeypatch.setattr(mth, "_update", counting)
+    for method_id in ("gd", "prox"):
+        res = run_batch(method_id, obj_mod.fig1(), HARMONIC, np.empty((0, 2)), budget=100_000)
+        assert calls == []
+        assert res.terminal == res.message == []
+        assert res.k_final.shape == (0,) and res.final.shape == (0, 2)
+    run_batch("gd", obj_mod.fig1(), HARMONIC, np.array([[0.5, 0.5]]), budget=3)
+    assert calls == [0, 1, 2]
