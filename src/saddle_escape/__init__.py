@@ -10,9 +10,11 @@ Layout:
 - spectral: symmetric eigensplits into stable/unstable blocks and exact
   linear trajectory products.
 - methods: gradient descent, mirror descent, proximal point, and the two
-  manifold variants, plus the run() driver and its lockstep run_batch().
+  manifold variants, each with its one geometry (only the intrinsic metric
+  is settable), plus the run() driver and its lockstep run_batch().
 - lyapunov_perron: the sequence-space contraction machinery — K1/K2 bounds,
-  the operator T, Picard fixed points, shooting cross-checks, and charts.
+  the operator T on sequences held as (N+1, d) arrays, Picard fixed points,
+  shooting cross-checks, and charts.
 - harness_cli: JSON-configured experiments and the saddle-escape CLI.
 """
 
@@ -36,8 +38,7 @@ from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
                       mirror_step, proximal_step, run, run_batch, unit_sphere)
 from .lyapunov_perron import (CertificateError, ContractionCertificate,
                               LyapunovError, ManifoldChart, PerronProblem,
-                              SequenceSpaceElement, StablePointResult,
-                              apply_T, bound_K1, bound_K2, chart,
+                              StablePointResult, apply_T, bound_K1, bound_K2, chart,
                               contraction_constant, iterate_raw,
                               remainder_from_objective,
                               self_consistency_error, shooting_oracle,

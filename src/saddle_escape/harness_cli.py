@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,12 +85,6 @@ class ExperimentAssertionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-_CONFIG_FIELDS = {
-    "experiment", "method_id", "objective", "schedule", "trials", "seed",
-    "init_box", "budget", "conv_tol", "escape_radius", "stride", "output_dir",
-    "init", "grad_tol", "eig_tol", "window", "metric", "chart",
-}
 
 _CHART_FIELDS = {
     "delta0", "epsilon", "max_halvings", "horizon", "horizon_cap", "fp_tol",
@@ -164,7 +158,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, default_experiment: Optional[str] = None) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         payload = dict(data)
@@ -266,6 +260,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_csv(path: str, header: list, rows) -> str:
+    """Write a header line and one line of ``_fmt`` cells per row; returns the path."""
+    lines = [",".join(header)] + [",".join(_fmt(c) for c in row) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def emit_plot_data(data, path: str) -> str:
     """Write a TrajectoryRecord or AvoidanceReport as CSV; returns the path.
 
@@ -276,9 +278,8 @@ def emit_plot_data(data, path: str) -> str:
     if isinstance(data, TrajectoryRecord):
         dim = len(data.points[0]) if data.points else 0
         header = ["k"] + [f"x_{i + 1}" for i in range(dim)] + ["step_size", "grad_norm"]
-        lines = [",".join(header)]
-        for k, pt, a, g in zip(data.ks, data.points, data.step_sizes, data.grad_norms):
-            lines.append(",".join([_fmt(k)] + [_fmt(c) for c in pt] + [_fmt(a), _fmt(g)]))
+        rows = ([k, *pt, a, g] for k, pt, a, g in
+                zip(data.ks, data.points, data.step_sizes, data.grad_norms))
     elif isinstance(data, AvoidanceReport):
         if not data.rows:
             raise ConfigError("cannot emit an avoidance report with no rows")
@@ -287,18 +288,12 @@ def emit_plot_data(data, path: str) -> str:
                   + ["terminal", "k_final"]
                   + [f"x_final_{i + 1}" for i in range(dim)]
                   + ["grad_norm", "saddle_hit"])
-        lines = [",".join(header)]
-        for row in sorted(data.rows, key=lambda r: r["trial"]):
-            lines.append(",".join(
-                [_fmt(row["trial"])] + [_fmt(c) for c in row["init"]]
-                + [row["terminal"], _fmt(row["k_final"])]
-                + [_fmt(c) for c in row["final"]]
-                + [_fmt(row["grad_norm"]), _fmt(row["saddle_hit"])]))
+        rows = ([r["trial"], *r["init"], r["terminal"], r["k_final"], *r["final"],
+                 r["grad_norm"], r["saddle_hit"]]
+                for r in sorted(data.rows, key=lambda r: r["trial"]))
     else:
         raise TypeError(f"emit_plot_data cannot serialize {type(data).__name__}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +321,13 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     """Monte Carlo over seeded uniform inits from cfg.init_box.
 
     All trials advance in lockstep through :func:`methods.run_batch`: one
-    batched step for gd, mirror-euclidean and constant-metric
-    manifold-intrinsic on vectorized objectives and for prox on quadratics,
-    row by row otherwise; each trial ends as ``run`` would end it.  Classifies every
-    terminal (step errors get their own bucket, never dropped) and counts
-    saddle hits: terminal converged_to_point whose limit classifies
-    strict_saddle and lies within SADDLE_PROXIMITY of a registered critical
-    point (when the objective registers any).
+    batched step for gd, mirror-euclidean and manifold-intrinsic on
+    vectorized objectives and for prox on quadratics, row by row otherwise;
+    each trial ends as ``run`` would end it.  Classifies every terminal
+    (step errors get their own bucket, never dropped) and counts saddle
+    hits: terminal converged_to_point whose limit classifies strict_saddle
+    and lies within SADDLE_PROXIMITY of a registered critical point (when
+    the objective registers any).
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -502,15 +497,9 @@ def chart_experiment(cfg: ExperimentConfig):
     header = ([f"x0_plus_{i + 1}" for i in range(d_s)]
               + [f"x0_minus_{i + 1}" for i in range(d_u)]
               + ["residual", "picard_iters"])
-    lines = [",".join(header)]
-    for g, p, r, it in zip(ch.grid, ch.phi, ch.residuals, ch.picard_iters):
-        if p is None:
-            continue
-        lines.append(",".join([_fmt(c) for c in g] + [_fmt(c) for c in p]
-                              + [_fmt(r), _fmt(it)]))
-    csv_path = os.path.join(cfg.output_dir, "chart.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(cfg.output_dir, "chart.csv"), header,
+               ([*g, *p, r, it] for g, p, r, it in
+                zip(ch.grid, ch.phi, ch.residuals, ch.picard_iters) if p is not None))
 
     summary = {
         "K1": cert.k1, "K2": cert.k2, "K": cert.k,

@@ -45,7 +45,6 @@ __all__ = [
     "CertificateError",
     "PerronProblem",
     "ContractionCertificate",
-    "SequenceSpaceElement",
     "ManifoldChart",
     "StablePointResult",
     "sup_distance",
@@ -167,17 +166,17 @@ class PerronProblem:
             self.factors = 1.0 - alphas[:, None] * self.split.eigenvalues[None, :]
         return self.factors[:steps]
 
-    def validate(self, sample_ks: Sequence[int] = (0, 1, 2, 5, 10), pairs: int = 1000,
-                 seed: int = 0) -> None:
+    def validate(self) -> None:
         """Spot-check the stated remainder properties by sampling.
 
         Verifies eta(k, 0) = 0 to 1e-14 and that sampled Lipschitz quotients
-        on B(0, delta) stay below alpha_k * epsilon * 1.01 for ``pairs``
-        random pairs at each sampled k.  Raises LyapunovError on violation.
+        on B(0, delta) stay below alpha_k * epsilon * 1.01 for 1000 random
+        pairs (seed 0) at each of k = 0, 1, 2, 5, 10.  Raises LyapunovError
+        on violation.
         """
-        rng = np.random.default_rng(seed)
-        d = self.dimension
-        for k in sample_ks:
+        rng = np.random.default_rng(0)
+        d, pairs = self.dimension, 1000
+        for k in (0, 1, 2, 5, 10):
             X = _sample_ball(rng, pairs, d, self.delta)
             Y = _sample_ball(rng, pairs, d, self.delta)
             E = np.asarray(self.eta_batch(np.full(2 * pairs + 1, k),
@@ -234,38 +233,12 @@ def _lipschitz_quotient(X: np.ndarray, Y: np.ndarray, FX: np.ndarray, FY: np.nda
     return float(np.max(quot)) if quot.size else 0.0
 
 
-@dataclass
-class SequenceSpaceElement:
-    """A truncated sequence u_0..u_N of d-vectors (rows of ``points``)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2:
-            raise LyapunovError(f"sequence points must be 2-D, got shape {self.points.shape}")
-
-    @property
-    def horizon(self) -> int:
-        return self.points.shape[0] - 1
-
-    @classmethod
-    def zeros(cls, horizon: int, dimension: int) -> "SequenceSpaceElement":
-        return cls(np.zeros((horizon + 1, dimension)))
-
-    def copy(self) -> "SequenceSpaceElement":
-        return SequenceSpaceElement(self.points.copy())
-
-
-def _points_of(u) -> np.ndarray:
-    if isinstance(u, SequenceSpaceElement):
-        return u.points
-    return np.asarray(u, dtype=float)
-
-
 def sup_distance(u, v) -> float:
-    """Sequence-space metric: sup over k of the Euclidean gap ||u_k - v_k||."""
-    pu, pv = _points_of(u), _points_of(v)
+    """Sequence-space metric: sup over k of the Euclidean gap ||u_k - v_k||.
+
+    A truncated sequence u_0..u_N of d-vectors is an (N+1, d) array.
+    """
+    pu, pv = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if pu.shape != pv.shape:
         raise LyapunovError(f"sequence shapes differ: {pu.shape} vs {pv.shape}")
     return float(np.max(np.linalg.norm(pu - pv, axis=1)))
@@ -397,8 +370,10 @@ def _eta_all(prob: PerronProblem, U: np.ndarray) -> np.ndarray:
     return E
 
 
-def apply_T(prob: PerronProblem, x0_plus, u) -> SequenceSpaceElement:
+def apply_T(prob: PerronProblem, x0_plus, u) -> np.ndarray:
     """One application of the Lyapunov-Perron operator T to the sequence u.
+
+    u and the result are (N+1, d) arrays, row k the entry u_k.
 
     In the diagonal frame, with B/C the coordinate-wise products of
     (1 - alpha_j lambda) over the stable/unstable blocks:
@@ -413,7 +388,7 @@ def apply_T(prob: PerronProblem, x0_plus, u) -> SequenceSpaceElement:
 
     Raises LyapunovError if any output entry leaves B(0, delta*(1+1e-6)).
     """
-    U = _points_of(u)
+    U = np.asarray(u, dtype=float)
     if U.shape != (prob.horizon + 1, prob.dimension):
         raise LyapunovError(
             f"sequence shape {U.shape} does not match horizon+1 x dim = "
@@ -431,7 +406,7 @@ def apply_T(prob: PerronProblem, x0_plus, u) -> SequenceSpaceElement:
         raise LyapunovError(
             f"operator image leaves the certified neighborhood at entry {bad}: "
             f"|v_{bad}| = {norms[bad]:.6g} > delta*(1+1e-6) = {limit:.6g}")
-    return SequenceSpaceElement(V)
+    return V
 
 
 def _scan_T(prob: PerronProblem, xp: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -474,7 +449,7 @@ class StablePointResult(NamedTuple):
     """Output of solve_stable_point."""
 
     x0_minus: np.ndarray
-    sequence: SequenceSpaceElement
+    sequence: np.ndarray
     residual: float
     iterations: int
     history: list
@@ -490,7 +465,7 @@ def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = 1e-10,
     certified problem).
     """
     xp = _as_stable_vector(prob, x0_plus)
-    u = SequenceSpaceElement.zeros(prob.horizon, prob.dimension)
+    u = np.zeros((prob.horizon + 1, prob.dimension))
     history: list = []
     for j in range(fp_budget):
         v = apply_T(prob, xp, u)
@@ -498,7 +473,7 @@ def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = 1e-10,
         history.append(r)
         u = v
         if r < fp_tol:
-            x0_minus = u.points[0, prob.split.unstable_indices].copy()
+            x0_minus = u[0, prob.split.unstable_indices].copy()
             return StablePointResult(x0_minus, u, r, j + 1, history)
     raise LyapunovError(
         f"Picard iteration did not reach fp_tol={fp_tol:g} within {fp_budget} "
@@ -541,7 +516,7 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
     """Run the raw recursion x_{k+1} = (I - alpha_k H) x_k + eta(k, x_k).
 
     Works in the diagonal frame.  Returns (trajectory, exit_step); exit_step
-    is the first k with ||x_k|| > stop_radius, or None if the trajectory
+    is the first k with x_k . x_k > stop_radius^2, or None if the trajectory
     stayed inside for all num_steps (trajectory then has num_steps+1 rows).
     """
     x = np.array(x0, dtype=float)
@@ -558,7 +533,7 @@ def self_consistency_error(prob: PerronProblem, seq) -> float:
     For the converged fixed sequence this is at the fixed-point tolerance:
     the integral form and the recursive form describe the same orbit.
     """
-    U = _points_of(seq)
+    U = np.asarray(seq, dtype=float)
     N = U.shape[0] - 1
     E = _eta_all(prob, U[:N])
     stepped = prob._factor_rows(N) * U[:N] + E
@@ -571,10 +546,11 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
 
     Requires a one-dimensional unstable block.  Refines the unstable
     coordinate c in [-bracket, +bracket] on the signed outcome of "does the
-    trajectory from (x0_plus, c) leave B(0, delta) upward or downward within
-    `steps` iterations"; trajectories that stay bounded for the whole horizon
-    are treated as not-yet-escaped-downward, so the refinement converges to
-    the lower edge of the bounded zone (whose width shrinks like 1/steps).
+    trajectory from (x0_plus, c) leave B(0, delta) (x_k . x_k > delta^2)
+    upward or downward within `steps` iterations"; trajectories that stay
+    bounded for the whole horizon are treated as not-yet-escaped-downward,
+    so the refinement converges to the lower edge of the bounded zone
+    (whose width shrinks like 1/steps).
     Returns the bracket midpoint once it is narrower than ``width``.
 
     Each round splits the bracket into 32 cells and runs the 31 interior
@@ -647,26 +623,23 @@ class ManifoldChart:
 
 
 def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
-          fp_budget: int = 500, delta_grid: Optional[float] = None,
-          tangency_spacings: Sequence[float] = (1e-2, 1e-3),
-          tangency_tol: float = 1e-3) -> ManifoldChart:
-    """Map solve_stable_point over a grid of stable-block anchors.
+          fp_budget: int = 500) -> ManifoldChart:
+    """Map solve_stable_point over a grid of stable-block anchors in B(0, delta/2).
 
     Also solves at 0 (the chart must vanish there), takes central
-    finite-difference derivatives of phi at 0 for each spacing in
-    ``tangency_spacings`` (tangency to the stable block requires
-    ||Dphi(0)|| <= tangency_tol), and flags discontinuity when an adjacent
-    difference quotient exceeds 3x the median of the others (a heuristic
-    jump detector, not a Lipschitz proof).  Individual sample failures mark
-    the chart partial instead of aborting the rest.
+    finite-difference derivatives of phi at 0 for the spacings 1e-2 and
+    1e-3 (tangency to the stable block requires ||Dphi(0)|| <= 1e-3 at
+    both), and flags discontinuity when an adjacent difference quotient
+    exceeds 3x the median of the others (a heuristic jump detector, not a
+    Lipschitz proof).  Individual sample failures mark the chart partial
+    instead of aborting the rest.
     """
-    if delta_grid is None:
-        delta_grid = prob.delta / 2.0
+    radius = prob.delta / 2.0
     grid_vecs = [_as_stable_vector(prob, g) for g in grid]
     for g in grid_vecs:
-        if float(np.linalg.norm(g)) > delta_grid:
+        if float(np.linalg.norm(g)) > radius:
             raise LyapunovError(
-                f"grid point {g} lies outside the chart radius delta_grid={delta_grid:g}")
+                f"grid point {g} lies outside the chart radius delta/2={radius:g}")
     results = [_chart_sample(prob, g, fp_tol, fp_budget) for g in grid_vecs]
     phi_vals = [r[0] for r in results]
     residuals = [r[1] for r in results]
@@ -683,7 +656,7 @@ def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
         phi_zero_norm = float(np.linalg.norm(phi0))
 
     dphi_norms: dict = {}
-    for h in tangency_spacings:
+    for h in (1e-2, 1e-3):
         cols = []
         failed = False
         for i in range(d_s):
@@ -699,7 +672,7 @@ def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
         if not failed:
             D = np.stack(cols, axis=1)  # d_u x d_s
             dphi_norms[h] = float(np.linalg.norm(D, 2))
-    tangency_ok = bool(dphi_norms) and all(v <= tangency_tol for v in dphi_norms.values())
+    tangency_ok = bool(dphi_norms) and all(v <= 1e-3 for v in dphi_norms.values())
 
     ratios = []
     for i in range(len(grid_vecs) - 1):
@@ -869,7 +842,6 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                              horizon_cap: int = 100_000,
                              tail_tol: float = DEFAULT_TAIL_TOL,
                              epsilon: Optional[float] = None,
-                             n_pairs: int = 10_000, safety: float = 1.5, seed: int = 0,
                              ) -> tuple[PerronProblem, ContractionCertificate]:
     """Build the diagonal-frame remainder problem for a method at a saddle.
 
@@ -884,8 +856,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     from the Hessian's modulus of continuity.  epsilon is the analytic bound
     for the builtin objectives (0 for quadratics; 6|a|delta for the cubic
     perturbation, a conservative bound on the Hessian deviation over
-    B(0, delta)) and a sampled-quotient estimate (times a 1.5 safety factor)
-    otherwise.
+    B(0, delta)) and otherwise a sampled-quotient estimate over 10000 random
+    pairs (seed 0), times a 1.5 safety factor.
 
     delta starts at delta0 and is halved (at most max_halvings times) until
     the certificate K < 1 holds.  The horizon, its tail bound and whether
@@ -951,7 +923,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         elif a_coef is not None:
             eps_val = 6.0 * abs(a_coef) * delta
         else:
-            eps_val = _sampled_epsilon(psi_batch, sp.dimension, delta, n_pairs, safety, seed)
+            eps_val = _sampled_epsilon(psi_batch, sp.dimension, delta)
         cert = _certify(sp, schedule, eps_val)
         if cert.valid or epsilon is not None:
             break
@@ -971,10 +943,10 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     return prob, cert
 
 
-def _sampled_epsilon(psi_batch, d: int, delta: float, n_pairs: int,
-                     safety: float, seed: int) -> float:
-    """Estimate the Lipschitz modulus of psi on B(0, delta) from random pairs."""
-    rng = np.random.default_rng(seed)
-    X = _sample_ball(rng, n_pairs, d, delta)
-    Y = _sample_ball(rng, n_pairs, d, delta)
-    return _lipschitz_quotient(X, Y, psi_batch(X), psi_batch(Y)) * safety
+def _sampled_epsilon(psi_batch, d: int, delta: float) -> float:
+    """Estimate the Lipschitz modulus of psi on B(0, delta) from 10000 random
+    pairs, times a 1.5 safety factor."""
+    rng = np.random.default_rng(0)
+    X = _sample_ball(rng, 10_000, d, delta)
+    Y = _sample_ball(rng, 10_000, d, delta)
+    return _lipschitz_quotient(X, Y, psi_batch(X), psi_batch(Y)) * 1.5

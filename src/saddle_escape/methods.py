@@ -7,7 +7,7 @@ Implemented methods (registry ids in ``METHOD_IDS``):
 - ``mirror-euclidean``:  mirror descent with the Euclidean map; identical to gd
 - ``prox``:              x_{k+1} = argmin_z f(z) + ||x_k - z||^2 / (2 alpha_k)
 - ``manifold-sphere``:   project-then-renormalize gradient step on the unit sphere
-- ``manifold-intrinsic``: x_{k+1} = x_k - alpha_k M(x_k)^{-1} grad f(x_k)
+- ``manifold-intrinsic``: x_{k+1} = x_k - alpha_k M^{-1} grad f(x_k), M a constant metric
 
 One lockstep loop iterates them: ``run_batch`` advances a population of
 starting points to step error / escape / Cauchy-window convergence / budget,
@@ -68,6 +68,8 @@ DEFAULT_ESCAPE_RADIUS = 1e3
 DEFAULT_STRIDE = 10
 CONVERGENCE_WINDOW = 50  # consecutive small steps required to declare convergence
 BOUNDARY_EPS = 1e-300  # simplex coordinates below this count as boundary contact
+_PROX_TOL = 1e-12  # proximal Newton stops once the stationarity residual is this small
+_PROX_BUDGET = 100  # proximal Newton steps before the step fails
 
 METHOD_IDS = ("gd", "mirror-entropy", "mirror-euclidean", "prox",
               "manifold-sphere", "manifold-intrinsic")
@@ -94,13 +96,10 @@ class MirrorMap:
     points outside the domain instead of silently projecting.
     """
 
-    def __init__(self, dimension: int, phi, grad_phi, conjugate_argmax,
-                 name: str, domain_check=None):
+    def __init__(self, dimension: int, grad_phi, conjugate_argmax, domain_check=None):
         self.dimension = dimension
-        self.phi = phi
         self.grad_phi = grad_phi
         self.conjugate_argmax = conjugate_argmax
-        self.name = name
         self._domain_check = domain_check
 
     def check_domain(self, x: np.ndarray) -> None:
@@ -115,9 +114,6 @@ def entropy_mirror_map(dimension: int) -> MirrorMap:
     is the softmax.  The induced mirror step is exactly the multiplicative
     weights update x_i exp(-alpha g_i) / Z.
     """
-
-    def phi(x):
-        return float(np.sum(x * np.log(x)))
 
     def grad_phi(x):
         return 1.0 + np.log(x)
@@ -136,29 +132,20 @@ def entropy_mirror_map(dimension: int) -> MirrorMap:
         if abs(total - 1.0) > 1e-8:
             raise MirrorDomainError(f"mirror iterate left the simplex (sum {total:.12g})")
 
-    return MirrorMap(dimension, phi, grad_phi, conjugate_argmax,
-                     name="entropy", domain_check=domain_check)
+    return MirrorMap(dimension, grad_phi, conjugate_argmax, domain_check=domain_check)
 
 
 def euclidean_mirror_map(dimension: int) -> MirrorMap:
     """Phi(x) = ||x||^2 / 2 on all of R^d; mirror descent reduces to gd."""
-    return MirrorMap(
-        dimension,
-        phi=lambda x: 0.5 * float(x @ x),
-        grad_phi=lambda x: x,
-        conjugate_argmax=lambda y: y,
-        name="euclidean",
-    )
+    return MirrorMap(dimension, grad_phi=lambda x: x, conjugate_argmax=lambda y: y)
 
 
 class EmbeddedManifold:
     """Embedded manifold given by a point projection and tangent projectors."""
 
-    def __init__(self, ambient_dim: int, project_point, tangent_matrix, name: str):
-        self.ambient_dim = ambient_dim
+    def __init__(self, project_point, tangent_matrix):
         self.project_point = project_point
         self.tangent_matrix = tangent_matrix
-        self.name = name
 
     def project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.tangent_matrix(x) @ v
@@ -176,45 +163,32 @@ def unit_sphere(ambient_dim: int) -> EmbeddedManifold:
     def tangent_matrix(x):
         return np.eye(ambient_dim) - np.outer(x, x)
 
-    return EmbeddedManifold(ambient_dim, project_point, tangent_matrix, name="sphere")
+    return EmbeddedManifold(project_point, tangent_matrix)
 
 
 class RiemannianMetric:
-    """Position-dependent inverse metric; must be symmetric positive definite."""
+    """Constant inverse metric M^{-1} (``matrix``); must be symmetric positive definite."""
 
-    def __init__(self, inverse_metric, name: str, constant_matrix: np.ndarray | None = None):
-        self._inverse_metric = inverse_metric
+    def __init__(self, matrix: np.ndarray, name: str):
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise MethodError(f"inverse metric '{name}' is not square: shape {matrix.shape}")
+        if float(np.max(np.abs(matrix - matrix.T))) > \
+                1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
+            raise MethodError(f"inverse metric '{name}' is not symmetric")
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError as err:
+            raise MethodError(f"inverse metric '{name}' is not positive definite") from err
+        self.matrix = matrix
         self.name = name
-        self.constant_matrix = constant_matrix
-        if constant_matrix is not None:
-            _require_spd(constant_matrix, name)
-
-    def inverse_metric(self, x: np.ndarray) -> np.ndarray:
-        if self.constant_matrix is not None:
-            return self.constant_matrix
-        M = np.asarray(self._inverse_metric(x), dtype=float)
-        _require_spd(M, self.name, x)
-        return M
-
-
-def _require_spd(M: np.ndarray, name: str, x: np.ndarray | None = None) -> None:
-    where = "" if x is None else f" at {x}"
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise MethodError(f"inverse metric '{name}'{where} is not square: shape {M.shape}")
-    if float(np.max(np.abs(M - M.T))) > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
-        raise MethodError(f"inverse metric '{name}'{where} is not symmetric")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as err:
-        raise MethodError(f"inverse metric '{name}'{where} is not positive definite") from err
 
 
 def identity_metric(dimension: int) -> RiemannianMetric:
-    return RiemannianMetric(None, name="identity", constant_matrix=np.eye(dimension))
+    return RiemannianMetric(np.eye(dimension), name="identity")
 
 
 def constant_metric(M: np.ndarray, name: str = "constant") -> RiemannianMetric:
-    return RiemannianMetric(None, name=name, constant_matrix=np.asarray(M, dtype=float))
+    return RiemannianMetric(np.asarray(M, dtype=float), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +212,13 @@ def mirror_step(obj: Objective, mirror_map: MirrorMap, schedule: StepSchedule,
 
 
 def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
-                  inner_tol: float = 1e-12, inner_budget: int = 100,
                   use_closed_form: bool | None = None) -> np.ndarray:
     """Proximal point step: solve z + alpha_k grad f(z) = x.
 
     Quadratic objectives take the closed form z = (I + alpha_k A)^{-1} x;
     everything else runs a damped Newton iteration on the stationarity
-    residual F(z) = z + alpha_k grad f(z) - x (Jacobian I + alpha_k hess f).
+    residual F(z) = z + alpha_k grad f(z) - x (Jacobian I + alpha_k hess f)
+    until |F(z)| <= 1e-12, within 100 Newton steps.
     ``use_closed_form=False`` forces the Newton path (used to cross-check the
     two routes against each other).
     """
@@ -265,8 +239,8 @@ def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
     identity = np.eye(obj.dimension)
     res = z + alpha * obj.grad(z) - x
     res_norm = float(np.linalg.norm(res))
-    for _ in range(inner_budget):
-        if res_norm <= inner_tol:
+    for _ in range(_PROX_BUDGET):
+        if res_norm <= _PROX_TOL:
             return z
         J = identity + alpha * obj.hess(z)
         try:
@@ -286,11 +260,11 @@ def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
         else:
             raise MethodError(f"proximal Newton damping stalled at k={k}")
         z, res, res_norm = z_try, res_try, res_try_norm
-    if res_norm <= inner_tol:
+    if res_norm <= _PROX_TOL:
         return z
     raise MethodError(
-        f"proximal Newton did not reach inner_tol={inner_tol:g} within "
-        f"{inner_budget} iterations at k={k} (residual {res_norm:.3e})")
+        f"proximal Newton did not reach residual {_PROX_TOL:g} within "
+        f"{_PROX_BUDGET} iterations at k={k} (residual {res_norm:.3e})")
 
 
 def _resolvents(A: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
@@ -333,28 +307,31 @@ def manifold_step(obj: Objective, manifold: EmbeddedManifold, schedule: StepSche
 
 def intrinsic_manifold_step(obj: Objective, metric: RiemannianMetric,
                             schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
-    """Intrinsic step in a coordinate chart: x - alpha_k M(x)^{-1} grad f(x)."""
+    """Intrinsic step in a coordinate chart: x - alpha_k M^{-1} grad f(x)."""
     x = np.asarray(x, dtype=float)
-    return x - schedule.value(k) * (metric.inverse_metric(x) @ obj.grad(x))
+    return x - schedule.value(k) * (metric.matrix @ obj.grad(x))
 
 
 def make_step(method_id: str, obj: Objective, schedule: StepSchedule, *,
-              mirror_map: MirrorMap | None = None,
-              manifold: EmbeddedManifold | None = None,
               metric: RiemannianMetric | None = None) -> Callable[[int, np.ndarray], np.ndarray]:
-    """Resolve a method id to a ``step(k, x)`` closure with default geometry."""
+    """Resolve a method id to a ``step(k, x)`` closure.
+
+    The geometry is the method's own: the entropy or Euclidean mirror map,
+    the unit sphere, and ``metric`` (default the identity) for
+    manifold-intrinsic.
+    """
     if method_id == "gd":
         return lambda k, x: gd_step(obj, schedule, k, x)
     if method_id == "mirror-entropy":
-        mmap = mirror_map or entropy_mirror_map(obj.dimension)
+        mmap = entropy_mirror_map(obj.dimension)
         return lambda k, x: mirror_step(obj, mmap, schedule, k, x)
     if method_id == "mirror-euclidean":
-        mmap = mirror_map or euclidean_mirror_map(obj.dimension)
+        mmap = euclidean_mirror_map(obj.dimension)
         return lambda k, x: mirror_step(obj, mmap, schedule, k, x)
     if method_id == "prox":
         return lambda k, x: proximal_step(obj, schedule, k, x)
     if method_id == "manifold-sphere":
-        mani = manifold or unit_sphere(obj.dimension)
+        mani = unit_sphere(obj.dimension)
         return lambda k, x: manifold_step(obj, mani, schedule, k, x)
     if method_id == "manifold-intrinsic":
         met = metric or identity_metric(obj.dimension)
@@ -404,7 +381,6 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
         budget: int = DEFAULT_BUDGET, conv_tol: float = 1e-9,
         escape_radius: float = DEFAULT_ESCAPE_RADIUS, stride: int = DEFAULT_STRIDE,
         window: int = CONVERGENCE_WINDOW, grad_tol: float = 1e-8, eig_tol: float = 1e-8,
-        mirror_map: MirrorMap | None = None, manifold: EmbeddedManifold | None = None,
         metric: RiemannianMetric | None = None, seed: int | None = None) -> TrajectoryRecord:
     """Iterate ``method_id`` from ``x0`` until escape, convergence, or budget.
 
@@ -412,7 +388,8 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     same stopping rules.  Convergence is declared after ``window``
     consecutive steps of motion below ``conv_tol`` (a Cauchy-window test);
     the limit is then classified with :func:`classify_critical_point`.
-    Escape means ``||x_k|| > escape_radius``.  Step errors (mirror domain
+    Escape means ``||x_k|| > escape_radius``; a NaN ``escape_radius``
+    raises ``MethodError``.  Step errors (mirror domain
     violations, singular proximal systems, ...) terminate the run with the
     ``step_error`` tag instead of raising.  Points are recorded every
     ``stride`` steps plus the final state.
@@ -423,7 +400,7 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     x = np.array(x0, dtype=float)
     if x.shape != (obj.dimension,):
         raise MethodError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
-    update = _update(method_id, obj, schedule, budget, mirror_map, manifold, metric)
+    update = _update(method_id, obj, schedule, budget, metric)
     path: list = []
     res = _advance(update, x[None], budget, conv_tol, escape_radius, window, path, stride)
     k_final, final = int(res.k_final[0]), res.final[0]
@@ -450,13 +427,11 @@ _RESOLVENT_BLOCK = 1 << 16  # doubles in one block of prox resolvents
 
 
 def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
-            mirror_map: MirrorMap | None = None, manifold: EmbeddedManifold | None = None,
             metric: RiemannianMetric | None = None):
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
 
-    gd and mirror-euclidean (default map) on vectorized objectives,
-    manifold-intrinsic with a constant metric on them and prox on quadratics
-    step all rows at once.  Every other pair applies :func:`make_step`'s
+    gd, mirror-euclidean and manifold-intrinsic on vectorized objectives and
+    prox on quadratics step all rows at once.  Every other pair applies :func:`make_step`'s
     one-point step row by row; a ``MethodError`` sets that row to NaN.
     ``error(j)`` is row j's step-error message or None.  A row with a step
     error is never finite, so it stops and only stopping rows are asked.
@@ -487,15 +462,13 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
             return X - schedule.value(k) * G, lambda j: None if np.all(np.isfinite(G[j])) \
                 else f"non-finite gradient at k={k}, x={X[j]}"
         return gd
-    if obj.vectorized and method_id == "mirror-euclidean" and mirror_map is None:
+    if obj.vectorized and method_id == "mirror-euclidean":
         return lambda k, X: (X - schedule.value(k) * obj.grad(X), _NO_ERROR)
     if obj.vectorized and method_id == "manifold-intrinsic":
-        M = (metric or identity_metric(obj.dimension)).constant_matrix
-        if M is not None:
-            return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ M.T), _NO_ERROR)
+        M = (metric or identity_metric(obj.dimension)).matrix
+        return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ M.T), _NO_ERROR)
 
-    step = make_step(method_id, obj, schedule,
-                     mirror_map=mirror_map, manifold=manifold, metric=metric)
+    step = make_step(method_id, obj, schedule, metric=metric)
 
     def rowwise(k, X):
         Xn, errors = np.empty_like(X), {}
@@ -517,7 +490,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     (final state x_k), escape, Cauchy window (``window`` >= 1), budget.
     With ``path``, ``(k, X)`` is appended for k = 0 and every ``stride``-th
     k, X being the rows that were active for that step.  An empty ``X0``
-    takes no step.
+    takes no step, and a NaN ``escape_radius`` raises ``MethodError``.
 
     While no row has a quiet streak, one whole-batch bound settles most
     steps: if the sum of all squares of X_{k+1} is below escape_radius^2 and
@@ -525,6 +498,8 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     starts a streak and none stops, so the per-row bookkeeping is skipped.
     Otherwise it runs, and so the rows get the same ends and bits either way.
     """
+    if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
+        raise MethodError("escape_radius must be a number, got NaN")
     n = len(X0)
     terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
     k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()
@@ -536,7 +511,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     # squares.  Each is off by at most a relative (n*d)·2^-53 < 5e-10 for
     # n*d <= 2^22, plus a few 2^-53 for the roots and the thresholds, which
     # the 1e-9 margins cover.  Squares below the normal range carry no
-    # relative bound, hence the floor at tiny; a tiny, negative or NaN
+    # relative bound, hence the floor at tiny; a tiny or negative
     # radius and a larger batch skip the bound.  NaN fails both tests, and
     # the cap at the largest double makes inf and an overflowing sum fail
     # the first.
@@ -597,12 +572,12 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
     """Run every row of ``X0`` to the terminal :func:`run` would give it.
 
     All rows advance in lockstep, one step per k with alpha_k =
-    ``schedule.value(k)``, and finished rows leave the active set.  gd and
-    mirror-euclidean on vectorized objectives, manifold-intrinsic with a
-    constant metric and prox on quadratics take one batched step for all
-    rows; every other method/objective pair steps row by row in the same
-    loop.  The stopping order is ``run``'s: step error at k, escape, Cauchy
-    window, budget.  An empty ``X0`` returns an empty result at once.
+    ``schedule.value(k)``, and finished rows leave the active set.  gd,
+    mirror-euclidean and manifold-intrinsic on vectorized objectives and
+    prox on quadratics take one batched step for all rows; every other
+    method/objective pair steps row by row in the same loop.  The stopping
+    order is ``run``'s: step error at k, escape, Cauchy window, budget.  An
+    empty ``X0`` returns an empty result at once.
     """
     X0 = np.asarray(X0, dtype=float)
     if budget < 1 or window < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:

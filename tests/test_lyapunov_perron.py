@@ -119,7 +119,7 @@ def test_apply_T_matches_naive_reference_3d():
     rng = np.random.default_rng(0)
     U = rng.uniform(-0.3, 0.3, size=(41, 3))
     xp = np.array([0.05, -0.03])
-    V = apply_T(prob, xp, U).points
+    V = apply_T(prob, xp, U)
     V_ref = apply_T_reference(prob, xp, U)
     np.testing.assert_allclose(V, V_ref, atol=1e-13)
 
@@ -129,7 +129,7 @@ def test_apply_T_matches_naive_reference_cubic():
     rng = np.random.default_rng(1)
     U = rng.uniform(-0.05, 0.05, size=(61, 2))
     xp = np.array([0.04])
-    V = apply_T(prob, xp, U).points
+    V = apply_T(prob, xp, U)
     V_ref = apply_T_reference(prob, xp, U)
     np.testing.assert_allclose(V, V_ref, atol=1e-14)
 
@@ -156,7 +156,7 @@ def test_apply_T_matches_plain_recursion_across_runs(case):
     # a sequence that does not decay along k
     U = rng.uniform(-1.0, 1.0, size=(prob.horizon + 1, d)) * prob.delta / (2 * np.sqrt(d))
     E = prob.eta_batch(np.arange(prob.horizon + 1), U)
-    np.testing.assert_allclose(apply_T(prob, xp, U).points, reference_scan_T(prob, xp, E),
+    np.testing.assert_allclose(apply_T(prob, xp, U), reference_scan_T(prob, xp, E),
                                rtol=0, atol=1e-15)
     # remainder rows of the certified size alpha_k * epsilon * delta, fed to
     # the scan directly (the quadratic's own remainder is zero).  The unstable
@@ -178,7 +178,7 @@ def test_default_chart_scans_in_one_run():
 def test_apply_T_anchors_the_stable_coordinate():
     prob = cubic_problem(horizon=50)
     U = np.zeros((51, 2))
-    V = apply_T(prob, np.array([0.04]), U).points
+    V = apply_T(prob, np.array([0.04]), U)
     assert V[0, 0] == 0.04
     # with u = 0 the remainder vanishes, so the image is the pure product orbit
     np.testing.assert_allclose(V[:, 1], 0.0)
@@ -340,7 +340,7 @@ def test_picard_zero_remainder_gives_zero_unstable_part():
                          epsilon=0.0, horizon=500)
     res = solve_stable_point(prob, np.array([0.05]))
     np.testing.assert_allclose(res.x0_minus, [0.0])
-    np.testing.assert_allclose(res.sequence.points[:, 1], 0.0)
+    np.testing.assert_allclose(res.sequence[:, 1], 0.0)
 
 
 def test_picard_budget_error():
@@ -428,8 +428,8 @@ def test_shooting_batched_and_scalar_paths_agree():
     fast = shooting_oracle(fast_prob, xp, bracket=0.1, steps=2000, width=1e-6)
     slow = shooting_oracle(slow_prob, xp, bracket=0.1, steps=2000, width=1e-6)
     assert fast.tobytes() == slow.tobytes()
-    fast_seq = solve_stable_point(fast_prob, xp).sequence.points
-    slow_seq = solve_stable_point(slow_prob, xp).sequence.points
+    fast_seq = solve_stable_point(fast_prob, xp).sequence
+    slow_seq = solve_stable_point(slow_prob, xp).sequence
     assert fast_seq.tobytes() == slow_seq.tobytes()
     for z0 in ([0.04, 0.0], [0.05, 0.01], [0.0, -0.02]):
         fast_traj, fast_exit = iterate_raw(fast_prob, np.array(z0), 3000, stop_radius=0.1)
@@ -674,7 +674,7 @@ def test_fixed_orbit_lies_in_weighted_ball():
     prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC)
     w = np.concatenate([[1.0], np.cumprod(1.0 - prob.decay_rate * prob.alphas[:-1])])
     for g in (-prob.delta / 2, prob.delta / 4, prob.delta / 2):
-        U = solve_stable_point(prob, [g]).sequence.points
+        U = solve_stable_point(prob, [g]).sequence
         assert np.all(np.linalg.norm(U, axis=1) <= prob.delta * w)
 
 

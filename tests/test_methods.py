@@ -329,9 +329,8 @@ def test_run_batch_rejects_bad_shape():
 
 def test_run_mirror_entropy_stays_on_simplex():
     f = linear_objective([1.0, -1.0, 0.0])
-    mm = entropy_mirror_map(3)
     rec = run("mirror-entropy", f, sch.power(1.0, 1.0, 2), np.ones(3) / 3,
-              budget=500, mirror_map=mm, stride=1)
+              budget=500, stride=1)
     for p in rec.points:
         assert abs(np.sum(p) - 1.0) < 1e-9
         assert np.all(np.asarray(p) > 0)
@@ -474,6 +473,15 @@ def test_run_and_run_batch_reject_window_below_one():
         run("gd", f, HARMONIC, np.array([0.5, 0.5]), window=0)
     with pytest.raises(MethodError, match="window"):
         run_batch("gd", f, HARMONIC, np.array([[0.5, 0.5]]), window=0)
+
+
+def test_run_and_run_batch_reject_nan_escape_radius():
+    # a NaN radius would stop every row at k = 1 as converged_to_point
+    f = obj_mod.fig1()
+    with pytest.raises(MethodError, match="escape_radius"):
+        run("gd", f, HARMONIC, np.array([0.5, 0.5]), escape_radius=float("nan"))
+    with pytest.raises(MethodError, match="escape_radius"):
+        run_batch("gd", f, HARMONIC, np.array([[0.5, 0.5]]), escape_radius=np.nan)
 
 
 def test_empty_run_batch_takes_no_step(monkeypatch):
