@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .methods import ESCAPED_REGION, STEP_ERROR, _advance, _update
 from .objectives import Objective
 from .schedules import StepSchedule
 from .spectral import SpectralSplit, split
@@ -93,8 +94,9 @@ class PerronProblem:
         Diagonalization of H; eigenvalues define the stable/unstable blocks.
     schedule : StepSchedule
         Vanishing step sizes alpha_k.
-    eta : callable (k, x) -> vector
-        Remainder in the diagonal frame, eta(k, 0) = 0.
+    eta : callable (ks, Z) -> matrix
+        Remainder in the diagonal frame, row i is eta(ks[i], Z[i]), and
+        eta(k, 0) = 0.
     delta : float
         Radius of the certified neighborhood B(0, delta).
     epsilon : float
@@ -104,10 +106,6 @@ class PerronProblem:
         Sequence truncation length N; sequences have entries 0..N.
     tail_tol : float
         Target for truncated series tails.
-    eta_batch : callable (ks, X) -> matrix, optional
-        Vectorized remainder: row i is eta(ks[i], X[i]).  When omitted it is
-        ``eta`` applied row by row; every reader in this module calls
-        ``eta_batch`` only.
     tail_estimate : float, optional
         Recorded a-priori bound on only the terms that the horizon drops
         from entry 0's backward sum, not on the chart's whole truncation
@@ -118,22 +116,26 @@ class PerronProblem:
     decay_rate : float
         The rate gamma of the weights w_k = prod_{j<k} (1 - alpha_j gamma)
         behind ``tail_estimate``; 0 is the unweighted bound.
+    dynamics : callable steps -> update, optional
+        The method's own step on rows y = x - x*, a ``methods._update``
+        closure for a run of ``steps`` steps; the raw dynamics run it.  Set
+        by remainder_from_objective; a hand-built problem has none.
 
     Built once: ``alphas`` and ``factors[k, i] = 1 - alpha_k lambda_i`` for
-    k = 0..N (longer once the raw dynamics run on) and the scan runs.
+    k = 0..N and the scan runs.
     """
 
     split: SpectralSplit
     schedule: StepSchedule
-    eta: Callable[[int, np.ndarray], np.ndarray]
+    eta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     delta: float
     epsilon: float
     horizon: int
     tail_tol: float = DEFAULT_TAIL_TOL
-    eta_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     tail_estimate: Optional[float] = None
     horizon_capped: bool = False
     decay_rate: float = 0.0
+    dynamics: Optional[Callable[[int], Callable]] = None
     alphas: np.ndarray = field(init=False, repr=False)
     factors: np.ndarray = field(init=False, repr=False)
     stable_runs: list = field(init=False, repr=False)
@@ -146,25 +148,14 @@ class PerronProblem:
             raise LyapunovError(f"delta must be positive, got {self.delta}")
         if self.epsilon < 0:
             raise LyapunovError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.eta_batch is None:
-            self.eta_batch = _rowwise(self.eta)
         self.alphas = np.asarray(self.schedule.values(self.horizon + 1), dtype=float)
-        self.factors = np.empty((0, self.dimension))
-        f = self._factor_rows(self.horizon + 1)
+        f = self.factors = 1.0 - self.alphas[:, None] * self.split.eigenvalues[None, :]
         self.stable_runs = _product_runs(f[:-1, self.split.stable_indices])
         self.unstable_runs = _product_runs(f[:, self.split.unstable_indices])
 
     @property
     def dimension(self) -> int:
         return self.split.dimension
-
-    def _factor_rows(self, steps: int) -> np.ndarray:
-        """Rows 0..steps-1 of the table; it is rebuilt longer from the
-        schedule only when the raw dynamics run past its end."""
-        if steps > self.factors.shape[0]:
-            alphas = np.asarray(self.schedule.values(steps), dtype=float)
-            self.factors = 1.0 - alphas[:, None] * self.split.eigenvalues[None, :]
-        return self.factors[:steps]
 
     def validate(self) -> None:
         """Spot-check the stated remainder properties by sampling.
@@ -179,8 +170,8 @@ class PerronProblem:
         for k in (0, 1, 2, 5, 10):
             X = _sample_ball(rng, pairs, d, self.delta)
             Y = _sample_ball(rng, pairs, d, self.delta)
-            E = np.asarray(self.eta_batch(np.full(2 * pairs + 1, k),
-                                          np.vstack([np.zeros((1, d)), X, Y])), dtype=float)
+            E = np.asarray(self.eta(np.full(2 * pairs + 1, k),
+                                    np.vstack([np.zeros((1, d)), X, Y])), dtype=float)
             e0, EX, EY = E[0], E[1:pairs + 1], E[pairs + 1:]
             if float(np.linalg.norm(e0)) > 1e-14:
                 raise LyapunovError(
@@ -211,11 +202,6 @@ def _product_runs(f: np.ndarray) -> list:
         runs.append((a, b, P[:b - a], cut == 0))
         a, w = b, 64
     return runs
-
-
-def _rowwise(eta: Callable[[int, np.ndarray], np.ndarray]):
-    """The batched form (ks, X) -> rows of a scalar remainder eta(k, x)."""
-    return lambda ks, X: np.array([eta(int(k), x) for k, x in zip(ks, X)], dtype=float)
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -364,9 +350,9 @@ def _as_stable_vector(prob: PerronProblem, x0_plus) -> np.ndarray:
 
 
 def _eta_all(prob: PerronProblem, U: np.ndarray) -> np.ndarray:
-    E = np.asarray(prob.eta_batch(np.arange(U.shape[0]), U), dtype=float)
+    E = np.asarray(prob.eta(np.arange(U.shape[0]), U), dtype=float)
     if E.shape != U.shape:
-        raise LyapunovError(f"eta_batch returned shape {E.shape}, expected {U.shape}")
+        raise LyapunovError(f"eta returned shape {E.shape}, expected {U.shape}")
     return E
 
 
@@ -484,59 +470,61 @@ def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = 1e-10,
 # raw dynamics, self-consistency, shooting
 # ---------------------------------------------------------------------------
 
-def _raw_advance(prob: PerronProblem, X0: np.ndarray, steps: int, radius: Optional[float],
-                 path: Optional[list] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the rows of X0 in lockstep by x_{k+1} = (I - alpha_k H) x_k + eta(k, x_k).
+def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
+             path: Optional[list] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the rows of Z0 in lockstep by ``prob.dynamics`` on ``methods._advance``.
 
-    Returns (exits, X): per row the first k <= steps with x_k . x_k >
-    radius^2 (-1 if none; a row leaves the active set there) and x at that
-    k (at ``steps`` if none).  ``path`` collects each step's active rows.
+    Rows run in y = z Q_inv^T and map back by z = y Q^T; Q is orthonormal,
+    so ||y_k|| = ||z_k||.  Returns (exits, Z): per row the first k <= steps
+    with ||z_k|| > radius (-1 if none) and z at that k (at ``steps`` if
+    none).  ``path`` collects (k, Y) for every k.
     """
-    factors = prob._factor_rows(steps)
-    r2 = np.inf if radius is None else radius * radius
-    exits, final = np.full(X0.shape[0], -1, dtype=np.int64), X0.copy()
-    X, rows = X0, np.arange(X0.shape[0])  # active rows only
-    for k in range(steps):
-        X = factors[k][None, :] * X + np.asarray(
-            prob.eta_batch(np.full(rows.size, k), X), dtype=float)
-        if path is not None:
-            path.append(X)
-        out = np.einsum("ij,ij->i", X, X) > r2
-        if out.any():
-            exits[rows[out]], final[rows[out]] = k + 1, X[out]
-            X, rows = X[~out], rows[~out]
-            if not rows.size:
-                break
-    final[rows] = X
-    return exits, final
+    if prob.dynamics is None:
+        raise LyapunovError("a hand-built PerronProblem has no raw dynamics; "
+                            "build it with remainder_from_objective")
+    if steps < 0 or not radius > 0:
+        raise LyapunovError("the raw dynamics need steps >= 0 and a positive radius, "
+                            f"got {steps} and {radius}")
+    res = _advance(prob.dynamics(steps), Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, 1, path)
+    failed = [m for t, m in zip(res.terminal, res.message) if t == STEP_ERROR]
+    if failed:
+        raise LyapunovError(f"the raw dynamics failed: {failed[0]}")
+    exits = np.where(np.array(res.terminal) == ESCAPED_REGION, res.k_final, -1)
+    return exits, res.final @ prob.split.Q.T
 
 
 def iterate_raw(prob: PerronProblem, x0, num_steps: int,
                 stop_radius: Optional[float] = None) -> tuple[np.ndarray, Optional[int]]:
-    """Run the raw recursion x_{k+1} = (I - alpha_k H) x_k + eta(k, x_k).
+    """Run the method's own step (``prob.dynamics``) from x0 in the diagonal frame.
 
-    Works in the diagonal frame.  Returns (trajectory, exit_step); exit_step
-    is the first k with x_k . x_k > stop_radius^2, or None if the trajectory
-    stayed inside for all num_steps (trajectory then has num_steps+1 rows).
+    Returns (trajectory, exit_step); exit_step is the first k with
+    ||z_k|| > stop_radius, or None if the trajectory stayed inside for all
+    num_steps (trajectory then has num_steps+1 rows).  A hand-built
+    problem, a negative num_steps, a stop_radius that is NaN or not
+    positive and a failed step (a non-finite iterate, say) raise
+    LyapunovError.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (prob.dimension,):
         raise LyapunovError(f"x0 must have shape ({prob.dimension},), got {x.shape}")
-    path = [x[None]]
-    exits, _ = _raw_advance(prob, x[None], num_steps, stop_radius, path)
-    return np.concatenate(path), (int(exits[0]) if exits[0] >= 0 else None)
+    path: list = []
+    exits, _ = _raw_run(prob, x[None], num_steps,
+                        math.inf if stop_radius is None else stop_radius, path)
+    traj = np.concatenate([Y for _, Y in path]) @ prob.split.Q.T
+    return traj, (int(exits[0]) if exits[0] >= 0 else None)
 
 
 def self_consistency_error(prob: PerronProblem, seq) -> float:
-    """Max per-entry gap between seq and its own raw forward step.
+    """Max per-entry gap between seq and its own step (I - alpha_k H) u_k + eta(k, u_k).
 
     For the converged fixed sequence this is at the fixed-point tolerance:
     the integral form and the recursive form describe the same orbit.
     """
     U = np.asarray(seq, dtype=float)
     N = U.shape[0] - 1
-    E = _eta_all(prob, U[:N])
-    stepped = prob._factor_rows(N) * U[:N] + E
+    if not 1 <= N <= prob.horizon:
+        raise LyapunovError(f"seq must have 2..{prob.horizon + 1} rows, got {U.shape[0]}")
+    stepped = prob.factors[:N] * U[:N] + _eta_all(prob, U[:N])
     return float(np.max(np.linalg.norm(stepped - U[1:], axis=1)))
 
 
@@ -544,20 +532,25 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
                     width: float = 1e-12) -> np.ndarray:
     """Independent chart value by bracket refinement on the raw dynamics.
 
-    Requires a one-dimensional unstable block.  Refines the unstable
+    Requires a one-dimensional unstable block and ``prob.dynamics``, the
+    method's own step.  Refines the unstable
     coordinate c in [-bracket, +bracket] on the signed outcome of "does the
-    trajectory from (x0_plus, c) leave B(0, delta) (x_k . x_k > delta^2)
+    trajectory from (x0_plus, c) leave B(0, delta) (||z_k|| > delta)
     upward or downward within `steps` iterations"; trajectories that stay
     bounded for the whole horizon are treated as not-yet-escaped-downward,
     so the refinement converges to the lower edge of the bounded zone
     (whose width shrinks like 1/steps).
-    Returns the bracket midpoint once it is narrower than ``width``.
+    Returns the bracket midpoint once it is narrower than ``width``, or
+    once a round cannot narrow it (its ends are adjacent doubles).  A
+    ``width`` that is NaN or not positive raises LyapunovError.
 
     Each round splits the bracket into 32 cells and runs the 31 interior
     candidates through the dynamics in lockstep, one pass per round.
     """
     if len(prob.split.unstable_indices) != 1:
         raise LyapunovError("shooting validation needs a one-dimensional unstable block")
+    if not width > 0:
+        raise LyapunovError(f"shooting width must be positive, got {width}")
     xp = _as_stable_vector(prob, x0_plus)
     uix = int(prob.split.unstable_indices[0])
     six = prob.split.stable_indices
@@ -568,7 +561,7 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
         X0 = np.zeros((len(cs), prob.dimension))
         X0[:, six] = xp[None, :]
         X0[:, uix] = cs
-        exits, X = _raw_advance(prob, X0, steps, prob.delta)
+        exits, X = _raw_run(prob, X0, steps, prob.delta)
         return np.where(exits < 0, 0, np.where(X[:, uix] > 0.0, 1, -1))
 
     lo, hi = -abs(bracket), abs(bracket)
@@ -592,6 +585,8 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
         interior = np.where(sides_of(cs[1:-1]) == -1, -1, 1)
         # first candidate (scanning from lo) that no longer exits downward
         j = 1 + int(np.argmax(np.concatenate([interior, [1]])))
+        if (cs[j - 1], cs[j]) == (lo, hi):
+            break
         lo, hi = cs[j - 1], cs[j]
     return np.array([0.5 * (lo + hi)])
 
@@ -864,7 +859,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     the bound misses tail_tol come from :func:`tail_horizon`, with the
     analytic cubic modulus as an order-2 remainder (a sampled or given
     epsilon is constant in the radius, order 1), and are recorded on the
-    problem as ``horizon``, ``tail_estimate`` and ``horizon_capped``.
+    problem as ``horizon``, ``tail_estimate`` and ``horizon_capped``, with
+    the method's own step on y = x - x* as ``dynamics``.
 
     Returns (PerronProblem, ContractionCertificate).  Only gradient descent
     is implemented: the other methods linearize differently at critical
@@ -888,24 +884,15 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
 
     Q, Qi = sp.Q, sp.Q_inv
 
-    def psi(z: np.ndarray) -> np.ndarray:
-        w = Qi @ z
-        return -(Q @ (obj.grad(x_star + w) - H @ w))
-
-    def eta(k: int, z: np.ndarray) -> np.ndarray:
-        return schedule.value(k) * psi(z)
-
-    if obj.vectorized:
-        def psi_batch(Z: np.ndarray) -> np.ndarray:
-            W = Z @ Qi.T
-            return -((np.asarray(obj.grad(x_star[None, :] + W)) - W @ H.T) @ Q.T)
-    else:
-        def psi_batch(Z: np.ndarray) -> np.ndarray:
-            return np.array([psi(z) for z in Z])
+    def psi_batch(Z: np.ndarray) -> np.ndarray:
+        if not obj.vectorized:  # one point at a time
+            return np.array([-(Q @ (obj.grad(x_star + Qi @ z) - H @ (Qi @ z))) for z in Z])
+        W = Z @ Qi.T
+        return -((np.asarray(obj.grad(x_star[None, :] + W)) - W @ H.T) @ Q.T)
 
     alpha_cache = _AlphaCache(schedule)
 
-    def eta_batch(ks, Z):
+    def eta(ks, Z):
         ks = np.asarray(ks)
         alph = alpha_cache.range(0, int(ks.max()) + 1)[ks]
         return alph[:, None] * psi_batch(np.asarray(Z, dtype=float))
@@ -936,10 +923,15 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     analytic_cubic = epsilon is None and not is_quadratic and a_coef is not None
     tb = tail_horizon(sp, schedule, eps_val, delta, order=2 if analytic_cubic else 1,
                       horizon=horizon, horizon_cap=horizon_cap, tail_tol=tail_tol)
+    # obj's raw callables, so that a step checks its points once, not twice
+    shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
+                        lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
+                        name=obj.name, vectorized=obj.vectorized)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=tb.horizon, tail_tol=tail_tol,
-                         eta_batch=eta_batch, tail_estimate=tb.tail_estimate,
-                         horizon_capped=tb.capped, decay_rate=tb.decay_rate)
+                         tail_estimate=tb.tail_estimate, horizon_capped=tb.capped,
+                         decay_rate=tb.decay_rate,
+                         dynamics=lambda steps: _update(method, shifted, schedule, steps))
     return prob, cert
 
 

@@ -493,10 +493,11 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     takes no step, and a NaN ``escape_radius`` raises ``MethodError``.
 
     While no row has a quiet streak, one whole-batch bound settles most
-    steps: if the sum of all squares of X_{k+1} is below escape_radius^2 and
-    the smallest squared row motion above conv_tol^2, no row escapes, none
-    starts a streak and none stops, so the per-row bookkeeping is skipped.
-    Otherwise it runs, and so the rows get the same ends and bits either way.
+    steps: if the sum of all squares of X_{k+1}, or failing that the largest
+    row's, is below escape_radius^2 and the smallest squared row motion above
+    conv_tol^2, no row escapes, none starts a streak and none stops, so the
+    per-row bookkeeping is skipped.  Otherwise it runs, and so the rows get
+    the same ends and bits either way.
     """
     if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
         raise MethodError("escape_radius must be a number, got NaN")
@@ -507,14 +508,14 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
         return BatchResult(terminal, k_final, final, message)
     X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
     # Rounding of the whole-batch bound: the per-row code takes the square
-    # root of a sum of d squares, and the bound's two sums add n*d and d
-    # squares.  Each is off by at most a relative (n*d)·2^-53 < 5e-10 for
-    # n*d <= 2^22, plus a few 2^-53 for the roots and the thresholds, which
-    # the 1e-9 margins cover.  Squares below the normal range carry no
-    # relative bound, hence the floor at tiny; a tiny or negative
-    # radius and a larger batch skip the bound.  NaN fails both tests, and
-    # the cap at the largest double makes inf and an overflowing sum fail
-    # the first.
+    # root of a sum of d squares; the bound sums n*d squares for all of X
+    # and only d for the row max and the row motions.  Each is off by at
+    # most a relative (n*d)·2^-53 < 5e-10 for n*d <= 2^22, plus a few
+    # 2^-53 for the roots and the thresholds, which the 1e-9 margins cover.
+    # Squares below the normal range carry no relative bound, hence the
+    # floor at tiny; a tiny or negative radius and a larger batch skip the
+    # bound.  NaN fails every test, and the cap at the largest double makes
+    # inf and an overflowing sum fail the radius tests.
     big, tiny = np.finfo(float).max, np.finfo(float).tiny
     bounded = escape_radius >= 2.0 ** -500 and X0.size <= 1 << 22
     below = min(escape_radius * escape_radius * (1.0 - 1e-9), big) if bounded else -1.0
@@ -535,7 +536,8 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
         D = Xn - X
         if not streak:
             flat = Xn.ravel()
-            if flat @ flat <= below and np.einsum("ij,ij->i", D, D).min() > above:
+            if (flat @ flat <= below or np.einsum("ij,ij->i", Xn, Xn).max() <= below) \
+                    and np.einsum("ij,ij->i", D, D).min() > above:
                 X = Xn
                 continue
         # row norms as np.linalg.norm(axis=1) computes them, without its overhead

@@ -34,32 +34,35 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 HARMONIC = sch.power(1.0, 1.0, 2)
 
 
-def cubic_problem(a=0.1, delta=0.1, horizon=4000, batch=True):
+def alphas_at(ks):
+    """HARMONIC's step sizes at the steps ks."""
+    ks = np.asarray(ks)
+    return np.asarray(HARMONIC.values(int(ks.max()) + 1))[ks]
+
+
+def cubic_problem(a=0.1, delta=0.1, horizon=4000):
     """Hand-built diagonal-frame problem for the a-perturbed saddle.
 
     At the origin the Hessian is diag(1, -1) and the update deviation from
     its linearization is eta(k, z) = -alpha_k * a * (2 z1 z2, z1^2), with
-    Lipschitz modulus alpha_k * 6 a delta on B(0, delta).
+    Lipschitz modulus alpha_k * 6 a delta on B(0, delta).  A hand-built
+    problem has no raw dynamics; :func:`cubic_gd_problem` has.
     """
     sp = split(np.diag([1.0, -1.0]))
 
-    def eta(k, z):
-        return -HARMONIC.value(k) * a * np.array([2 * z[0] * z[1], z[0] ** 2])
-
-    eta_b = None
-    if batch:
-        alphas = np.asarray(HARMONIC.values(horizon + 1))
-
-        def eta_b(ks, Z):
-            ks = np.asarray(ks)
-            al = alphas[ks] if ks.max() < len(alphas) else \
-                np.asarray(HARMONIC.values(int(ks.max()) + 1))[ks]
-            return -al[:, None] * a * np.stack(
-                [2 * Z[:, 0] * Z[:, 1], Z[:, 0] ** 2], axis=1)
+    def eta(ks, Z):
+        return -alphas_at(ks)[:, None] * a * np.stack(
+            [2 * Z[:, 0] * Z[:, 1], Z[:, 0] ** 2], axis=1)
 
     return PerronProblem(split=sp, schedule=HARMONIC, eta=eta, delta=delta,
-                         epsilon=6 * a * delta, horizon=horizon,
-                         eta_batch=eta_b)
+                         epsilon=6 * a * delta, horizon=horizon)
+
+
+def cubic_gd_problem():
+    """The same saddle from the objective: gd's own step drives the raw dynamics."""
+    prob, _ = remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
+                                       HARMONIC, horizon=4000)
+    return prob
 
 
 def synthetic_problem(horizon=40):
@@ -67,9 +70,10 @@ def synthetic_problem(horizon=40):
     sp = split(np.diag([1.0, 0.5, -1.0]))
     c = 0.02
 
-    def eta(k, z):
-        field = np.array([np.sin(z[1] + z[2]), z[0] * z[2], 1.0 - np.cos(z[0])])
-        return sch.power(1.0, 1.0, 2).value(k) * c * field
+    def eta(ks, Z):
+        field = np.stack([np.sin(Z[:, 1] + Z[:, 2]), Z[:, 0] * Z[:, 2],
+                          1.0 - np.cos(Z[:, 0])], axis=1)
+        return alphas_at(ks)[:, None] * c * field
 
     return PerronProblem(split=sp, schedule=HARMONIC, eta=eta, delta=0.5,
                          epsilon=c * 3.0, horizon=horizon)
@@ -81,7 +85,7 @@ def apply_T_reference(prob, x0_plus, U):
     lam = sp.eigenvalues
     al = prob.alphas
     N = prob.horizon
-    E = np.array([prob.eta(k, U[k]) for k in range(N + 1)])
+    E = prob.eta(np.arange(N + 1), U)
     V = np.zeros_like(np.asarray(U, dtype=float))
 
     def prod(lo, hi, j):  # prod_{t=lo}^{hi} (1 - al[t] lam[j]); empty -> 1
@@ -155,7 +159,7 @@ def test_apply_T_matches_plain_recursion_across_runs(case):
     xp = np.full(d_s, prob.delta / (4 * np.sqrt(d_s)))
     # a sequence that does not decay along k
     U = rng.uniform(-1.0, 1.0, size=(prob.horizon + 1, d)) * prob.delta / (2 * np.sqrt(d))
-    E = prob.eta_batch(np.arange(prob.horizon + 1), U)
+    E = prob.eta(np.arange(prob.horizon + 1), U)
     np.testing.assert_allclose(apply_T(prob, xp, U), reference_scan_T(prob, xp, E),
                                rtol=0, atol=1e-15)
     # remainder rows of the certified size alpha_k * epsilon * delta, fed to
@@ -197,7 +201,7 @@ def test_apply_T_flags_first_escaping_entry():
     # out of the delta-ball; the operator must name the offending entry
     sp = split(np.diag([1.0, -1.0]))
     prob = PerronProblem(split=sp, schedule=HARMONIC,
-                         eta=lambda k, z: HARMONIC.value(k) * 3.0 * z,
+                         eta=lambda ks, Z: alphas_at(ks)[:, None] * 3.0 * Z,
                          delta=0.1, epsilon=3.0, horizon=50)
     U = np.full((51, 2), 0.09)
     with pytest.raises(LyapunovError, match="entry"):
@@ -309,7 +313,7 @@ def test_contraction_constant_composition():
 def test_contraction_constant_zero_epsilon_skips_backward_bound():
     sp = split(np.diag([1.0, -1.0]))
     prob = PerronProblem(split=sp, schedule=HARMONIC,
-                         eta=lambda k, z: np.zeros(2), delta=0.1,
+                         eta=lambda ks, Z: np.zeros_like(Z), delta=0.1,
                          epsilon=0.0, horizon=100)
     cert = contraction_constant(prob)
     assert cert.k2 == 0.0
@@ -336,7 +340,7 @@ def test_picard_converges_and_is_self_consistent():
 def test_picard_zero_remainder_gives_zero_unstable_part():
     sp = split(np.diag([1.0, -1.0]))
     prob = PerronProblem(split=sp, schedule=HARMONIC,
-                         eta=lambda k, z: np.zeros(2), delta=0.1,
+                         eta=lambda ks, Z: np.zeros_like(Z), delta=0.1,
                          epsilon=0.0, horizon=500)
     res = solve_stable_point(prob, np.array([0.05]))
     np.testing.assert_allclose(res.x0_minus, [0.0])
@@ -357,7 +361,7 @@ def test_validate_accepts_cubic_remainder():
 def test_validate_rejects_nonvanishing_remainder():
     sp = split(np.diag([1.0, -1.0]))
     prob = PerronProblem(split=sp, schedule=HARMONIC,
-                         eta=lambda k, z: np.array([1e-3, 0.0]), delta=0.1,
+                         eta=lambda ks, Z: np.tile([1e-3, 0.0], (len(Z), 1)), delta=0.1,
                          epsilon=0.06, horizon=100)
     with pytest.raises(LyapunovError):
         prob.validate()
@@ -368,7 +372,7 @@ def test_validate_rejects_nonvanishing_remainder():
 # ---------------------------------------------------------------------------
 
 def test_iterate_raw_escapes_off_manifold():
-    prob = cubic_problem(horizon=4000)
+    prob = cubic_gd_problem()
     res = solve_stable_point(prob, np.array([0.04]))
     for beta in (1e-3, -1e-3, 1e-2, -1e-2):
         x0 = np.array([0.04, res.x0_minus[0] + beta])
@@ -377,7 +381,7 @@ def test_iterate_raw_escapes_off_manifold():
 
 
 def test_iterate_raw_on_manifold_stays_bounded():
-    prob = cubic_problem(horizon=4000)
+    prob = cubic_gd_problem()
     res = solve_stable_point(prob, np.array([0.04]), fp_tol=1e-12)
     x0 = np.array([0.04, res.x0_minus[0]])
     traj, exit_step = iterate_raw(prob, x0, 4000, stop_radius=prob.delta)
@@ -386,10 +390,11 @@ def test_iterate_raw_on_manifold_stays_bounded():
 
 
 def test_iterate_raw_matches_plain_loop():
-    # iterate_raw is the one-row case of the lockstep raw loop shooting uses;
-    # its bits and exit step are those of the plain one-point recursion
-    prob = cubic_problem(horizon=4000, batch=True)
-    lam = prob.split.eigenvalues
+    # iterate_raw is the one-row case of the lockstep loop shooting uses, on
+    # gd's own step; its bits and exit step are those of plain one-point gd
+    # (the Hessian diag(1, -1) is already diagonal, so z = x)
+    prob = cubic_gd_problem()
+    f = obj_mod.cubic_perturbed_saddle(0.1)
     exits = []
     for z0, radius in (([0.04, 0.0], 0.1), ([0.05, 0.01], 0.1), ([0.0, -0.02], 0.1),
                        ([0.04, 1e-3], 0.1), ([0.04, 0.0], None)):
@@ -397,7 +402,7 @@ def test_iterate_raw_matches_plain_loop():
         x = np.array(z0)
         want, want_exit = [x], None
         for k in range(3000):
-            x = (1.0 - HARMONIC.value(k) * lam) * x + prob.eta_batch([k], x[None])[0]
+            x = methods.gd_step(f, HARMONIC, k, x)
             want.append(x)
             if radius is not None and np.linalg.norm(x) > radius:
                 want_exit = k + 1
@@ -408,8 +413,37 @@ def test_iterate_raw_matches_plain_loop():
     assert None in exits and any(e is not None for e in exits)
 
 
+def test_raw_dynamics_need_the_methods_own_step():
+    # a hand-built problem has a remainder but no method to step
+    prob = cubic_problem()
+    with pytest.raises(LyapunovError, match="no raw dynamics"):
+        iterate_raw(prob, np.array([0.04, 0.0]), 10)
+    with pytest.raises(LyapunovError, match="no raw dynamics"):
+        shooting_oracle(prob, np.array([0.04]), bracket=0.1, steps=10)
+
+
+@pytest.mark.parametrize("stop_radius", [np.nan, 0.0, -0.1])
+def test_iterate_raw_rejects_bad_radius(stop_radius):
+    with pytest.raises(LyapunovError, match="positive radius"):
+        iterate_raw(cubic_gd_problem(), np.array([0.04, 0.05]), 100, stop_radius=stop_radius)
+
+
+def test_iterate_raw_rejects_negative_steps():
+    with pytest.raises(LyapunovError, match="steps >= 0"):
+        iterate_raw(cubic_gd_problem(), np.array([0.04, 0.05]), -1)
+
+
+@pytest.mark.parametrize("z0", [[np.nan, 0.0], [1e200, 1e200]], ids=["nan", "overflow"])
+def test_iterate_raw_non_finite_iterate_is_an_error(z0):
+    # gd's step error ends the run as a LyapunovError with its message; it
+    # used to count as staying inside
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LyapunovError, match="failed: non-finite gradient"):
+            iterate_raw(cubic_gd_problem(), np.array(z0), 100)
+
+
 def test_shooting_agrees_with_picard():
-    prob = cubic_problem(horizon=4000)
+    prob = cubic_gd_problem()
     xp = np.array([0.04])
     got = shooting_oracle(prob, xp, bracket=prob.delta, steps=3000, width=1e-6)
     want = solve_stable_point(prob, xp).x0_minus
@@ -418,34 +452,32 @@ def test_shooting_agrees_with_picard():
     assert abs(got[0] - want[0]) < 2e-4
 
 
-def test_shooting_batched_and_scalar_paths_agree():
-    # a scalar-only eta is adapted row by row at construction; under the
-    # harmonic schedule value(k) and values(n) agree bitwise, so both problems
-    # give the same bits everywhere
-    xp = np.array([0.04])
-    fast_prob = cubic_problem(horizon=4000, batch=True)
-    slow_prob = cubic_problem(horizon=4000, batch=False)
-    fast = shooting_oracle(fast_prob, xp, bracket=0.1, steps=2000, width=1e-6)
-    slow = shooting_oracle(slow_prob, xp, bracket=0.1, steps=2000, width=1e-6)
-    assert fast.tobytes() == slow.tobytes()
-    fast_seq = solve_stable_point(fast_prob, xp).sequence
-    slow_seq = solve_stable_point(slow_prob, xp).sequence
-    assert fast_seq.tobytes() == slow_seq.tobytes()
-    for z0 in ([0.04, 0.0], [0.05, 0.01], [0.0, -0.02]):
-        fast_traj, fast_exit = iterate_raw(fast_prob, np.array(z0), 3000, stop_radius=0.1)
-        slow_traj, slow_exit = iterate_raw(slow_prob, np.array(z0), 3000, stop_radius=0.1)
-        assert fast_exit == slow_exit
-        assert fast_traj.tobytes() == slow_traj.tobytes()
-
-
 def test_shooting_error_taxonomy():
-    prob = cubic_problem(horizon=4000)
+    prob = cubic_gd_problem()
     with pytest.raises(LyapunovError, match="bracket is too small"):
         shooting_oracle(prob, np.array([0.0]), bracket=1e-9, steps=50)
     with pytest.raises(LyapunovError, match="same side"):
         # phi(0.04) ~ 6e-5 sits above the bracket, so both endpoints exit
         # downward
         shooting_oracle(prob, np.array([0.04]), bracket=1e-5, steps=6000)
+
+
+@pytest.mark.parametrize("width", [-1.0, 0.0, np.nan])
+def test_shooting_rejects_bad_width(width):
+    with pytest.raises(LyapunovError, match="width must be positive"):
+        shooting_oracle(cubic_gd_problem(), np.array([0.04]), bracket=0.1, steps=100,
+                        width=width)
+
+
+def test_shooting_tiny_width_stops_at_adjacent_doubles():
+    # no round can split a bracket of two adjacent doubles, so refinement
+    # ends there instead of looping
+    prob = cubic_gd_problem()
+    xp = np.array([0.04])
+    tiny = shooting_oracle(prob, xp, bracket=prob.delta, steps=1000, width=1e-300)
+    coarse = shooting_oracle(prob, xp, bracket=prob.delta, steps=1000, width=1e-7)
+    assert np.isfinite(tiny[0])
+    assert abs(tiny[0] - coarse[0]) <= 1e-7
 
 
 def test_chart_even_symmetry_and_tangency():
@@ -682,20 +714,17 @@ def manufactured_problem(c=0.1, lam=1.0, mu=1.0, delta=0.1):
     """The exact-manifold problem z2 = c z1^2, horizon from tail_horizon."""
     sp = split(np.diag([lam, -mu]))
 
-    def eta_batch(ks, Z):
+    def eta(ks, Z):
         al = np.array([HARMONIC.value(int(k)) for k in ks])
         E = np.zeros_like(Z)
         E[:, 1] = manufactured_remainder(al, Z[:, 0], c, lam, mu)
         return E
 
-    def eta(k, z):
-        return eta_batch(np.array([k]), z[None])[0]
-
     # |d eta_2 / d z1| <= 2 c alpha (2 lam + mu) |z1|: an order-2 modulus
     epsilon = 2.0 * c * delta * (2.0 * lam + mu)
     tb = tail_horizon(sp, HARMONIC, epsilon, delta, order=2)
     return PerronProblem(split=sp, schedule=HARMONIC, eta=eta, delta=delta,
-                         epsilon=epsilon, horizon=tb.horizon, eta_batch=eta_batch,
+                         epsilon=epsilon, horizon=tb.horizon,
                          tail_estimate=tb.tail_estimate, horizon_capped=tb.capped,
                          decay_rate=tb.decay_rate)
 

@@ -379,9 +379,10 @@ def test_prox_singular_resolvent_in_a_later_block():
 
 def test_run_batch_thresholds_at_exact_norms_and_motions():
     # escape_radius at a row's exact norm and conv_tol at a row's exact
-    # motion, and their neighbouring doubles: each comparison goes the way
-    # the one-point loop takes it.  Under 1/(k+3) on fig1, x shrinks like
-    # 1/k^2 and y grows like k^2, so norms and motions are monotone.
+    # motion, and their neighbouring doubles, in two batches: each
+    # comparison goes the way the one-point loop takes it.  Under 1/(k+3)
+    # on fig1, x shrinks like 1/k^2 and y grows like k^2, so norms and
+    # motions are monotone.
     f, s = obj_mod.fig1(), sch.power(1.0, 1.0, 3)
     X0 = np.array([[0.5, 0.0], [0.3, 0.0], [0.7, 1e-3], [-0.2, 0.4], [0.9, 0.0]])
     step = make_step("gd", f, s)
@@ -396,20 +397,27 @@ def test_run_batch_thresholds_at_exact_norms_and_motions():
     ys = orbit(X0[1])
     motion = float(np.linalg.norm(ys[31] - ys[30]))
     budget = 200
-    for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
-        for conv_tol in (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf)):
-            for window in (1, 3):
-                opts = dict(budget=budget, conv_tol=conv_tol, escape_radius=escape_radius,
-                            window=window)
-                res = run_batch("gd", f, s, X0, **opts)
-                for i, x0 in enumerate(X0):
-                    kind, k_final, final, message = reference_run(step, x0, **opts)
-                    assert (res.terminal[i], res.k_final[i], res.message[i]) == \
-                        (kind, k_final, message)
-                    assert res.final[i].tobytes() == final.tobytes()
-                    alone = run_batch("gd", f, s, x0[None], **opts)
-                    assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
-                    assert alone.final[0].tobytes() == final.tobytes()
+    # three more rows that trail row 3 outward: for steps before row 3
+    # reaches the radius, the whole batch's squares add up past radius^2
+    # while every row is inside, so only the row-max bound settles them
+    wide = np.vstack([X0, [[0.0, 0.35], [0.1, -0.38], [-0.05, 0.39]]])
+    norms = np.array([[np.linalg.norm(x) for x in orbit(x0)] for x0 in wide])
+    assert any(col @ col > radius * radius and col.max() < radius for col in norms.T)
+    for batch in (X0, wide):
+        for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
+            for conv_tol in (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf)):
+                for window in (1, 3):
+                    opts = dict(budget=budget, conv_tol=conv_tol,
+                                escape_radius=escape_radius, window=window)
+                    res = run_batch("gd", f, s, batch, **opts)
+                    for i, x0 in enumerate(batch):
+                        kind, k_final, final, message = reference_run(step, x0, **opts)
+                        assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                            (kind, k_final, message)
+                        assert res.final[i].tobytes() == final.tobytes()
+                        alone = run_batch("gd", f, s, x0[None], **opts)
+                        assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
+                        assert alone.final[0].tobytes() == final.tobytes()
     # the neighbours decide: row 3 escapes one step later at its exact norm,
     # and row 1 turns quiet one step later at its exact motion
     ref = [reference_run(step, X0[3], budget=budget, conv_tol=0.0, escape_radius=r,
