@@ -8,11 +8,12 @@ diagonal frame of a fixed matrix H with eigenvalues lambda_1 >= ... >= lambda_d:
 with a vanishing step schedule alpha_k and a remainder that is
 alpha_k-Lipschitz-small near the origin:  ||eta(k,x) - eta(k,y)|| <=
 alpha_k * epsilon * ||x - y||.  Coordinates with lambda > 0 form the stable
-block E^s (factors 1 - alpha_k lambda < 1); coordinates with lambda <= 0 form
-E^u.  The stable manifold is built as the fixed point of an integral operator
-T on the space of delta-bounded sequences: forward variation-of-constants on
-the stable block, backward tail sums on the unstable block.  T is a
-contraction when
+block E^s, whose factors 1 - alpha_k lambda lie in (0, 1) under the paper's
+step bound alpha_0 * lambda_max < 1; coordinates with lambda <= 0 form E^u.
+The stable manifold is the fixed point of an integral operator T on the
+space of delta-bounded sequences: forward variation-of-constants on the
+stable block, backward tail sums on the unstable block.  T is a contraction
+when
 
     K = 1 - alpha_0 * lambda_stable + epsilon * (K1 + K2) < 1,
 
@@ -66,10 +67,9 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-10
 
-# |products| in a scan run: the low end avoids underflow, the high end bounds
-# the unstable closed form's rounding, ~2^-53 P (float range alone let it reach
-# |eta| on constant(0.1)).  The default chart peaks near 1.5e3: one run.
-_PRODUCT_RANGE = (1e-250, 1e4)
+# a scan run's cumprods stay at or above this floor, so that they never
+# underflow; the default chart's products stay above 3e-4: one run per block
+_PRODUCT_FLOOR = 1e-250
 
 
 class LyapunovError(RuntimeError):
@@ -122,7 +122,8 @@ class PerronProblem:
         by remainder_from_objective; a hand-built problem has none.
 
     Built once: ``alphas`` and ``factors[k, i] = 1 - alpha_k lambda_i`` for
-    k = 0..N and the scan runs.
+    k = 0..N and the scan runs (the unstable block's inverse factors run
+    backward).  alpha_0 * lambda_max >= 1 raises LyapunovError.
     """
 
     split: SpectralSplit
@@ -149,9 +150,13 @@ class PerronProblem:
         if self.epsilon < 0:
             raise LyapunovError(f"epsilon must be nonnegative, got {self.epsilon}")
         self.alphas = np.asarray(self.schedule.values(self.horizon + 1), dtype=float)
+        step_bound = self.alphas[0] * float(np.max(self.split.eigenvalues))
+        if step_bound >= 1.0:  # so that every factor the scan reads lies in (0, 1]
+            raise LyapunovError(f"alpha_0 * lambda_max = {step_bound:.6g} >= 1: a stable "
+                                "factor leaves (0, 1); shrink the schedule")
         f = self.factors = 1.0 - self.alphas[:, None] * self.split.eigenvalues[None, :]
         self.stable_runs = _product_runs(f[:-1, self.split.stable_indices])
-        self.unstable_runs = _product_runs(f[:, self.split.unstable_indices])
+        self.unstable_runs = _product_runs(1.0 / f[::-1, self.split.unstable_indices])
 
     @property
     def dimension(self) -> int:
@@ -162,12 +167,12 @@ class PerronProblem:
 
         Verifies eta(k, 0) = 0 to 1e-14 and that sampled Lipschitz quotients
         on B(0, delta) stay below alpha_k * epsilon * 1.01 for 1000 random
-        pairs (seed 0) at each of k = 0, 1, 2, 5, 10.  Raises LyapunovError
-        on violation.
+        pairs (seed 0) at each of k = 0, 1, 2, 5, 10 up to N.  Raises
+        LyapunovError on violation.
         """
         rng = np.random.default_rng(0)
         d, pairs = self.dimension, 1000
-        for k in (0, 1, 2, 5, 10):
+        for k in [k for k in (0, 1, 2, 5, 10) if k <= self.horizon]:
             X = _sample_ball(rng, pairs, d, self.delta)
             Y = _sample_ball(rng, pairs, d, self.delta)
             E = np.asarray(self.eta(np.full(2 * pairs + 1, k),
@@ -185,21 +190,19 @@ class PerronProblem:
 
 
 def _product_runs(f: np.ndarray) -> list:
-    """Cut the rows of a factor block f into runs (a, b, P, direct) whose
-    cumprods P stay in ``_PRODUCT_RANGE``.  A factor out of range by itself
-    (zero, say) is a ``direct`` one-row run, stepped by the plain recursion."""
-    lo, hi = _PRODUCT_RANGE
+    """Cut the rows of a factor block f, entries in (0, 1], into runs (a, b, P)
+    whose cumprods P, which only fall, stay at or above ``_PRODUCT_FLOOR``; a
+    factor below it by itself is a one-row run."""
     runs, a, n, w = [], 0, f.shape[0], 64
     while a < n:
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(under="ignore"):
             P = np.cumprod(f[a:a + w], axis=0)
-        out = np.flatnonzero(((np.abs(P) < lo) | (np.abs(P) > hi)).any(axis=1))
+        out = np.flatnonzero((P < _PRODUCT_FLOOR).any(axis=1))
         if not out.size and a + w < n:
             w *= 8  # gallop, so that a run costs O(its length), not O(n - a)
             continue
-        cut = int(out[0]) if out.size else P.shape[0]
-        b = a + max(cut, 1)
-        runs.append((a, b, P[:b - a], cut == 0))
+        b = a + max(int(out[0]) if out.size else P.shape[0], 1)
+        runs.append((a, b, P[:b - a]))
         a, w = b, 64
     return runs
 
@@ -258,28 +261,29 @@ class ContractionCertificate:
 def bound_K1(split_: SpectralSplit, schedule: StepSchedule) -> float:
     """Bound the forward variation-of-constants sums on the stable block.
 
-    With lambda the least positive eigenvalue, the partial sums
+    For each positive eigenvalue lambda the partial sums
     S_k = sum_{t<=k} alpha_t * prod_{j=t+1..k} (1 - alpha_j * lambda)
     telescope: alpha_t = (1 - (1 - alpha_t lambda)) / lambda gives
     S_k = (1 - Q_k) / lambda with Q_k = prod_{j<=k} (1 - alpha_j lambda).
-    Every factor lies in (0, 1) once alpha_0 * lambda < 1, because the
-    schedule is nonincreasing, so S_k < 1/lambda for every k; 1/lambda is
-    the supremum whenever sum alpha_k diverges.  Returns 1/lambda.
+    The paper's step bound alpha_0 * lambda_max < 1 puts every factor in
+    (0, 1) on a nonincreasing schedule, so S_k < 1/lambda <= 1/lambda_s for
+    every k and coordinate, lambda_s the least positive eigenvalue; that is
+    the supremum whenever sum alpha_k diverges.  Returns 1/lambda_s.
 
     Raises CertificateError when no positive eigenvalue exists or
-    alpha_0 * lambda >= 1 (the very first factor would not contract).
+    alpha_0 * lambda_max >= 1 (a factor outside (0, 1) can blow its sums up).
     """
     evals = split_.eigenvalues
     pos = evals[evals > 0]
     if pos.size == 0:
         raise CertificateError("no positive eigenvalue: the stable block is empty")
-    lam = float(np.min(pos))
     alpha0 = float(schedule.value(0))
-    if alpha0 * lam >= 1.0:
+    step_bound = alpha0 * float(np.max(pos))
+    if step_bound >= 1.0:
         raise CertificateError(
-            f"alpha_0 * lambda = {alpha0 * lam:.6g} >= 1; "
-            "the first stable factor does not contract — shrink the schedule")
-    return 1.0 / lam
+            f"alpha_0 * lambda_max = {step_bound:.6g} >= 1; "
+            "a stable factor does not lie in (0, 1) — shrink the schedule")
+    return 1.0 / float(np.min(pos))
 
 
 def bound_K2(split_: SpectralSplit, schedule: StepSchedule) -> float:
@@ -396,39 +400,35 @@ def apply_T(prob: PerronProblem, x0_plus, u) -> np.ndarray:
 
 
 def _scan_T(prob: PerronProblem, xp: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Evaluate T from remainder rows E: a cumprod closed form per run of the
-    problem's plan, with the state carried across each cut forward on the
-    stable block and backward on the unstable one."""
+    """Evaluate T from remainder rows E by one recursion on both blocks: the
+    stable v+_{k+1} = f_k v+_k + eta+_k forward from v+_0 = xp, and the
+    unstable t_m = (eta-_m + t_{m+1}) / g_m from t_{N+1} = 0, v-_m = -t_m,
+    as the same recursion run backward with factors 1/g_m and inputs
+    eta-_m / g_m.  Entry 0 drops the (N, 0) term eta-_N / prod_{j<=N} g_j."""
     S, Uix = prob.split.stable_indices, prob.split.unstable_indices
-    Ep, Em = E[:, S], E[:, Uix]
-    V = np.zeros_like(E)
-    V[0, S] = v = xp
-
-    # stable block: v+_{k+1} = f_k v+_k + eta+_k forward; within a run [a, b),
-    # v+_{k+1} = P_k (v+_a + sum_{a<=i<=k} eta+_i / P_i)
-    for a, b, P, direct in prob.stable_runs:
-        if direct:
-            V[b, S] = P[0] * v + Ep[a]
-        else:
-            V[a + 1:b + 1, S] = P * (v[None, :] + np.cumsum(Ep[a:b] / P, axis=0))
-        v = V[b, S]
-
-    # unstable block: t_m = (eta-_m + t_{m+1}) / g_m backward from t_{N+1} = 0,
-    # v-_m = -t_m; within a run [a, b),
-    # t_m = P_{m-1} (sum_{m<=i<b} eta-_i / P_i + t_b / P_{b-1}) with P_{a-1} = 1.
-    # Its factors are >= 1, so no run is direct: a lone large one is divided by.
-    t = np.zeros(len(Uix))
-    dropped = Em[-1]  # entry 0 drops the (N, 0) term eta-_N / prod_{j<=N} g_j
-    for a, b, P, _ in reversed(prob.unstable_runs):
-        W = Em[a:b] / P
-        G = np.cumsum(W, axis=0)
-        P_shift = np.vstack([np.ones((1, len(Uix))), P[:-1]])  # P_{m-1}
-        T_run = P_shift * (G[-1][None, :] + t / P[-1] - G + W)
-        V[a:b, Uix] = -T_run
-        t = T_run[0]
-        dropped = dropped / P[-1]
-    V[0, Uix] = -(t - dropped)
+    V = np.empty_like(E)
+    V[0, S] = xp
+    V[1:, S] = _scan(prob.stable_runs, xp, E[:-1, S])
+    # row r of the backward scan is t_{N-r}
+    t = _scan(prob.unstable_runs, np.zeros(len(Uix)), E[::-1, Uix] / prob.factors[::-1, Uix])
+    V[::-1, Uix] = -t
+    dropped = E[-1, Uix]
+    for _, _, P in prob.unstable_runs:
+        dropped = dropped * P[-1]
+    V[0, Uix] = dropped - t[-1]
     return V
+
+
+def _scan(runs: list, v: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Rows v_1..v_n of v_{k+1} = f_k v_k + E[k] from v_0 = v, for factors
+    f_k in (0, 1] whose cumprods per run (a, b, P) are ``runs``: within a
+    run, v_{k+1} = P_k (v_a + sum_{a<=i<=k} E[i] / P_i), and the state is
+    carried across each cut."""
+    out = np.empty_like(E)
+    for a, b, P in runs:
+        out[a:b] = P * (v + np.cumsum(E[a:b] / P, axis=0))
+        v = out[b - 1]
+    return out
 
 
 class StablePointResult(NamedTuple):
@@ -732,16 +732,18 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
 
     Weights (Perron's weighted sequence space).  Measure sequences by
     sup_k |u_k| / w_k with w_k = prod_{j<k} (1 - alpha_j gamma) and
-    0 <= gamma < lambda_s, and let rho_j = (1 - alpha_j lambda_s) /
-    (1 - alpha_j gamma), which lies in (0, 1).  On the stable block the
-    anchor term carries prod_{j<=k} rho_j <= rho_0, and the forward sums
+    0 <= gamma < lambda_s, and let rho_j = (1 - alpha_j lambda) /
+    (1 - alpha_j gamma) for a stable lambda, in (0, 1) under the step bound
+    of :func:`bound_K1`.  On the stable block the anchor term carries
+    prod_{j<=k} rho_j <= rho_0, and the forward sums
     S_k = rho_k S_{k-1} + alpha_k / (1 - alpha_k gamma) telescope, because
-    alpha_k / (1 - alpha_k gamma) = (1 - rho_k) / (lambda_s - gamma), to
-    (1 - prod_{j<=k} rho_j) / (lambda_s - gamma) < 1 / (lambda_s - gamma).
+    alpha_k / (1 - alpha_k gamma) = (1 - rho_k) / (lambda - gamma), to
+    (1 - prod_{j<=k} rho_j) / (lambda - gamma) < 1 / (lambda_s - gamma).
     On the unstable block w_i / w_k <= 1 for i >= k, so the backward sums
     only shrink and 1/mu still bounds them.  So
 
-        K_w = rho_0 + epsilon * (1 / (lambda_s - gamma) + 1/mu)
+        K_w = (1 - alpha_0 lambda_s) / (1 - alpha_0 gamma)
+              + epsilon * (1 / (lambda_s - gamma) + 1/mu)
 
     plays the part of K (gamma = 0 gives K_w = K): when K_w < 1, T maps the
     weighted delta-ball into itself and contracts there, so its fixed
@@ -783,7 +785,7 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
     negs = evals[evals < 0]
     if negs.size == 0:
         raise LyapunovError("the tail bound needs a strictly negative eigenvalue")
-    bound_K1(split_, schedule)  # raises unless alpha_0 * lambda_s < 1
+    bound_K1(split_, schedule)  # raises unless alpha_0 * lambda_max < 1
     lam_s = float(np.min(evals[evals > 0]))
     mu = -float(np.max(negs))
     alpha0 = float(schedule.value(0))
@@ -817,20 +819,6 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
 # from an objective to a problem (conjugation into the diagonal frame)
 # ---------------------------------------------------------------------------
 
-class _AlphaCache:
-    """Grow-on-demand view of a schedule's value array (amortized O(n))."""
-
-    def __init__(self, schedule: StepSchedule, initial: int = 4096):
-        self.schedule = schedule
-        self.arr = np.asarray(schedule.values(initial), dtype=float)
-
-    def range(self, a: int, b: int) -> np.ndarray:
-        if b > self.arr.shape[0]:
-            n = max(b, 2 * self.arr.shape[0])
-            self.arr = np.asarray(self.schedule.values(n), dtype=float)
-        return self.arr[a:b]
-
-
 def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                              method: str = "gd", delta0: float = 0.1,
                              max_halvings: int = 20, horizon: Optional[int] = None,
@@ -860,7 +848,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     analytic cubic modulus as an order-2 remainder (a sampled or given
     epsilon is constant in the radius, order 1), and are recorded on the
     problem as ``horizon``, ``tail_estimate`` and ``horizon_capped``, with
-    the method's own step on y = x - x* as ``dynamics``.
+    the method's own step on y = x - x* as ``dynamics``.  Its ``eta`` reads
+    alpha_k from the problem's ``alphas``, so it takes k <= N only.
 
     Returns (PerronProblem, ContractionCertificate).  Only gradient descent
     is implemented: the other methods linearize differently at critical
@@ -890,12 +879,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         W = Z @ Qi.T
         return -((np.asarray(obj.grad(x_star[None, :] + W)) - W @ H.T) @ Q.T)
 
-    alpha_cache = _AlphaCache(schedule)
-
-    def eta(ks, Z):
-        ks = np.asarray(ks)
-        alph = alpha_cache.range(0, int(ks.max()) + 1)[ks]
-        return alph[:, None] * psi_batch(np.asarray(Z, dtype=float))
+    def eta(ks, Z):  # k <= N: prob, built below, holds alpha_0..alpha_N
+        return prob.alphas[np.asarray(ks)][:, None] * psi_batch(np.asarray(Z, dtype=float))
 
     a_coef = getattr(obj, "cubic_coefficient", None)
     is_quadratic = getattr(obj, "quadratic_matrix", None) is not None

@@ -490,7 +490,8 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     (final state x_k), escape, Cauchy window (``window`` >= 1), budget.
     With ``path``, ``(k, X)`` is appended for k = 0 and every ``stride``-th
     k, X being the rows that were active for that step.  An empty ``X0``
-    takes no step, and a NaN ``escape_radius`` raises ``MethodError``.
+    takes no step, and a NaN ``escape_radius`` raises ``MethodError``; an
+    infinite one stops a row at inf only on the step error ``error(j)`` names.
 
     While no row has a quiet streak, one whole-batch bound settles most
     steps: if the sum of all squares of X_{k+1}, or failing that the largest
@@ -544,6 +545,9 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
         quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
         radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
         stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
+        if escape_radius == np.inf:  # inf <= inf keeps a row that a step overflowed
+            for j in np.flatnonzero(np.isinf(radius) & ~stop):
+                stop[j] = error(j) is not None
         if not stop.any():
             X, streak = Xn, bool(quiet.any())
             continue

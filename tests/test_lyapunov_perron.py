@@ -138,21 +138,18 @@ def test_apply_T_matches_naive_reference_cubic():
     np.testing.assert_allclose(V, V_ref, atol=1e-14)
 
 
-# problems whose running products leave the range of one closed-form run:
-# 0.9^k and 1.1^k on a constant schedule, and factors -0.5 and 0 at k = 0, 1
-# for lambda = 3 under 1/(k+2)
+# problems whose running products fall below the floor of one closed-form
+# run: 0.9^k and (1/1.1)^k on a constant schedule
 CUT_CASES = {
-    "cubic-constant-6000": (obj_mod.cubic_perturbed_saddle(0.1), sch.constant(0.1), 6000, None),
-    "cubic-constant-20000": (obj_mod.cubic_perturbed_saddle(0.1), sch.constant(0.1), 20000, None),
-    "quadratic-zero-factor": (obj_mod.quadratic(np.diag([3.0, 1.0, -1.0])), HARMONIC, 3000, 0.1),
+    "cubic-constant-6000": (obj_mod.cubic_perturbed_saddle(0.1), sch.constant(0.1), 6000),
+    "cubic-constant-20000": (obj_mod.cubic_perturbed_saddle(0.1), sch.constant(0.1), 20000),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CUT_CASES))
 def test_apply_T_matches_plain_recursion_across_runs(case):
-    f, schedule, horizon, eps = CUT_CASES[case]
-    prob, _ = remainder_from_objective(f, np.zeros(f.dimension), schedule,
-                                       horizon=horizon, epsilon=eps)
+    f, schedule, horizon = CUT_CASES[case]
+    prob, _ = remainder_from_objective(f, np.zeros(f.dimension), schedule, horizon=horizon)
     assert len(prob.stable_runs) + len(prob.unstable_runs) > 2
     d, d_s = prob.dimension, len(prob.split.stable_indices)
     rng = np.random.default_rng(7)
@@ -163,20 +160,36 @@ def test_apply_T_matches_plain_recursion_across_runs(case):
     np.testing.assert_allclose(apply_T(prob, xp, U), reference_scan_T(prob, xp, E),
                                rtol=0, atol=1e-15)
     # remainder rows of the certified size alpha_k * epsilon * delta, fed to
-    # the scan directly (the quadratic's own remainder is zero).  The unstable
-    # closed form differences a forward cumsum scaled by products up to 1e4,
-    # so it rounds to about 2^-53 * 1e4 * sum_i 1/P_i <= 1e-11 of the rows' size
+    # the scan directly.  Both blocks run the forward closed form with
+    # factors in (0, 1], so each row rounds to about 2^-53 of the rows that
+    # it sums, not 2^-53 times a product
     E = (rng.uniform(-1.0, 1.0, size=U.shape)
          * (prob.alphas * prob.epsilon * prob.delta)[:, None])
     np.testing.assert_allclose(lp._scan_T(prob, xp, E), reference_scan_T(prob, xp, E),
-                               rtol=0, atol=1e-11 * float(np.max(np.abs(E))))
+                               rtol=0, atol=1e-13 * float(np.max(np.abs(E))))
 
 
 def test_default_chart_scans_in_one_run():
     prob, _ = remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
                                        HARMONIC)
-    assert [(a, b) for a, b, _, _ in prob.stable_runs] == [(0, prob.horizon)]
-    assert [(a, b) for a, b, _, _ in prob.unstable_runs] == [(0, prob.horizon + 1)]
+    assert [(a, b) for a, b, _ in prob.stable_runs] == [(0, prob.horizon)]
+    assert [(a, b) for a, b, _ in prob.unstable_runs] == [(0, prob.horizon + 1)]
+
+
+@pytest.mark.parametrize("lam_max", [3.0, 10.0, 100.0])
+def test_step_bound_rejects_alpha0_lambda_max_at_least_one(lam_max):
+    # alpha_0 = 1/2, so the stable factor 1 - lambda_max / 2 at k = 0 is not
+    # in (0, 1): the forward sums on that coordinate leave 1/lambda_s (they
+    # reach 5.3e24 for lambda_max = 100), so neither the bound, the
+    # certificate nor a hand-built problem may accept it
+    H = np.diag([lam_max, 1.0, -1.0])
+    with pytest.raises(CertificateError, match="lambda_max"):
+        bound_K1(split(H), HARMONIC)
+    with pytest.raises(CertificateError, match="lambda_max"):
+        remainder_from_objective(obj_mod.quadratic(H), np.zeros(3), HARMONIC, epsilon=0.2)
+    with pytest.raises(LyapunovError, match="lambda_max"):
+        PerronProblem(split=split(H), schedule=HARMONIC, eta=lambda ks, Z: np.zeros_like(Z),
+                      delta=0.1, epsilon=0.0, horizon=100)
 
 
 def test_apply_T_anchors_the_stable_coordinate():
@@ -247,6 +260,19 @@ def test_bound_K1_dominates_exact_recursion(lam, alphas, schedule):
     prefix = k1_recursion(lam, alphas)
     assert max(prefix) < Fraction(k1)
     assert prefix == sorted(prefix)
+
+
+@pytest.mark.parametrize("lams,alphas,schedule", [
+    ((Fraction(1), Fraction(1, 2)), [power_alpha(t) for t in range(300)], HARMONIC),
+    ((Fraction(3, 2), Fraction(1), Fraction(1, 4)), [Fraction(1, 2)] * 300, sch.constant(0.5)),
+], ids=["harmonic", "constant-half"])
+def test_bound_K1_bounds_every_stable_coordinate(lams, alphas, schedule):
+    # under alpha_0 * lambda_max < 1 every stable coordinate's exact forward
+    # sums stay below 1/lambda_i <= 1/lambda_s = bound_K1
+    k1 = bound_K1(split(np.diag([float(lam) for lam in lams] + [-1.0])), schedule)
+    assert k1 == 1.0 / float(min(lams))
+    for lam in lams:
+        assert max(k1_recursion(lam, alphas)) <= Fraction(k1)
 
 
 def test_bound_K1_constant_half():
@@ -440,6 +466,14 @@ def test_iterate_raw_non_finite_iterate_is_an_error(z0):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(LyapunovError, match="failed: non-finite gradient"):
             iterate_raw(cubic_gd_problem(), np.array(z0), 100)
+
+
+def test_iterate_raw_overflow_fails_at_its_own_step():
+    # with no stop_radius a step that overflows fails at its own k, not one
+    # step later from the row of infinities
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LyapunovError, match=r"gradient at k=0, x=\[1.e\+200 1.e\+200\]"):
+            iterate_raw(cubic_gd_problem(), np.array([1e200, 1e200]), 100)
 
 
 def test_shooting_agrees_with_picard():

@@ -475,6 +475,29 @@ def test_run_batch_extreme_escape_radii_match_reference(escape_radius):
             assert alone.final[0].tobytes() == final.tobytes()
 
 
+def test_overflowing_gd_step_stops_at_its_own_step_without_a_radius():
+    # with escape_radius = inf, a gd step whose gradient overflows leaves its
+    # row at -inf, and inf <= inf must not keep it: the step error comes at
+    # k = 0 from the start point, as in the plain loop.  A finite row whose
+    # squares overflow (the second) goes on
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    X0 = np.array([[1e200, 1e200], [0.0, 1e160], [0.5, 1e-3]])
+    step = make_step("gd", f, HARMONIC)
+    opts = dict(budget=50, conv_tol=1e-12, escape_radius=np.inf, window=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_batch("gd", f, HARMONIC, X0, **opts)
+        for i, x0 in enumerate(X0):
+            kind, k_final, final, message = reference_run(step, x0, **opts)
+            assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                (kind, k_final, message)
+            assert res.final[i].tobytes() == final.tobytes()
+            alone = run_batch("gd", f, HARMONIC, x0[None], **opts)
+            assert (alone.terminal[0], alone.k_final[0], alone.message[0]) == \
+                (kind, k_final, message)
+            assert alone.final[0].tobytes() == final.tobytes()
+    assert res.terminal[:2] == [STEP_ERROR, BUDGET_EXHAUSTED] and res.k_final[0] == 0
+
+
 def test_run_and_run_batch_reject_window_below_one():
     f = obj_mod.fig1()
     with pytest.raises(MethodError, match="window"):
