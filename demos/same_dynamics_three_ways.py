@@ -1,18 +1,17 @@
 # One saddle, four methods.
 #
 # Gradient descent, mirror descent with the euclidean mirror map, and the
-# metric method with the identity metric are literally the same recursion,
-# and the demo shows their trajectories agree to machine precision.  The
-# proximal method and the entropy mirror map (multiplicative weights) are
-# genuinely different maps, shown on their own worked inputs.
+# metric method without a metric are the same recursion: the library
+# resolves both aliases to gd's step, so their trajectories agree bit for
+# bit.  The proximal method and the entropy mirror map (multiplicative
+# weights) are genuinely different maps, shown on their own worked inputs.
 
 import math
 
 import numpy as np
 
-from saddle_escape import (constant, fig1, make_step, mirror_step, power,
-                           proximal_step, quadratic, run)
-from saddle_escape.methods import entropy_mirror_map
+from saddle_escape import (constant, fig1, mirror_step, power, proximal_step,
+                           quadratic, run)
 
 schedule = power(1.0, 1.0, 2)
 x0 = np.array([0.5, 0.5])
@@ -42,8 +41,7 @@ from saddle_escape import Objective
 lin_grad = np.array([1.0, 0.0])
 lin = Objective(2, lambda z: float(z @ lin_grad), lambda z: lin_grad.copy(),
                 lambda z: np.zeros((2, 2)), name="linear")
-out = mirror_step(lin, entropy_mirror_map(2), constant(math.log(2.0)),
-                  0, np.array([0.5, 0.5]))
+out = mirror_step(lin, constant(math.log(2.0)), 0, np.array([0.5, 0.5]))
 print()
 print("entropy mirror step from the uniform distribution, f = <(1,0), x>,")
 print(f"alpha = ln 2:  {out}   # expect (1/3, 2/3)")

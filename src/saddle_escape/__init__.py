@@ -10,8 +10,10 @@ Layout:
 - spectral: symmetric eigensplits into stable/unstable blocks and exact
   linear trajectory products.
 - methods: gradient descent, mirror descent, proximal point, and the two
-  manifold variants, each with its one geometry (only the intrinsic metric
-  is settable), plus the run() driver and its lockstep run_batch().
+  manifold variants, each id resolved to the recursion it runs (the
+  Euclidean mirror map and the metric-less intrinsic method run gd's step;
+  only the intrinsic metric is settable), plus the run() driver and its
+  lockstep run_batch().
 - lyapunov_perron: the sequence-space contraction machinery — K1/K2 bounds,
   the operator T on sequences held as (N+1, d) arrays, Picard fixed points,
   shooting cross-checks, and charts.
@@ -29,13 +31,11 @@ from .objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE, NOT_CRITICAL,
 from .spectral import (SpectralError, SpectralSplit, classify_coordinate_limit,
                        quadratic_trajectory, split, transition_product)
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
-                      METHOD_IDS, STEP_ERROR, BatchResult, EmbeddedManifold,
-                      ManifoldError, MethodError, MirrorDomainError, MirrorMap,
-                      RiemannianMetric, Terminal, TrajectoryRecord,
-                      constant_metric, entropy_mirror_map,
-                      euclidean_mirror_map, gd_step, identity_metric,
+                      METHOD_IDS, STEP_ERROR, BatchResult, ManifoldError,
+                      MethodError, MirrorDomainError, RiemannianMetric,
+                      Terminal, TrajectoryRecord, constant_metric, gd_step,
                       intrinsic_manifold_step, make_step, manifold_step,
-                      mirror_step, proximal_step, run, run_batch, unit_sphere)
+                      mirror_step, proximal_step, run, run_batch)
 from .lyapunov_perron import (CertificateError, ContractionCertificate,
                               LyapunovError, ManifoldChart, PerronProblem,
                               StablePointResult, apply_T, bound_K1, bound_K2, chart,

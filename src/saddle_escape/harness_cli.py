@@ -37,8 +37,8 @@ from . import schedules as sched_mod
 from .lyapunov_perron import (CertificateError, LyapunovError, chart,
                               remainder_from_objective)
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
-                      METHOD_IDS, STEP_ERROR, MethodError, RiemannianMetric,
-                      TrajectoryRecord, constant_metric, run, run_batch)
+                      STEP_ERROR, MethodError, RiemannianMetric, TrajectoryRecord,
+                      _recursion, constant_metric, run, run_batch)
 from .objectives import Objective, classify_critical_point
 
 __all__ = [
@@ -119,8 +119,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.method_id not in METHOD_IDS:
-            raise ConfigError(f"method_id must be one of {METHOD_IDS}, got {self.method_id!r}")
+        if self.metric is not None and self.experiment == "chart":
+            raise ConfigError("chart takes no metric: it certifies gd's recursion only")
+        try:  # the method id, and a metric for manifold-intrinsic only
+            _recursion(self.method_id, self.metric)
+        except MethodError as err:
+            raise ConfigError(str(err)) from err
         for name in ("trials", "budget", "stride", "window"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -234,6 +238,14 @@ def _build_metric(cfg: ExperimentConfig, obj: Objective) -> Optional[RiemannianM
         raise ConfigError(f"bad metric {cfg.metric!r}: {err}") from err
 
 
+def _make_output_dir(path: str) -> None:
+    """os.makedirs(path), with a path that cannot be made a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output_dir {path!r}: {err}") from err
+
+
 def _point(value, dim: int, name: str) -> np.ndarray:
     """A config list of ``dim`` numbers as a float vector."""
     try:
@@ -321,8 +333,9 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     """Monte Carlo over seeded uniform inits from cfg.init_box.
 
     All trials advance in lockstep through :func:`methods.run_batch`: one
-    batched step for gd, mirror-euclidean and manifold-intrinsic on
-    vectorized objectives and for prox on quadratics, row by row otherwise;
+    batched step for gd (which mirror-euclidean and metric-less
+    manifold-intrinsic run too) and the metric step on vectorized objectives
+    and for prox on quadratics, row by row otherwise;
     each trial ends as ``run`` would end it.  Classifies every terminal
     (step errors get their own bucket, never dropped) and counts saddle
     hits: terminal converged_to_point whose limit classifies strict_saddle
@@ -390,7 +403,7 @@ def fig1_experiment(cfg: ExperimentConfig) -> dict:
     """
     obj = objectives.fig1()
     x0 = _point(cfg.init if cfg.init is not None else [0.5, 0.5], obj.dimension, "init")
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     records = {}
     for label, spec in FIG1_SCHEDULES:
         schedule = _build_schedule(spec)
@@ -431,13 +444,11 @@ def chart_experiment(cfg: ExperimentConfig):
     Writes chart.csv (columns x0_plus_*, x0_minus_*, residual, picard_iters)
     and certificate.json (K1, K2, K, delta, epsilon, horizon, horizon_capped,
     ...) into cfg.output_dir.  An uncertifiable contraction raises
-    ExperimentAssertionError carrying the largest certifiable epsilon; a
-    method other than gd or a grid_halfwidth above delta/2 is a ConfigError.
+    ExperimentAssertionError carrying the largest certifiable epsilon.  The
+    method is gd, mirror-euclidean or manifold-intrinsic, the ids that run
+    gd's recursion (:func:`remainder_from_objective` decides); any other
+    method, or a grid_halfwidth above delta/2, is a ConfigError.
     """
-    if cfg.method_id != "gd":
-        raise ConfigError(f"chart certifies gradient descent only, got method_id "
-                          f"{cfg.method_id!r}; the other methods linearize differently "
-                          "at a saddle and have no certificate yet")
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
     ccfg = dict(cfg.chart)
@@ -467,11 +478,13 @@ def chart_experiment(cfg: ExperimentConfig):
     try:
         prob, cert = remainder_from_objective(
             obj, _point(x_star, obj.dimension, "chart.critical_point"), schedule,
-            delta0=option("delta0", 0.1),
+            method=cfg.method_id, delta0=option("delta0", 0.1),
             epsilon=option("epsilon", None, zero_ok=True),
             max_halvings=option("max_halvings", 20, int, zero_ok=True),
             horizon=option("horizon", None, int),
             horizon_cap=option("horizon_cap", 100_000, int))
+    except NotImplementedError as err:
+        raise ConfigError(f"no chart: {err}") from err
     except (CertificateError, LyapunovError) as err:
         raise ExperimentAssertionError(f"contraction not certified: {err}") from err
     if not cert.valid:
@@ -491,7 +504,7 @@ def chart_experiment(cfg: ExperimentConfig):
     grid = np.linspace(-halfwidth, halfwidth, points)
     ch = chart(prob, grid, fp_tol=fp_tol, fp_budget=fp_budget)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     d_s = len(prob.split.stable_indices)
     d_u = len(prob.split.unstable_indices)
     header = ([f"x0_plus_{i + 1}" for i in range(d_s)]
@@ -539,7 +552,7 @@ def single_run_experiment(cfg: ExperimentConfig) -> TrajectoryRecord:
               escape_radius=cfg.escape_radius, stride=cfg.stride,
               window=cfg.window, grad_tol=cfg.grad_tol, eig_tol=cfg.eig_tol,
               metric=metric, seed=cfg.seed)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     emit_plot_data(rec, os.path.join(cfg.output_dir, "run.csv"))
     return rec
 
@@ -588,7 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if cfg.experiment == "avoidance":
             report = avoidance_experiment(cfg)
-            os.makedirs(cfg.output_dir, exist_ok=True)
+            _make_output_dir(cfg.output_dir)
             path = emit_plot_data(report, os.path.join(cfg.output_dir, "avoidance.csv"))
             for kind in _TERMINAL_KINDS:
                 print(f"{kind}: {report.counts[kind]}")

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .methods import ESCAPED_REGION, STEP_ERROR, _advance, _update
+from .methods import ESCAPED_REGION, STEP_ERROR, _advance, _recursion, _update
 from .objectives import Objective
 from .schedules import StepSchedule
 from .spectral import SpectralSplit, split
@@ -851,13 +851,15 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     the method's own step on y = x - x* as ``dynamics``.  Its ``eta`` reads
     alpha_k from the problem's ``alphas``, so it takes k <= N only.
 
-    Returns (PerronProblem, ContractionCertificate).  Only gradient descent
-    is implemented: the other methods linearize differently at critical
-    points and their remainders are not this Taylor form.
+    Returns (PerronProblem, ContractionCertificate).  ``method`` is an id
+    whose recursion is gd's: gd, mirror-euclidean or manifold-intrinsic.  The
+    others raise NotImplementedError: prox linearizes differently, and
+    mirror-entropy and manifold-sphere need a chart of the simplex or sphere.
     """
-    if method != "gd":
+    if _recursion(method, None) != "gd":
         raise NotImplementedError(
-            f"remainder extraction implemented for 'gd' only, got {method!r}")
+            f"remainder extraction is implemented for gd's recursion only (gd, "
+            f"mirror-euclidean, manifold-intrinsic without a metric), got {method!r}")
     x_star = np.asarray(x_star, dtype=float)
     g_star = np.asarray(obj.grad(x_star), dtype=float)
     if float(np.linalg.norm(g_star)) > 1e-8:

@@ -4,14 +4,16 @@ Implemented methods (registry ids in ``METHOD_IDS``):
 
 - ``gd``:                x_{k+1} = x_k - alpha_k grad f(x_k)
 - ``mirror-entropy``:    multiplicative weights on the simplex (entropy mirror map)
-- ``mirror-euclidean``:  mirror descent with the Euclidean map; identical to gd
+- ``mirror-euclidean``:  mirror descent with the Euclidean map; runs gd's step
 - ``prox``:              x_{k+1} = argmin_z f(z) + ||x_k - z||^2 / (2 alpha_k)
 - ``manifold-sphere``:   project-then-renormalize gradient step on the unit sphere
-- ``manifold-intrinsic``: x_{k+1} = x_k - alpha_k M^{-1} grad f(x_k), M a constant metric
+- ``manifold-intrinsic``: x_{k+1} = x_k - alpha_k M^{-1} grad f(x_k), M a constant
+  metric; without one it runs gd's step
 
-One lockstep loop iterates them: ``run_batch`` advances a population of
-starting points to step error / escape / Cauchy-window convergence / budget,
-and ``run`` is its one-row case, with stride-decimated recording.
+Each id resolves to the recursion it runs; only manifold-intrinsic takes a
+metric.  One lockstep loop iterates them: ``run_batch`` advances a population
+of starts to step error / escape / Cauchy-window convergence / budget, and
+``run`` is its one-row case, with stride-decimated recording.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ __all__ = [
     "MethodError",
     "MirrorDomainError",
     "ManifoldError",
-    "MirrorMap",
-    "EmbeddedManifold",
     "RiemannianMetric",
-    "entropy_mirror_map",
-    "euclidean_mirror_map",
-    "unit_sphere",
-    "identity_metric",
     "constant_metric",
     "gd_step",
     "mirror_step",
@@ -87,85 +83,6 @@ class ManifoldError(MethodError):
     """Manifold projection undefined at the requested point."""
 
 
-class MirrorMap:
-    """Mirror map Phi with gradient and convex-conjugate argmax.
-
-    ``conjugate_argmax(y)`` returns argmax_{z in M} <z, y> - Phi(z); the
-    defining identity ``conjugate_argmax(grad_phi(x)) == x`` holds on the
-    interior of the domain.  ``domain_check`` raises MirrorDomainError for
-    points outside the domain instead of silently projecting.
-    """
-
-    def __init__(self, dimension: int, grad_phi, conjugate_argmax, domain_check=None):
-        self.dimension = dimension
-        self.grad_phi = grad_phi
-        self.conjugate_argmax = conjugate_argmax
-        self._domain_check = domain_check
-
-    def check_domain(self, x: np.ndarray) -> None:
-        if self._domain_check is not None:
-            self._domain_check(x)
-
-
-def entropy_mirror_map(dimension: int) -> MirrorMap:
-    """Negative-entropy map on the open probability simplex.
-
-    Phi(x) = sum x_i log x_i, grad Phi = 1 + log x, and the conjugate argmax
-    is the softmax.  The induced mirror step is exactly the multiplicative
-    weights update x_i exp(-alpha g_i) / Z.
-    """
-
-    def grad_phi(x):
-        return 1.0 + np.log(x)
-
-    def conjugate_argmax(y):
-        # max-shifted softmax; invariant under the shift, overflow-safe.
-        w = np.exp(y - np.max(y))
-        return w / np.sum(w)
-
-    def domain_check(x):
-        if np.any(x < BOUNDARY_EPS):
-            raise MirrorDomainError(
-                "mirror iterate touched the simplex boundary "
-                f"(min coordinate {np.min(x):.3e} < {BOUNDARY_EPS:g})")
-        total = float(np.sum(x))
-        if abs(total - 1.0) > 1e-8:
-            raise MirrorDomainError(f"mirror iterate left the simplex (sum {total:.12g})")
-
-    return MirrorMap(dimension, grad_phi, conjugate_argmax, domain_check=domain_check)
-
-
-def euclidean_mirror_map(dimension: int) -> MirrorMap:
-    """Phi(x) = ||x||^2 / 2 on all of R^d; mirror descent reduces to gd."""
-    return MirrorMap(dimension, grad_phi=lambda x: x, conjugate_argmax=lambda y: y)
-
-
-class EmbeddedManifold:
-    """Embedded manifold given by a point projection and tangent projectors."""
-
-    def __init__(self, project_point, tangent_matrix):
-        self.project_point = project_point
-        self.tangent_matrix = tangent_matrix
-
-    def project_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.tangent_matrix(x) @ v
-
-
-def unit_sphere(ambient_dim: int) -> EmbeddedManifold:
-    """Unit sphere: P_M(v) = v/||v||, P_T(x) = I - x x^T."""
-
-    def project_point(v):
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            raise ManifoldError("sphere projection undefined near the origin")
-        return v / norm
-
-    def tangent_matrix(x):
-        return np.eye(ambient_dim) - np.outer(x, x)
-
-    return EmbeddedManifold(project_point, tangent_matrix)
-
-
 class RiemannianMetric:
     """Constant inverse metric M^{-1} (``matrix``); must be symmetric positive definite."""
 
@@ -181,10 +98,6 @@ class RiemannianMetric:
             raise MethodError(f"inverse metric '{name}' is not positive definite") from err
         self.matrix = matrix
         self.name = name
-
-
-def identity_metric(dimension: int) -> RiemannianMetric:
-    return RiemannianMetric(np.eye(dimension), name="identity")
 
 
 def constant_metric(M: np.ndarray, name: str = "constant") -> RiemannianMetric:
@@ -203,12 +116,25 @@ def gd_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np
     return x - schedule.value(k) * g
 
 
-def mirror_step(obj: Objective, mirror_map: MirrorMap, schedule: StepSchedule,
-                k: int, x: np.ndarray) -> np.ndarray:
+def _check_simplex(x: np.ndarray) -> None:
+    if np.any(x < BOUNDARY_EPS):
+        raise MirrorDomainError(
+            "mirror iterate touched the simplex boundary "
+            f"(min coordinate {np.min(x):.3e} < {BOUNDARY_EPS:g})")
+    total = float(np.sum(x))
+    if abs(total - 1.0) > 1e-8:
+        raise MirrorDomainError(f"mirror iterate left the simplex (sum {total:.12g})")
+
+
+def mirror_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
+    """Entropy mirror step: grad Phi = 1 + log x, then the softmax (the conjugate
+    argmax), i.e. multiplicative weights x_i exp(-alpha g_i) / Z.  A point off
+    the open simplex raises MirrorDomainError instead of being projected."""
     x = np.asarray(x, dtype=float)
-    mirror_map.check_domain(x)
-    y = mirror_map.grad_phi(x) - schedule.value(k) * obj.grad(x)
-    return mirror_map.conjugate_argmax(y)
+    _check_simplex(x)
+    y = 1.0 + np.log(x) - schedule.value(k) * obj.grad(x)
+    w = np.exp(y - np.max(y))  # max-shifted softmax; invariant under the shift, overflow-safe
+    return w / np.sum(w)
 
 
 def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
@@ -297,12 +223,15 @@ def _singular_resolvent(k: int, alpha: float) -> MethodError:
     return MethodError(f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})")
 
 
-def manifold_step(obj: Objective, manifold: EmbeddedManifold, schedule: StepSchedule,
-                  k: int, x: np.ndarray) -> np.ndarray:
-    """Extrinsic step: project the gradient to the tangent space, move, re-project."""
+def manifold_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
+    """Unit-sphere step: project the gradient on the tangent space (I - x x^T),
+    move, and renormalize; a point within 1e-12 of the origin raises ManifoldError."""
     x = np.asarray(x, dtype=float)
-    g_tan = manifold.project_tangent(x, obj.grad(x))
-    return manifold.project_point(x - schedule.value(k) * g_tan)
+    v = x - schedule.value(k) * ((np.eye(obj.dimension) - np.outer(x, x)) @ obj.grad(x))
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-12:
+        raise ManifoldError("sphere projection undefined near the origin")
+    return v / norm
 
 
 def intrinsic_manifold_step(obj: Objective, metric: RiemannianMetric,
@@ -312,31 +241,34 @@ def intrinsic_manifold_step(obj: Objective, metric: RiemannianMetric,
     return x - schedule.value(k) * (metric.matrix @ obj.grad(x))
 
 
+def _recursion(method_id: str, metric) -> str:
+    """The recursion ``method_id`` runs: its own, or ``"gd"`` for mirror-euclidean
+    and for manifold-intrinsic without ``metric``.  An unknown id, or a metric
+    for any other method, raises MethodError."""
+    if method_id not in METHOD_IDS:
+        raise MethodError(f"unknown method id {method_id!r}; expected one of {METHOD_IDS}")
+    if metric is not None and method_id != "manifold-intrinsic":
+        raise MethodError(f"a metric applies to manifold-intrinsic only, "
+                          f"not to method id {method_id!r}")
+    if method_id == "mirror-euclidean" or method_id == "manifold-intrinsic" and metric is None:
+        return "gd"
+    return method_id
+
+
 def make_step(method_id: str, obj: Objective, schedule: StepSchedule, *,
               metric: RiemannianMetric | None = None) -> Callable[[int, np.ndarray], np.ndarray]:
-    """Resolve a method id to a ``step(k, x)`` closure.
-
-    The geometry is the method's own: the entropy or Euclidean mirror map,
-    the unit sphere, and ``metric`` (default the identity) for
-    manifold-intrinsic.
-    """
-    if method_id == "gd":
+    """A ``step(k, x)`` closure of the recursion ``method_id`` runs: gd's for
+    mirror-euclidean and for manifold-intrinsic without ``metric``."""
+    recursion = _recursion(method_id, metric)
+    if recursion == "gd":
         return lambda k, x: gd_step(obj, schedule, k, x)
-    if method_id == "mirror-entropy":
-        mmap = entropy_mirror_map(obj.dimension)
-        return lambda k, x: mirror_step(obj, mmap, schedule, k, x)
-    if method_id == "mirror-euclidean":
-        mmap = euclidean_mirror_map(obj.dimension)
-        return lambda k, x: mirror_step(obj, mmap, schedule, k, x)
-    if method_id == "prox":
+    if recursion == "mirror-entropy":
+        return lambda k, x: mirror_step(obj, schedule, k, x)
+    if recursion == "prox":
         return lambda k, x: proximal_step(obj, schedule, k, x)
-    if method_id == "manifold-sphere":
-        mani = unit_sphere(obj.dimension)
-        return lambda k, x: manifold_step(obj, mani, schedule, k, x)
-    if method_id == "manifold-intrinsic":
-        met = metric or identity_metric(obj.dimension)
-        return lambda k, x: intrinsic_manifold_step(obj, met, schedule, k, x)
-    raise MethodError(f"unknown method id {method_id!r}; expected one of {METHOD_IDS}")
+    if recursion == "manifold-sphere":
+        return lambda k, x: manifold_step(obj, schedule, k, x)
+    return lambda k, x: intrinsic_manifold_step(obj, metric, schedule, k, x)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +362,11 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
             metric: RiemannianMetric | None = None):
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
 
-    gd, mirror-euclidean and manifold-intrinsic on vectorized objectives and
-    prox on quadratics step all rows at once.  Every other pair applies :func:`make_step`'s
-    one-point step row by row; a ``MethodError`` sets that row to NaN.
+    The step is that of the recursion the id runs, so mirror-euclidean and
+    manifold-intrinsic without ``metric`` take gd's.  gd and the metric step
+    on vectorized objectives and prox on quadratics step all rows at once.
+    Every other pair applies :func:`make_step`'s one-point step row by row;
+    a ``MethodError`` sets that row to NaN.
     ``error(j)`` is row j's step-error message or None.  A row with a step
     error is never finite, so it stops and only stopping rows are asked.
 
@@ -442,8 +376,9 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
     step; the steps must come in order k = 0, 1, ....  A block stops before
     its first singular system, and that step raises the ``MethodError``.
     """
+    recursion = _recursion(method_id, metric)
     A = getattr(obj, "quadratic_matrix", None)
-    if method_id == "prox" and A is not None:
+    if recursion == "prox" and A is not None:
         block = max(1, min(1024, _RESOLVENT_BLOCK // A.size))
         k0, RT = 0, np.empty((0,) + A.shape)
 
@@ -456,16 +391,14 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
                     raise _singular_resolvent(k, schedule.value(k))
             return X @ RT[k - k0], _NO_ERROR
         return prox
-    if obj.vectorized and method_id == "gd":
+    if obj.vectorized and recursion == "gd":
         def gd(k, X):
             G = obj.grad(X)
             return X - schedule.value(k) * G, lambda j: None if np.all(np.isfinite(G[j])) \
                 else f"non-finite gradient at k={k}, x={X[j]}"
         return gd
-    if obj.vectorized and method_id == "mirror-euclidean":
-        return lambda k, X: (X - schedule.value(k) * obj.grad(X), _NO_ERROR)
-    if obj.vectorized and method_id == "manifold-intrinsic":
-        M = (metric or identity_metric(obj.dimension)).matrix
+    if obj.vectorized and recursion == "manifold-intrinsic":
+        M = metric.matrix
         return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ M.T), _NO_ERROR)
 
     step = make_step(method_id, obj, schedule, metric=metric)
@@ -578,10 +511,11 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
     """Run every row of ``X0`` to the terminal :func:`run` would give it.
 
     All rows advance in lockstep, one step per k with alpha_k =
-    ``schedule.value(k)``, and finished rows leave the active set.  gd,
-    mirror-euclidean and manifold-intrinsic on vectorized objectives and
-    prox on quadratics take one batched step for all rows; every other
-    method/objective pair steps row by row in the same loop.  The stopping
+    ``schedule.value(k)``, and finished rows leave the active set.  gd (and
+    its aliases mirror-euclidean and metric-less manifold-intrinsic) and
+    the metric step on vectorized objectives and prox on quadratics take one
+    batched step for all rows; every other method/objective pair steps row
+    by row in the same loop.  The stopping
     order is ``run``'s: step error at k, escape, Cauchy window, budget.  An
     empty ``X0`` returns an empty result at once.
     """

@@ -1,7 +1,7 @@
 """Deterministic step-size schedules for first-order methods.
 
 A schedule is an immutable object mapping the iteration counter ``k`` (0-based)
-to a step size ``alpha_k > 0``.  Four families are provided:
+to a finite step size ``alpha_k > 0``.  Four families are provided:
 
 - ``power(c, p, offset)``:     ``alpha_k = c / (k + offset)**p``
 - ``constant(c)``:             ``alpha_k = c``
@@ -100,8 +100,8 @@ class PowerSchedule(StepSchedule):
     kind = "power"
 
     def __init__(self, c: float = 1.0, p: float = 1.0, offset: int = 2):
-        if not (c > 0):
-            raise ScheduleError(f"power schedule needs c > 0, got c={c}")
+        if not (c > 0) or not math.isfinite(c):
+            raise ScheduleError(f"power schedule needs finite c > 0, got c={c}")
         if not (p > 0) or not math.isfinite(p):
             raise ScheduleError(f"power schedule needs finite p > 0, got p={p}")
         if not isinstance(offset, (int, np.integer)) or isinstance(offset, bool):
@@ -136,8 +136,8 @@ class ConstantSchedule(StepSchedule):
     kind = "constant"
 
     def __init__(self, c: float):
-        if not (c > 0):
-            raise ScheduleError(f"constant schedule needs c > 0, got c={c}")
+        if not (c > 0) or not math.isfinite(c):
+            raise ScheduleError(f"constant schedule needs finite c > 0, got c={c}")
         self.c = float(c)
 
     def value(self, k: int) -> float:
@@ -172,8 +172,8 @@ class GeometricSchedule(StepSchedule):
     kind = "geometric"
 
     def __init__(self, c: float, r: float):
-        if not (c > 0):
-            raise ScheduleError(f"geometric schedule needs c > 0, got c={c}")
+        if not (c > 0) or not math.isfinite(c):
+            raise ScheduleError(f"geometric schedule needs finite c > 0, got c={c}")
         if not (0.0 < r < 1.0):
             raise ScheduleError(f"geometric schedule needs r in (0, 1), got r={r}")
         self.c = float(c)
@@ -211,8 +211,8 @@ class TableSchedule(StepSchedule):
         head_arr = np.asarray(head, dtype=float)
         if head_arr.ndim != 1 or head_arr.size == 0:
             raise ScheduleError("table schedule needs a nonempty 1-D value list")
-        if not np.all(head_arr > 0):
-            raise ScheduleError("table schedule values must be strictly positive")
+        if not np.all((head_arr > 0) & np.isfinite(head_arr)):
+            raise ScheduleError("table schedule values must be finite and strictly positive")
         if np.any(np.diff(head_arr) > 0):
             raise ScheduleError("table schedule values must be nonincreasing")
         if not isinstance(tail, StepSchedule):

@@ -23,8 +23,7 @@ from saddle_escape import (ExperimentConfig, avoidance_experiment, bound_K1,
                            sup_distance, table)
 from saddle_escape import spectral as spec_mod
 from saddle_escape.lyapunov_perron import CertificateError
-from saddle_escape.methods import (CONVERGED_TO_POINT, ESCAPED_REGION,
-                                   entropy_mirror_map)
+from saddle_escape.methods import CONVERGED_TO_POINT, ESCAPED_REGION
 from saddle_escape.objectives import Objective, fig1
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -167,8 +166,7 @@ def test_c06_multiplicative_weights():
     # worked case: uniform start, gradient (1, 0), alpha = ln 2
     lin = Objective(2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]),
                     lambda x: np.zeros((2, 2)), name="linear")
-    out = mirror_step(lin, entropy_mirror_map(2), constant(math.log(2.0)), 0,
-                      np.array([0.5, 0.5]))
+    out = mirror_step(lin, constant(math.log(2.0)), 0, np.array([0.5, 0.5]))
     np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], rtol=0, atol=1e-12)
 
     rng = np.random.default_rng(6)
@@ -181,7 +179,7 @@ def test_c06_multiplicative_weights():
         lin = Objective(d, lambda z, g=g: float(z @ g),
                         lambda z, g=g: g.copy(),
                         lambda z, d=d: np.zeros((d, d)), name="linear")
-        out = mirror_step(lin, entropy_mirror_map(d), constant(alpha), 0, x)
+        out = mirror_step(lin, constant(alpha), 0, x)
         w = x * np.exp(-alpha * g)
         np.testing.assert_allclose(out, w / w.sum(), rtol=0, atol=1e-12)
 

@@ -1,6 +1,7 @@
 """Experiment config validation, drivers, CSV emission, and the CLI."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -187,9 +188,19 @@ def assert_matches_run(cfg, rtol=None):
 
 def test_batch_and_sequential_paths_agree():
     cubic = {"name": "cubic", "a": 0.1}
-    for over in ({}, {"method_id": "mirror-euclidean"}, {"method_id": "manifold-intrinsic"},
-                 {"objective": cubic}, {"objective": cubic, "init_box": [[-1.0, 1.0], [0.0, 0.0]]}):
+    for over in ({}, {"objective": cubic},
+                 {"objective": cubic, "init_box": [[-1.0, 1.0], [0.0, 0.0]]}):
         assert_matches_run(make_cfg(trials=30, budget=3000, **over))
+    # mirror-euclidean and metric-less manifold-intrinsic run gd's recursion
+    X0 = np.random.default_rng(3).uniform(-1.0, 1.0, size=(30, 2))
+    schedule = sch.from_config(BASE["schedule"])
+    for f in (obj_mod.fig1(), obj_mod.cubic_perturbed_saddle(0.1)):
+        want = mth.run_batch("gd", f, schedule, X0, budget=3000, conv_tol=1e-12)
+        for method_id in ("mirror-euclidean", "manifold-intrinsic"):
+            got = mth.run_batch(method_id, f, schedule, X0, budget=3000, conv_tol=1e-12)
+            assert (got.terminal, got.message) == (want.terminal, want.message)
+            assert got.k_final.tobytes() == want.k_final.tobytes()
+            assert got.final.tobytes() == want.final.tobytes()
 
 
 def test_batch_and_sequential_agree_for_prox():
@@ -369,6 +380,14 @@ def test_cli_chart_default_horizon_meets_tail_tol(tmp_path, capsys):
     assert cert["horizon"] < 10_000 and cert["decay_rate"] == 0.625
     assert (cert["K1"], cert["K2"], cert["K"], cert["valid"]) == (1.0, 1.0, 0.62, True)
     assert "horizon capped" not in capsys.readouterr().out
+    # the ids that run gd's recursion chart it to the same bytes
+    for method_id in ("mirror-euclidean", "manifold-intrinsic"):
+        out = tmp_path / method_id
+        code = main(["chart", "--config", write_cfg(tmp_path, f"{method_id}.json", dict(
+            data, method_id=method_id, output_dir=str(out)))])
+        assert code == 0
+        for name in ("chart.csv", "certificate.json"):
+            assert (out / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
@@ -381,12 +400,16 @@ def test_cli_seed_and_out_overrides(tmp_path):
 
 
 QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
+INTRINSIC = "manifold-intrinsic"
 
 
 @pytest.mark.parametrize("command,over", [
-    ("avoidance", {"metric": [[1.0, 2.0], [3.0, 4.0]]}),
-    ("avoidance", {"metric": "x"}),
-    ("avoidance", {"metric": [[1.0]]}),
+    ("avoidance", {"method_id": INTRINSIC, "metric": [[1.0, 2.0], [3.0, 4.0]]}),
+    ("avoidance", {"method_id": INTRINSIC, "metric": "x"}),
+    ("avoidance", {"method_id": INTRINSIC, "metric": [[1.0]]}),
+    ("avoidance", {"metric": [[2.0, 0.0], [0.0, 1.0]]}),
+    ("run", {"experiment": "single_run", "method_id": "mirror-euclidean", "init": [1.0, 2.0],
+             "metric": [[2.0, 0.0], [0.0, 1.0]]}),
     ("run", {"experiment": "single_run", "init": [1.0, 2.0, 3.0]}),
     ("run", {"experiment": "single_run", "init": "ab"}),
     ("fig1", {"experiment": "fig1", "init": "ab"}),
@@ -400,16 +423,28 @@ QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
     ("avoidance", {"schedule": {"kind": "power", "c": "x", "p": 1.0, "offset": 2}}),
     ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
     ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
+    ("avoidance", {"schedule": {"kind": "constant", "c": math.inf}}),
     ("avoidance", {"output_dir": 5}),
+    ("avoidance", {"output_dir": "taken"}),
+    ("run", {"experiment": "single_run", "init": [1.0, 2.0], "output_dir": "taken"}),
+    ("fig1", {"experiment": "fig1", "output_dir": "taken"}),
+    ("chart", {"experiment": "chart", "objective": QUADRATIC, "output_dir": "taken"}),
     ("chart", {"experiment": "chart", "method_id": "prox",
                "objective": {"name": "cubic", "a": 0.1}}),
+    ("chart", {"experiment": "chart", "method_id": INTRINSIC,
+               "objective": {"name": "cubic", "a": 0.1}, "metric": [[2.0, 0.0], [0.0, 1.0]]}),
     ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
                "chart": {"grid_halfwidth": 1.0}}),
-], ids=["metric-asymmetric", "metric-text", "metric-1x1", "init-3d", "init-text",
+], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
+        "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
         "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
-        "output_dir-int", "chart-method-prox", "grid_halfwidth-beyond-delta"])
-def test_cli_bad_values_are_config_errors(tmp_path, capsys, command, over):
+        "constant-c-inf", "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
+        "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
+        "chart-metric", "grid_halfwidth-beyond-delta"])
+def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file
     data = {**BASE, "trials": 2, "budget": 10, "output_dir": str(tmp_path / "o"), **over}
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])
     assert code == 2

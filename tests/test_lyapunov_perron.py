@@ -591,8 +591,20 @@ def test_remainder_rejects_noncritical_point():
 
 def test_remainder_gd_only():
     f = obj_mod.cubic_perturbed_saddle(0.1)
-    with pytest.raises(NotImplementedError):
-        remainder_from_objective(f, np.zeros(2), HARMONIC, method="prox")
+    for method in ("prox", "mirror-entropy", "manifold-sphere"):
+        with pytest.raises(NotImplementedError):
+            remainder_from_objective(f, np.zeros(2), HARMONIC, method=method)
+    # the ids whose recursion is gd's get gd's certificate and raw dynamics
+    gd_prob, gd_cert = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon=4000)
+    z0 = np.array([0.04, 1e-3])
+    want = iterate_raw(gd_prob, z0, 3000, stop_radius=0.1)
+    for method in ("mirror-euclidean", "manifold-intrinsic"):
+        prob, cert = remainder_from_objective(f, np.zeros(2), HARMONIC, method=method,
+                                              horizon=4000)
+        assert cert == gd_cert
+        traj, exit_step = iterate_raw(prob, z0, 3000, stop_radius=0.1)
+        assert exit_step == want[1] is not None
+        assert traj.tobytes() == want[0].tobytes()
 
 
 def test_remainder_harmonic_certificate_is_closed_form():

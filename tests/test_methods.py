@@ -12,10 +12,9 @@ from saddle_escape import schedules as sch
 from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    ESCAPED_REGION, STEP_ERROR, MethodError,
                                    MirrorDomainError, constant_metric,
-                                   entropy_mirror_map, euclidean_mirror_map,
                                    gd_step, intrinsic_manifold_step, make_step,
                                    manifold_step, mirror_step, proximal_step,
-                                   run, run_batch, unit_sphere)
+                                   run, run_batch)
 from reference import reference_run
 
 HARMONIC = sch.power(1.0, 1.0, 2)
@@ -51,25 +50,24 @@ def test_gd_step_rejects_nonfinite_gradient():
 @settings(max_examples=40)
 @given(st.integers(0, 50), st.lists(st.floats(-3, 3), min_size=2, max_size=2))
 def test_euclidean_mirror_equals_gd(k, xs):
+    # mirror-euclidean and metric-less manifold-intrinsic run gd's step
     f = obj_mod.fig1()
     x = np.array(xs)
-    mm = euclidean_mirror_map(2)
-    np.testing.assert_allclose(mirror_step(f, mm, HARMONIC, k, x),
-                               gd_step(f, HARMONIC, k, x), atol=1e-14)
+    for method_id in ("mirror-euclidean", "manifold-intrinsic"):
+        assert make_step(method_id, f, HARMONIC)(k, x).tobytes() == \
+            gd_step(f, HARMONIC, k, x).tobytes()
 
 
 def test_entropy_mirror_worked_case():
     # x = (1/2, 1/2), f = <(1,0), x>, alpha = ln 2 -> (1/3, 2/3)
     f = linear_objective([1.0, 0.0])
-    mm = entropy_mirror_map(2)
     s = sch.constant(math.log(2.0))
-    out = mirror_step(f, mm, s, 0, np.array([0.5, 0.5]))
+    out = mirror_step(f, s, 0, np.array([0.5, 0.5]))
     np.testing.assert_allclose(out, [1 / 3, 2 / 3], rtol=1e-14)
 
 
 def test_entropy_mirror_is_multiplicative_weights():
     rng = np.random.default_rng(11)
-    mm = entropy_mirror_map(3)
     s = sch.constant(0.3)
     for _ in range(25):
         w = rng.uniform(0.1, 1.0, size=3)
@@ -78,26 +76,27 @@ def test_entropy_mirror_is_multiplicative_weights():
         f = linear_objective(g)
         expect = x * np.exp(-0.3 * g)
         expect /= expect.sum()
-        np.testing.assert_allclose(mirror_step(f, mm, s, 0, x), expect,
+        np.testing.assert_allclose(mirror_step(f, s, 0, x), expect,
                                    rtol=1e-12)
 
 
 def test_entropy_mirror_map_inverts_its_gradient():
-    mm = entropy_mirror_map(4)
+    # conjugate_argmax(grad_phi(x)) = x: a step with a zero gradient,
+    # softmax(1 + log x), returns x
+    f = linear_objective(np.zeros(4))
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = rng.uniform(0.05, 1.0, size=4)
         x = w / w.sum()
-        np.testing.assert_allclose(mm.conjugate_argmax(mm.grad_phi(x)), x,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(mirror_step(f, HARMONIC, 0, x), x, rtol=1e-12)
 
 
 def test_entropy_domain_checks():
-    mm = entropy_mirror_map(2)
+    f = linear_objective([1.0, 0.0])
     with pytest.raises(MirrorDomainError):
-        mm.check_domain(np.array([0.5, 0.6]))  # off the simplex
+        mirror_step(f, HARMONIC, 0, np.array([0.5, 0.6]))  # off the simplex
     with pytest.raises(MirrorDomainError):
-        mm.check_domain(np.array([1.0, 0.0]))  # boundary coordinate
+        mirror_step(f, HARMONIC, 0, np.array([1.0, 0.0]))  # boundary coordinate
 
 
 def test_prox_closed_form_worked_case():
@@ -139,18 +138,18 @@ def test_prox_newton_on_cubic_satisfies_optimality():
 
 
 def test_sphere_step_stays_feasible():
-    sphere = unit_sphere(3)
     f = obj_mod.quadratic(np.diag([1.0, 2.0, -1.0]))
     x = np.array([1.0, 0.0, 0.0])
     for k in range(200):
-        x = manifold_step(f, sphere, HARMONIC, k, x)
+        x = manifold_step(f, HARMONIC, k, x)
         assert abs(np.linalg.norm(x) - 1.0) < 1e-12
 
 
 def test_sphere_rejects_near_zero_projection():
-    sphere = unit_sphere(2)
+    # a point on the sphere never steps to the origin (|v|^2 >= 1), so this
+    # takes x = 0 where fig1's gradient vanishes
     with pytest.raises(mth.ManifoldError):
-        sphere.project_point(np.zeros(2))
+        manifold_step(obj_mod.fig1(), HARMONIC, 0, np.zeros(2))
 
 
 def test_intrinsic_step_applies_inverse_metric():
@@ -176,6 +175,15 @@ def test_make_step_routing_and_default_geometry():
                                gd_step(f, HARMONIC, 0, np.array([0.5, 0.5])))
     with pytest.raises(MethodError):
         make_step("unknown-method", f, HARMONIC)
+    # a metric belongs to manifold-intrinsic alone; no other method ignores it
+    metric = constant_metric(np.diag([2.0, 1.0]))
+    for method_id in ("gd", "mirror-euclidean", "prox"):
+        with pytest.raises(MethodError, match="manifold-intrinsic only"):
+            make_step(method_id, f, HARMONIC, metric=metric)
+        with pytest.raises(MethodError, match="manifold-intrinsic only"):
+            run(method_id, f, HARMONIC, np.array([0.5, 0.5]), metric=metric)
+        with pytest.raises(MethodError, match="manifold-intrinsic only"):
+            run_batch(method_id, f, HARMONIC, np.array([[0.5, 0.5]]), metric=metric)
     # omitted geometry falls back to the canonical one (here: the unit sphere)
     sphere_step = make_step("manifold-sphere", f, HARMONIC)
     out = sphere_step(0, np.array([0.6, 0.8]))
@@ -278,9 +286,7 @@ def test_run_batch_matches_run(method_id, bad):
                     (kind, k_final, message)
                 assert res.final[i].tobytes() == final.tobytes()
             assert set(res.terminal) >= {CONVERGED_TO_POINT, BUDGET_EXHAUSTED}
-            # only gd checks its gradient; an infinite iterate is an escape
-            escapes = radius < 5.0 or (bad == np.inf and method_id != "gd")
-            assert (ESCAPED_REGION if escapes else STEP_ERROR) in res.terminal
+            assert (ESCAPED_REGION if radius < 5.0 else STEP_ERROR) in res.terminal
 
 
 def test_run_batch_checks_escape_before_convergence():

@@ -62,6 +62,10 @@ def test_classification():
     lambda: sch.geometric(-0.1, 0.5),
     lambda: sch.table([], sch.constant(0.1)),
     lambda: sch.table([0.1, 0.2], sch.constant(0.05)),  # head not nonincreasing
+    lambda: sch.power(math.inf, 1.0, 2),  # an infinite step is no step size
+    lambda: sch.constant(math.inf),
+    lambda: sch.geometric(math.inf, 0.5),
+    lambda: sch.table([math.inf, 0.1], sch.constant(0.05)),
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(sch.ScheduleError):
