@@ -34,8 +34,7 @@ import numpy as np
 
 from . import objectives
 from . import schedules as sched_mod
-from .lyapunov_perron import (CertificateError, LyapunovError, chart,
-                              remainder_from_objective)
+from .lyapunov_perron import LyapunovError, chart, remainder_from_objective
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
                       STEP_ERROR, MethodError, RiemannianMetric, TrajectoryRecord,
                       _recursion, constant_metric, run, run_batch)
@@ -119,12 +118,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.metric is not None and self.experiment == "chart":
-            raise ConfigError("chart takes no metric: it certifies gd's recursion only")
         try:  # the method id, and a metric for manifold-intrinsic only
-            _recursion(self.method_id, self.metric)
+            recursion = _recursion(self.method_id, self.metric)
         except MethodError as err:
             raise ConfigError(str(err)) from err
+        if recursion != "gd" and self.experiment in ("chart", "fig1"):
+            raise ConfigError(f"{self.experiment} runs gd's recursion only: gd, mirror-euclidean "
+                              f"or manifold-intrinsic without a metric, not {self.method_id!r}")
         for name in ("trials", "budget", "stride", "window"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -393,7 +393,9 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
 # ---------------------------------------------------------------------------
 
 def fig1_experiment(cfg: ExperimentConfig) -> dict:
-    """Three gradient-descent runs on x^2 - y^2 from one shared init.
+    """Three runs of gd's recursion (cfg.method_id, which ExperimentConfig
+    holds to gd, mirror-euclidean or metric-less manifold-intrinsic) on
+    x^2 - y^2 from one shared init.
 
     Writes one per-step CSV per schedule into cfg.output_dir, then asserts
     the qualitative picture: the 1/sqrt(k) and 1/k runs escape with the
@@ -407,7 +409,7 @@ def fig1_experiment(cfg: ExperimentConfig) -> dict:
     records = {}
     for label, spec in FIG1_SCHEDULES:
         schedule = _build_schedule(spec)
-        rec = run("gd", obj, schedule, x0, budget=cfg.budget, conv_tol=cfg.conv_tol,
+        rec = run(cfg.method_id, obj, schedule, x0, budget=cfg.budget, conv_tol=cfg.conv_tol,
                   escape_radius=cfg.escape_radius, stride=1, window=cfg.window,
                   grad_tol=cfg.grad_tol, eig_tol=cfg.eig_tol, seed=cfg.seed)
         records[label] = rec
@@ -445,9 +447,9 @@ def chart_experiment(cfg: ExperimentConfig):
     and certificate.json (K1, K2, K, delta, epsilon, horizon, horizon_capped,
     ...) into cfg.output_dir.  An uncertifiable contraction raises
     ExperimentAssertionError carrying the largest certifiable epsilon.  The
-    method is gd, mirror-euclidean or manifold-intrinsic, the ids that run
-    gd's recursion (:func:`remainder_from_objective` decides); any other
-    method, or a grid_halfwidth above delta/2, is a ConfigError.
+    method is gd, mirror-euclidean or metric-less manifold-intrinsic, the
+    ids that run gd's recursion (ExperimentConfig rejects any other); a
+    grid_halfwidth above delta/2 is a ConfigError.
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -483,9 +485,7 @@ def chart_experiment(cfg: ExperimentConfig):
             max_halvings=option("max_halvings", 20, int, zero_ok=True),
             horizon=option("horizon", None, int),
             horizon_cap=option("horizon_cap", 100_000, int))
-    except NotImplementedError as err:
-        raise ConfigError(f"no chart: {err}") from err
-    except (CertificateError, LyapunovError) as err:
+    except LyapunovError as err:  # CertificateError included
         raise ExperimentAssertionError(f"contraction not certified: {err}") from err
     if not cert.valid:
         raise ExperimentAssertionError(

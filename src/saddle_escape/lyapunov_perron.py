@@ -22,7 +22,9 @@ lambda)  and K2 bounds the backward sums of inverse products.  Both sums
 telescope, so no series is summed here: K1 = 1/lambda_stable and
 K2 = 1/|lambda_unstable| are closed forms.  The tail that the horizon N
 drops is bounded in closed form too, along the decay of the fixed orbit
-that a weighted sequence space proves (:func:`tail_horizon`).
+that a weighted sequence space proves (:func:`tail_horizon`).  ``_spectrum``
+is the one reader of the spectrum and the step bound, ``_contraction`` the one
+formula for K, and a PerronProblem works out its own tail bound.
 
 Everything in this module works in the diagonal frame (coordinates z = Q x of
 :class:`~saddle_escape.spectral.SpectralSplit`); conversion happens at the
@@ -106,24 +108,18 @@ class PerronProblem:
         Sequence truncation length N; sequences have entries 0..N.
     tail_tol : float
         Target for truncated series tails.
-    tail_estimate : float, optional
-        Recorded a-priori bound on only the terms that the horizon drops
-        from entry 0's backward sum, not on the chart's whole truncation
-        error (see :func:`tail_horizon`; set by remainder_from_objective).
-    horizon_capped : bool
-        True when ``tail_estimate`` misses ``tail_tol``: the horizon search
-        stopped at its cap, or a given horizon is too short.
-    decay_rate : float
-        The rate gamma of the weights w_k = prod_{j<k} (1 - alpha_j gamma)
-        behind ``tail_estimate``; 0 is the unweighted bound.
+    order : int
+        1 for a remainder with only its Lipschitz modulus, 2 for one of
+        quadratic order (see :func:`tail_horizon`).
     dynamics : callable steps -> update, optional
         The method's own step on rows y = x - x*, a ``methods._update``
         closure for a run of ``steps`` steps; the raw dynamics run it.  Set
         by remainder_from_objective; a hand-built problem has none.
 
-    Built once: ``alphas`` and ``factors[k, i] = 1 - alpha_k lambda_i`` for
-    k = 0..N and the scan runs (the unstable block's inverse factors run
-    backward).  alpha_0 * lambda_max >= 1 raises LyapunovError.
+    Built once: ``tail_estimate``, ``horizon_capped`` and ``decay_rate`` by
+    :func:`tail_horizon`, which raises unless alpha_0 * lambda_max < 1 and
+    lambda_u < 0 exists; ``alphas``, ``factors[k, i] = 1 - alpha_k lambda_i``
+    for k = 0..N and the scan runs (inverse unstable factors run backward).
     """
 
     split: SpectralSplit
@@ -133,27 +129,26 @@ class PerronProblem:
     epsilon: float
     horizon: int
     tail_tol: float = DEFAULT_TAIL_TOL
-    tail_estimate: Optional[float] = None
-    horizon_capped: bool = False
-    decay_rate: float = 0.0
+    order: int = 1
     dynamics: Optional[Callable[[int], Callable]] = None
+    tail_estimate: float = field(init=False)
+    horizon_capped: bool = field(init=False)
+    decay_rate: float = field(init=False)
     alphas: np.ndarray = field(init=False, repr=False)
     factors: np.ndarray = field(init=False, repr=False)
     stable_runs: list = field(init=False, repr=False)
     unstable_runs: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise LyapunovError(f"horizon must be >= 1, got {self.horizon}")
         if not (self.delta > 0):
             raise LyapunovError(f"delta must be positive, got {self.delta}")
         if self.epsilon < 0:
             raise LyapunovError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # raises unless alpha_0 * lambda_max < 1: every factor the scan reads lies in (0, 1]
+        _, self.tail_estimate, self.horizon_capped, self.decay_rate = tail_horizon(
+            self.split, self.schedule, self.epsilon, self.delta, order=self.order,
+            horizon=self.horizon, tail_tol=self.tail_tol)
         self.alphas = np.asarray(self.schedule.values(self.horizon + 1), dtype=float)
-        step_bound = self.alphas[0] * float(np.max(self.split.eigenvalues))
-        if step_bound >= 1.0:  # so that every factor the scan reads lies in (0, 1]
-            raise LyapunovError(f"alpha_0 * lambda_max = {step_bound:.6g} >= 1: a stable "
-                                "factor leaves (0, 1); shrink the schedule")
         f = self.factors = 1.0 - self.alphas[:, None] * self.split.eigenvalues[None, :]
         self.stable_runs = _product_runs(f[:-1, self.split.stable_indices])
         self.unstable_runs = _product_runs(1.0 / f[::-1, self.split.unstable_indices])
@@ -238,9 +233,9 @@ class ContractionCertificate:
     """Certified contraction data for the operator T.
 
     ``k`` is the contraction constant  1 - alpha0*lambda_stable +
-    epsilon*(k1 + k2); the certificate is ``valid`` only when k < 1.  When it
-    is not, ``epsilon_star`` reports the largest Lipschitz modulus
-    alpha0*lambda_stable / (K1 + K2) that would certify.
+    epsilon*(k1 + k2); the certificate is ``valid`` only when k < 1.
+    ``epsilon_star`` is the Lipschitz modulus below which it is:
+    alpha0*lambda_stable / (1/lambda_stable + 1/mu), mu = |lambda_unstable|.
     """
 
     k1: float
@@ -258,6 +253,32 @@ class ContractionCertificate:
 # contraction constants
 # ---------------------------------------------------------------------------
 
+def _spectrum(split_: SpectralSplit, schedule: StepSchedule) -> tuple[float, float, float]:
+    """(alpha_0, lambda_s, mu): the first step, the least positive eigenvalue
+    and |lambda| for the negative eigenvalue closest to zero (inf if none).
+    Raises CertificateError for an empty stable block or alpha_0 * lambda_max
+    >= 1 (a factor outside (0, 1) can blow the forward sums up)."""
+    evals = split_.eigenvalues
+    pos, negs = evals[evals > 0], evals[evals < 0]
+    if pos.size == 0:
+        raise CertificateError("no positive eigenvalue: the stable block is empty")
+    alpha0 = float(schedule.value(0))
+    step_bound = alpha0 * float(np.max(pos))
+    if step_bound >= 1.0:
+        raise CertificateError(
+            f"alpha_0 * lambda_max = {step_bound:.6g} >= 1; "
+            "a stable factor does not lie in (0, 1) — shrink the schedule")
+    return alpha0, float(np.min(pos)), -float(np.max(negs)) if negs.size else math.inf
+
+
+def _contraction(alpha0: float, lam_s: float, mu: float, eps: float,
+                 gamma: float = 0.0) -> float:
+    """K_w = (1 - alpha0 lambda_s) / (1 - alpha0 gamma) + eps (1/(lambda_s - gamma) + 1/mu),
+    T's contraction constant on :func:`tail_horizon`'s weighted sequences; gamma = 0 gives K."""
+    return (1.0 - alpha0 * lam_s) / (1.0 - alpha0 * gamma) + eps * (
+        1.0 / (lam_s - gamma) + 1.0 / mu)
+
+
 def bound_K1(split_: SpectralSplit, schedule: StepSchedule) -> float:
     """Bound the forward variation-of-constants sums on the stable block.
 
@@ -271,19 +292,9 @@ def bound_K1(split_: SpectralSplit, schedule: StepSchedule) -> float:
     the supremum whenever sum alpha_k diverges.  Returns 1/lambda_s.
 
     Raises CertificateError when no positive eigenvalue exists or
-    alpha_0 * lambda_max >= 1 (a factor outside (0, 1) can blow its sums up).
+    alpha_0 * lambda_max >= 1 (the checks of ``_spectrum``).
     """
-    evals = split_.eigenvalues
-    pos = evals[evals > 0]
-    if pos.size == 0:
-        raise CertificateError("no positive eigenvalue: the stable block is empty")
-    alpha0 = float(schedule.value(0))
-    step_bound = alpha0 * float(np.max(pos))
-    if step_bound >= 1.0:
-        raise CertificateError(
-            f"alpha_0 * lambda_max = {step_bound:.6g} >= 1; "
-            "a stable factor does not lie in (0, 1) — shrink the schedule")
-    return 1.0 / float(np.min(pos))
+    return 1.0 / _spectrum(split_, schedule)[1]
 
 
 def bound_K2(split_: SpectralSplit, schedule: StepSchedule) -> float:
@@ -322,21 +333,17 @@ def contraction_constant(prob: PerronProblem) -> ContractionCertificate:
 
 def _certify(split_: SpectralSplit, schedule: StepSchedule,
              eps: float) -> ContractionCertificate:
-    """K = 1 - alpha0*lambda_s + eps*(K1 + K2) and epsilon_star; K2 = 0 when
-    eps = 0, as the backward sums carry a factor epsilon and drop out."""
-    k1 = bound_K1(split_, schedule)  # raises on an empty stable block
-    k2 = 0.0 if eps == 0.0 else bound_K2(split_, schedule)
-    evals = split_.eigenvalues
-    lam_s = float(np.min(evals[evals > 0]))
-    negs = evals[evals < 0]
-    lam_u = float(np.max(negs)) if negs.size else None
-    alpha0 = float(schedule.value(0))
-    k_total = 1.0 - alpha0 * lam_s + eps * (k1 + k2)
-    denom = k1 + k2
+    """K = 1 - alpha0*lambda_s + eps*(K1 + K2) by ``_contraction`` and epsilon_star.
+    The certificate records K2 = 0 when eps = 0, as the backward sums carry a
+    factor epsilon and drop out; epsilon_star reads 1/mu all the same, because
+    any eps > 0 brings them back."""
+    alpha0, lam_s, mu = _spectrum(split_, schedule)
+    k = _contraction(alpha0, lam_s, mu, eps)
     return ContractionCertificate(
-        k1=k1, k2=k2, k=float(k_total), lambda_stable=lam_s, lambda_unstable=lam_u,
-        alpha0=alpha0, epsilon=eps, valid=bool(k_total < 1.0),
-        epsilon_star=float(alpha0 * lam_s / denom) if denom > 0 else math.inf)
+        k1=1.0 / lam_s, k2=0.0 if eps == 0.0 else bound_K2(split_, schedule), k=k,
+        lambda_stable=lam_s, lambda_unstable=None if mu == math.inf else -mu,
+        alpha0=alpha0, epsilon=eps, valid=bool(k < 1.0),
+        epsilon_star=alpha0 * lam_s / (1.0 / lam_s + 1.0 / mu))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +741,7 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
     sup_k |u_k| / w_k with w_k = prod_{j<k} (1 - alpha_j gamma) and
     0 <= gamma < lambda_s, and let rho_j = (1 - alpha_j lambda) /
     (1 - alpha_j gamma) for a stable lambda, in (0, 1) under the step bound
-    of :func:`bound_K1`.  On the stable block the anchor term carries
+    that ``_spectrum`` checks.  On the stable block the anchor term carries
     prod_{j<=k} rho_j <= rho_0, and the forward sums
     S_k = rho_k S_{k-1} + alpha_k / (1 - alpha_k gamma) telescope, because
     alpha_k / (1 - alpha_k gamma) = (1 - rho_k) / (lambda - gamma), to
@@ -745,9 +752,9 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
         K_w = (1 - alpha_0 lambda_s) / (1 - alpha_0 gamma)
               + epsilon * (1 / (lambda_s - gamma) + 1/mu)
 
-    plays the part of K (gamma = 0 gives K_w = K): when K_w < 1, T maps the
-    weighted delta-ball into itself and contracts there, so its fixed
-    orbit, the one the unweighted certificate finds, decays:
+    (``_contraction``) plays the part of K (gamma = 0 gives K_w = K): when
+    K_w < 1, T maps the weighted delta-ball into itself and contracts there,
+    so its fixed orbit, the one the unweighted certificate finds, decays:
     |u_i| <= delta w_i.
 
     Tail.  The dropped terms are then at most
@@ -781,17 +788,11 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
     last = horizon_cap if horizon is None else horizon
     if last < 1:
         raise LyapunovError(f"horizon and horizon_cap must be >= 1, got {last}")
-    evals = split_.eigenvalues
-    negs = evals[evals < 0]
-    if negs.size == 0:
+    alpha0, lam_s, mu = _spectrum(split_, schedule)
+    if mu == math.inf:
         raise LyapunovError("the tail bound needs a strictly negative eigenvalue")
-    bound_K1(split_, schedule)  # raises unless alpha_0 * lambda_max < 1
-    lam_s = float(np.min(evals[evals > 0]))
-    mu = -float(np.max(negs))
-    alpha0 = float(schedule.value(0))
     gamma = next((r * lam_s for r in _DECAY_LADDER
-                  if (1.0 - alpha0 * lam_s) / (1.0 - alpha0 * r * lam_s)
-                  + epsilon * (1.0 / (lam_s - r * lam_s) + 1.0 / mu) < 1.0), 0.0)
+                  if _contraction(alpha0, lam_s, mu, epsilon, r * lam_s) < 1.0), 0.0)
 
     def bounds(n: int) -> np.ndarray:
         """The closed-form tail bound at N = 1..n (entry N - 1)."""
@@ -843,12 +844,12 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     pairs (seed 0), times a 1.5 safety factor.
 
     delta starts at delta0 and is halved (at most max_halvings times) until
-    the certificate K < 1 holds.  The horizon, its tail bound and whether
-    the bound misses tail_tol come from :func:`tail_horizon`, with the
-    analytic cubic modulus as an order-2 remainder (a sampled or given
-    epsilon is constant in the radius, order 1), and are recorded on the
-    problem as ``horizon``, ``tail_estimate`` and ``horizon_capped``, with
-    the method's own step on y = x - x* as ``dynamics``.  Its ``eta`` reads
+    the certificate K < 1 holds.  Unless ``horizon`` is given,
+    :func:`tail_horizon` searches for it, with the analytic cubic modulus
+    as an order-2 remainder (a sampled or given epsilon is constant in the
+    radius, order 1).  The problem gets that ``horizon`` and ``order`` and
+    works out its own ``tail_estimate`` and ``horizon_capped``; the
+    method's own step on y = x - x* is its ``dynamics``.  Its ``eta`` reads
     alpha_k from the problem's ``alphas``, so it takes k <= N only.
 
     Returns (PerronProblem, ContractionCertificate).  ``method`` is an id
@@ -866,13 +867,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         raise LyapunovError(
             f"x_star is not a critical point: |grad| = {np.linalg.norm(g_star):.3e}")
     H = np.asarray(obj.hess(x_star), dtype=float)
-    sp = split(H)
-    evals = sp.eigenvalues
-    if not np.any(evals > 0) or not np.any(evals < 0):
-        raise LyapunovError(
-            "need at least one positive and one strictly negative eigenvalue "
-            f"at x_star (spectrum {evals}); degenerate-only spectra are rejected")
-
+    sp = split(H)  # _certify and the problem reject an empty stable or unstable block
     Q, Qi = sp.Q, sp.Q_inv
 
     def psi_batch(Z: np.ndarray) -> np.ndarray:
@@ -907,17 +902,16 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
             f"no contraction after {max_halvings} delta-halvings "
             f"(K = {cert.k:.6g}, epsilon needs to be < {cert.epsilon_star:.6g})")
 
-    analytic_cubic = epsilon is None and not is_quadratic and a_coef is not None
-    tb = tail_horizon(sp, schedule, eps_val, delta, order=2 if analytic_cubic else 1,
-                      horizon=horizon, horizon_cap=horizon_cap, tail_tol=tail_tol)
+    order = 2 if epsilon is None and not is_quadratic and a_coef is not None else 1
+    if horizon is None:
+        horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
+                               horizon_cap=horizon_cap, tail_tol=tail_tol).horizon
     # obj's raw callables, so that a step checks its points once, not twice
     shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
                         lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
                         name=obj.name, vectorized=obj.vectorized)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
-                         epsilon=eps_val, horizon=tb.horizon, tail_tol=tail_tol,
-                         tail_estimate=tb.tail_estimate, horizon_capped=tb.capped,
-                         decay_rate=tb.decay_rate,
+                         epsilon=eps_val, horizon=horizon, tail_tol=tail_tol, order=order,
                          dynamics=lambda steps: _update(method, shifted, schedule, steps))
     return prob, cert
 

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import saddle_escape
 from saddle_escape import methods as mth
 from saddle_escape import objectives as obj_mod
 from saddle_escape import schedules as sch
@@ -273,6 +276,17 @@ def test_fig1_experiment_writes_and_orders(tmp_path):
     assert records["quartic"].grad_norms[-1] > 1e-3
 
 
+def test_fig1_ids_that_run_gd_write_gd_bytes(tmp_path):
+    # fig1 steps cfg.method_id; mirror-euclidean is gd's recursion, to the bit
+    for method_id in ("gd", "mirror-euclidean"):
+        fig1_experiment(make_cfg(experiment="fig1", method_id=method_id,
+                                 output_dir=str(tmp_path / method_id)))
+    for label in ("sqrt", "harmonic", "quartic"):
+        name = f"fig1_{label}.csv"
+        assert (tmp_path / "mirror-euclidean" / name).read_bytes() == \
+            (tmp_path / "gd" / name).read_bytes()
+
+
 def test_fig1_experiment_assertion_failure_keeps_records(tmp_path):
     cfg = make_cfg(experiment="fig1", output_dir=str(tmp_path), budget=50)
     with pytest.raises(ExperimentAssertionError) as exc:
@@ -357,6 +371,24 @@ def test_cli_assertion_failure_exit_code(tmp_path):
     assert code == 1
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the package's __main__ runs the CLI without runpy's double-import
+    # RuntimeWarning, so it exits 0 under -W error, with main's own bytes
+    cfg = write_cfg(tmp_path, "f.json", {"experiment": "fig1", "budget": 5000,
+                                         "conv_tol": 1e-12})
+    assert main(["fig1", "--config", cfg, "--out", str(tmp_path / "lib")]) == 0
+    src = os.path.dirname(os.path.dirname(saddle_escape.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "saddle_escape", "fig1",
+                           "--config", cfg, "--out", str(tmp_path / "cli")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for label in ("sqrt", "harmonic", "quartic"):
+        name = f"fig1_{label}.csv"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 def test_cli_chart_horizon_cap_below_1024(tmp_path, capsys):
     data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
             "chart": {"horizon_cap": 500}, "output_dir": str(tmp_path / "c")}
@@ -435,13 +467,16 @@ INTRINSIC = "manifold-intrinsic"
                "objective": {"name": "cubic", "a": 0.1}, "metric": [[2.0, 0.0], [0.0, 1.0]]}),
     ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
                "chart": {"grid_halfwidth": 1.0}}),
+    ("fig1", {"experiment": "fig1", "method_id": "prox"}),
+    ("fig1", {"experiment": "fig1", "method_id": INTRINSIC,
+              "metric": [[2.0, 0.0], [0.0, 1.0]]}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
         "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
         "constant-c-inf", "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
         "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
-        "chart-metric", "grid_halfwidth-beyond-delta"])
+        "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file

@@ -192,6 +192,27 @@ def test_step_bound_rejects_alpha0_lambda_max_at_least_one(lam_max):
                       delta=0.1, epsilon=0.0, horizon=100)
 
 
+def test_problem_works_out_its_own_tail_bound():
+    # a hand-built problem bounds the tail its horizon drops; at N = 40 that
+    # bound is far above tail_tol, and the problem says so
+    prob = synthetic_problem(horizon=40)
+    tb = tail_horizon(prob.split, HARMONIC, prob.epsilon, prob.delta, horizon=40)
+    assert prob.horizon_capped and tb.capped
+    assert prob.tail_estimate == tb.tail_estimate > 1e3 * prob.tail_tol
+    assert prob.decay_rate == tb.decay_rate
+
+
+@pytest.mark.parametrize("H,error,match", [
+    (np.eye(2), LyapunovError, "strictly negative eigenvalue"),
+    (np.diag([-1.0, -2.0]), CertificateError, "stable block is empty"),
+    (np.diag([2.0, -1.0]), CertificateError, "lambda_max"),
+], ids=["no-negative", "no-positive", "step-bound"])
+def test_problem_rejects_a_spectrum_without_a_tail_bound(H, error, match):
+    with pytest.raises(error, match=match):
+        PerronProblem(split=split(H), schedule=HARMONIC, eta=lambda ks, Z: np.zeros_like(Z),
+                      delta=0.1, epsilon=0.0, horizon=100)
+
+
 def test_apply_T_anchors_the_stable_coordinate():
     prob = cubic_problem(horizon=50)
     U = np.zeros((51, 2))
@@ -345,6 +366,22 @@ def test_contraction_constant_zero_epsilon_skips_backward_bound():
     assert cert.k2 == 0.0
     assert cert.k == pytest.approx(0.5)
     assert cert.valid
+
+
+@pytest.mark.parametrize("H,schedule", [
+    (np.diag([2.0, -2.0]), sch.power(1.0, 1.0, 3)),
+    (np.diag([1.0, 0.5, -1.0, -3.0]), HARMONIC),
+], ids=["quadratic-offset3", "two-stable-two-unstable"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_epsilon_star_is_the_certifying_threshold(H, schedule, eps):
+    # epsilon_star is where K crosses 1, also from a certificate at eps = 0,
+    # whose K2 = 0 drops the backward sums that any eps > 0 brings back
+    sp = split(H)
+    star = lp._certify(sp, schedule, eps).epsilon_star
+    assert lp._certify(sp, schedule, 0.99 * star).valid
+    assert not lp._certify(sp, schedule, 1.01 * star).valid
+    if H.shape == (2, 2):  # alpha_0 = 1/3, lambda_s = mu = 2
+        assert star == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +807,7 @@ def manufactured_problem(c=0.1, lam=1.0, mu=1.0, delta=0.1):
     epsilon = 2.0 * c * delta * (2.0 * lam + mu)
     tb = tail_horizon(sp, HARMONIC, epsilon, delta, order=2)
     return PerronProblem(split=sp, schedule=HARMONIC, eta=eta, delta=delta,
-                         epsilon=epsilon, horizon=tb.horizon,
-                         tail_estimate=tb.tail_estimate, horizon_capped=tb.capped,
-                         decay_rate=tb.decay_rate)
+                         epsilon=epsilon, horizon=tb.horizon, order=2)
 
 
 def test_chart_matches_manufactured_manifold():
