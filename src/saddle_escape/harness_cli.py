@@ -332,11 +332,9 @@ def _draw_init(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
 def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     """Monte Carlo over seeded uniform inits from cfg.init_box.
 
-    All trials advance in lockstep through :func:`methods.run_batch`: one
-    batched step for gd (which mirror-euclidean and metric-less
-    manifold-intrinsic run too) and the metric step on vectorized objectives
-    and for prox on quadratics, row by row otherwise;
-    each trial ends as ``run`` would end it.  Classifies every terminal
+    All trials advance in lockstep through :func:`methods.run_batch`, one
+    batched step of the method's recursion per k; each trial ends as
+    ``run`` would end it.  Classifies every terminal
     (step errors get their own bucket, never dropped) and counts saddle
     hits: terminal converged_to_point whose limit classifies strict_saddle
     and lies within SADDLE_PROXIMITY of a registered critical point (when
@@ -355,7 +353,7 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     res = run_batch(cfg.method_id, obj, schedule, inits, budget=cfg.budget,
                     conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
                     window=cfg.window, metric=metric)
-    grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)  # built-ins are vectorized
+    grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)
     rows = [{"trial": t, "init": inits[t], "terminal": res.terminal[t],
              "k_final": int(res.k_final[t]), "final": res.final[t],
              "grad_norm": float(grad_norms[t]), "saddle_hit": False,

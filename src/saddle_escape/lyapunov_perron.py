@@ -871,8 +871,6 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     Q, Qi = sp.Q, sp.Q_inv
 
     def psi_batch(Z: np.ndarray) -> np.ndarray:
-        if not obj.vectorized:  # one point at a time
-            return np.array([-(Q @ (obj.grad(x_star + Qi @ z) - H @ (Qi @ z))) for z in Z])
         W = Z @ Qi.T
         return -((np.asarray(obj.grad(x_star[None, :] + W)) - W @ H.T) @ Q.T)
 
@@ -906,10 +904,10 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     if horizon is None:
         horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
                                horizon_cap=horizon_cap, tail_tol=tail_tol).horizon
-    # obj's raw callables, so that a step checks its points once, not twice
+    # obj's raw callables, which take stacks, so that a step checks its points once
     shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
                         lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
-                        name=obj.name, vectorized=obj.vectorized)
+                        name=obj.name, vectorized=True)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=horizon, tail_tol=tail_tol, order=order,
                          dynamics=lambda steps: _update(method, shifted, schedule, steps))

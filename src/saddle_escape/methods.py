@@ -11,13 +11,16 @@ Implemented methods (registry ids in ``METHOD_IDS``):
   metric; without one it runs gd's step
 
 Each id resolves to the recursion it runs; only manifold-intrinsic takes a
-metric.  One lockstep loop iterates them: ``run_batch`` advances a population
+metric.  Each recursion has one batched step for a whole population, and
+the one-point steps (``gd_step`` ... ``make_step``) are its one-row case.
+One lockstep loop iterates them: ``run_batch`` advances a population
 of starts to step error / escape / Cauchy-window convergence / budget, and
 ``run`` is its one-row case, with stride-decimated recording.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -105,140 +108,58 @@ def constant_metric(M: np.ndarray, name: str = "constant") -> RiemannianMetric:
 
 
 # ---------------------------------------------------------------------------
-# single-step updates
+# one-point steps: the one-row case of each recursion's batched update
 # ---------------------------------------------------------------------------
 
-def gd_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
+def _one_row(update, k: int, x: np.ndarray) -> np.ndarray:
+    """Step k of ``update`` for the single point x; its step error raises."""
     x = np.asarray(x, dtype=float)
-    g = obj.grad(x)
-    if not np.all(np.isfinite(g)):
-        raise MethodError(f"non-finite gradient at k={k}, x={x}")
-    return x - schedule.value(k) * g
+    if x.ndim != 1:
+        raise MethodError(f"a one-point step takes a point of shape (d,), got {x.shape}")
+    X, error = update(k, x[None])
+    if error(0) is not None:
+        raise error(0)
+    return X[0]
 
 
-def _check_simplex(x: np.ndarray) -> None:
-    if np.any(x < BOUNDARY_EPS):
-        raise MirrorDomainError(
-            "mirror iterate touched the simplex boundary "
-            f"(min coordinate {np.min(x):.3e} < {BOUNDARY_EPS:g})")
-    total = float(np.sum(x))
-    if abs(total - 1.0) > 1e-8:
-        raise MirrorDomainError(f"mirror iterate left the simplex (sum {total:.12g})")
+def gd_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
+    """x - alpha_k grad f(x); a non-finite gradient raises MethodError."""
+    return _one_row(_update("gd", obj, schedule, k + 1), k, x)
 
 
 def mirror_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
     """Entropy mirror step: grad Phi = 1 + log x, then the softmax (the conjugate
     argmax), i.e. multiplicative weights x_i exp(-alpha g_i) / Z.  A point off
     the open simplex raises MirrorDomainError instead of being projected."""
-    x = np.asarray(x, dtype=float)
-    _check_simplex(x)
-    y = 1.0 + np.log(x) - schedule.value(k) * obj.grad(x)
-    w = np.exp(y - np.max(y))  # max-shifted softmax; invariant under the shift, overflow-safe
-    return w / np.sum(w)
+    return _one_row(_update("mirror-entropy", obj, schedule, k + 1), k, x)
 
 
 def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
                   use_closed_form: bool | None = None) -> np.ndarray:
     """Proximal point step: solve z + alpha_k grad f(z) = x.
 
-    Quadratic objectives take the closed form z = (I + alpha_k A)^{-1} x;
-    everything else runs a damped Newton iteration on the stationarity
-    residual F(z) = z + alpha_k grad f(z) - x (Jacobian I + alpha_k hess f)
-    until |F(z)| <= 1e-12, within 100 Newton steps.
-    ``use_closed_form=False`` forces the Newton path (used to cross-check the
-    two routes against each other).
+    Quadratic objectives take the closed form z = (I + alpha_k A)^{-1} x,
+    everything else the damped Newton of :func:`_newton`.
+    ``use_closed_form=False`` forces Newton (to cross-check the two routes).
     """
-    x = np.asarray(x, dtype=float)
-    alpha = schedule.value(k)
     A = getattr(obj, "quadratic_matrix", None)
-    if use_closed_form is None:
-        use_closed_form = A is not None
-    if use_closed_form:
-        if A is None:
-            raise MethodError("closed-form proximal step requires a quadratic objective")
-        RT = _resolvents(A, [alpha])  # the lockstep prox stepper's arithmetic, one step
-        if not len(RT):
-            raise _singular_resolvent(k, alpha)
-        return x @ RT[0]
-
-    z = x.copy()
-    identity = np.eye(obj.dimension)
-    res = z + alpha * obj.grad(z) - x
-    res_norm = float(np.linalg.norm(res))
-    for _ in range(_PROX_BUDGET):
-        if res_norm <= _PROX_TOL:
-            return z
-        J = identity + alpha * obj.hess(z)
-        try:
-            delta = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as err:
-            raise MethodError(
-                f"singular proximal Jacobian I + alpha_k hess f at k={k}") from err
-        # damped update: halve until the residual actually decreases
-        t = 1.0
-        while t >= 1e-12:
-            z_try = z + t * delta
-            res_try = z_try + alpha * obj.grad(z_try) - x
-            res_try_norm = float(np.linalg.norm(res_try))
-            if res_try_norm < res_norm or not np.isfinite(res_norm):
-                break
-            t *= 0.5
-        else:
-            raise MethodError(f"proximal Newton damping stalled at k={k}")
-        z, res, res_norm = z_try, res_try, res_try_norm
-    if res_norm <= _PROX_TOL:
-        return z
-    raise MethodError(
-        f"proximal Newton did not reach residual {_PROX_TOL:g} within "
-        f"{_PROX_BUDGET} iterations at k={k} (residual {res_norm:.3e})")
-
-
-def _resolvents(A: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
-    """Transposed resolvents ((I + alpha A)^{-1})^T, one per alpha, up to the first singular one.
-
-    ``X @ RT[i]`` applies the i-th resolvent to each row of X, or to a single
-    point X.  One stacked inverse; each matrix gets the bits its own
-    ``np.linalg.inv`` gives it.  An explicit inverse times the rows keeps
-    each row's bits independent of how many rows there are, which a
-    multi-right-hand-side solve does not, and so does storing the transposes
-    C-contiguous: ``X @ R.T`` on the F-ordered view takes one BLAS path for a
-    single row and another for many.  If a matrix is singular, the result
-    stops just before it.
-    """
-    M = np.eye(A.shape[0]) + np.asarray(alphas, dtype=float)[:, None, None] * A
-    try:
-        R = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        inverses = []
-        for m in M:
-            try:
-                inverses.append(np.linalg.inv(m))
-            except np.linalg.LinAlgError:
-                break
-        R = np.array(inverses).reshape(-1, *A.shape)
-    return R.transpose(0, 2, 1).copy()
-
-
-def _singular_resolvent(k: int, alpha: float) -> MethodError:
-    return MethodError(f"singular proximal system I + alpha_k A at k={k} (alpha={alpha:g})")
+    closed = A is not None if use_closed_form is None else use_closed_form
+    if closed and A is None:
+        raise MethodError("closed-form proximal step requires a quadratic objective")
+    return _one_row(_update("prox", obj, schedule, k + 1) if closed else _newton(obj, schedule),
+                    k, x)
 
 
 def manifold_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
     """Unit-sphere step: project the gradient on the tangent space (I - x x^T),
     move, and renormalize; a point within 1e-12 of the origin raises ManifoldError."""
-    x = np.asarray(x, dtype=float)
-    v = x - schedule.value(k) * ((np.eye(obj.dimension) - np.outer(x, x)) @ obj.grad(x))
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ManifoldError("sphere projection undefined near the origin")
-    return v / norm
+    return _one_row(_update("manifold-sphere", obj, schedule, k + 1), k, x)
 
 
 def intrinsic_manifold_step(obj: Objective, metric: RiemannianMetric,
                             schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
     """Intrinsic step in a coordinate chart: x - alpha_k M^{-1} grad f(x)."""
-    x = np.asarray(x, dtype=float)
-    return x - schedule.value(k) * (metric.matrix @ obj.grad(x))
+    return _one_row(_update("manifold-intrinsic", obj, schedule, k + 1, metric), k, x)
 
 
 def _recursion(method_id: str, metric) -> str:
@@ -258,17 +179,10 @@ def _recursion(method_id: str, metric) -> str:
 def make_step(method_id: str, obj: Objective, schedule: StepSchedule, *,
               metric: RiemannianMetric | None = None) -> Callable[[int, np.ndarray], np.ndarray]:
     """A ``step(k, x)`` closure of the recursion ``method_id`` runs: gd's for
-    mirror-euclidean and for manifold-intrinsic without ``metric``."""
-    recursion = _recursion(method_id, metric)
-    if recursion == "gd":
-        return lambda k, x: gd_step(obj, schedule, k, x)
-    if recursion == "mirror-entropy":
-        return lambda k, x: mirror_step(obj, schedule, k, x)
-    if recursion == "prox":
-        return lambda k, x: proximal_step(obj, schedule, k, x)
-    if recursion == "manifold-sphere":
-        return lambda k, x: manifold_step(obj, schedule, k, x)
-    return lambda k, x: intrinsic_manifold_step(obj, metric, schedule, k, x)
+    mirror-euclidean and for manifold-intrinsic without ``metric``.  It is
+    the one-row case of the batched update ``run`` and ``run_batch`` step."""
+    update = _update(method_id, obj, schedule, sys.maxsize, metric)  # any k may come
+    return lambda k, x: _one_row(update, k, x)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +276,14 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
             metric: RiemannianMetric | None = None):
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
 
-    The step is that of the recursion the id runs, so mirror-euclidean and
-    manifold-intrinsic without ``metric`` take gd's.  gd and the metric step
-    on vectorized objectives and prox on quadratics step all rows at once.
-    Every other pair applies :func:`make_step`'s one-point step row by row;
-    a ``MethodError`` sets that row to NaN.
-    ``error(j)`` is row j's step-error message or None.  A row with a step
-    error is never finite, so it stops and only stopping rows are asked.
+    Each recursion has this one batched step, and the one-point steps are its
+    one-row case.  ``error(j)`` is row j's step error, the ``MethodError``
+    its one-point step raises, or None.  A row with a step error is never
+    finite, so it stops and only stopping rows are asked.  Where a step
+    multiplies rows by a matrix (gd and the metric step on a quadratic,
+    prox's resolvents), BLAS takes one kernel for one row and another for a
+    stack: a row's bits do not depend on the batch for d <= 3, but can in
+    the last places for a dense A at d >= 4.
 
     Prox on a quadratic inverts its resolvents a block of steps at a time
     (:func:`_resolvents`, at most ``_RESOLVENT_BLOCK`` doubles and never past
@@ -388,30 +303,136 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
                 k0 = k
                 RT = _resolvents(A, [schedule.value(j) for j in range(k, min(k + block, budget))])
                 if not len(RT):
-                    raise _singular_resolvent(k, schedule.value(k))
+                    raise MethodError(f"singular proximal system I + alpha_k A at k={k} "
+                                      f"(alpha={schedule.value(k):g})")
             return X @ RT[k - k0], _NO_ERROR
         return prox
-    if obj.vectorized and recursion == "gd":
+    if recursion == "gd":
         def gd(k, X):
             G = obj.grad(X)
             return X - schedule.value(k) * G, lambda j: None if np.all(np.isfinite(G[j])) \
-                else f"non-finite gradient at k={k}, x={X[j]}"
+                else MethodError(f"non-finite gradient at k={k}, x={X[j]}")
         return gd
-    if obj.vectorized and recursion == "manifold-intrinsic":
-        M = metric.matrix
-        return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ M.T), _NO_ERROR)
+    if recursion == "manifold-intrinsic":
+        MT = metric.matrix.T.copy()  # C-contiguous, for the reason _resolvents gives
+        return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ MT), _NO_ERROR)
+    if recursion == "mirror-entropy":
+        return lambda k, X: _entropy(obj, schedule.value(k), X)
+    if recursion == "manifold-sphere":
+        return lambda k, X: _sphere(obj, schedule.value(k), X)
+    return _newton(obj, schedule)
 
-    step = make_step(method_id, obj, schedule, metric=metric)
 
-    def rowwise(k, X):
-        Xn, errors = np.empty_like(X), {}
-        for j, x in enumerate(X):
+def _resolvents(A: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
+    """Transposed resolvents ((I + alpha A)^{-1})^T, one per alpha, up to the first singular one.
+
+    ``X @ RT[i]`` applies the i-th resolvent to each row of X.  One stacked
+    inverse; each matrix gets the bits its own ``np.linalg.inv`` gives it.
+    An explicit inverse times the rows keeps each row's bits independent of
+    how many rows there are for d <= 3, which a multi-right-hand-side solve
+    does not, and so does storing the transposes C-contiguous: ``X @ R.T``
+    on the F-ordered view takes one BLAS path for a single row and another
+    for many.  If a matrix is singular, the result stops just before it.
+    """
+    M = np.eye(A.shape[0]) + np.asarray(alphas, dtype=float)[:, None, None] * A
+    try:
+        R = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        inverses = []
+        for m in M:
             try:
-                Xn[j] = step(k, x)
-            except MethodError as err:
-                Xn[j], errors[j] = np.nan, str(err)
-        return Xn, errors.get
-    return rowwise
+                inverses.append(np.linalg.inv(m))
+            except np.linalg.LinAlgError:
+                break
+        R = np.array(inverses).reshape(-1, *A.shape)
+    return R.transpose(0, 2, 1).copy()
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Each row's ``np.linalg.norm``, bit for bit: the root of its own dot product."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def _entropy(obj: Objective, alpha: float, X: np.ndarray):
+    """:func:`mirror_step` of every row of X; a row off the open simplex gets
+    its MirrorDomainError and NaN."""
+    low, total = (X < BOUNDARY_EPS).any(axis=1), X.sum(axis=1)
+    off = low | (np.abs(total - 1.0) > 1e-8)
+    errors = {j: MirrorDomainError(
+        "mirror iterate touched the simplex boundary "
+        f"(min coordinate {np.min(X[j]):.3e} < {BOUNDARY_EPS:g})" if low[j] else
+        f"mirror iterate left the simplex (sum {total[j]:.12g})") for j in np.flatnonzero(off)}
+    Xn, on = np.full_like(X, np.nan), X[~off]
+    if on.size:  # the gradient is asked only at points on the simplex
+        Y = 1.0 + np.log(on) - alpha * obj.grad(on)
+        W = np.exp(Y - Y.max(axis=1, keepdims=True))  # max-shifted softmax; overflow-safe
+        Xn[~off] = W / W.sum(axis=1, keepdims=True)
+    return Xn, errors.get
+
+
+def _sphere(obj: Objective, alpha: float, X: np.ndarray):
+    """:func:`manifold_step` of every row of X; a row it cannot renormalize
+    gets its ManifoldError and NaN."""
+    P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
+    V = X - alpha * (P @ obj.grad(X)[:, :, None])[:, :, 0]
+    norms = _row_norms(V)
+    small = norms < 1e-12
+    errors = {j: ManifoldError("sphere projection undefined near the origin")
+              for j in np.flatnonzero(small)}
+    return V / np.where(small, np.nan, norms)[:, None], errors.get
+
+
+def _newton(obj: Objective, schedule: StepSchedule):
+    """``(k, X) -> (Z, error)``: the proximal step of every row of X by damped Newton.
+
+    Each row solves F(z) = z + alpha_k grad f(z) - x = 0 from z = x by
+    Newton steps on I + alpha_k hess f until |F(z)| <= 1e-12, within 100 of
+    them, each halving its length (down to 1e-12) until |F| falls or while
+    it is not finite.  The rows go in lockstep under a residual mask, and a
+    row whose Newton fails gets its own MethodError and NaN.
+    """
+    def residual(Z, X, alpha):
+        R = Z + alpha * obj.grad(Z) - X
+        return R, _row_norms(R)
+
+    def newton(k, X):
+        alpha, Z, errors = schedule.value(k), X.copy(), {}
+        R, norms = residual(Z, X, alpha)
+        live = np.ones(len(X), dtype=bool)  # no step error yet
+        for _ in range(_PROX_BUDGET):
+            rows = np.flatnonzero(live & ~(norms <= _PROX_TOL))
+            if not rows.size:
+                break
+            J = np.eye(X.shape[1]) + alpha * obj.hess(Z[rows])
+            try:  # one stacked solve gives each Jacobian the bits of its own
+                D = np.linalg.solve(J, -R[rows, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # one solve per row; a singular one fails its row
+                D = np.empty((rows.size, X.shape[1]))
+                for i, r in enumerate(rows):
+                    try:
+                        D[i] = np.linalg.solve(J[i], -R[r])
+                    except np.linalg.LinAlgError:
+                        errors[r], live[r] = MethodError(
+                            f"singular proximal Jacobian I + alpha_k hess f at k={k}"), False
+                D, rows = D[live[rows]], rows[live[rows]]
+            t = 1.0
+            while rows.size and t >= 1e-12:
+                Z_try = Z[rows] + t * D
+                R_try, n_try = residual(Z_try, X[rows], alpha)
+                done = (n_try < norms[rows]) | ~np.isfinite(norms[rows])
+                took = rows[done]
+                Z[took], R[took], norms[took] = Z_try[done], R_try[done], n_try[done]
+                rows, D, t = rows[~done], D[~done], 0.5 * t
+            for r in rows:
+                errors[r], live[r] = MethodError(
+                    f"proximal Newton damping stalled at k={k}"), False
+        for r in np.flatnonzero(live & ~(norms <= _PROX_TOL)):
+            errors[r] = MethodError(
+                f"proximal Newton did not reach residual {_PROX_TOL:g} within "
+                f"{_PROX_BUDGET} iterations at k={k} (residual {norms[r]:.3e})")
+        Z[list(errors)] = np.nan
+        return Z, errors.get
+    return newton
 
 
 def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius: float,
@@ -485,11 +506,11 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             X, streak = Xn, bool(quiet.any())
             continue
         for j in np.flatnonzero(stop):
-            msg = error(j)
-            if msg is None and np.any(np.isnan(Xn[j])):
-                msg = f"non-finite iterate at k={k + 1}"
-            if msg is not None:
-                end = STEP_ERROR, k, X[j], msg
+            err = error(j)
+            if err is None and np.any(np.isnan(Xn[j])):
+                err = f"non-finite iterate at k={k + 1}"
+            if err is not None:
+                end = STEP_ERROR, k, X[j], str(err)
             elif radius[j] > escape_radius:
                 end = ESCAPED_REGION, k + 1, Xn[j], None
             else:
@@ -510,14 +531,13 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
               metric: RiemannianMetric | None = None) -> BatchResult:
     """Run every row of ``X0`` to the terminal :func:`run` would give it.
 
-    All rows advance in lockstep, one step per k with alpha_k =
-    ``schedule.value(k)``, and finished rows leave the active set.  gd (and
-    its aliases mirror-euclidean and metric-less manifold-intrinsic) and
-    the metric step on vectorized objectives and prox on quadratics take one
-    batched step for all rows; every other method/objective pair steps row
-    by row in the same loop.  The stopping
-    order is ``run``'s: step error at k, escape, Cauchy window, budget.  An
-    empty ``X0`` returns an empty result at once.
+    All rows advance in lockstep, one batched step of the method's
+    recursion per k with alpha_k = ``schedule.value(k)``, and finished rows
+    leave the active set.  The stopping order is ``run``'s: step error at
+    k, escape, Cauchy window, budget.  An empty ``X0`` returns an empty
+    result at once.  For d <= 3 each row ends exactly as ``run`` ends it;
+    on a dense quadratic at d >= 4 the final points can differ from
+    ``run``'s in the last places (see :func:`_update`).
     """
     X0 = np.asarray(X0, dtype=float)
     if budget < 1 or window < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:

@@ -7,9 +7,10 @@ The built-in objectives are the ones the experiments need:
 - ``cubic_perturbed_saddle(a)``: ``f(x, y) = x^2/2 - y^2/2 + a x^2 y``, a
   strict saddle at the origin with a genuinely nonlinear remainder.
 
-Built-in callables broadcast over leading axes (``vectorized=True``), which
-the Monte Carlo harness exploits; user-supplied objectives only need to
-handle single points.
+Every objective takes a stack of points of shape (..., d) as well as one
+point, which is how the methods step a whole batch at once.  The built-in
+callables broadcast over the leading axes; a user-supplied one that handles
+single points only is looped over the points once, at construction.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class Objective:
         Known critical points, used by the harness to double-key
         "converged to a registered saddle" decisions.
     vectorized : bool
-        True when ``eval``/``grad`` accept stacked points of shape (n, d).
+        True when the callables broadcast over stacked points of shape
+        (..., d).  False (the default) wraps each of them in one loop over
+        the points, so ``eval``/``grad``/``hess`` take stacks either way.
     """
 
     def __init__(
@@ -81,12 +84,13 @@ class Objective:
         if dimension < 1:
             raise ObjectiveError(f"objective dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
+        if not vectorized:
+            eval_fn, grad_fn, hess_fn = map(_each_point, (eval_fn, grad_fn, hess_fn))
         self._eval = eval_fn
         self._grad = grad_fn
         self._hess = hess_fn
         self.name = name
         self.critical_points = [np.asarray(p, dtype=float) for p in critical_points]
-        self.vectorized = vectorized
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -106,6 +110,12 @@ class Objective:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Objective {self.name} d={self.dimension}>"
+
+
+def _each_point(fn: Callable) -> Callable:
+    """``fn`` of one point, applied to each point of a (..., d) stack that
+    holds at least one."""
+    return lambda x: fn(x) if x.ndim == 1 else np.apply_along_axis(fn, -1, x)
 
 
 def quadratic(A: np.ndarray, name: str = "quadratic") -> Objective:
@@ -130,7 +140,7 @@ def quadratic(A: np.ndarray, name: str = "quadratic") -> Objective:
         return x @ A  # A symmetric, so x @ A == A @ x for single points
 
     def _hess(x):
-        return A.copy()
+        return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
     obj = Objective(d, _eval, _grad, _hess, name=name,
                     critical_points=[np.zeros(d)], vectorized=True)
@@ -166,8 +176,10 @@ def cubic_perturbed_saddle(a: float) -> Objective:
 
     def _hess(z):
         x, y = z[..., 0], z[..., 1]
-        return np.array([[1.0 + 2.0 * a * y, 2.0 * a * x],
-                         [2.0 * a * x, -1.0]])
+        h = np.empty(z.shape + (2,))
+        h[..., 0, 0], h[..., 1, 1] = 1.0 + 2.0 * a * y, -1.0
+        h[..., 0, 1] = h[..., 1, 0] = 2.0 * a * x
+        return h
 
     obj = Objective(2, _eval, _grad, _hess, name="cubic",
                     critical_points=[np.zeros(2)], vectorized=True)

@@ -1,11 +1,16 @@
-"""Plain loops, the references for the library's vectorized paths.
+"""Plain loops, the references for the library's batched paths.
 
 ``reference_run`` is a one-point trajectory loop for ``methods.run`` and
 ``run_batch``.  ``methods.run`` is the one-row case of the lockstep loop
 behind ``run_batch``, so comparing the two checks the loop only against
-itself.  This loop steps one point with ``make_step`` and applies the same
-stopping rules (no recording), as an independent implementation to compare
-both against.
+itself.  This loop applies the same stopping rules (no recording) to one
+point at a time, as an independent implementation of the loop to compare
+both against.  The step it takes is the library's own (``make_step`` is
+the one-row case of the batched update), so it checks the loop, not the
+step; ``oracles.py`` is the independent check on the steps.
+
+``reference_newton`` is the proximal step's damped Newton as a scalar
+loop, one point at a time, the bit reference for the batched Newton.
 
 ``reference_scan_T`` evaluates the Lyapunov-Perron operator by its plain
 recursions, one entry at a time, for the segmented cumprod scan behind
@@ -42,6 +47,47 @@ def reference_run(step, x0, *, budget, conv_tol, escape_radius, window):
         if quiet >= window:
             return CONVERGED_TO_POINT, k + 1, x, None
     return BUDGET_EXHAUSTED, budget, x, None
+
+
+def reference_newton(obj, schedule, k, x):
+    """Solve z + alpha_k grad f(z) = x by damped Newton from z = x.
+
+    Newton steps on the Jacobian I + alpha_k hess f until |F(z)| <= 1e-12,
+    within 100 of them; each step halves its length, down to 1e-12, until
+    the residual falls.  Failures raise MethodError with the library's
+    messages.
+    """
+    x = np.asarray(x, dtype=float)
+    alpha = schedule.value(k)
+    z = x.copy()
+    identity = np.eye(obj.dimension)
+    res = z + alpha * obj.grad(z) - x
+    res_norm = float(np.linalg.norm(res))
+    for _ in range(100):
+        if res_norm <= 1e-12:
+            return z
+        J = identity + alpha * obj.hess(z)
+        try:
+            delta = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError as err:
+            raise MethodError(
+                f"singular proximal Jacobian I + alpha_k hess f at k={k}") from err
+        t = 1.0
+        while t >= 1e-12:
+            z_try = z + t * delta
+            res_try = z_try + alpha * obj.grad(z_try) - x
+            res_try_norm = float(np.linalg.norm(res_try))
+            if res_try_norm < res_norm or not np.isfinite(res_norm):
+                break
+            t *= 0.5
+        else:
+            raise MethodError(f"proximal Newton damping stalled at k={k}")
+        z, res, res_norm = z_try, res_try, res_try_norm
+    if res_norm <= 1e-12:
+        return z
+    raise MethodError(
+        f"proximal Newton did not reach residual 1e-12 within "
+        f"100 iterations at k={k} (residual {res_norm:.3e})")
 
 
 def reference_scan_T(prob, xp, E):

@@ -152,13 +152,12 @@ def test_report_rows_sorted_by_trial(tmp_path):
 # avoidance experiment
 # ---------------------------------------------------------------------------
 
-def assert_matches_run(cfg, rtol=None):
+def assert_matches_run(cfg):
     """Every avoidance row equals a methods.run and a reference_run from the same init.
 
     Terminal, k_final and final-point bits must agree exactly, and
     grad_norm (computed row-wise from the final points) within 2 ulp of
-    run's.  ``rtol`` relaxes the final point where one point and a batch
-    round differently: products with a non-identity metric.
+    run's.
     """
     rep = avoidance_experiment(cfg)
     obj = build_objective(cfg.objective)
@@ -177,14 +176,9 @@ def assert_matches_run(cfg, rtol=None):
         assert row["terminal"] == rec.terminal.kind == kind
         assert row["k_final"] == rec.k_final == k_final
         assert row["message"] == rec.terminal.message == message
-        if rtol is None:
-            assert row["final"].tobytes() == rec.final_point.tobytes() == final.tobytes()
-            ulp = np.spacing(max(abs(row["grad_norm"]), abs(rec.grad_norms[-1])))
-            assert abs(row["grad_norm"] - rec.grad_norms[-1]) <= 2 * ulp
-        else:
-            for other in (rec.final_point, final):
-                np.testing.assert_allclose(row["final"], other, rtol=rtol, atol=1e-12)
-            np.testing.assert_allclose(row["grad_norm"], rec.grad_norms[-1], rtol=rtol)
+        assert row["final"].tobytes() == rec.final_point.tobytes() == final.tobytes()
+        ulp = np.spacing(max(abs(row["grad_norm"]), abs(rec.grad_norms[-1])))
+        assert abs(row["grad_norm"] - rec.grad_norms[-1]) <= 2 * ulp
     assert rep.counts == counts
     return rep
 
@@ -221,7 +215,7 @@ def test_batch_and_sequential_agree_for_prox():
 
 def test_batch_matches_run_for_constant_metric():
     assert_matches_run(make_cfg(method_id="manifold-intrinsic", trials=20, budget=3000,
-                                metric=[[2.0, 0.5], [0.5, 1.0]]), rtol=1e-9)
+                                metric=[[2.0, 0.5], [0.5, 1.0]]))
 
 
 def test_forced_axis_converges_to_saddle():

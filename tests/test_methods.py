@@ -15,7 +15,8 @@ from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    gd_step, intrinsic_manifold_step, make_step,
                                    manifold_step, mirror_step, proximal_step,
                                    run, run_batch)
-from reference import reference_run
+from oracles import mwu_step
+from reference import reference_newton, reference_run
 
 HARMONIC = sch.power(1.0, 1.0, 2)
 
@@ -137,6 +138,60 @@ def test_prox_newton_on_cubic_satisfies_optimality():
     np.testing.assert_allclose(z + 0.1 * f.grad(z), x, atol=1e-10)
 
 
+def test_batched_newton_matches_the_scalar_loop():
+    # f = x^2/2 - y^2/2 + a x^2 y: under a = 1 and alpha = 1 the Jacobian
+    # [[2 + 2y, 2x], [2x, 0]] is singular exactly at x = 0, so the rows (0, y)
+    # fail alone; long steps on a = 1 stall the damping or run out of budget
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.uniform(-3.0, 3.0, size=(60, 2)), [[0.0, 0.3], [0.0, -2.0]]])
+    seen = set()
+    for a, alphas in ((0.1, (0.1, 0.5)), (1.0, (0.3, 1.0, 2.0))):
+        f = obj_mod.cubic_perturbed_saddle(a)
+        for alpha in alphas:
+            s = sch.constant(alpha)
+            Z, error = mth._update("prox", f, s, 1)(0, X)
+            for j, x in enumerate(X):
+                try:
+                    want = reference_newton(f, s, 0, x)
+                except MethodError as err:
+                    seen.add(str(err).split(" at k=")[0].split(" within")[0])
+                    assert type(error(j)) is MethodError and str(error(j)) == str(err)
+                    assert np.isnan(Z[j]).all()
+                    with pytest.raises(MethodError) as one:
+                        proximal_step(f, s, 0, x)
+                    assert str(one.value) == str(err)
+                else:
+                    seen.add("solved")
+                    assert error(j) is None
+                    assert Z[j].tobytes() == want.tobytes() == proximal_step(f, s, 0, x).tobytes()
+    assert seen == {"solved", "singular proximal Jacobian I + alpha_k hess f",
+                    "proximal Newton damping stalled",
+                    "proximal Newton did not reach residual 1e-12"}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_batched_entropy_step_is_multiplicative_weights(d):
+    # one row and many take the same bits; rows off the open simplex fail alone
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal(d)
+    f = linear_objective(c)
+    W = rng.uniform(0.05, 1.0, size=(40, d))
+    X = W / W.sum(axis=1, keepdims=True)
+    X[0, 0], X[1] = 0.0, 1.1 * X[1]
+    s = sch.constant(0.3)
+    Y, error = mth._update("mirror-entropy", f, s, 1)(0, X)
+    for j, x in enumerate(X):
+        if j < 2:
+            with pytest.raises(MirrorDomainError) as err:
+                mirror_step(f, s, 0, x)
+            assert type(error(j)) is MirrorDomainError and str(error(j)) == str(err.value)
+            assert np.isnan(Y[j]).all()
+            continue
+        assert error(j) is None
+        assert Y[j].tobytes() == mirror_step(f, s, 0, x).tobytes()
+        np.testing.assert_allclose(Y[j], mwu_step(list(x), list(c), 0.3), rtol=1e-12)
+
+
 def test_sphere_step_stays_feasible():
     f = obj_mod.quadratic(np.diag([1.0, 2.0, -1.0]))
     x = np.array([1.0, 0.0, 0.0])
@@ -159,6 +214,17 @@ def test_intrinsic_step_applies_inverse_metric():
     x = np.array([1.0, 1.0])
     out = intrinsic_manifold_step(f, metric, HARMONIC, 0, x)
     np.testing.assert_allclose(out, x - 0.5 * (Minv @ f.grad(x)), rtol=1e-14)
+
+
+def test_one_point_steps_reject_a_stack():
+    f, s, X = obj_mod.fig1(), HARMONIC, np.array([[0.5, 0.5], [0.2, 0.8]])
+    metric = constant_metric(np.diag([2.0, 1.0]))
+    steps = [gd_step, mirror_step, proximal_step, manifold_step,
+             lambda *args: intrinsic_manifold_step(f, metric, *args[1:]),
+             lambda f, s, k, x: make_step("gd", f, s)(k, x)]
+    for step in steps:
+        with pytest.raises(MethodError, match=r"shape \(d,\), got \(2, 2\)"):
+            step(f, s, 0, X)
 
 
 def test_metric_must_be_spd():
@@ -265,7 +331,7 @@ def test_run_batch_matches_run(method_id, bad):
         return np.where(np.abs(x) > 5.0, bad, -x)
 
     X0 = np.array([[0.0], [1e-3], [0.5], [1.0], [-2.0], [4.9]])
-    for vectorized in (True, False):  # lockstep and per-row paths
+    for vectorized in (True, False):  # callables that broadcast, and ones looped over points
         f = obj_mod.Objective(1, lambda x: -0.5 * x[..., 0] ** 2, grad,
                               lambda x: -np.eye(1), vectorized=vectorized)
         for radius in (3.0, 1e3):
@@ -307,9 +373,9 @@ def test_run_batch_checks_escape_before_convergence():
         assert res.final[i].tobytes() == rec.final_point.tobytes() == ref[2].tobytes()
 
 
-def test_run_batch_steps_rowwise_pairs_independently():
-    # mirror-entropy on a non-vectorized objective steps row by row: the row
-    # on the simplex boundary stops at k = 0, the others run to the budget
+def test_run_batch_mirror_rows_fail_alone():
+    # each row takes its own simplex check in the batched entropy step: the
+    # row on the simplex boundary stops at k = 0, the others run to the budget
     f = linear_objective([1.0, -1.0, 0.0])
     X0 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
     res = run_batch("mirror-entropy", f, HARMONIC, X0, budget=200)
@@ -363,6 +429,30 @@ def test_prox_non_diagonal_batch_run_and_reference_agree_bitwise():
         ref = reference_run(step, x0, window=mth.CONVERGENCE_WINDOW, **opts)
         assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == ref[:2]
         assert res.final[i].tobytes() == rec.final_point.tobytes() == ref[2].tobytes()
+
+
+@pytest.mark.parametrize("method_id", ["gd", "prox", "manifold-intrinsic"])
+def test_run_batch_rows_on_dense_quadratics(method_id):
+    # a dense symmetric A (and metric): for d <= 3 each row takes run's bits
+    # in a batch; at d = 4 BLAS rounds a one-row product and a stacked one
+    # differently, so only the ends and the final points to 1e-12 relative agree
+    rng = np.random.default_rng(4)
+    s = sch.power(1.0, 1.0, 3)
+    for d in (2, 3, 4):
+        B = rng.standard_normal((d, d))
+        A = (B + B.T) / np.max(np.abs(np.linalg.eigvalsh(B + B.T)))  # eigenvalues in [-1, 1]
+        f = obj_mod.quadratic(A)
+        metric = constant_metric(np.eye(d) + A @ A) if method_id == "manifold-intrinsic" else None
+        opts = dict(budget=400, conv_tol=1e-12, escape_radius=1e4, metric=metric)
+        X0 = rng.uniform(-1.0, 1.0, size=(64, d))
+        res = run_batch(method_id, f, s, X0, **opts)
+        for i, x0 in enumerate(X0):
+            rec = run(method_id, f, s, x0, **opts)
+            assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final)
+            if d <= 3:
+                assert res.final[i].tobytes() == rec.final_point.tobytes()
+            else:
+                np.testing.assert_allclose(res.final[i], rec.final_point, rtol=1e-12, atol=0)
 
 
 def test_prox_singular_resolvent_in_a_later_block():

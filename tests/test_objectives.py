@@ -35,6 +35,31 @@ def test_quadratic_batched_gradient_matches_rows():
         np.testing.assert_allclose(G[i], f.grad(x))
 
 
+def _looped_cubic():
+    # the cubic's callables taken one point at a time, as a user would write them
+    f = cubic_perturbed_saddle(0.3)
+    return obj_mod.Objective(2, lambda x: float(f.eval(x)), f.grad, f.hess)
+
+
+@pytest.mark.parametrize("make", [
+    fig1, lambda: quadratic(np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, -3.0]])),
+    lambda: cubic_perturbed_saddle(0.3), _looped_cubic], ids=["fig1", "dense", "cubic", "looped"])
+def test_callables_take_stacks(make):
+    # eval, grad and hess take (d,), (n, d) and (n, m, d) and give each
+    # point's values stacked: (...,), (..., d) and (..., d, d)
+    f = make()
+    d = f.dimension
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 3, d))
+    for x in (X[0, 0], X[0], X):
+        lead = x.shape[:-1]
+        E, G, H = np.asarray(f.eval(x)), f.grad(x), f.hess(x)
+        assert (E.shape, G.shape, H.shape) == (lead, lead + (d,), lead + (d, d))
+        for i in np.ndindex(lead):
+            assert E[i] == f.eval(x[i])
+            assert G[i].tobytes() == f.grad(x[i]).tobytes()
+            assert H[i].tobytes() == f.hess(x[i]).tobytes()
+
+
 def test_fig1_is_x2_minus_y2():
     f = fig1()
     assert f.eval(np.array([3.0, 2.0])) == pytest.approx(9.0 - 4.0)
