@@ -35,9 +35,10 @@ import numpy as np
 from . import objectives
 from . import schedules as sched_mod
 from .lyapunov_perron import LyapunovError, chart, remainder_from_objective
-from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
-                      STEP_ERROR, MethodError, RiemannianMetric, TrajectoryRecord,
-                      _recursion, constant_metric, run, run_batch)
+from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, CONVERGENCE_WINDOW,
+                      DEFAULT_BUDGET, DEFAULT_ESCAPE_RADIUS, DEFAULT_STRIDE,
+                      ESCAPED_REGION, STEP_ERROR, MethodError, RiemannianMetric,
+                      TrajectoryRecord, _recursion, constant_metric, run, run_batch)
 from .objectives import Objective, classify_critical_point
 
 __all__ = [
@@ -103,15 +104,15 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     init_box: list = field(default_factory=lambda: [[-1.0, 1.0], [-1.0, 1.0]])
-    budget: int = 100_000
+    budget: int = DEFAULT_BUDGET
     conv_tol: float = 1e-9
-    escape_radius: float = 1e3
-    stride: int = 10
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS
+    stride: int = DEFAULT_STRIDE
     output_dir: str = "."
     init: Optional[list] = None
     grad_tol: float = 1e-8
     eig_tol: float = 1e-8
-    window: int = 50
+    window: int = CONVERGENCE_WINDOW
     metric: Optional[list] = None
     chart: dict = field(default_factory=dict)
 
@@ -451,38 +452,37 @@ def chart_experiment(cfg: ExperimentConfig):
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
-    ccfg = dict(cfg.chart)
 
-    def option(name, default, kind=float, zero_ok=False):
-        """chart.<name> if set: a positive (nonnegative if ``zero_ok``) ``kind``."""
-        v = ccfg.pop(name, default)
-        if v is default:
-            return v
+    def option(name, kind=float, zero_ok=False, nullable=False):
+        """``{name: chart.<name>}`` if the config sets it, else ``{}``: a positive
+        (nonnegative if ``zero_ok``) ``kind``, or null if ``nullable``."""
+        if name not in cfg.chart:
+            return {}
+        v = cfg.chart[name]
         typed = isinstance(v, (int, float) if kind is float else int) and not isinstance(v, bool)
-        if not (typed and math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
+        if not (v is None and nullable or typed and math.isfinite(v)
+                and (v > 0 or zero_ok and v == 0)):
             what = ("nonnegative " if zero_ok else "positive ") + (
                 "finite number" if kind is float else "integer")
             raise ConfigError(f"chart.{name} must be a {what}, got {v!r}")
-        return v
+        return {name: v}
 
-    x_star = ccfg.pop("critical_point", None)
+    x_star = cfg.chart.get("critical_point")
     if x_star is None:
         if not obj.critical_points:
             raise ConfigError("objective registers no critical point; "
                               "set chart.critical_point")
         x_star = obj.critical_points[0]
-    points = option("grid_points", 11, int)
-    halfwidth = option("grid_halfwidth", None)
-    fp_tol = option("fp_tol", 1e-10)
-    fp_budget = option("fp_budget", 500, int)
+    points = option("grid_points", int).get("grid_points", 11)
+    halfwidth = option("grid_halfwidth", nullable=True).get("grid_halfwidth")
+    solve_options = {**option("fp_tol"), **option("fp_budget", int)}
     try:
         prob, cert = remainder_from_objective(
             obj, _point(x_star, obj.dimension, "chart.critical_point"), schedule,
-            method=cfg.method_id, delta0=option("delta0", 0.1),
-            epsilon=option("epsilon", None, zero_ok=True),
-            max_halvings=option("max_halvings", 20, int, zero_ok=True),
-            horizon=option("horizon", None, int),
-            horizon_cap=option("horizon_cap", 100_000, int))
+            method=cfg.method_id, **option("delta0"),
+            **option("epsilon", zero_ok=True, nullable=True),
+            **option("max_halvings", int, zero_ok=True),
+            **option("horizon", int, nullable=True), **option("horizon_cap", int))
     except LyapunovError as err:  # CertificateError included
         raise ExperimentAssertionError(f"contraction not certified: {err}") from err
     if not cert.valid:
@@ -500,7 +500,7 @@ def chart_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"chart.grid_halfwidth = {halfwidth!r} exceeds delta/2 "
                           f"for the certified delta = {prob.delta:g}")
     grid = np.linspace(-halfwidth, halfwidth, points)
-    ch = chart(prob, grid, fp_tol=fp_tol, fp_budget=fp_budget)
+    ch = chart(prob, grid, **solve_options)
 
     _make_output_dir(cfg.output_dir)
     d_s = len(prob.split.stable_indices)

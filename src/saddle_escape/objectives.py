@@ -85,7 +85,10 @@ class Objective:
             raise ObjectiveError(f"objective dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         if not vectorized:
-            eval_fn, grad_fn, hess_fn = map(_each_point, (eval_fn, grad_fn, hess_fn))
+            d = self.dimension
+            eval_fn = _each_point(eval_fn, ())
+            grad_fn = _each_point(grad_fn, (d,))
+            hess_fn = _each_point(hess_fn, (d, d))
         self._eval = eval_fn
         self._grad = grad_fn
         self._hess = hess_fn
@@ -94,9 +97,9 @@ class Objective:
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dimension:
+        if x.ndim == 0 or x.shape[-1] != self.dimension:
             raise ObjectiveError(
-                f"point has dimension {x.shape[-1]}, objective expects {self.dimension}")
+                f"point has shape {x.shape}, objective expects (..., {self.dimension})")
         return x
 
     def eval(self, x: np.ndarray) -> float | np.ndarray:
@@ -112,10 +115,14 @@ class Objective:
         return f"<Objective {self.name} d={self.dimension}>"
 
 
-def _each_point(fn: Callable) -> Callable:
-    """``fn`` of one point, applied to each point of a (..., d) stack that
-    holds at least one."""
-    return lambda x: fn(x) if x.ndim == 1 else np.apply_along_axis(fn, -1, x)
+def _each_point(fn: Callable, tail: tuple) -> Callable:
+    """``fn`` of one point, applied to each point of a (..., d) stack; its
+    value at one point has shape ``tail``, which an empty stack keeps."""
+    def each(x):
+        if x.size == 0:
+            return np.empty(x.shape[:-1] + tail)
+        return fn(x) if x.ndim == 1 else np.apply_along_axis(fn, -1, x)
+    return each
 
 
 def quadratic(A: np.ndarray, name: str = "quadratic") -> Objective:

@@ -8,6 +8,9 @@ to a finite step size ``alpha_k > 0``.  Four families are provided:
 - ``geometric(c, r)``:         ``alpha_k = c * r**k``
 - ``table(values, tail)``:     explicit leading values, then a tail schedule
 
+Each family is one formula for ``alpha_k``, so ``value(k)`` and
+``values(n)[k]`` give the same bits.
+
 All schedules are positive and nonincreasing; this is validated at
 construction (a table whose tail starts above its last explicit value is
 rejected).  Whether ``sum_k alpha_k`` diverges decides the long-run behaviour
@@ -44,6 +47,7 @@ __all__ = [
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
+_BLOCK = 1024  # entries of the formula that ``value`` holds between refills
 
 
 class ScheduleError(ValueError):
@@ -51,20 +55,33 @@ class ScheduleError(ValueError):
 
 
 class StepSchedule:
-    """Base class: a positive, nonincreasing step-size sequence."""
+    """Base class: a positive, nonincreasing step-size sequence.
+
+    A family is one formula, ``_alphas``.  ``values(n)`` evaluates it at
+    ``0, ..., n-1`` and ``value(k)`` reads blocks of it: the same bits."""
 
     kind: str = "abstract"
+    _start = _stop = 0  # value's block holds alpha_k for _start <= k < _stop
+    _block: Sequence[float] = ()
 
-    def value(self, k: int) -> float:
-        """Step size ``alpha_k`` for integer ``k >= 0``."""
+    def _alphas(self, ks: np.ndarray) -> np.ndarray:
+        """``alpha_k`` at each float index ``k`` of ``ks`` (all ``>= 0``)."""
         raise NotImplementedError
 
-    def values(self, n: int) -> np.ndarray:
-        """Vectorized ``[alpha_0, ..., alpha_{n-1}]``.
+    def value(self, k: int) -> float:
+        """Step size ``alpha_k`` for integer ``k >= 0``: ``values(n)[k]`` for any ``n > k``."""
+        start = self._start
+        if start <= k < self._stop:
+            return self._block[k - start]
+        if k < 0:
+            raise ScheduleError(f"iteration index must be >= 0, got {k}")
+        self._start, self._stop = k, k + _BLOCK
+        self._block = self._alphas(np.arange(k, k + _BLOCK, dtype=float)).tolist()
+        return self._block[0]
 
-        Subclasses override with closed forms; the base implementation loops.
-        """
-        return np.array([self.value(k) for k in range(n)], dtype=float)
+    def values(self, n: int) -> np.ndarray:
+        """Vectorized ``[alpha_0, ..., alpha_{n-1}]``."""
+        return self._alphas(np.arange(n, dtype=float))
 
     def classify_sum(self) -> str:
         """Return ``"divergent"`` or ``"convergent"`` for ``sum_k alpha_k``.
@@ -89,10 +106,6 @@ class StepSchedule:
     def __repr__(self) -> str:  # pragma: no cover - convenience only
         return f"<{type(self).__name__} {self.describe()}>"
 
-    def _check_k(self, k: int) -> None:
-        if k < 0:
-            raise ScheduleError(f"iteration index must be >= 0, got {k}")
-
 
 class PowerSchedule(StepSchedule):
     """``alpha_k = c / (k + offset)**p`` with ``c > 0``, ``p > 0``, integer ``offset >= 1``."""
@@ -112,12 +125,8 @@ class PowerSchedule(StepSchedule):
         self.p = float(p)
         self.offset = int(offset)
 
-    def value(self, k: int) -> float:
-        self._check_k(k)
-        return self.c / (k + self.offset) ** self.p
-
-    def values(self, n: int) -> np.ndarray:
-        return self.c / (np.arange(n, dtype=float) + self.offset) ** self.p
+    def _alphas(self, ks: np.ndarray) -> np.ndarray:
+        return self.c / (ks + self.offset) ** self.p
 
     def classify_sum(self) -> str:
         # p-test: sum 1/(k+m)^p diverges iff p <= 1.
@@ -140,20 +149,11 @@ class ConstantSchedule(StepSchedule):
             raise ScheduleError(f"constant schedule needs finite c > 0, got c={c}")
         self.c = float(c)
 
-    def value(self, k: int) -> float:
-        self._check_k(k)
-        return self.c
-
-    def values(self, n: int) -> np.ndarray:
-        return np.full(n, self.c, dtype=float)
+    def _alphas(self, ks: np.ndarray) -> np.ndarray:
+        return np.full(ks.shape, self.c)
 
     def classify_sum(self) -> str:
         return DIVERGENT
-
-    def partial_sum(self, n: int) -> float:
-        if n < 0:
-            raise ScheduleError(f"partial_sum needs n >= 0, got {n}")
-        return self.c * n
 
     def to_config(self) -> dict:
         return {"kind": "constant", "c": self.c}
@@ -179,12 +179,8 @@ class GeometricSchedule(StepSchedule):
         self.c = float(c)
         self.r = float(r)
 
-    def value(self, k: int) -> float:
-        self._check_k(k)
-        return self.c * self.r**k
-
-    def values(self, n: int) -> np.ndarray:
-        return self.c * self.r ** np.arange(n, dtype=float)
+    def _alphas(self, ks: np.ndarray) -> np.ndarray:
+        return self.c * self.r ** ks
 
     def classify_sum(self) -> str:
         return CONVERGENT
@@ -199,8 +195,8 @@ class GeometricSchedule(StepSchedule):
 class TableSchedule(StepSchedule):
     """Explicit leading values followed by a tail schedule.
 
-    ``alpha_k = values[k]`` for ``k < len(values)`` and
-    ``alpha_k = tail.value(k - len(values))`` afterwards.  The joint sequence
+    ``alpha_k = values[k]`` for ``k < len(values)`` and the tail's formula
+    at ``k - len(values)`` afterwards.  The joint sequence
     must stay nonincreasing, so ``tail.value(0) <= values[-1]`` is enforced
     at construction.
     """
@@ -225,16 +221,10 @@ class TableSchedule(StepSchedule):
         self.head = head_arr
         self.tail = tail
 
-    def value(self, k: int) -> float:
-        self._check_k(k)
-        if k < self.head.size:
-            return float(self.head[k])
-        return self.tail.value(k - self.head.size)
-
-    def values(self, n: int) -> np.ndarray:
-        if n <= self.head.size:
-            return self.head[:n].copy()
-        return np.concatenate([self.head, self.tail.values(n - self.head.size)])
+    def _alphas(self, ks: np.ndarray) -> np.ndarray:
+        n = self.head.size
+        head = self.head[np.minimum(ks, n - 1).astype(np.intp)]
+        return np.where(ks < n, head, self.tail._alphas(np.maximum(ks - n, 0.0)))
 
     def classify_sum(self) -> str:
         # A finite head never changes convergence; defer to the tail.

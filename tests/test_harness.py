@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import saddle_escape
+from saddle_escape import harness_cli as cli
 from saddle_escape import methods as mth
 from saddle_escape import objectives as obj_mod
 from saddle_escape import schedules as sch
@@ -313,6 +314,32 @@ def test_chart_experiment_uncertifiable_epsilon(tmp_path):
                    chart={"epsilon": 0.9})
     with pytest.raises(ExperimentAssertionError, match="largest certifiable"):
         chart_experiment(cfg)
+
+
+def test_chart_experiment_passes_only_the_options_it_is_given(tmp_path, monkeypatch):
+    # the library's defaults apply unless the config sets an option: an
+    # empty chart block passes no keyword beyond the method
+    seen = {}
+
+    def spy(name, fn):
+        def call(*args, **kw):
+            seen[name] = kw
+            return fn(*args, **kw)
+        monkeypatch.setattr(cli, name, call)
+
+    spy("remainder_from_objective", cli.remainder_from_objective)
+    spy("chart", cli.chart)
+    cfg = make_cfg(experiment="chart", output_dir=str(tmp_path / "a"),
+                   objective={"name": "cubic", "a": 0.1})
+    chart_experiment(cfg)
+    assert seen == {"remainder_from_objective": {"method": "gd"}, "chart": {}}
+    cfg = make_cfg(experiment="chart", output_dir=str(tmp_path / "b"),
+                   objective={"name": "cubic", "a": 0.1},
+                   chart={"fp_budget": 400, "delta0": 0.05, "epsilon": None})
+    chart_experiment(cfg)
+    assert seen == {"remainder_from_objective": {"method": "gd", "delta0": 0.05,
+                                                 "epsilon": None},
+                    "chart": {"fp_budget": 400}}
 
 
 def test_single_run_requires_init(tmp_path):

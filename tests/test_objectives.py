@@ -140,3 +140,21 @@ def test_custom_objective_dimension_check():
                           lambda x: np.zeros((2, 2)), name="flat")
     with pytest.raises(obj_mod.ObjectiveError):
         f.grad(np.zeros(3))
+
+
+@pytest.mark.parametrize("make", [fig1, _looped_cubic], ids=["fig1", "looped"])
+@pytest.mark.parametrize("x", [np.float64(1.0), np.array(1.0)], ids=["scalar", "0-d"])
+def test_a_0d_point_is_an_objective_error(make, x):
+    f = make()
+    for call in (f.eval, f.grad, f.hess):
+        with pytest.raises(obj_mod.ObjectiveError, match=r"shape \(\)"):
+            call(x)
+
+
+def test_looped_callables_take_an_empty_stack():
+    # an empty stack gives fig1's shapes, not apply_along_axis's ValueError
+    f, g = fig1(), _looped_cubic()
+    for x, lead in ((np.zeros((0, 2)), (0,)), (np.zeros((3, 0, 2)), (3, 0))):
+        shapes = [lead, lead + (2,), lead + (2, 2)]
+        assert [np.shape(f.eval(x)), f.grad(x).shape, f.hess(x).shape] == shapes
+        assert [g.eval(x).shape, g.grad(x).shape, g.hess(x).shape] == shapes

@@ -107,11 +107,34 @@ def test_power_positive_and_nonincreasing(c, p, offset, n):
     assert np.all(np.diff(v) <= 0)
 
 
-@given(n=st.integers(1, 300), k=st.integers(0, 299))
-def test_values_consistent_with_value(n, k):
-    if k >= n:
-        k = n - 1
-    for s in (sch.power(1.0, 1.0, 2), sch.geometric(0.2, 0.8),
-              sch.table([0.7, 0.6], sch.power(1.0, 1.0, 2))):
-        # geometric values() accumulates by cumprod, so allow an ulp or two
-        assert math.isclose(s.values(n)[k], s.value(k), rel_tol=1e-13)
+BLOCK_EDGES = [0, 5, 1023, 1024, 2047, 2048, 3000, 1500, 1023, 0, 10**7, 10**7 + 1023,
+               10**7 + 1024, 17]  # in call order: 1500, 1023, 0 and 17 jump backward
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sch.power(1.0, 0.5, 1),
+    lambda: sch.power(1.0, 0.5, 7),
+    lambda: sch.power(0.3, 0.75, 1),
+    lambda: sch.power(0.3, 0.75, 50),
+    lambda: sch.power(1.0, 1.0, 2),
+    lambda: sch.power(1.0, 1.0, 3),
+    lambda: sch.power(1.0, 4.0, 1),
+    lambda: sch.power(2.0, 4.0, 5),
+    lambda: sch.constant(0.25),
+    lambda: sch.geometric(0.5, 0.9),
+    lambda: sch.geometric(0.2, 0.999),
+    lambda: sch.table([0.9, 0.8, 0.7], sch.power(0.3, 0.75, 1)),
+], ids=["power-0.5-1", "power-0.5-7", "power-0.75-1", "power-0.75-50", "power-1-2",
+        "power-1-3", "power-4-1", "power-4-5", "constant", "geometric-0.9",
+        "geometric-0.999", "table-power-0.75"])
+def test_value_reads_the_bits_values_computes(make):
+    # one formula per family: value(k) is values(n)[k] bit for bit, at every
+    # k of the first 5000, across value's block edges and after backward jumps
+    s = make()
+    n = 5000
+    np.testing.assert_array_equal([s.value(k) for k in range(n)], s.values(n))
+    far = s.values(10**7 + 1025)
+    for k in BLOCK_EDGES:
+        assert s.value(k) == far[k], k
+    with pytest.raises(sch.ScheduleError):
+        s.value(-1)
