@@ -36,10 +36,10 @@ from . import objectives
 from . import schedules as sched_mod
 from .lyapunov_perron import LyapunovError, chart, remainder_from_objective
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, CONVERGENCE_WINDOW,
-                      DEFAULT_BUDGET, DEFAULT_ESCAPE_RADIUS, DEFAULT_STRIDE,
+                      DEFAULT_BUDGET, DEFAULT_CONV_TOL, DEFAULT_ESCAPE_RADIUS, DEFAULT_STRIDE,
                       ESCAPED_REGION, STEP_ERROR, MethodError, RiemannianMetric,
                       TrajectoryRecord, _recursion, constant_metric, run, run_batch)
-from .objectives import Objective, classify_critical_point
+from .objectives import DEFAULT_EIG_TOL, DEFAULT_GRAD_TOL, Objective, classify_critical_point
 
 __all__ = [
     "ConfigError",
@@ -105,13 +105,13 @@ class ExperimentConfig:
     seed: int = 0
     init_box: list = field(default_factory=lambda: [[-1.0, 1.0], [-1.0, 1.0]])
     budget: int = DEFAULT_BUDGET
-    conv_tol: float = 1e-9
+    conv_tol: float = DEFAULT_CONV_TOL
     escape_radius: float = DEFAULT_ESCAPE_RADIUS
     stride: int = DEFAULT_STRIDE
     output_dir: str = "."
     init: Optional[list] = None
-    grad_tol: float = 1e-8
-    eig_tol: float = 1e-8
+    grad_tol: float = DEFAULT_GRAD_TOL
+    eig_tol: float = DEFAULT_EIG_TOL
     window: int = CONVERGENCE_WINDOW
     metric: Optional[list] = None
     chart: dict = field(default_factory=dict)
@@ -248,13 +248,13 @@ def _make_output_dir(path: str) -> None:
 
 
 def _point(value, dim: int, name: str) -> np.ndarray:
-    """A config list of ``dim`` numbers as a float vector."""
+    """A config list of ``dim`` finite numbers as a float vector."""
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
-    if x.shape != (dim,):
-        raise ConfigError(f"{name} must have {dim} coordinates, got {value!r}")
+    if x.shape != (dim,) or not np.all(np.isfinite(x)):
+        raise ConfigError(f"{name} must have {dim} finite coordinates, got {value!r}")
     return x
 
 
@@ -447,8 +447,8 @@ def chart_experiment(cfg: ExperimentConfig):
     ...) into cfg.output_dir.  An uncertifiable contraction raises
     ExperimentAssertionError carrying the largest certifiable epsilon.  The
     method is gd, mirror-euclidean or metric-less manifold-intrinsic, the
-    ids that run gd's recursion (ExperimentConfig rejects any other); a
-    grid_halfwidth above delta/2 is a ConfigError.
+    ids that run gd's recursion (ExperimentConfig rejects any other).  A
+    grid_halfwidth above delta/2, which ``chart`` rejects, is a ConfigError.
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -494,13 +494,12 @@ def chart_experiment(cfg: ExperimentConfig):
     if len(prob.split.stable_indices) != 1:
         raise ConfigError("the chart driver grids a one-dimensional stable block; "
                           "use saddle_escape.lyapunov_perron.chart directly otherwise")
-    if halfwidth is None:
-        halfwidth = prob.delta / 2.0
-    elif halfwidth > prob.delta / 2.0:
-        raise ConfigError(f"chart.grid_halfwidth = {halfwidth!r} exceeds delta/2 "
-                          f"for the certified delta = {prob.delta:g}")
-    grid = np.linspace(-halfwidth, halfwidth, points)
-    ch = chart(prob, grid, **solve_options)
+    halfwidth = prob.delta / 2.0 if halfwidth is None else halfwidth
+    try:  # chart holds its grid to B(0, delta/2)
+        ch = chart(prob, np.linspace(-halfwidth, halfwidth, points), **solve_options)
+    except LyapunovError as err:
+        raise ConfigError(f"chart.grid_halfwidth = {halfwidth!r} for the certified "
+                          f"delta = {prob.delta:g}: {err}") from err
 
     _make_output_dir(cfg.output_dir)
     d_s = len(prob.split.stable_indices)

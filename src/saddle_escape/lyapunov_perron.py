@@ -65,9 +65,15 @@ __all__ = [
     "TailBound",
     "tail_horizon",
     "DEFAULT_TAIL_TOL",
+    "DEFAULT_FP_TOL",
+    "DEFAULT_FP_BUDGET",
+    "DEFAULT_HORIZON_CAP",
 ]
 
 DEFAULT_TAIL_TOL = 1e-10
+DEFAULT_FP_TOL = 1e-10  # Picard stops once the sup-distance of two iterates is below this
+DEFAULT_FP_BUDGET = 500  # Picard applications before a solve fails
+DEFAULT_HORIZON_CAP = 100_000  # the longest horizon the tail-bound search tries
 
 # a scan run's cumprods stay at or above this floor, so that they never
 # underflow; the default chart's products stay above 3e-4: one run per block
@@ -448,8 +454,8 @@ class StablePointResult(NamedTuple):
     history: list
 
 
-def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = 1e-10,
-                       fp_budget: int = 500) -> StablePointResult:
+def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = DEFAULT_FP_TOL,
+                       fp_budget: int = DEFAULT_FP_BUDGET) -> StablePointResult:
     """Picard-iterate T from the zero sequence until sup-distance < fp_tol.
 
     Returns the unstable coordinates of the converged 0-th entry (the chart
@@ -624,17 +630,18 @@ class ManifoldChart:
     failures: list
 
 
-def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
-          fp_budget: int = 500) -> ManifoldChart:
+def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = DEFAULT_FP_TOL,
+          fp_budget: int = DEFAULT_FP_BUDGET) -> ManifoldChart:
     """Map solve_stable_point over a grid of stable-block anchors in B(0, delta/2).
 
-    Also solves at 0 (the chart must vanish there), takes central
-    finite-difference derivatives of phi at 0 for the spacings 1e-2 and
-    1e-3 (tangency to the stable block requires ||Dphi(0)|| <= 1e-3 at
-    both), and flags discontinuity when an adjacent difference quotient
-    exceeds 3x the median of the others (a heuristic jump detector, not a
-    Lipschitz proof).  Individual sample failures mark the chart partial
-    instead of aborting the rest.
+    One anchor list is solved: the grid, then 0 (the chart must vanish
+    there), then +-h e_i per stable coordinate i for h = 1e-2 and 1e-3,
+    whose central differences give Dphi(0) (tangency to the stable block
+    requires ||Dphi(0)|| <= 1e-3 at both).  Discontinuity is flagged when
+    an adjacent difference quotient exceeds 3x the median of the others (a
+    heuristic jump detector, not a Lipschitz proof).  Each failing anchor
+    is listed in ``failures`` and marks the chart partial instead of
+    aborting the rest; a spacing with a failing probe has no ``dphi_norms``.
     """
     radius = prob.delta / 2.0
     grid_vecs = [_as_stable_vector(prob, g) for g in grid]
@@ -642,58 +649,37 @@ def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = 1e-10,
         if float(np.linalg.norm(g)) > radius:
             raise LyapunovError(
                 f"grid point {g} lies outside the chart radius delta/2={radius:g}")
-    results = [_chart_sample(prob, g, fp_tol, fp_budget) for g in grid_vecs]
-    phi_vals = [r[0] for r in results]
-    residuals = [r[1] for r in results]
-    iters = [r[2] for r in results]
-    failures = [(g, r[3]) for g, r in zip(grid_vecs, results) if r[3] is not None]
-
-    d_s = len(prob.split.stable_indices)
-    zero = np.zeros(d_s)
-    phi0, res0, _, fail0 = _chart_sample(prob, zero, fp_tol, fp_budget)
-    if fail0 is not None:
-        failures.append((zero, fail0))
-        phi_zero_norm = math.inf
-    else:
-        phi_zero_norm = float(np.linalg.norm(phi0))
+    n, d_s, spacings = len(grid_vecs), len(prob.split.stable_indices), (1e-2, 1e-3)
+    probes = [s * h * e for h in spacings for e in np.eye(d_s) for s in (1.0, -1.0)]
+    anchors = grid_vecs + [np.zeros(d_s)] + probes
+    results = [_chart_sample(prob, g, fp_tol, fp_budget) for g in anchors]
+    phi = [r[0] for r in results]
+    failures = [(g, r[3]) for g, r in zip(anchors, results) if r[3] is not None]
+    phi_zero_norm = math.inf if phi[n] is None else float(np.linalg.norm(phi[n]))
 
     dphi_norms: dict = {}
-    for h in (1e-2, 1e-3):
-        cols = []
-        failed = False
-        for i in range(d_s):
-            e = np.zeros(d_s)
-            e[i] = h
-            fp, _, _, f1 = _chart_sample(prob, e, fp_tol, fp_budget)
-            fm, _, _, f2 = _chart_sample(prob, -e, fp_tol, fp_budget)
-            if f1 is not None or f2 is not None:
-                failures.append((e, f1 or f2))
-                failed = True
-                break
-            cols.append((fp - fm) / (2.0 * h))
-        if not failed:
-            D = np.stack(cols, axis=1)  # d_u x d_s
-            dphi_norms[h] = float(np.linalg.norm(D, 2))
+    for j, h in enumerate(spacings):
+        pm = phi[n + 1 + 2 * d_s * j:n + 1 + 2 * d_s * (j + 1)]
+        if all(p is not None for p in pm):
+            D = (np.stack(pm[0::2], axis=1) - np.stack(pm[1::2], axis=1)) / (2.0 * h)
+            dphi_norms[h] = float(np.linalg.norm(D, 2))  # D is d_u x d_s
     tangency_ok = bool(dphi_norms) and all(v <= 1e-3 for v in dphi_norms.values())
 
     ratios = []
-    for i in range(len(grid_vecs) - 1):
-        if phi_vals[i] is None or phi_vals[i + 1] is None:
+    for i in range(n - 1):
+        if phi[i] is None or phi[i + 1] is None:
             continue
         gap = float(np.linalg.norm(grid_vecs[i + 1] - grid_vecs[i]))
         if gap > 0:
-            ratios.append(float(np.linalg.norm(phi_vals[i + 1] - phi_vals[i])) / gap)
-    if len(ratios) >= 3:
-        lip = max(1.0, 3.0 * float(np.median(ratios)))
-        continuity_ok = all(r <= lip for r in ratios)
-    else:
-        continuity_ok = True
+            ratios.append(float(np.linalg.norm(phi[i + 1] - phi[i])) / gap)
+    lip = max(1.0, 3.0 * float(np.median(ratios))) if len(ratios) >= 3 else math.inf
+    continuity_ok = all(r <= lip for r in ratios)
 
-    return ManifoldChart(grid=grid_vecs, phi=phi_vals, residuals=residuals,
-                         picard_iters=iters, phi_zero_norm=phi_zero_norm,
-                         dphi_norms=dphi_norms, tangency_ok=tangency_ok,
-                         continuity_ok=continuity_ok, partial=bool(failures),
-                         failures=failures)
+    return ManifoldChart(grid=grid_vecs, phi=phi[:n], residuals=[r[1] for r in results[:n]],
+                         picard_iters=[r[2] for r in results[:n]],
+                         phi_zero_norm=phi_zero_norm, dphi_norms=dphi_norms,
+                         tangency_ok=tangency_ok, continuity_ok=continuity_ok,
+                         partial=bool(failures), failures=failures)
 
 
 def _chart_sample(prob, g, fp_tol, fp_budget):
@@ -725,7 +711,7 @@ class TailBound(NamedTuple):
 
 def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
                  delta: float, *, order: int = 1, horizon: Optional[int] = None,
-                 horizon_cap: int = 100_000,
+                 horizon_cap: int = DEFAULT_HORIZON_CAP,
                  tail_tol: float = DEFAULT_TAIL_TOL) -> TailBound:
     """Pick the horizon N from a bound on the tail it drops, orbit decay included.
 
@@ -823,7 +809,7 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
 def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                              method: str = "gd", delta0: float = 0.1,
                              max_halvings: int = 20, horizon: Optional[int] = None,
-                             horizon_cap: int = 100_000,
+                             horizon_cap: int = DEFAULT_HORIZON_CAP,
                              tail_tol: float = DEFAULT_TAIL_TOL,
                              epsilon: Optional[float] = None,
                              ) -> tuple[PerronProblem, ContractionCertificate]:
@@ -837,20 +823,23 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         eta(k, z) = -alpha_k * Q * (grad f(x* + Q^{-1} z) - H Q^{-1} z),
 
     which vanishes at 0 and inherits a Lipschitz modulus alpha_k * epsilon
-    from the Hessian's modulus of continuity.  epsilon is the analytic bound
-    for the builtin objectives (0 for quadratics; 6|a|delta for the cubic
-    perturbation, a conservative bound on the Hessian deviation over
-    B(0, delta)) and otherwise a sampled-quotient estimate over 10000 random
-    pairs (seed 0), times a 1.5 safety factor.
+    from the Hessian's modulus of continuity.  One branch picks epsilon's
+    source, a function of the radius delta, with the remainder's ``order``
+    (see :func:`tail_horizon`): a given ``epsilon`` (order 1); 0 for a
+    quadratic (order 1); 6|a|delta for the cubic, a conservative bound on
+    the Hessian deviation over B(0, delta) (order 2); otherwise a sampled
+    quotient over 10000 random pairs (seed 0) on B(0, delta), times a 1.5
+    safety factor (order 1).
 
     delta starts at delta0 and is halved (at most max_halvings times) until
-    the certificate K < 1 holds.  Unless ``horizon`` is given,
-    :func:`tail_horizon` searches for it, with the analytic cubic modulus
-    as an order-2 remainder (a sampled or given epsilon is constant in the
-    radius, order 1).  The problem gets that ``horizon`` and ``order`` and
-    works out its own ``tail_estimate`` and ``horizon_capped``; the
-    method's own step on y = x - x* is its ``dynamics``.  Its ``eta`` reads
-    alpha_k from the problem's ``alphas``, so it takes k <= N only.
+    the certificate K < 1 holds, else CertificateError; a given epsilon is
+    certified once, at delta0, and its certificate returned even when
+    invalid.  Unless ``horizon`` is given, :func:`tail_horizon` searches
+    for it.  The problem gets that
+    ``horizon`` and ``order`` and works out its own ``tail_estimate`` and
+    ``horizon_capped``; the method's own step on y = x - x* is its
+    ``dynamics``.  Its ``eta`` reads alpha_k from the problem's ``alphas``,
+    so it takes k <= N only.
 
     Returns (PerronProblem, ContractionCertificate).  ``method`` is an id
     whose recursion is gd's: gd, mirror-euclidean or manifold-intrinsic.  The
@@ -861,6 +850,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         raise NotImplementedError(
             f"remainder extraction is implemented for gd's recursion only (gd, "
             f"mirror-euclidean, manifold-intrinsic without a metric), got {method!r}")
+    if max_halvings < 0:
+        raise LyapunovError(f"max_halvings must be >= 0, got {max_halvings}")
     x_star = np.asarray(x_star, dtype=float)
     g_star = np.asarray(obj.grad(x_star), dtype=float)
     if float(np.linalg.norm(g_star)) > 1e-8:
@@ -877,30 +868,27 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     def eta(ks, Z):  # k <= N: prob, built below, holds alpha_0..alpha_N
         return prob.alphas[np.asarray(ks)][:, None] * psi_batch(np.asarray(Z, dtype=float))
 
-    a_coef = getattr(obj, "cubic_coefficient", None)
-    is_quadratic = getattr(obj, "quadratic_matrix", None) is not None
+    if epsilon is not None:  # epsilon's source, delta -> epsilon, and the remainder's order
+        modulus, order = (lambda _: float(epsilon)), 1
+    elif getattr(obj, "quadratic_matrix", None) is not None:
+        modulus, order = (lambda _: 0.0), 1
+    elif (a_coef := getattr(obj, "cubic_coefficient", None)) is not None:
+        modulus, order = (lambda r: 6.0 * abs(a_coef) * r), 2
+    else:
+        modulus, order = (lambda r: _sampled_epsilon(psi_batch, sp.dimension, r)), 1
 
     delta = float(delta0)
-    eps_val = cert = None
     for _ in range(max_halvings + 1):
-        if epsilon is not None:
-            eps_val = float(epsilon)
-        elif is_quadratic:
-            eps_val = 0.0
-        elif a_coef is not None:
-            eps_val = 6.0 * abs(a_coef) * delta
-        else:
-            eps_val = _sampled_epsilon(psi_batch, sp.dimension, delta)
+        eps_val = modulus(delta)
         cert = _certify(sp, schedule, eps_val)
-        if cert.valid or epsilon is not None:
+        if cert.valid or epsilon is not None:  # a given epsilon does not shrink with delta
             break
         delta *= 0.5
-    if not cert.valid and epsilon is None:
+    else:
         raise CertificateError(
             f"no contraction after {max_halvings} delta-halvings "
             f"(K = {cert.k:.6g}, epsilon needs to be < {cert.epsilon_star:.6g})")
 
-    order = 2 if epsilon is None and not is_quadratic and a_coef is not None else 1
     if horizon is None:
         horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
                                horizon_cap=horizon_cap, tail_tol=tail_tol).horizon

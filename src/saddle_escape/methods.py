@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .objectives import CriticalPointClass, Objective, classify_critical_point
+from .objectives import (DEFAULT_EIG_TOL, DEFAULT_GRAD_TOL, CriticalPointClass,
+                         Objective, classify_critical_point)
 from .schedules import StepSchedule
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "BUDGET_EXHAUSTED",
     "STEP_ERROR",
     "DEFAULT_BUDGET",
+    "DEFAULT_CONV_TOL",
     "DEFAULT_ESCAPE_RADIUS",
     "DEFAULT_STRIDE",
     "CONVERGENCE_WINDOW",
@@ -63,6 +65,7 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 STEP_ERROR = "step_error"
 
 DEFAULT_BUDGET = 100_000
+DEFAULT_CONV_TOL = 1e-9  # a step shorter than this counts toward the convergence window
 DEFAULT_ESCAPE_RADIUS = 1e3
 DEFAULT_STRIDE = 10
 CONVERGENCE_WINDOW = 50  # consecutive small steps required to declare convergence
@@ -87,11 +90,13 @@ class ManifoldError(MethodError):
 
 
 class RiemannianMetric:
-    """Constant inverse metric M^{-1} (``matrix``); must be symmetric positive definite."""
+    """Constant inverse metric M^{-1} (``matrix``); must be finite, symmetric positive definite."""
 
     def __init__(self, matrix: np.ndarray, name: str):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise MethodError(f"inverse metric '{name}' is not square: shape {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            raise MethodError(f"inverse metric '{name}' has a non-finite entry")
         if float(np.max(np.abs(matrix - matrix.T))) > \
                 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
             raise MethodError(f"inverse metric '{name}' is not symmetric")
@@ -224,9 +229,10 @@ class TrajectoryRecord:
 
 
 def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, *,
-        budget: int = DEFAULT_BUDGET, conv_tol: float = 1e-9,
+        budget: int = DEFAULT_BUDGET, conv_tol: float = DEFAULT_CONV_TOL,
         escape_radius: float = DEFAULT_ESCAPE_RADIUS, stride: int = DEFAULT_STRIDE,
-        window: int = CONVERGENCE_WINDOW, grad_tol: float = 1e-8, eig_tol: float = 1e-8,
+        window: int = CONVERGENCE_WINDOW, grad_tol: float = DEFAULT_GRAD_TOL,
+        eig_tol: float = DEFAULT_EIG_TOL,
         metric: RiemannianMetric | None = None, seed: int | None = None) -> TrajectoryRecord:
     """Iterate ``method_id`` from ``x0`` until escape, convergence, or budget.
 
@@ -526,7 +532,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
 
 
 def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,
-              budget: int = DEFAULT_BUDGET, conv_tol: float = 1e-9,
+              budget: int = DEFAULT_BUDGET, conv_tol: float = DEFAULT_CONV_TOL,
               escape_radius: float = DEFAULT_ESCAPE_RADIUS, window: int = CONVERGENCE_WINDOW,
               metric: RiemannianMetric | None = None) -> BatchResult:
     """Run every row of ``X0`` to the terminal :func:`run` would give it.

@@ -33,6 +33,8 @@ __all__ = [
     "LOCAL_MIN_CANDIDATE",
     "DEGENERATE",
     "NOT_CRITICAL",
+    "DEFAULT_GRAD_TOL",
+    "DEFAULT_EIG_TOL",
 ]
 
 STRICT_SADDLE = "strict_saddle"
@@ -41,6 +43,8 @@ DEGENERATE = "degenerate"
 NOT_CRITICAL = "not_critical"
 
 SYMMETRY_TOL = 1e-12
+DEFAULT_GRAD_TOL = 1e-8  # a point is critical when its gradient norm is at most this
+DEFAULT_EIG_TOL = 1e-8  # Hessian eigenvalues within this of 0 count as 0
 
 
 class ObjectiveError(ValueError):
@@ -135,6 +139,8 @@ def quadratic(A: np.ndarray, name: str = "quadratic") -> Objective:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ObjectiveError(f"quadratic needs a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ObjectiveError("quadratic matrix has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(A))))
     if float(np.max(np.abs(A - A.T))) > SYMMETRY_TOL * scale:
         raise ObjectiveError("quadratic matrix is not symmetric (tolerance 1e-12)")
@@ -206,8 +212,8 @@ class CriticalPointClass:
 def classify_critical_point(
     obj: Objective,
     x: np.ndarray,
-    grad_tol: float = 1e-8,
-    eig_tol: float = 1e-8,
+    grad_tol: float = DEFAULT_GRAD_TOL,
+    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> CriticalPointClass:
     """Classify ``x`` as strict saddle / local-min candidate / degenerate / not critical.
 

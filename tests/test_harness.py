@@ -342,6 +342,19 @@ def test_chart_experiment_passes_only_the_options_it_is_given(tmp_path, monkeypa
                     "chart": {"fp_budget": 400}}
 
 
+def test_chart_experiment_grid_halfwidth_is_held_to_half_delta_by_chart(tmp_path):
+    # the cubic certifies delta = 0.1: a grid out to 0.05 charts, and one past
+    # it is the library chart's LyapunovError, reported as a ConfigError
+    cubic = {"name": "cubic", "a": 0.1}
+    ch, _, prob = chart_experiment(make_cfg(experiment="chart", output_dir=str(tmp_path),
+                                            objective=cubic, chart={"grid_halfwidth": 0.05}))
+    assert prob.delta == 0.1 and not ch.partial
+    cfg = make_cfg(experiment="chart", output_dir=str(tmp_path), objective=cubic,
+                   chart={"grid_halfwidth": 0.0500001})
+    with pytest.raises(ConfigError, match=r"^chart\.grid_halfwidth = 0\.0500001 .*delta/2"):
+        chart_experiment(cfg)
+
+
 def test_single_run_requires_init(tmp_path):
     cfg = make_cfg(experiment="single_run", output_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="init"):
@@ -491,13 +504,26 @@ INTRINSIC = "manifold-intrinsic"
     ("fig1", {"experiment": "fig1", "method_id": "prox"}),
     ("fig1", {"experiment": "fig1", "method_id": INTRINSIC,
               "metric": [[2.0, 0.0], [0.0, 1.0]]}),
+    ("avoidance", {"objective": {"name": "quadratic", "matrix": [[math.nan, 0.0], [0.0, -1.0]]}}),
+    ("chart", {"experiment": "chart",
+               "objective": {"name": "quadratic", "matrix": [[math.nan, 0.0], [0.0, -1.0]]}}),
+    ("run", {"experiment": "single_run", "method_id": INTRINSIC, "init": [1.0, 2.0],
+             "metric": [[math.nan, 0.0], [0.0, 1.0]]}),
+    ("run", {"experiment": "single_run", "method_id": INTRINSIC, "init": [1.0, 2.0],
+             "metric": [[math.inf, 0.0], [0.0, 1.0]]}),
+    ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+               "chart": {"critical_point": [math.nan, 0.0]}}),
+    ("run", {"experiment": "single_run", "init": [math.nan, 0.5]}),
+    ("fig1", {"experiment": "fig1", "init": [math.nan, 0.5]}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
         "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
         "constant-c-inf", "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
         "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
-        "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric"])
+        "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric",
+        "avoidance-matrix-nan", "chart-matrix-nan", "metric-nan", "metric-inf",
+        "critical_point-nan", "init-nan", "fig1-init-nan"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file

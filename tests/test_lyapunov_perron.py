@@ -568,12 +568,31 @@ def test_chart_partial_failure_is_reported():
     prob = cubic_problem(horizon=500)
     ch = chart(prob, [0.0, 0.02], fp_tol=1e-30, fp_budget=1)
     assert ch.partial
-    # the zero anchor converges trivially; the 0.02 sample and the tangency
-    # probes cannot meet fp_tol in one application and land in failures
+    # the zero anchors converge trivially; the 0.02 sample and every tangency
+    # probe cannot meet fp_tol in one application, and each is listed
     assert ch.phi[0] is not None
     assert ch.phi[1] is None
-    assert len(ch.failures) >= 1
+    assert [float(g[0]) for g, _ in ch.failures] == [0.02, 1e-2, -1e-2, 1e-3, -1e-3]
+    assert all("did not reach fp_tol" in msg for _, msg in ch.failures)
+    assert ch.phi_zero_norm == 0.0
+    assert ch.dphi_norms == {}
     assert not ch.tangency_ok
+
+
+def test_chart_in_two_stable_dimensions_takes_central_differences():
+    # d_s = 2: column i of Dphi(0) is (phi(h e_i) - phi(-h e_i)) / 2h, from
+    # the same solves as direct solve_stable_point calls
+    prob = synthetic_problem(horizon=40)
+    grid = [np.array([0.1, -0.05]), np.zeros(2), np.array([-0.1, 0.2])]
+    ch = chart(prob, grid)
+    assert not ch.partial and ch.tangency_ok
+    for g, p in zip(grid, ch.phi):
+        np.testing.assert_array_equal(p, solve_stable_point(prob, g).x0_minus)
+    assert set(ch.dphi_norms) == {1e-2, 1e-3}
+    for h, norm in ch.dphi_norms.items():
+        cols = [(solve_stable_point(prob, h * e).x0_minus
+                 - solve_stable_point(prob, -h * e).x0_minus) / (2.0 * h) for e in np.eye(2)]
+        assert norm == float(np.linalg.norm(np.stack(cols, axis=1), 2))
 
 
 def test_chart_rejects_grid_outside_radius():
@@ -618,6 +637,15 @@ def test_remainder_explicit_epsilon_can_return_invalid():
     assert cert.k >= 1.0
     assert 0 < cert.epsilon_star < 0.5
     assert prob.epsilon == 0.5
+
+
+def test_remainder_without_halvings_raises_when_uncertified():
+    # cubic a = 1 under constant(0.5): K = 0.5 + 0.6 * (1 + 1) at delta0 = 0.1
+    f = obj_mod.cubic_perturbed_saddle(1.0)
+    with pytest.raises(CertificateError, match="no contraction after 0 delta-halvings"):
+        remainder_from_objective(f, np.zeros(2), sch.constant(0.5), max_halvings=0)
+    with pytest.raises(LyapunovError, match="max_halvings must be >= 0"):
+        remainder_from_objective(f, np.zeros(2), sch.constant(0.5), max_halvings=-1)
 
 
 def test_remainder_rejects_noncritical_point():

@@ -232,6 +232,9 @@ def test_metric_must_be_spd():
         constant_metric(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(MethodError):
         constant_metric(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf):  # neither the symmetry test nor cholesky catches these
+        with pytest.raises(MethodError, match="non-finite"):
+            constant_metric(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_make_step_routing_and_default_geometry():

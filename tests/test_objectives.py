@@ -24,6 +24,9 @@ def test_quadratic_derivatives():
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(obj_mod.ObjectiveError):
         quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf):  # the symmetry test sees neither
+        with pytest.raises(obj_mod.ObjectiveError, match="non-finite"):
+            quadratic(np.array([[bad, 0.0], [0.0, -1.0]]))
 
 
 def test_quadratic_batched_gradient_matches_rows():
