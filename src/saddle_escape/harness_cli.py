@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -239,14 +239,6 @@ def _build_metric(cfg: ExperimentConfig, obj: Objective) -> Optional[RiemannianM
         raise ConfigError(f"bad metric {cfg.metric!r}: {err}") from err
 
 
-def _make_output_dir(path: str) -> None:
-    """os.makedirs(path), with a path that cannot be made a ConfigError."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create output_dir {path!r}: {err}") from err
-
-
 def _point(value, dim: int, name: str) -> np.ndarray:
     """A config list of ``dim`` finite numbers as a float vector."""
     try:
@@ -274,7 +266,13 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: str, header: list, rows) -> str:
-    """Write a header line and one line of ``_fmt`` cells per row; returns the path."""
+    """Write a header line and one line of ``_fmt`` cells per row, making the
+    file's directory first (a ConfigError if it cannot be made); returns the path."""
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output_dir {directory!r}: {err}") from err
     lines = [",".join(header)] + [",".join(_fmt(c) for c in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -282,7 +280,8 @@ def _write_csv(path: str, header: list, rows) -> str:
 
 
 def emit_plot_data(data, path: str) -> str:
-    """Write a TrajectoryRecord or AvoidanceReport as CSV; returns the path.
+    """Write a TrajectoryRecord or AvoidanceReport as CSV, into a directory made
+    if missing; returns the path.
 
     Trajectory columns: k, x_1..x_d, step_size, grad_norm (one row per
     recorded stride).  Report columns: one row per trial, sorted by trial
@@ -338,8 +337,8 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     ``run`` would end it.  Classifies every terminal
     (step errors get their own bucket, never dropped) and counts saddle
     hits: terminal converged_to_point whose limit classifies strict_saddle
-    and lies within SADDLE_PROXIMITY of a registered critical point (when
-    the objective registers any).
+    and lies within SADDLE_PROXIMITY of a registered critical point (every
+    objective that ``build_objective`` makes registers the origin).
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -360,7 +359,6 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
              "grad_norm": float(grad_norms[t]), "saddle_hit": False,
              "message": res.message[t]} for t in range(cfg.trials)]
 
-    registered = [np.asarray(p, dtype=float) for p in obj.critical_points]
     saddle_hits = 0
     saddle_hit_inits = []
     for row in rows:
@@ -368,10 +366,8 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
             continue
         cls = classify_critical_point(obj, row["final"], grad_tol=cfg.grad_tol,
                                       eig_tol=cfg.eig_tol)
-        near = True
-        if registered:
-            near = min(float(np.linalg.norm(row["final"] - p)) for p in registered) \
-                < SADDLE_PROXIMITY
+        near = min(float(np.linalg.norm(row["final"] - p)) for p in obj.critical_points) \
+            < SADDLE_PROXIMITY
         if cls.tag == objectives.STRICT_SADDLE and near:
             row["saddle_hit"] = True
             saddle_hits += 1
@@ -404,7 +400,6 @@ def fig1_experiment(cfg: ExperimentConfig) -> dict:
     """
     obj = objectives.fig1()
     x0 = _point(cfg.init if cfg.init is not None else [0.5, 0.5], obj.dimension, "init")
-    _make_output_dir(cfg.output_dir)
     records = {}
     for label, spec in FIG1_SCHEDULES:
         schedule = _build_schedule(spec)
@@ -469,10 +464,7 @@ def chart_experiment(cfg: ExperimentConfig):
 
     x_star = cfg.chart.get("critical_point")
     if x_star is None:
-        if not obj.critical_points:
-            raise ConfigError("objective registers no critical point; "
-                              "set chart.critical_point")
-        x_star = obj.critical_points[0]
+        x_star = obj.critical_points[0]  # build_objective's objectives register the origin
     points = option("grid_points", int).get("grid_points", 11)
     halfwidth = option("grid_halfwidth", nullable=True).get("grid_halfwidth")
     solve_options = {**option("fp_tol"), **option("fp_budget", int)}
@@ -501,13 +493,12 @@ def chart_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"chart.grid_halfwidth = {halfwidth!r} for the certified "
                           f"delta = {prob.delta:g}: {err}") from err
 
-    _make_output_dir(cfg.output_dir)
     d_s = len(prob.split.stable_indices)
     d_u = len(prob.split.unstable_indices)
     header = ([f"x0_plus_{i + 1}" for i in range(d_s)]
               + [f"x0_minus_{i + 1}" for i in range(d_u)]
               + ["residual", "picard_iters"])
-    _write_csv(os.path.join(cfg.output_dir, "chart.csv"), header,
+    _write_csv(os.path.join(cfg.output_dir, "chart.csv"), header,  # makes output_dir
                ([*g, *p, r, it] for g, p, r, it in
                 zip(ch.grid, ch.phi, ch.residuals, ch.picard_iters) if p is not None))
 
@@ -549,7 +540,6 @@ def single_run_experiment(cfg: ExperimentConfig) -> TrajectoryRecord:
               escape_radius=cfg.escape_radius, stride=cfg.stride,
               window=cfg.window, grad_tol=cfg.grad_tol, eig_tol=cfg.eig_tol,
               metric=metric, seed=cfg.seed)
-    _make_output_dir(cfg.output_dir)
     emit_plot_data(rec, os.path.join(cfg.output_dir, "run.csv"))
     return rec
 
@@ -589,16 +579,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(
                 f"config says experiment {cfg.experiment!r} but the subcommand "
                 f"is {args.command!r}")
-        if args.seed is not None:
-            if not (0 <= args.seed < 2 ** 64):
-                raise ConfigError("--seed must be a 64-bit nonnegative integer")
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
+        overrides = {"seed": args.seed, "output_dir": args.out}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
         if cfg.experiment == "avoidance":
             report = avoidance_experiment(cfg)
-            _make_output_dir(cfg.output_dir)
             path = emit_plot_data(report, os.path.join(cfg.output_dir, "avoidance.csv"))
             for kind in _TERMINAL_KINDS:
                 print(f"{kind}: {report.counts[kind]}")

@@ -23,8 +23,8 @@ telescope, so no series is summed here: K1 = 1/lambda_stable and
 K2 = 1/|lambda_unstable| are closed forms.  The tail that the horizon N
 drops is bounded in closed form too, along the decay of the fixed orbit
 that a weighted sequence space proves (:func:`tail_horizon`).  ``_spectrum``
-is the one reader of the spectrum and the step bound, ``_contraction`` the one
-formula for K, and a PerronProblem works out its own tail bound.
+is the one reader of the split's two blocks and the step bound, ``_contraction``
+the one formula for K, and a PerronProblem works out its own tail bound.
 
 Everything in this module works in the diagonal frame (coordinates z = Q x of
 :class:`~saddle_escape.spectral.SpectralSplit`); conversion happens at the
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .methods import ESCAPED_REGION, STEP_ERROR, _advance, _recursion, _update
-from .objectives import Objective
+from .objectives import DEFAULT_GRAD_TOL, Objective
 from .schedules import StepSchedule
 from .spectral import SpectralSplit, split
 
@@ -124,7 +124,8 @@ class PerronProblem:
 
     Built once: ``tail_estimate``, ``horizon_capped`` and ``decay_rate`` by
     :func:`tail_horizon`, which raises unless alpha_0 * lambda_max < 1 and
-    lambda_u < 0 exists; ``alphas``, ``factors[k, i] = 1 - alpha_k lambda_i``
+    E^u is nonempty, with no zero eigenvalue unless epsilon = 0; ``alphas``,
+    ``factors[k, i] = 1 - alpha_k lambda_i``
     for k = 0..N and the scan runs (inverse unstable factors run backward).
     """
 
@@ -241,7 +242,8 @@ class ContractionCertificate:
     ``k`` is the contraction constant  1 - alpha0*lambda_stable +
     epsilon*(k1 + k2); the certificate is ``valid`` only when k < 1.
     ``epsilon_star`` is the Lipschitz modulus below which it is:
-    alpha0*lambda_stable / (1/lambda_stable + 1/mu), mu = |lambda_unstable|.
+    alpha0*lambda_stable / (1/lambda_stable + 1/mu), mu = |lambda_unstable|:
+    0.0 for a zero eigenvalue in the unstable block, certified at epsilon = 0 only.
     """
 
     k1: float
@@ -260,29 +262,41 @@ class ContractionCertificate:
 # ---------------------------------------------------------------------------
 
 def _spectrum(split_: SpectralSplit, schedule: StepSchedule) -> tuple[float, float, float]:
-    """(alpha_0, lambda_s, mu): the first step, the least positive eigenvalue
-    and |lambda| for the negative eigenvalue closest to zero (inf if none).
-    Raises CertificateError for an empty stable block or alpha_0 * lambda_max
-    >= 1 (a factor outside (0, 1) can blow the forward sums up)."""
-    evals = split_.eigenvalues
-    pos, negs = evals[evals > 0], evals[evals < 0]
-    if pos.size == 0:
+    """(alpha_0, lambda_s, mu) from the split's two blocks: the first step, the
+    stable block's least eigenvalue and mu = -max of the unstable block (0.0,
+    not -0.0, for a zero eigenvalue; inf if empty).  Raises CertificateError
+    for an empty stable block or alpha_0 * lambda_max >= 1 (a factor outside
+    (0, 1) can blow the forward sums up)."""
+    ev = split_.eigenvalues
+    lam_s, lam_u = ev[split_.stable_indices], ev[split_.unstable_indices]
+    if lam_s.size == 0:
         raise CertificateError("no positive eigenvalue: the stable block is empty")
     alpha0 = float(schedule.value(0))
-    step_bound = alpha0 * float(np.max(pos))
+    step_bound = alpha0 * float(np.max(lam_s))
     if step_bound >= 1.0:
         raise CertificateError(
             f"alpha_0 * lambda_max = {step_bound:.6g} >= 1; "
             "a stable factor does not lie in (0, 1) — shrink the schedule")
-    return alpha0, float(np.min(pos)), -float(np.max(negs)) if negs.size else math.inf
+    return alpha0, float(np.min(lam_s)), abs(float(np.max(lam_u))) if lam_u.size else math.inf
+
+
+def _inverse_mu(mu: float) -> float:
+    """1/mu, the backward sums' bound; the one rule for a zero eigenvalue in the
+    unstable block, whose inverse factors equal 1: no bound exists."""
+    if mu == 0.0:
+        raise CertificateError(
+            "zero eigenvalue in the unstable block: the backward error terms "
+            "do not decay, no finite bound exists")
+    return 1.0 / mu
 
 
 def _contraction(alpha0: float, lam_s: float, mu: float, eps: float,
                  gamma: float = 0.0) -> float:
     """K_w = (1 - alpha0 lambda_s) / (1 - alpha0 gamma) + eps (1/(lambda_s - gamma) + 1/mu),
-    T's contraction constant on :func:`tail_horizon`'s weighted sequences; gamma = 0 gives K."""
+    T's contraction constant on :func:`tail_horizon`'s weighted sequences; gamma = 0 gives K.
+    The backward sums carry eps, so mu = 0 raises (``_inverse_mu``) unless eps = 0."""
     return (1.0 - alpha0 * lam_s) / (1.0 - alpha0 * gamma) + eps * (
-        1.0 / (lam_s - gamma) + 1.0 / mu)
+        1.0 / (lam_s - gamma) + (0.0 if eps == 0.0 else _inverse_mu(mu)))
 
 
 def bound_K1(split_: SpectralSplit, schedule: StepSchedule) -> float:
@@ -306,8 +320,8 @@ def bound_K1(split_: SpectralSplit, schedule: StepSchedule) -> float:
 def bound_K2(split_: SpectralSplit, schedule: StepSchedule) -> float:
     """Bound the backward tail sums on the unstable block.
 
-    With mu = |lambda| for the strictly negative eigenvalue closest to zero
-    (the slowest inverse decay, hence the dominant coordinate), each probe k
+    With mu = |lambda| for the unstable eigenvalue closest to zero (the
+    slowest inverse decay, hence the dominant coordinate), each probe k
     has the sum
 
         R_k = sum_{i>=0} alpha_{k+1+i} * P_i,
@@ -318,18 +332,10 @@ def bound_K2(split_: SpectralSplit, schedule: StepSchedule) -> float:
     positive ``schedule``, with equality when sum alpha_k diverges.
     Returns 1/mu, or 0.0 for an empty unstable block.
 
-    A zero eigenvalue in the unstable block makes the terms non-decaying
-    (inverse factors equal to 1), so it is rejected outright.
+    mu comes from ``_spectrum``, so this raises CertificateError for its
+    checks and for a zero eigenvalue in the unstable block (``_inverse_mu``).
     """
-    evals = split_.eigenvalues
-    if np.any(evals == 0.0):
-        raise CertificateError(
-            "zero eigenvalue in the unstable block: the backward error terms "
-            "do not decay, no finite bound exists")
-    negs = evals[evals < 0]
-    if negs.size == 0:
-        return 0.0  # empty unstable block: no backward sums to bound
-    return 1.0 / abs(float(np.max(negs)))
+    return _inverse_mu(_spectrum(split_, schedule)[2])
 
 
 def contraction_constant(prob: PerronProblem) -> ContractionCertificate:
@@ -342,14 +348,14 @@ def _certify(split_: SpectralSplit, schedule: StepSchedule,
     """K = 1 - alpha0*lambda_s + eps*(K1 + K2) by ``_contraction`` and epsilon_star.
     The certificate records K2 = 0 when eps = 0, as the backward sums carry a
     factor epsilon and drop out; epsilon_star reads 1/mu all the same, because
-    any eps > 0 brings them back."""
+    any eps > 0 brings them back.  At mu = 0 any eps > 0 raises, and it reads 0.0."""
     alpha0, lam_s, mu = _spectrum(split_, schedule)
     k = _contraction(alpha0, lam_s, mu, eps)
-    return ContractionCertificate(
+    return ContractionCertificate(  # lambda_unstable 0.0 - mu: 0.0, not -0.0, for mu = 0
         k1=1.0 / lam_s, k2=0.0 if eps == 0.0 else bound_K2(split_, schedule), k=k,
-        lambda_stable=lam_s, lambda_unstable=None if mu == math.inf else -mu,
+        lambda_stable=lam_s, lambda_unstable=None if mu == math.inf else 0.0 - mu,
         alpha0=alpha0, epsilon=eps, valid=bool(k < 1.0),
-        epsilon_star=alpha0 * lam_s / (1.0 / lam_s + 1.0 / mu))
+        epsilon_star=alpha0 * lam_s / (1.0 / lam_s + 1.0 / mu) if mu else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +467,9 @@ def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = DEFAULT_FP_
     Returns the unstable coordinates of the converged 0-th entry (the chart
     value x0_minus), the whole fixed sequence, the final residual, the number
     of applications, and the residual history (geometric at rate <= K for a
-    certified problem).
+    certified problem).  An fp_budget below 1 raises LyapunovError.
     """
+    _check_fp_budget(fp_budget)
     xp = _as_stable_vector(prob, x0_plus)
     u = np.zeros((prob.horizon + 1, prob.dimension))
     history: list = []
@@ -477,6 +484,11 @@ def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = DEFAULT_FP_
     raise LyapunovError(
         f"Picard iteration did not reach fp_tol={fp_tol:g} within {fp_budget} "
         f"applications (last residual {history[-1]:.3e})")
+
+
+def _check_fp_budget(fp_budget: int) -> None:
+    if not fp_budget >= 1:
+        raise LyapunovError(f"fp_budget must be >= 1 Picard application, got {fp_budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +654,9 @@ def chart(prob: PerronProblem, grid: Sequence, fp_tol: float = DEFAULT_FP_TOL,
     heuristic jump detector, not a Lipschitz proof).  Each failing anchor
     is listed in ``failures`` and marks the chart partial instead of
     aborting the rest; a spacing with a failing probe has no ``dphi_norms``.
+    An fp_budget below 1 raises LyapunovError before any anchor is solved.
     """
+    _check_fp_budget(fp_budget)
     radius = prob.delta / 2.0
     grid_vecs = [_as_stable_vector(prob, g) for g in grid]
     for g in grid_vecs:
@@ -776,7 +790,7 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
         raise LyapunovError(f"horizon and horizon_cap must be >= 1, got {last}")
     alpha0, lam_s, mu = _spectrum(split_, schedule)
     if mu == math.inf:
-        raise LyapunovError("the tail bound needs a strictly negative eigenvalue")
+        raise LyapunovError("the tail bound needs a zero or strictly negative eigenvalue")
     gamma = next((r * lam_s for r in _DECAY_LADDER
                   if _contraction(alpha0, lam_s, mu, epsilon, r * lam_s) < 1.0), 0.0)
 
@@ -854,7 +868,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         raise LyapunovError(f"max_halvings must be >= 0, got {max_halvings}")
     x_star = np.asarray(x_star, dtype=float)
     g_star = np.asarray(obj.grad(x_star), dtype=float)
-    if float(np.linalg.norm(g_star)) > 1e-8:
+    if float(np.linalg.norm(g_star)) > DEFAULT_GRAD_TOL:
         raise LyapunovError(
             f"x_star is not a critical point: |grad| = {np.linalg.norm(g_star):.3e}")
     H = np.asarray(obj.hess(x_star), dtype=float)

@@ -465,6 +465,28 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert (tmp_path / "o2" / "avoidance.csv").exists()
 
 
+def test_cli_run_prints_its_terminal_and_writes_the_library_bytes(tmp_path, capsys):
+    # an on-axis start reaches the saddle of x^2 - y^2: all three prints run
+    data = {"experiment": "single_run", "init": [0.5, 0.0], "stride": 5}
+    out = tmp_path / "cli" / "nested"
+    code = main(["run", "--config", write_cfg(tmp_path, "r.json", data), "--out", str(out)])
+    assert code == 0
+    rec = single_run_experiment(ExperimentConfig.from_dict(
+        dict(data, output_dir=str(tmp_path / "lib"))))
+    assert capsys.readouterr().out.splitlines() == [
+        f"terminal: converged_to_point at step {rec.k_final}",
+        "limit class: strict_saddle", f"wrote run.csv under {out}"]
+    assert (out / "run.csv").read_bytes() == (tmp_path / "lib" / "run.csv").read_bytes()
+
+
+def test_cli_seed_override_is_checked_by_the_config(tmp_path, capsys):
+    code = main(["avoidance", "--config", write_cfg(tmp_path, "s.json", BASE),
+                 "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "seed must be a 64-bit nonnegative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
 INTRINSIC = "manifold-intrinsic"
 

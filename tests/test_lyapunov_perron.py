@@ -5,6 +5,7 @@ implementation that evaluates every transition product with an explicit
 inner loop — the vectorized cumprod scans must reproduce those sums.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -384,6 +385,39 @@ def test_epsilon_star_is_the_certifying_threshold(H, schedule, eps):
         assert star == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
+ZERO_IN_UNSTABLE = np.diag([1.0, 0.0, -1.0])
+
+
+def test_zero_eigenvalue_is_certified_at_epsilon_zero_only():
+    # the zero eigenvalue sits in the split's unstable block: its backward
+    # sums carry epsilon, so epsilon = 0 is certified and no epsilon > 0 is
+    obj = obj_mod.quadratic(ZERO_IN_UNSTABLE)
+    prob, cert = remainder_from_objective(obj, np.zeros(3), HARMONIC)
+    assert (cert.valid, cert.k, cert.k2) == (True, 0.5, 0.0)
+    assert cert.epsilon_star == 0.0 and cert.lambda_unstable == 0.0
+    assert math.copysign(1.0, cert.lambda_unstable) == 1.0  # 0.0, not -0.0
+    assert prob.horizon == 1024
+    sp = split(ZERO_IN_UNSTABLE)
+    for eps in (0.1, 1e-12):
+        with pytest.raises(CertificateError, match="zero eigenvalue in the unstable block"):
+            remainder_from_objective(obj, np.zeros(3), HARMONIC, epsilon=eps)
+        with pytest.raises(CertificateError, match="zero eigenvalue in the unstable block"):
+            lp._certify(sp, HARMONIC, eps)
+    with pytest.raises(CertificateError, match="zero eigenvalue in the unstable block"):
+        PerronProblem(split=sp, schedule=HARMONIC, eta=lambda ks, Z: np.zeros_like(Z),
+                      delta=0.1, epsilon=0.1, horizon=100)
+
+
+def test_a_lone_zero_eigenvalue_charts_at_epsilon_zero():
+    # diag(1, 0): the unstable block is the zero eigenvalue alone
+    prob, cert = remainder_from_objective(obj_mod.quadratic(np.diag([1.0, 0.0])),
+                                          np.zeros(2), HARMONIC)
+    assert (cert.valid, cert.k, cert.lambda_unstable, prob.horizon) == (True, 0.5, 0.0, 1024)
+    ch = chart(prob, np.linspace(-0.05, 0.05, 5))
+    assert not ch.partial and ch.tangency_ok
+    assert all(float(p[0]) == 0.0 for p in ch.phi) and ch.phi_zero_norm == 0.0
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
@@ -414,6 +448,15 @@ def test_picard_budget_error():
     prob = cubic_problem(horizon=500)
     with pytest.raises(LyapunovError):
         solve_stable_point(prob, np.array([0.04]), fp_tol=1e-30, fp_budget=2)
+
+
+def test_a_budget_below_one_is_a_named_error():
+    prob = cubic_problem(horizon=50)
+    for budget in (0, -3):
+        with pytest.raises(LyapunovError, match="fp_budget"):
+            solve_stable_point(prob, np.array([0.04]), fp_budget=budget)
+        with pytest.raises(LyapunovError, match="fp_budget"):  # once, not per anchor
+            chart(prob, [0.0, 0.02], fp_budget=budget)
 
 
 def test_validate_accepts_cubic_remainder():
@@ -646,6 +689,21 @@ def test_remainder_without_halvings_raises_when_uncertified():
         remainder_from_objective(f, np.zeros(2), sch.constant(0.5), max_halvings=0)
     with pytest.raises(LyapunovError, match="max_halvings must be >= 0"):
         remainder_from_objective(f, np.zeros(2), sch.constant(0.5), max_halvings=-1)
+
+
+def test_remainder_samples_epsilon_without_an_analytic_modulus():
+    # the cubic's callables without its cubic_coefficient: epsilon is sampled
+    cub = obj_mod.cubic_perturbed_saddle(0.1)
+    obj = obj_mod.Objective(2, cub._eval, cub._grad, cub._hess, vectorized=True)
+    prob, cert = remainder_from_objective(obj, np.zeros(2), HARMONIC)
+    again, cert2 = remainder_from_objective(obj, np.zeros(2), HARMONIC)
+    assert cert.valid and prob.order == 1 and prob.delta == 0.1
+    assert 0.0 < cert.epsilon < 6 * 0.1 * prob.delta  # below the analytic bound
+    assert (cert2.epsilon, again.horizon) == (cert.epsilon, prob.horizon)  # seeded
+    analytic, _ = remainder_from_objective(cub, np.zeros(2), HARMONIC)
+    grid = np.linspace(-0.05, 0.05, 5)
+    np.testing.assert_allclose(np.concatenate(chart(prob, grid).phi),
+                               np.concatenate(chart(analytic, grid).phi), rtol=0, atol=1e-12)
 
 
 def test_remainder_rejects_noncritical_point():
