@@ -430,7 +430,7 @@ def _scan_T(prob: PerronProblem, xp: np.ndarray, E: np.ndarray) -> np.ndarray:
     V[1:, S] = _scan(prob.stable_runs, xp, E[:-1, S])
     # row r of the backward scan is t_{N-r}
     t = _scan(prob.unstable_runs, np.zeros(len(Uix)), E[::-1, Uix] / prob.factors[::-1, Uix])
-    V[::-1, Uix] = -t
+    V[::-1, Uix] = 0.0 - t  # not -t: a zero entry stays +0.0
     dropped = E[-1, Uix]
     for _, _, P in prob.unstable_runs:
         dropped = dropped * P[-1]
@@ -877,7 +877,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
 
     def psi_batch(Z: np.ndarray) -> np.ndarray:
         W = Z @ Qi.T
-        return -((np.asarray(obj.grad(x_star[None, :] + W)) - W @ H.T) @ Q.T)
+        # H w - grad, not -(grad - H w): a zero remainder stays +0.0
+        return (W @ H.T - np.asarray(obj.grad(x_star[None, :] + W))) @ Q.T
 
     def eta(ks, Z):  # k <= N: prob, built below, holds alpha_0..alpha_N
         return prob.alphas[np.asarray(ks)][:, None] * psi_batch(np.asarray(Z, dtype=float))

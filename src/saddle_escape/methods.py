@@ -139,20 +139,14 @@ def mirror_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -
     return _one_row(_update("mirror-entropy", obj, schedule, k + 1), k, x)
 
 
-def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray,
-                  use_closed_form: bool | None = None) -> np.ndarray:
+def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
     """Proximal point step: solve z + alpha_k grad f(z) = x.
 
-    Quadratic objectives take the closed form z = (I + alpha_k A)^{-1} x,
-    everything else the damped Newton of :func:`_newton`.
-    ``use_closed_form=False`` forces Newton (to cross-check the two routes).
+    Objectives with a ``quadratic_matrix`` A take the closed form
+    z = (I + alpha_k A)^{-1} x, everything else the damped Newton of
+    :func:`_newton`.
     """
-    A = getattr(obj, "quadratic_matrix", None)
-    closed = A is not None if use_closed_form is None else use_closed_form
-    if closed and A is None:
-        raise MethodError("closed-form proximal step requires a quadratic objective")
-    return _one_row(_update("prox", obj, schedule, k + 1) if closed else _newton(obj, schedule),
-                    k, x)
+    return _one_row(_update("prox", obj, schedule, k + 1), k, x)
 
 
 def manifold_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:

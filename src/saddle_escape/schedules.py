@@ -9,7 +9,10 @@ to a finite step size ``alpha_k > 0``.  Four families are provided:
 - ``table(values, tail)``:     explicit leading values, then a tail schedule
 
 Each family is one formula for ``alpha_k``, so ``value(k)`` and
-``values(n)[k]`` give the same bits.
+``values(n)[k]`` give the same bits, and one declaration: its ``kind`` and
+its ``fields``, the constructor's argument names in config order, which
+``to_config``, ``describe`` and :func:`from_config` all read.  The factories
+``power``, ``constant``, ``geometric`` and ``table`` are the classes.
 
 All schedules are positive and nonincreasing; this is validated at
 construction (a table whose tail starts above its last explicit value is
@@ -27,6 +30,7 @@ and round-trip through :func:`from_config` / ``to_config``.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -54,13 +58,24 @@ class ScheduleError(ValueError):
     """Raised when schedule parameters violate the schedule contract."""
 
 
+def _check_reals(kind: str, **params) -> None:
+    """Raise ScheduleError naming ``kind`` and the field for a bool or a
+    non-real parameter; numpy scalars are real."""
+    for name, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ScheduleError(f"{kind} schedule needs a real number for {name}, got {v!r}")
+
+
 class StepSchedule:
     """Base class: a positive, nonincreasing step-size sequence.
 
     A family is one formula, ``_alphas``.  ``values(n)`` evaluates it at
-    ``0, ..., n-1`` and ``value(k)`` reads blocks of it: the same bits."""
+    ``0, ..., n-1`` and ``value(k)`` reads blocks of it: the same bits.
+    A family declares its ``kind`` and its ``fields`` once; ``to_config``,
+    ``describe`` and :func:`from_config` read that declaration."""
 
     kind: str = "abstract"
+    fields: tuple = ()  # the constructor's argument names, in config order
     _start = _stop = 0  # value's block holds alpha_k for _start <= k < _stop
     _block: Sequence[float] = ()
 
@@ -97,22 +112,30 @@ class StepSchedule:
         return float(np.sum(self.values(n)))
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The JSON dict :func:`from_config` rebuilds this schedule from."""
+        if not self.fields:
+            raise NotImplementedError(f"{type(self).__name__} declares no fields")
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.fields}}
 
     def describe(self) -> str:
-        """Stable human-readable identifier used in records and CSV output."""
-        raise NotImplementedError
+        """Stable human-readable identifier, e.g. ``power(c=1,p=1,offset=2)``;
+        :func:`saddle_escape.methods.run` stores it as the record's ``schedule_id``."""
+        args = (f"{name}={v:g}" if isinstance(v, float) else f"{name}={v}"
+                for name, v in self.to_config().items() if name != "kind")
+        return f"{self.kind}({','.join(args)})"
 
     def __repr__(self) -> str:  # pragma: no cover - convenience only
         return f"<{type(self).__name__} {self.describe()}>"
 
 
 class PowerSchedule(StepSchedule):
-    """``alpha_k = c / (k + offset)**p`` with ``c > 0``, ``p > 0``, integer ``offset >= 1``."""
+    """``alpha_k = c / (k + offset)**p`` with ``c > 0``, ``p > 0``, integer
+    ``offset >= 1``; the default is ``1/(k+2)``."""
 
-    kind = "power"
+    kind, fields = "power", ("c", "p", "offset")
 
     def __init__(self, c: float = 1.0, p: float = 1.0, offset: int = 2):
+        _check_reals(self.kind, c=c, p=p)
         if not (c > 0) or not math.isfinite(c):
             raise ScheduleError(f"power schedule needs finite c > 0, got c={c}")
         if not (p > 0) or not math.isfinite(p):
@@ -132,19 +155,14 @@ class PowerSchedule(StepSchedule):
         # p-test: sum 1/(k+m)^p diverges iff p <= 1.
         return DIVERGENT if self.p <= 1.0 else CONVERGENT
 
-    def to_config(self) -> dict:
-        return {"kind": "power", "c": self.c, "p": self.p, "offset": self.offset}
-
-    def describe(self) -> str:
-        return f"power(c={self.c:g},p={self.p:g},offset={self.offset})"
-
 
 class ConstantSchedule(StepSchedule):
     """``alpha_k = c`` with ``c > 0``.  The series always diverges."""
 
-    kind = "constant"
+    kind, fields = "constant", ("c",)
 
     def __init__(self, c: float):
+        _check_reals(self.kind, c=c)
         if not (c > 0) or not math.isfinite(c):
             raise ScheduleError(f"constant schedule needs finite c > 0, got c={c}")
         self.c = float(c)
@@ -155,12 +173,6 @@ class ConstantSchedule(StepSchedule):
     def classify_sum(self) -> str:
         return DIVERGENT
 
-    def to_config(self) -> dict:
-        return {"kind": "constant", "c": self.c}
-
-    def describe(self) -> str:
-        return f"constant(c={self.c:g})"
-
 
 class GeometricSchedule(StepSchedule):
     """``alpha_k = c * r**k`` with ``c > 0`` and ratio ``r`` in (0, 1).
@@ -169,9 +181,10 @@ class GeometricSchedule(StepSchedule):
     at a generally non-critical point.
     """
 
-    kind = "geometric"
+    kind, fields = "geometric", ("c", "r")
 
     def __init__(self, c: float, r: float):
+        _check_reals(self.kind, c=c, r=r)
         if not (c > 0) or not math.isfinite(c):
             raise ScheduleError(f"geometric schedule needs finite c > 0, got c={c}")
         if not (0.0 < r < 1.0):
@@ -185,28 +198,25 @@ class GeometricSchedule(StepSchedule):
     def classify_sum(self) -> str:
         return CONVERGENT
 
-    def to_config(self) -> dict:
-        return {"kind": "geometric", "c": self.c, "r": self.r}
-
-    def describe(self) -> str:
-        return f"geometric(c={self.c:g},r={self.r:g})"
-
 
 class TableSchedule(StepSchedule):
-    """Explicit leading values followed by a tail schedule.
+    """Explicit leading ``values`` followed by a ``tail`` schedule.
 
     ``alpha_k = values[k]`` for ``k < len(values)`` and the tail's formula
     at ``k - len(values)`` afterwards.  The joint sequence
     must stay nonincreasing, so ``tail.value(0) <= values[-1]`` is enforced
-    at construction.
+    at construction.  The values are kept as the array ``head``.
     """
 
-    kind = "table"
+    kind, fields = "table", ("values", "tail")
 
-    def __init__(self, head: Sequence[float], tail: StepSchedule):
-        head_arr = np.asarray(head, dtype=float)
+    def __init__(self, values: Sequence[float], tail: StepSchedule):
+        head_arr = np.asarray(values, dtype=object)
         if head_arr.ndim != 1 or head_arr.size == 0:
             raise ScheduleError("table schedule needs a nonempty 1-D value list")
+        for v in head_arr:
+            _check_reals(self.kind, values=v)
+        head_arr = head_arr.astype(float)
         if not np.all((head_arr > 0) & np.isfinite(head_arr)):
             raise ScheduleError("table schedule values must be finite and strictly positive")
         if np.any(np.diff(head_arr) > 0):
@@ -231,30 +241,15 @@ class TableSchedule(StepSchedule):
         return self.tail.classify_sum()
 
     def to_config(self) -> dict:
-        return {"kind": "table", "values": self.head.tolist(), "tail": self.tail.to_config()}
+        return {"kind": self.kind, "values": self.head.tolist(), "tail": self.tail.to_config()}
 
     def describe(self) -> str:
-        return f"table(n={self.head.size},tail={self.tail.describe()})"
+        return f"{self.kind}(n={self.head.size},tail={self.tail.describe()})"
 
 
-def power(c: float = 1.0, p: float = 1.0, offset: int = 2) -> PowerSchedule:
-    """Power-law schedule ``c / (k + offset)**p``; default ``1/(k+2)``."""
-    return PowerSchedule(c, p, offset)
-
-
-def constant(c: float) -> ConstantSchedule:
-    """Constant schedule ``alpha_k = c``."""
-    return ConstantSchedule(c)
-
-
-def geometric(c: float, r: float) -> GeometricSchedule:
-    """Geometric schedule ``c * r**k`` with ratio ``r`` in (0, 1)."""
-    return GeometricSchedule(c, r)
-
-
-def table(values: Sequence[float], tail: StepSchedule) -> TableSchedule:
-    """Explicit leading ``values`` followed by ``tail``."""
-    return TableSchedule(values, tail)
+power, constant, geometric, table = (PowerSchedule, ConstantSchedule, GeometricSchedule,
+                                     TableSchedule)
+_KINDS = {cls.kind: cls for cls in (power, constant, geometric, table)}
 
 
 def from_config(cfg: dict) -> StepSchedule:
@@ -266,24 +261,16 @@ def from_config(cfg: dict) -> StepSchedule:
     if not isinstance(cfg, dict):
         raise ScheduleError(f"schedule config must be a dict, got {type(cfg).__name__}")
     kind = cfg.get("kind")
-    known = {
-        "power": ("c", "p", "offset"),
-        "constant": ("c",),
-        "geometric": ("c", "r"),
-        "table": ("values", "tail"),
-    }
-    if kind not in known:
-        raise ScheduleError(f"unknown schedule kind {kind!r}; expected one of {sorted(known)}")
-    extra = set(cfg) - {"kind", *known[kind]}
+    if kind not in _KINDS:
+        raise ScheduleError(f"unknown schedule kind {kind!r}; expected one of {sorted(_KINDS)}")
+    cls = _KINDS[kind]
+    extra = set(cfg) - {"kind", *cls.fields}
     if extra:
         raise ScheduleError(f"unexpected schedule field(s) {sorted(extra)} for kind {kind!r}")
-    missing = [f for f in known[kind] if f not in cfg]
+    missing = [f for f in cls.fields if f not in cfg]
     if missing:
         raise ScheduleError(f"schedule kind {kind!r} missing field(s) {missing}")
-    if kind == "power":
-        return PowerSchedule(cfg["c"], cfg["p"], cfg["offset"])
-    if kind == "constant":
-        return ConstantSchedule(cfg["c"])
-    if kind == "geometric":
-        return GeometricSchedule(cfg["c"], cfg["r"])
-    return TableSchedule(cfg["values"], from_config(cfg["tail"]))
+    args = {f: cfg[f] for f in cls.fields}
+    if "tail" in args:  # a table's tail is a schedule config of its own
+        args["tail"] = from_config(args["tail"])
+    return cls(**args)

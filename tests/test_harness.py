@@ -307,6 +307,22 @@ def test_chart_experiment_quadratic(tmp_path):
     assert len(lines) == 1 + 11
 
 
+@pytest.mark.parametrize("objective", [
+    {"name": "cubic", "a": 0.1},
+    {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+    {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, 0.0]]},
+    {"name": "quadratic", "matrix": np.diag([1.0, 0.0, -1.0]).tolist()},
+], ids=["cubic", "diag(1,-1)", "diag(1,0)", "diag(1,0,-1)"])
+def test_chart_csv_writes_no_negative_zero(tmp_path, objective):
+    # an exactly-zero chart value is +0.0: the remainder and the unstable
+    # block's entries are written without a negation that turns 0 into -0
+    chart_experiment(make_cfg(experiment="chart", output_dir=str(tmp_path), objective=objective))
+    rows = (tmp_path / "chart.csv").read_text().strip().split("\n")[1:]
+    cells = [float(c) for row in rows for c in row.split(",")]
+    assert 0.0 in cells
+    assert not [c for c in cells if c == 0.0 and math.copysign(1.0, c) < 0]
+
+
 def test_chart_experiment_uncertifiable_epsilon(tmp_path):
     cfg = make_cfg(experiment="chart", output_dir=str(tmp_path),
                    objective={"name": "quadratic",
@@ -512,6 +528,9 @@ INTRINSIC = "manifold-intrinsic"
     ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
     ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
     ("avoidance", {"schedule": {"kind": "constant", "c": math.inf}}),
+    ("avoidance", {"schedule": {"kind": "power", "c": True, "p": 1.0, "offset": 2}}),
+    ("avoidance", {"schedule": {"kind": "geometric", "c": 0.1, "r": None}}),
+    ("avoidance", {"schedule": {"kind": "table", "values": [True], "tail": BASE["schedule"]}}),
     ("avoidance", {"output_dir": 5}),
     ("avoidance", {"output_dir": "taken"}),
     ("run", {"experiment": "single_run", "init": [1.0, 2.0], "output_dir": "taken"}),
@@ -541,7 +560,8 @@ INTRINSIC = "manifold-intrinsic"
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
         "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
-        "constant-c-inf", "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
+        "constant-c-inf", "power-c-true", "geometric-r-null", "table-values-true",
+        "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
         "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
         "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric",
         "avoidance-matrix-nan", "chart-matrix-nan", "metric-nan", "metric-inf",

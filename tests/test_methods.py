@@ -117,8 +117,10 @@ def test_prox_newton_matches_closed_form(seed):
     x = rng.standard_normal(3)
     alpha = float(rng.uniform(0.01, 0.2))
     s = sch.constant(alpha)
-    closed = proximal_step(f, s, 0, x, use_closed_form=True)
-    newton = proximal_step(f, s, 0, x, use_closed_form=False)
+    # the same callables without quadratic_matrix take prox's Newton route
+    plain = obj_mod.Objective(3, f.eval, f.grad, f.hess, vectorized=True)
+    closed = proximal_step(f, s, 0, x)
+    newton = proximal_step(plain, s, 0, x)
     np.testing.assert_allclose(newton, closed, atol=1e-10, rtol=1e-10)
 
 

@@ -66,10 +66,108 @@ def test_classification():
     lambda: sch.constant(math.inf),
     lambda: sch.geometric(math.inf, 0.5),
     lambda: sch.table([math.inf, 0.1], sch.constant(0.05)),
+    lambda: sch.power(True, 1.0, 2),  # a bool is no step-size parameter
+    lambda: sch.power(1.0, None, 2),
+    lambda: sch.constant(True),
+    lambda: sch.geometric(0.1, None),
+    lambda: sch.geometric("0.1", 0.5),
+    lambda: sch.table([True], sch.constant(0.05)),
+    lambda: sch.table(["0.5"], sch.constant(0.05)),
+    lambda: sch.table(np.array([True]), sch.constant(0.05)),
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(sch.ScheduleError):
         bad()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda: sch.power(True), "power schedule needs a real number for c, got True"),
+    (lambda: sch.power(1.0, "1"), "power schedule needs a real number for p, got '1'"),
+    (lambda: sch.geometric(0.1, None), "geometric schedule needs a real number for r, got None"),
+    (lambda: sch.table([0.5, False], sch.constant(0.05)),
+     "table schedule needs a real number for values, got False"),
+])
+def test_a_non_real_parameter_names_its_family_and_field(bad, message):
+    with pytest.raises(sch.ScheduleError) as exc:
+        bad()
+    assert str(exc.value) == message
+
+
+def test_numpy_scalars_are_real_parameters():
+    s = sch.power(np.float64(1.0), np.float32(1.0), np.int64(2))
+    assert s.to_config() == {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}
+    assert sch.geometric(np.float64(0.1), np.float64(0.9)).value(1) == 0.1 * 0.9
+    t = sch.table(np.array([0.7, 0.6]), sch.constant(np.float64(0.5)))
+    np.testing.assert_array_equal(t.values(3), [0.7, 0.6, 0.5])
+
+
+SEVEN = [  # (schedule, its to_config, its describe)
+    (lambda: sch.power(1.0, 1.0, 2),
+     {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}, "power(c=1,p=1,offset=2)"),
+    (lambda: sch.power(0.3, 0.5, 1),
+     {"kind": "power", "c": 0.3, "p": 0.5, "offset": 1}, "power(c=0.3,p=0.5,offset=1)"),
+    (lambda: sch.constant(0.25), {"kind": "constant", "c": 0.25}, "constant(c=0.25)"),
+    (lambda: sch.geometric(0.1, 0.9),
+     {"kind": "geometric", "c": 0.1, "r": 0.9}, "geometric(c=0.1,r=0.9)"),
+    (lambda: sch.table([0.7, 0.6], sch.power(1.0, 1.0, 2)),
+     {"kind": "table", "values": [0.7, 0.6],
+      "tail": {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}},
+     "table(n=2,tail=power(c=1,p=1,offset=2))"),
+    (lambda: sch.table([0.9, 0.8], sch.table([0.7, 0.6], sch.power(1.0, 1.0, 2))),
+     {"kind": "table", "values": [0.9, 0.8],
+      "tail": {"kind": "table", "values": [0.7, 0.6],
+               "tail": {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}}},
+     "table(n=2,tail=table(n=2,tail=power(c=1,p=1,offset=2)))"),
+    # an integer offset prints as an integer, never as 1.23457e+06
+    (lambda: sch.power(2.5, 1.5, 1234567),
+     {"kind": "power", "c": 2.5, "p": 1.5, "offset": 1234567},
+     "power(c=2.5,p=1.5,offset=1234567)"),
+]
+
+
+@pytest.mark.parametrize("make, config, name", SEVEN,
+                         ids=["power-1-2", "power-0.5-1", "constant", "geometric", "table",
+                              "nested-table", "power-offset-1234567"])
+def test_to_config_and_describe_are_pinned(make, config, name):
+    s = make()
+    assert s.to_config() == config and s.describe() == name
+    s2 = sch.from_config(config)
+    assert (type(s2), s2.to_config(), s2.describe()) == (type(s), config, name)
+    np.testing.assert_array_equal(s2.values(2000), s.values(2000))
+
+
+def test_a_schedule_without_fields_has_no_config():
+    with pytest.raises(NotImplementedError):
+        sch.StepSchedule().to_config()
+    with pytest.raises(NotImplementedError):
+        sch.StepSchedule().describe()
+
+
+def test_the_factories_are_the_classes():
+    assert (sch.power, sch.constant, sch.geometric, sch.table) == (
+        sch.PowerSchedule, sch.ConstantSchedule, sch.GeometricSchedule, sch.TableSchedule)
+    assert sch.power().describe() == "power(c=1,p=1,offset=2)"  # the default 1/(k+2)
+    t = sch.table(values=[0.7], tail=sch.constant(0.5))
+    assert t.to_config() == {"kind": "table", "values": [0.7],
+                             "tail": {"kind": "constant", "c": 0.5}}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"kind": "powr", "c": 1.0},
+     "unknown schedule kind 'powr'; expected one of ['constant', 'geometric', 'power', 'table']"),
+    ({"c": 1.0},
+     "unknown schedule kind None; expected one of ['constant', 'geometric', 'power', 'table']"),
+    ({"kind": "power", "c": 1.0, "p": 1.0, "offset": 2, "extra": 1, "more": 2},
+     "unexpected schedule field(s) ['extra', 'more'] for kind 'power'"),
+    ({"kind": "power", "c": 1.0}, "schedule kind 'power' missing field(s) ['p', 'offset']"),
+    ({"kind": "table", "values": [0.5], "tail": {"kind": "geometric", "c": 0.1}},
+     "schedule kind 'geometric' missing field(s) ['r']"),
+    ("power", "schedule config must be a dict, got str"),
+])
+def test_from_config_messages_are_pinned(cfg, message):
+    with pytest.raises(sch.ScheduleError) as exc:
+        sch.from_config(cfg)
+    assert str(exc.value) == message
 
 
 def test_from_config_rejects_garbage():
