@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from saddle_escape import (constant, fig1, mirror_step, power, proximal_step,
-                           quadratic, run)
+from saddle_escape import constant, fig1, make_step, power, quadratic, run
 
 schedule = power(1.0, 1.0, 2)
 x0 = np.array([0.5, 0.5])
@@ -28,7 +27,7 @@ for mid, rec in recs.items():
 # --- proximal: the implicit step is a resolvent ------------------------------
 A = np.diag([2.0, -1.0])
 x = np.array([1.0, 1.0])
-y = proximal_step(quadratic(A), constant(0.5), 0, x)
+y = make_step("prox", quadratic(A), constant(0.5))(0, x)
 print()
 print("proximal step on 1/2 x' diag(2,-1) x with alpha=1/2:")
 print(f"  (I + alpha A)^-1 (1,1) = {y}   # expect (0.5, 2.0)")
@@ -41,7 +40,7 @@ from saddle_escape import Objective
 lin_grad = np.array([1.0, 0.0])
 lin = Objective(2, lambda z: float(z @ lin_grad), lambda z: lin_grad.copy(),
                 lambda z: np.zeros((2, 2)), name="linear")
-out = mirror_step(lin, constant(math.log(2.0)), 0, np.array([0.5, 0.5]))
+out = make_step("mirror-entropy", lin, constant(math.log(2.0)))(0, np.array([0.5, 0.5]))
 print()
 print("entropy mirror step from the uniform distribution, f = <(1,0), x>,")
 print(f"alpha = ln 2:  {out}   # expect (1/3, 2/3)")

@@ -33,16 +33,12 @@ from .spectral import (SpectralError, SpectralSplit, classify_coordinate_limit,
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, ESCAPED_REGION,
                       METHOD_IDS, STEP_ERROR, BatchResult, ManifoldError,
                       MethodError, MirrorDomainError, RiemannianMetric,
-                      Terminal, TrajectoryRecord, constant_metric, gd_step,
-                      intrinsic_manifold_step, make_step, manifold_step,
-                      mirror_step, proximal_step, run, run_batch)
+                      Terminal, TrajectoryRecord, make_step, run, run_batch)
 from .lyapunov_perron import (CertificateError, ContractionCertificate,
                               LyapunovError, ManifoldChart, PerronProblem,
                               StablePointResult, apply_T, bound_K1, bound_K2, chart,
-                              contraction_constant, iterate_raw,
-                              remainder_from_objective,
-                              self_consistency_error, shooting_oracle,
-                              solve_stable_point, sup_distance)
+                              iterate_raw, remainder_from_objective,
+                              shooting_oracle, solve_stable_point, sup_distance)
 from .harness_cli import (AvoidanceReport, ConfigError, ExperimentAssertionError,
                           ExperimentConfig, avoidance_experiment,
                           build_objective, chart_experiment, emit_plot_data,

@@ -38,7 +38,7 @@ from .lyapunov_perron import LyapunovError, chart, remainder_from_objective
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, CONVERGENCE_WINDOW,
                       DEFAULT_BUDGET, DEFAULT_CONV_TOL, DEFAULT_ESCAPE_RADIUS, DEFAULT_STRIDE,
                       ESCAPED_REGION, STEP_ERROR, MethodError, RiemannianMetric,
-                      TrajectoryRecord, _recursion, constant_metric, run, run_batch)
+                      TrajectoryRecord, _recursion, run, run_batch)
 from .objectives import DEFAULT_EIG_TOL, DEFAULT_GRAD_TOL, Objective, classify_critical_point
 
 __all__ = [
@@ -130,6 +130,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        if self.budget >= 1 << 63:  # the runner counts steps in int64
+            raise ConfigError(f"budget must be below 2^63, got {self.budget}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or \
                 not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
@@ -234,7 +236,7 @@ def _build_metric(cfg: ExperimentConfig, obj: Objective) -> Optional[RiemannianM
         M = np.asarray(cfg.metric, dtype=float)
         if M.shape != (d, d):
             raise MethodError(f"expected a {d}x{d} matrix, got shape {M.shape}")
-        return constant_metric(M)
+        return RiemannianMetric(M)
     except (TypeError, ValueError, MethodError) as err:
         raise ConfigError(f"bad metric {cfg.metric!r}: {err}") from err
 

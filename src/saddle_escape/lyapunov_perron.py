@@ -54,11 +54,9 @@ __all__ = [
     "sup_distance",
     "bound_K1",
     "bound_K2",
-    "contraction_constant",
     "apply_T",
     "solve_stable_point",
     "iterate_raw",
-    "self_consistency_error",
     "shooting_oracle",
     "chart",
     "remainder_from_objective",
@@ -163,32 +161,6 @@ class PerronProblem:
     @property
     def dimension(self) -> int:
         return self.split.dimension
-
-    def validate(self) -> None:
-        """Spot-check the stated remainder properties by sampling.
-
-        Verifies eta(k, 0) = 0 to 1e-14 and that sampled Lipschitz quotients
-        on B(0, delta) stay below alpha_k * epsilon * 1.01 for 1000 random
-        pairs (seed 0) at each of k = 0, 1, 2, 5, 10 up to N.  Raises
-        LyapunovError on violation.
-        """
-        rng = np.random.default_rng(0)
-        d, pairs = self.dimension, 1000
-        for k in [k for k in (0, 1, 2, 5, 10) if k <= self.horizon]:
-            X = _sample_ball(rng, pairs, d, self.delta)
-            Y = _sample_ball(rng, pairs, d, self.delta)
-            E = np.asarray(self.eta(np.full(2 * pairs + 1, k),
-                                    np.vstack([np.zeros((1, d)), X, Y])), dtype=float)
-            e0, EX, EY = E[0], E[1:pairs + 1], E[pairs + 1:]
-            if float(np.linalg.norm(e0)) > 1e-14:
-                raise LyapunovError(
-                    f"eta(k={k}, 0) = {e0} is not zero (norm {np.linalg.norm(e0):.3e})")
-            worst = _lipschitz_quotient(X, Y, EX, EY)
-            cap = self.schedule.value(k) * self.epsilon * (1.0 + 1e-2)
-            if worst > cap:
-                raise LyapunovError(
-                    f"sampled Lipschitz quotient {worst:.6e} at k={k} exceeds "
-                    f"alpha_k*epsilon*(1+1e-2) = {cap:.6e}")
 
 
 def _product_runs(f: np.ndarray) -> list:
@@ -336,11 +308,6 @@ def bound_K2(split_: SpectralSplit, schedule: StepSchedule) -> float:
     checks and for a zero eigenvalue in the unstable block (``_inverse_mu``).
     """
     return _inverse_mu(_spectrum(split_, schedule)[2])
-
-
-def contraction_constant(prob: PerronProblem) -> ContractionCertificate:
-    """Assemble the contraction certificate K = 1 - alpha0*lambda + eps*(K1+K2)."""
-    return _certify(prob.split, prob.schedule, prob.epsilon)
 
 
 def _certify(split_: SpectralSplit, schedule: StepSchedule,
@@ -492,7 +459,7 @@ def _check_fp_budget(fp_budget: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# raw dynamics, self-consistency, shooting
+# raw dynamics and shooting
 # ---------------------------------------------------------------------------
 
 def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
@@ -537,20 +504,6 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
                         math.inf if stop_radius is None else stop_radius, path)
     traj = np.concatenate([Y for _, Y in path]) @ prob.split.Q.T
     return traj, (int(exits[0]) if exits[0] >= 0 else None)
-
-
-def self_consistency_error(prob: PerronProblem, seq) -> float:
-    """Max per-entry gap between seq and its own step (I - alpha_k H) u_k + eta(k, u_k).
-
-    For the converged fixed sequence this is at the fixed-point tolerance:
-    the integral form and the recursive form describe the same orbit.
-    """
-    U = np.asarray(seq, dtype=float)
-    N = U.shape[0] - 1
-    if not 1 <= N <= prob.horizon:
-        raise LyapunovError(f"seq must have 2..{prob.horizon + 1} rows, got {U.shape[0]}")
-    stepped = prob.factors[:N] * U[:N] + _eta_all(prob, U[:N])
-    return float(np.max(np.linalg.norm(stepped - U[1:], axis=1)))
 
 
 def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,

@@ -11,11 +11,12 @@ Implemented methods (registry ids in ``METHOD_IDS``):
   metric; without one it runs gd's step
 
 Each id resolves to the recursion it runs; only manifold-intrinsic takes a
-metric.  Each recursion has one batched step for a whole population, and
-the one-point steps (``gd_step`` ... ``make_step``) are its one-row case.
-One lockstep loop iterates them: ``run_batch`` advances a population
-of starts to step error / escape / Cauchy-window convergence / budget, and
-``run`` is its one-row case, with stride-decimated recording.
+metric, a :class:`RiemannianMetric`.  Each recursion has one batched step
+for a whole population, and ``make_step(method_id, obj, schedule)``, the
+library's one-point step, is its one-row case.  One lockstep loop iterates
+them: ``run_batch`` advances a population of starts to step error / escape
+/ Cauchy-window convergence / budget, and ``run`` is its one-row case, with
+stride-decimated recording.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ __all__ = [
     "MirrorDomainError",
     "ManifoldError",
     "RiemannianMetric",
-    "constant_metric",
-    "gd_step",
-    "mirror_step",
-    "proximal_step",
-    "manifold_step",
-    "intrinsic_manifold_step",
+    "make_step",
     "Terminal",
     "TrajectoryRecord",
     "run",
@@ -90,9 +86,11 @@ class ManifoldError(MethodError):
 
 
 class RiemannianMetric:
-    """Constant inverse metric M^{-1} (``matrix``); must be finite, symmetric positive definite."""
+    """Constant inverse metric M^{-1} (``matrix``, any array-like); must be finite,
+    symmetric positive definite."""
 
-    def __init__(self, matrix: np.ndarray, name: str):
+    def __init__(self, matrix, name: str = "constant"):
+        matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise MethodError(f"inverse metric '{name}' is not square: shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
@@ -106,59 +104,6 @@ class RiemannianMetric:
             raise MethodError(f"inverse metric '{name}' is not positive definite") from err
         self.matrix = matrix
         self.name = name
-
-
-def constant_metric(M: np.ndarray, name: str = "constant") -> RiemannianMetric:
-    return RiemannianMetric(np.asarray(M, dtype=float), name=name)
-
-
-# ---------------------------------------------------------------------------
-# one-point steps: the one-row case of each recursion's batched update
-# ---------------------------------------------------------------------------
-
-def _one_row(update, k: int, x: np.ndarray) -> np.ndarray:
-    """Step k of ``update`` for the single point x; its step error raises."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise MethodError(f"a one-point step takes a point of shape (d,), got {x.shape}")
-    X, error = update(k, x[None])
-    if error(0) is not None:
-        raise error(0)
-    return X[0]
-
-
-def gd_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
-    """x - alpha_k grad f(x); a non-finite gradient raises MethodError."""
-    return _one_row(_update("gd", obj, schedule, k + 1), k, x)
-
-
-def mirror_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
-    """Entropy mirror step: grad Phi = 1 + log x, then the softmax (the conjugate
-    argmax), i.e. multiplicative weights x_i exp(-alpha g_i) / Z.  A point off
-    the open simplex raises MirrorDomainError instead of being projected."""
-    return _one_row(_update("mirror-entropy", obj, schedule, k + 1), k, x)
-
-
-def proximal_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
-    """Proximal point step: solve z + alpha_k grad f(z) = x.
-
-    Objectives with a ``quadratic_matrix`` A take the closed form
-    z = (I + alpha_k A)^{-1} x, everything else the damped Newton of
-    :func:`_newton`.
-    """
-    return _one_row(_update("prox", obj, schedule, k + 1), k, x)
-
-
-def manifold_step(obj: Objective, schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
-    """Unit-sphere step: project the gradient on the tangent space (I - x x^T),
-    move, and renormalize; a point within 1e-12 of the origin raises ManifoldError."""
-    return _one_row(_update("manifold-sphere", obj, schedule, k + 1), k, x)
-
-
-def intrinsic_manifold_step(obj: Objective, metric: RiemannianMetric,
-                            schedule: StepSchedule, k: int, x: np.ndarray) -> np.ndarray:
-    """Intrinsic step in a coordinate chart: x - alpha_k M^{-1} grad f(x)."""
-    return _one_row(_update("manifold-intrinsic", obj, schedule, k + 1, metric), k, x)
 
 
 def _recursion(method_id: str, metric) -> str:
@@ -177,11 +122,25 @@ def _recursion(method_id: str, metric) -> str:
 
 def make_step(method_id: str, obj: Objective, schedule: StepSchedule, *,
               metric: RiemannianMetric | None = None) -> Callable[[int, np.ndarray], np.ndarray]:
-    """A ``step(k, x)`` closure of the recursion ``method_id`` runs: gd's for
-    mirror-euclidean and for manifold-intrinsic without ``metric``.  It is
-    the one-row case of the batched update ``run`` and ``run_batch`` step."""
+    """The one-point step ``step(k, x)`` of the recursion ``method_id`` runs:
+    gd's for mirror-euclidean and for manifold-intrinsic without ``metric``.
+
+    It is the one-row case of the batched update that ``run`` and
+    ``run_batch`` step, with alpha_k = ``schedule.value(k)``; the steps may
+    come in any order.  x must have shape (d,), and the row's step error
+    (a ``MethodError``) raises.
+    """
     update = _update(method_id, obj, schedule, sys.maxsize, metric)  # any k may come
-    return lambda k, x: _one_row(update, k, x)
+
+    def step(k: int, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise MethodError(f"a one-point step takes a point of shape (d,), got {x.shape}")
+        X, error = update(k, x[None])
+        if error(0) is not None:
+            raise error(0)
+        return X[0]
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +235,7 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
             metric: RiemannianMetric | None = None):
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
 
-    Each recursion has this one batched step, and the one-point steps are its
+    Each recursion has this one batched step, and :func:`make_step` is its
     one-row case.  ``error(j)`` is row j's step error, the ``MethodError``
     its one-point step raises, or None.  A row with a step error is never
     finite, so it stops and only stopping rows are asked.  Where a step
@@ -285,11 +244,14 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
     stack: a row's bits do not depend on the batch for d <= 3, but can in
     the last places for a dense A at d >= 4.
 
-    Prox on a quadratic inverts its resolvents a block of steps at a time
-    (:func:`_resolvents`, at most ``_RESOLVENT_BLOCK`` doubles and never past
-    ``budget``), with alpha_k = ``schedule.value(k)`` as in the one-point
-    step; the steps must come in order k = 0, 1, ....  A block stops before
-    its first singular system, and that step raises the ``MethodError``.
+    Prox on an objective with a ``quadratic_matrix`` A takes the closed form
+    z = (I + alpha_k A)^{-1} x, any other objective :func:`_newton`.  It
+    inverts the resolvents a block of steps at a time (:func:`_resolvents`,
+    at most ``_RESOLVENT_BLOCK`` doubles and never past ``budget``), with
+    alpha_k = ``schedule.value(k)``.  Any k may come: a k outside the block
+    inverts the block that starts at k, so steps in order k = 0, 1, ... are
+    only the fast case.  A block stops before its first singular system,
+    and that step raises the ``MethodError``.
     """
     recursion = _recursion(method_id, metric)
     A = getattr(obj, "quadratic_matrix", None)
@@ -354,8 +316,10 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 
 
 def _entropy(obj: Objective, alpha: float, X: np.ndarray):
-    """:func:`mirror_step` of every row of X; a row off the open simplex gets
-    its MirrorDomainError and NaN."""
+    """The entropy mirror step of every row x of X: grad Phi(x) = 1 + log x,
+    then the softmax (the conjugate argmax), i.e. multiplicative weights
+    x_i exp(-alpha g_i) / Z.  A row off the open simplex is not projected;
+    it gets its MirrorDomainError and NaN."""
     low, total = (X < BOUNDARY_EPS).any(axis=1), X.sum(axis=1)
     off = low | (np.abs(total - 1.0) > 1e-8)
     errors = {j: MirrorDomainError(
@@ -371,8 +335,9 @@ def _entropy(obj: Objective, alpha: float, X: np.ndarray):
 
 
 def _sphere(obj: Objective, alpha: float, X: np.ndarray):
-    """:func:`manifold_step` of every row of X; a row it cannot renormalize
-    gets its ManifoldError and NaN."""
+    """The unit-sphere step of every row x of X: project the gradient on the
+    tangent space (I - x x^T), move, and renormalize.  A row whose moved
+    point lies within 1e-12 of the origin gets its ManifoldError and NaN."""
     P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
     V = X - alpha * (P @ obj.grad(X)[:, :, None])[:, :, 0]
     norms = _row_norms(V)
@@ -444,8 +409,9 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     (final state x_k), escape, Cauchy window (``window`` >= 1), budget.
     With ``path``, ``(k, X)`` is appended for k = 0 and every ``stride``-th
     k, X being the rows that were active for that step.  An empty ``X0``
-    takes no step, and a NaN ``escape_radius`` raises ``MethodError``; an
-    infinite one stops a row at inf only on the step error ``error(j)`` names.
+    takes no step.  A NaN ``escape_radius`` and a budget of 2^63 or more
+    raise ``MethodError``; an infinite radius stops a row at inf only on the
+    step error ``error(j)`` names.
 
     While no row has a quiet streak, one whole-batch bound settles most
     steps: if the sum of all squares of X_{k+1}, or failing that the largest
@@ -456,6 +422,8 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     """
     if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
         raise MethodError("escape_radius must be a number, got NaN")
+    if budget >= 1 << 63:  # k_final is an int64
+        raise MethodError(f"budget must be below 2^63, got {budget}")
     n = len(X0)
     terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
     k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()

@@ -105,12 +105,6 @@ class StepSchedule:
         """
         raise NotImplementedError
 
-    def partial_sum(self, n: int) -> float:
-        """``sum_{k=0}^{n-1} alpha_k`` by direct accumulation."""
-        if n < 0:
-            raise ScheduleError(f"partial_sum needs n >= 0, got {n}")
-        return float(np.sum(self.values(n)))
-
     def to_config(self) -> dict:
         """The JSON dict :func:`from_config` rebuilds this schedule from."""
         if not self.fields:
@@ -261,7 +255,7 @@ def from_config(cfg: dict) -> StepSchedule:
     if not isinstance(cfg, dict):
         raise ScheduleError(f"schedule config must be a dict, got {type(cfg).__name__}")
     kind = cfg.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list or dict kind is unhashable
         raise ScheduleError(f"unknown schedule kind {kind!r}; expected one of {sorted(_KINDS)}")
     cls = _KINDS[kind]
     extra = set(cfg) - {"kind", *cls.fields}

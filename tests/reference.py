@@ -15,10 +15,17 @@ loop, one point at a time, the bit reference for the batched Newton.
 ``reference_scan_T`` evaluates the Lyapunov-Perron operator by its plain
 recursions, one entry at a time, for the segmented cumprod scan behind
 ``lyapunov_perron.apply_T``.
+
+``validate_remainder`` spot-checks a ``PerronProblem``'s stated remainder
+properties by sampling, and ``self_consistency_error`` measures how far a
+sequence is from its own recursive step; both are checks on a problem, not
+part of building or solving one.
 """
 
 import numpy as np
 
+from saddle_escape.lyapunov_perron import (LyapunovError, _eta_all, _lipschitz_quotient,
+                                           _sample_ball)
 from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    ESCAPED_REGION, STEP_ERROR, MethodError)
 
@@ -116,3 +123,44 @@ def reference_scan_T(prob, xp, E):
     log_prod = np.sum(np.log(1.0 - prob.alphas[:, None] * lam[None, Uix]), axis=0)
     V[0, Uix] = -(t - np.exp(-log_prod) * E[N, Uix])
     return V
+
+
+def validate_remainder(prob):
+    """Spot-check the stated remainder properties of ``prob`` by sampling.
+
+    Verifies eta(k, 0) = 0 to 1e-14 and that sampled Lipschitz quotients
+    on B(0, delta) stay below alpha_k * epsilon * 1.01 for 1000 random
+    pairs (seed 0) at each of k = 0, 1, 2, 5, 10 up to N.  Raises
+    LyapunovError on violation.
+    """
+    rng = np.random.default_rng(0)
+    d, pairs = prob.dimension, 1000
+    for k in [k for k in (0, 1, 2, 5, 10) if k <= prob.horizon]:
+        X = _sample_ball(rng, pairs, d, prob.delta)
+        Y = _sample_ball(rng, pairs, d, prob.delta)
+        E = np.asarray(prob.eta(np.full(2 * pairs + 1, k),
+                                np.vstack([np.zeros((1, d)), X, Y])), dtype=float)
+        e0, EX, EY = E[0], E[1:pairs + 1], E[pairs + 1:]
+        if float(np.linalg.norm(e0)) > 1e-14:
+            raise LyapunovError(
+                f"eta(k={k}, 0) = {e0} is not zero (norm {np.linalg.norm(e0):.3e})")
+        worst = _lipschitz_quotient(X, Y, EX, EY)
+        cap = prob.schedule.value(k) * prob.epsilon * (1.0 + 1e-2)
+        if worst > cap:
+            raise LyapunovError(
+                f"sampled Lipschitz quotient {worst:.6e} at k={k} exceeds "
+                f"alpha_k*epsilon*(1+1e-2) = {cap:.6e}")
+
+
+def self_consistency_error(prob, seq):
+    """Max per-entry gap between seq and its own step (I - alpha_k H) u_k + eta(k, u_k).
+
+    For the converged fixed sequence this is at the fixed-point tolerance:
+    the integral form and the recursive form describe the same orbit.
+    """
+    U = np.asarray(seq, dtype=float)
+    N = U.shape[0] - 1
+    if not 1 <= N <= prob.horizon:
+        raise LyapunovError(f"seq must have 2..{prob.horizon + 1} rows, got {U.shape[0]}")
+    stepped = prob.factors[:N] * U[:N] + _eta_all(prob, U[:N])
+    return float(np.max(np.linalg.norm(stepped - U[1:], axis=1)))

@@ -17,7 +17,7 @@ from saddle_escape import (ExperimentConfig, avoidance_experiment, bound_K1,
                            bound_K2, chart, classify_coordinate_limit,
                            constant, cubic_perturbed_saddle, emit_plot_data,
                            fig1_experiment, geometric, iterate_raw, make_step,
-                           mirror_step, power, proximal_step, quadratic,
+                           power, quadratic,
                            quadratic_trajectory, remainder_from_objective,
                            shooting_oracle, solve_stable_point, split,
                            sup_distance, table)
@@ -147,9 +147,11 @@ def test_c05_resolvent_spectrum():
     rng = np.random.default_rng(5)
     # the same callables without quadratic_matrix take prox's Newton route
     plain = Objective(2, objq.eval, objq.grad, objq.hess, vectorized=True)
+    closed_step = make_step("prox", objq, schedule)
+    newton_step = make_step("prox", plain, schedule)
     for x in [np.array([1.0, 1.0]), *rng.uniform(-2, 2, size=(20, 2))]:
-        closed = proximal_step(objq, schedule, 0, x)
-        newton = proximal_step(plain, schedule, 0, x)
+        closed = closed_step(0, x)
+        newton = newton_step(0, x)
         np.testing.assert_allclose(closed, R @ x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(newton, R @ x, rtol=0, atol=1e-10)
     h = 1e-6
@@ -158,8 +160,7 @@ def test_c05_resolvent_spectrum():
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        J[:, j] = (proximal_step(objq, schedule, 0, x + e)
-                   - proximal_step(objq, schedule, 0, x - e)) / (2 * h)
+        J[:, j] = (closed_step(0, x + e) - closed_step(0, x - e)) / (2 * h)
     eigs = np.sort(np.linalg.eigvals(J).real)
     np.testing.assert_allclose(eigs, [0.5, 2.0], rtol=0, atol=1e-6)
 
@@ -168,7 +169,7 @@ def test_c06_multiplicative_weights():
     # worked case: uniform start, gradient (1, 0), alpha = ln 2
     lin = Objective(2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]),
                     lambda x: np.zeros((2, 2)), name="linear")
-    out = mirror_step(lin, constant(math.log(2.0)), 0, np.array([0.5, 0.5]))
+    out = make_step("mirror-entropy", lin, constant(math.log(2.0)))(0, np.array([0.5, 0.5]))
     np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], rtol=0, atol=1e-12)
 
     rng = np.random.default_rng(6)
@@ -181,7 +182,7 @@ def test_c06_multiplicative_weights():
         lin = Objective(d, lambda z, g=g: float(z @ g),
                         lambda z, g=g: g.copy(),
                         lambda z, d=d: np.zeros((d, d)), name="linear")
-        out = mirror_step(lin, constant(alpha), 0, x)
+        out = make_step("mirror-entropy", lin, constant(alpha))(0, x)
         w = x * np.exp(-alpha * g)
         np.testing.assert_allclose(out, w / w.sum(), rtol=0, atol=1e-12)
 

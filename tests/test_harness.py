@@ -163,7 +163,7 @@ def assert_matches_run(cfg):
     rep = avoidance_experiment(cfg)
     obj = build_objective(cfg.objective)
     schedule = sch.from_config(cfg.schedule)
-    metric = None if cfg.metric is None else mth.constant_metric(np.asarray(cfg.metric))
+    metric = None if cfg.metric is None else mth.RiemannianMetric(cfg.metric)
     step = mth.make_step(cfg.method_id, obj, schedule, metric=metric)
     counts = dict.fromkeys(rep.counts, 0)
     for row in rep.rows:
@@ -556,6 +556,9 @@ INTRINSIC = "manifold-intrinsic"
                "chart": {"critical_point": [math.nan, 0.0]}}),
     ("run", {"experiment": "single_run", "init": [math.nan, 0.5]}),
     ("fig1", {"experiment": "fig1", "init": [math.nan, 0.5]}),
+    ("run", {"experiment": "single_run", "init": [0.5, 0.001], "budget": 1 << 63}),
+    ("avoidance", {"budget": 1 << 63}),
+    ("avoidance", {"schedule": {"kind": ["power"], "c": 1.0, "p": 1.0, "offset": 2}}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
@@ -565,7 +568,8 @@ INTRINSIC = "manifold-intrinsic"
         "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
         "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric",
         "avoidance-matrix-nan", "chart-matrix-nan", "metric-nan", "metric-inf",
-        "critical_point-nan", "init-nan", "fig1-init-nan"])
+        "critical_point-nan", "init-nan", "fig1-init-nan", "run-budget-2^63",
+        "avoidance-budget-2^63", "schedule-kind-list"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file

@@ -14,7 +14,7 @@ from oracles import (k1_recursion, k2_exact_constant, k2_partial_power_harmonic,
                      manufactured_remainder, power_alpha, telescoped_unstable,
                      weighted_forward_sums, weighted_tail_bound, weighted_tail_sum,
                      weights)
-from reference import reference_scan_T
+from reference import reference_scan_T, self_consistency_error, validate_remainder
 
 from saddle_escape import lyapunov_perron as lp
 from saddle_escape import methods
@@ -22,10 +22,8 @@ from saddle_escape import objectives as obj_mod
 from saddle_escape import schedules as sch
 from saddle_escape.lyapunov_perron import (CertificateError, LyapunovError,
                                            PerronProblem, apply_T, bound_K1,
-                                           bound_K2, chart,
-                                           contraction_constant, iterate_raw,
+                                           bound_K2, chart, iterate_raw,
                                            remainder_from_objective,
-                                           self_consistency_error,
                                            shooting_oracle, solve_stable_point,
                                            sup_distance, tail_horizon)
 from saddle_escape.spectral import split
@@ -349,7 +347,7 @@ def test_bound_K2_empty_unstable_block_is_zero():
 
 def test_contraction_constant_composition():
     prob = cubic_problem(a=0.1, delta=0.1)
-    cert = contraction_constant(prob)
+    cert = lp._certify(prob.split, prob.schedule, prob.epsilon)
     assert cert.k1 == 1.0
     assert cert.k2 == 1.0
     expect = 1.0 - 0.5 * 1.0 + 0.06 * (cert.k1 + cert.k2)
@@ -363,7 +361,7 @@ def test_contraction_constant_zero_epsilon_skips_backward_bound():
     prob = PerronProblem(split=sp, schedule=HARMONIC,
                          eta=lambda ks, Z: np.zeros_like(Z), delta=0.1,
                          epsilon=0.0, horizon=100)
-    cert = contraction_constant(prob)
+    cert = lp._certify(prob.split, prob.schedule, prob.epsilon)
     assert cert.k2 == 0.0
     assert cert.k == pytest.approx(0.5)
     assert cert.valid
@@ -461,7 +459,7 @@ def test_a_budget_below_one_is_a_named_error():
 
 def test_validate_accepts_cubic_remainder():
     prob = cubic_problem()
-    prob.validate()  # should not raise
+    validate_remainder(prob)  # should not raise
 
 
 def test_validate_rejects_nonvanishing_remainder():
@@ -470,7 +468,7 @@ def test_validate_rejects_nonvanishing_remainder():
                          eta=lambda ks, Z: np.tile([1e-3, 0.0], (len(Z), 1)), delta=0.1,
                          epsilon=0.06, horizon=100)
     with pytest.raises(LyapunovError):
-        prob.validate()
+        validate_remainder(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +498,7 @@ def test_iterate_raw_matches_plain_loop():
     # gd's own step; its bits and exit step are those of plain one-point gd
     # (the Hessian diag(1, -1) is already diagonal, so z = x)
     prob = cubic_gd_problem()
-    f = obj_mod.cubic_perturbed_saddle(0.1)
+    step = methods.make_step("gd", obj_mod.cubic_perturbed_saddle(0.1), HARMONIC)
     exits = []
     for z0, radius in (([0.04, 0.0], 0.1), ([0.05, 0.01], 0.1), ([0.0, -0.02], 0.1),
                        ([0.04, 1e-3], 0.1), ([0.04, 0.0], None)):
@@ -508,7 +506,7 @@ def test_iterate_raw_matches_plain_loop():
         x = np.array(z0)
         want, want_exit = [x], None
         for k in range(3000):
-            x = methods.gd_step(f, HARMONIC, k, x)
+            x = step(k, x)
             want.append(x)
             if radius is not None and np.linalg.norm(x) > radius:
                 want_exit = k + 1
@@ -669,7 +667,7 @@ def test_remainder_cubic_constant_schedule_certifies_by_halving():
     assert prob.delta == pytest.approx(0.05)
     assert prob.epsilon == pytest.approx(0.6 * prob.delta, rel=1e-12)
     assert cert.k == pytest.approx(0.9 + 0.03 * (cert.k1 + cert.k2), rel=1e-9)
-    prob.validate()
+    validate_remainder(prob)
 
 
 def test_remainder_explicit_epsilon_can_return_invalid():
@@ -745,7 +743,7 @@ def test_remainder_harmonic_certificate_is_closed_form():
 @pytest.mark.parametrize("eps", [None, 0.0, 0.05])
 def test_remainder_certificate_is_contraction_constant(f, eps):
     prob, cert = remainder_from_objective(f, np.zeros(2), HARMONIC, epsilon=eps)
-    assert cert == contraction_constant(prob)
+    assert cert == lp._certify(prob.split, prob.schedule, prob.epsilon)
 
 
 def exact_tail(prob, order, n):
@@ -899,7 +897,8 @@ def manufactured_problem(c=0.1, lam=1.0, mu=1.0, delta=0.1):
 def test_chart_matches_manufactured_manifold():
     c = 0.1
     prob = manufactured_problem(c=c)
-    assert contraction_constant(prob).k == pytest.approx(0.62, rel=1e-15)
+    assert lp._certify(prob.split, prob.schedule, prob.epsilon).k == \
+        pytest.approx(0.62, rel=1e-15)
     assert prob.decay_rate == 0.625 and not prob.horizon_capped
     assert prob.horizon < 10_000
     grid = np.linspace(-prob.delta / 2, prob.delta / 2, 11)

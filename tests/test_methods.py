@@ -10,10 +10,8 @@ from saddle_escape import methods as mth
 from saddle_escape import objectives as obj_mod
 from saddle_escape import schedules as sch
 from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
-                                   ESCAPED_REGION, STEP_ERROR, MethodError,
-                                   MirrorDomainError, constant_metric,
-                                   gd_step, intrinsic_manifold_step, make_step,
-                                   manifold_step, mirror_step, proximal_step,
+                                   ESCAPED_REGION, METHOD_IDS, STEP_ERROR, MethodError,
+                                   MirrorDomainError, RiemannianMetric, make_step,
                                    run, run_batch)
 from oracles import mwu_step
 from reference import reference_newton, reference_run
@@ -36,7 +34,7 @@ def linear_objective(c):
 def test_gd_step_formula():
     f = obj_mod.fig1()
     x = np.array([0.5, 0.5])
-    np.testing.assert_allclose(gd_step(f, HARMONIC, 0, x),
+    np.testing.assert_allclose(make_step("gd", f, HARMONIC)(0, x),
                                x - 0.5 * np.array([1.0, -1.0]))
 
 
@@ -45,7 +43,7 @@ def test_gd_step_rejects_nonfinite_gradient():
                           lambda x: np.array([float("nan")]),
                           lambda x: np.zeros((1, 1)))
     with pytest.raises(MethodError):
-        gd_step(f, HARMONIC, 0, np.array([1.0]))
+        make_step("gd", f, HARMONIC)(0, np.array([1.0]))
 
 
 @settings(max_examples=40)
@@ -54,16 +52,16 @@ def test_euclidean_mirror_equals_gd(k, xs):
     # mirror-euclidean and metric-less manifold-intrinsic run gd's step
     f = obj_mod.fig1()
     x = np.array(xs)
+    want = make_step("gd", f, HARMONIC)(k, x)
     for method_id in ("mirror-euclidean", "manifold-intrinsic"):
-        assert make_step(method_id, f, HARMONIC)(k, x).tobytes() == \
-            gd_step(f, HARMONIC, k, x).tobytes()
+        assert make_step(method_id, f, HARMONIC)(k, x).tobytes() == want.tobytes()
 
 
 def test_entropy_mirror_worked_case():
     # x = (1/2, 1/2), f = <(1,0), x>, alpha = ln 2 -> (1/3, 2/3)
     f = linear_objective([1.0, 0.0])
     s = sch.constant(math.log(2.0))
-    out = mirror_step(f, s, 0, np.array([0.5, 0.5]))
+    out = make_step("mirror-entropy", f, s)(0, np.array([0.5, 0.5]))
     np.testing.assert_allclose(out, [1 / 3, 2 / 3], rtol=1e-14)
 
 
@@ -77,33 +75,33 @@ def test_entropy_mirror_is_multiplicative_weights():
         f = linear_objective(g)
         expect = x * np.exp(-0.3 * g)
         expect /= expect.sum()
-        np.testing.assert_allclose(mirror_step(f, s, 0, x), expect,
+        np.testing.assert_allclose(make_step("mirror-entropy", f, s)(0, x), expect,
                                    rtol=1e-12)
 
 
 def test_entropy_mirror_map_inverts_its_gradient():
     # conjugate_argmax(grad_phi(x)) = x: a step with a zero gradient,
     # softmax(1 + log x), returns x
-    f = linear_objective(np.zeros(4))
+    step = make_step("mirror-entropy", linear_objective(np.zeros(4)), HARMONIC)
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = rng.uniform(0.05, 1.0, size=4)
         x = w / w.sum()
-        np.testing.assert_allclose(mirror_step(f, HARMONIC, 0, x), x, rtol=1e-12)
+        np.testing.assert_allclose(step(0, x), x, rtol=1e-12)
 
 
 def test_entropy_domain_checks():
-    f = linear_objective([1.0, 0.0])
+    step = make_step("mirror-entropy", linear_objective([1.0, 0.0]), HARMONIC)
     with pytest.raises(MirrorDomainError):
-        mirror_step(f, HARMONIC, 0, np.array([0.5, 0.6]))  # off the simplex
+        step(0, np.array([0.5, 0.6]))  # off the simplex
     with pytest.raises(MirrorDomainError):
-        mirror_step(f, HARMONIC, 0, np.array([1.0, 0.0]))  # boundary coordinate
+        step(0, np.array([1.0, 0.0]))  # boundary coordinate
 
 
 def test_prox_closed_form_worked_case():
     # (I + 0.5 diag(2, -1))^{-1} (1, 1) = (1/2, 2)
     f = obj_mod.quadratic(np.diag([2.0, -1.0]))
-    out = proximal_step(f, sch.constant(0.5), 0, np.array([1.0, 1.0]))
+    out = make_step("prox", f, sch.constant(0.5))(0, np.array([1.0, 1.0]))
     np.testing.assert_allclose(out, [0.5, 2.0], rtol=1e-14)
 
 
@@ -119,8 +117,8 @@ def test_prox_newton_matches_closed_form(seed):
     s = sch.constant(alpha)
     # the same callables without quadratic_matrix take prox's Newton route
     plain = obj_mod.Objective(3, f.eval, f.grad, f.hess, vectorized=True)
-    closed = proximal_step(f, s, 0, x)
-    newton = proximal_step(plain, s, 0, x)
+    closed = make_step("prox", f, s)(0, x)
+    newton = make_step("prox", plain, s)(0, x)
     np.testing.assert_allclose(newton, closed, atol=1e-10, rtol=1e-10)
 
 
@@ -128,14 +126,14 @@ def test_prox_singular_resolvent_raises():
     # I + 0.5 * diag(1, -2) has a zero row -> no resolvent
     f = obj_mod.quadratic(np.diag([1.0, -2.0]))
     with pytest.raises(MethodError):
-        proximal_step(f, sch.constant(0.5), 0, np.array([1.0, 1.0]))
+        make_step("prox", f, sch.constant(0.5))(0, np.array([1.0, 1.0]))
 
 
 def test_prox_newton_on_cubic_satisfies_optimality():
     f = obj_mod.cubic_perturbed_saddle(0.1)
     x = np.array([0.3, -0.2])
     s = sch.constant(0.1)
-    z = proximal_step(f, s, 0, x)
+    z = make_step("prox", f, s)(0, x)
     # z solves z + alpha grad f(z) = x
     np.testing.assert_allclose(z + 0.1 * f.grad(z), x, atol=1e-10)
 
@@ -152,6 +150,7 @@ def test_batched_newton_matches_the_scalar_loop():
         for alpha in alphas:
             s = sch.constant(alpha)
             Z, error = mth._update("prox", f, s, 1)(0, X)
+            step = make_step("prox", f, s)
             for j, x in enumerate(X):
                 try:
                     want = reference_newton(f, s, 0, x)
@@ -160,12 +159,12 @@ def test_batched_newton_matches_the_scalar_loop():
                     assert type(error(j)) is MethodError and str(error(j)) == str(err)
                     assert np.isnan(Z[j]).all()
                     with pytest.raises(MethodError) as one:
-                        proximal_step(f, s, 0, x)
+                        step(0, x)
                     assert str(one.value) == str(err)
                 else:
                     seen.add("solved")
                     assert error(j) is None
-                    assert Z[j].tobytes() == want.tobytes() == proximal_step(f, s, 0, x).tobytes()
+                    assert Z[j].tobytes() == want.tobytes() == step(0, x).tobytes()
     assert seen == {"solved", "singular proximal Jacobian I + alpha_k hess f",
                     "proximal Newton damping stalled",
                     "proximal Newton did not reach residual 1e-12"}
@@ -182,23 +181,24 @@ def test_batched_entropy_step_is_multiplicative_weights(d):
     X[0, 0], X[1] = 0.0, 1.1 * X[1]
     s = sch.constant(0.3)
     Y, error = mth._update("mirror-entropy", f, s, 1)(0, X)
+    step = make_step("mirror-entropy", f, s)
     for j, x in enumerate(X):
         if j < 2:
             with pytest.raises(MirrorDomainError) as err:
-                mirror_step(f, s, 0, x)
+                step(0, x)
             assert type(error(j)) is MirrorDomainError and str(error(j)) == str(err.value)
             assert np.isnan(Y[j]).all()
             continue
         assert error(j) is None
-        assert Y[j].tobytes() == mirror_step(f, s, 0, x).tobytes()
+        assert Y[j].tobytes() == step(0, x).tobytes()
         np.testing.assert_allclose(Y[j], mwu_step(list(x), list(c), 0.3), rtol=1e-12)
 
 
 def test_sphere_step_stays_feasible():
-    f = obj_mod.quadratic(np.diag([1.0, 2.0, -1.0]))
+    step = make_step("manifold-sphere", obj_mod.quadratic(np.diag([1.0, 2.0, -1.0])), HARMONIC)
     x = np.array([1.0, 0.0, 0.0])
     for k in range(200):
-        x = manifold_step(f, HARMONIC, k, x)
+        x = step(k, x)
         assert abs(np.linalg.norm(x) - 1.0) < 1e-12
 
 
@@ -206,48 +206,51 @@ def test_sphere_rejects_near_zero_projection():
     # a point on the sphere never steps to the origin (|v|^2 >= 1), so this
     # takes x = 0 where fig1's gradient vanishes
     with pytest.raises(mth.ManifoldError):
-        manifold_step(obj_mod.fig1(), HARMONIC, 0, np.zeros(2))
+        make_step("manifold-sphere", obj_mod.fig1(), HARMONIC)(0, np.zeros(2))
 
 
 def test_intrinsic_step_applies_inverse_metric():
     Minv = np.array([[2.0, 0.0], [0.0, 0.5]])
-    metric = constant_metric(Minv)
+    metric = RiemannianMetric(Minv)
     f = obj_mod.fig1()
     x = np.array([1.0, 1.0])
-    out = intrinsic_manifold_step(f, metric, HARMONIC, 0, x)
+    out = make_step("manifold-intrinsic", f, HARMONIC, metric=metric)(0, x)
     np.testing.assert_allclose(out, x - 0.5 * (Minv @ f.grad(x)), rtol=1e-14)
 
 
 def test_one_point_steps_reject_a_stack():
     f, s, X = obj_mod.fig1(), HARMONIC, np.array([[0.5, 0.5], [0.2, 0.8]])
-    metric = constant_metric(np.diag([2.0, 1.0]))
-    steps = [gd_step, mirror_step, proximal_step, manifold_step,
-             lambda *args: intrinsic_manifold_step(f, metric, *args[1:]),
-             lambda f, s, k, x: make_step("gd", f, s)(k, x)]
+    metric = RiemannianMetric(np.diag([2.0, 1.0]))
+    steps = [make_step(method_id, f, s) for method_id in METHOD_IDS]
+    steps.append(make_step("manifold-intrinsic", f, s, metric=metric))
     for step in steps:
         with pytest.raises(MethodError, match=r"shape \(d,\), got \(2, 2\)"):
-            step(f, s, 0, X)
+            step(0, X)
 
 
 def test_metric_must_be_spd():
     with pytest.raises(MethodError):
-        constant_metric(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        RiemannianMetric(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(MethodError):
-        constant_metric(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        RiemannianMetric(np.array([[1.0, 0.5], [0.0, 1.0]]))
     for bad in (np.nan, np.inf):  # neither the symmetry test nor cholesky catches these
         with pytest.raises(MethodError, match="non-finite"):
-            constant_metric(np.array([[bad, 0.0], [0.0, 1.0]]))
+            RiemannianMetric(np.array([[bad, 0.0], [0.0, 1.0]]))
+    # any array-like is a matrix of floats
+    metric = RiemannianMetric([[2, 0], [0, 1]])
+    assert metric.name == "constant" and metric.matrix.dtype == float
+    assert metric.matrix.tobytes() == np.diag([2.0, 1.0]).tobytes()
 
 
 def test_make_step_routing_and_default_geometry():
     f = obj_mod.fig1()
     step = make_step("gd", f, HARMONIC)
     np.testing.assert_allclose(step(0, np.array([0.5, 0.5])),
-                               gd_step(f, HARMONIC, 0, np.array([0.5, 0.5])))
+                               np.array([0.5, 0.5]) - 0.5 * f.grad(np.array([0.5, 0.5])))
     with pytest.raises(MethodError):
         make_step("unknown-method", f, HARMONIC)
     # a metric belongs to manifold-intrinsic alone; no other method ignores it
-    metric = constant_metric(np.diag([2.0, 1.0]))
+    metric = RiemannianMetric(np.diag([2.0, 1.0]))
     for method_id in ("gd", "mirror-euclidean", "prox"):
         with pytest.raises(MethodError, match="manifold-intrinsic only"):
             make_step(method_id, f, HARMONIC, metric=metric)
@@ -321,8 +324,9 @@ def test_run_step_error_records_final_state():
     rec = run("prox", f, HARMONIC, x, stride=10)
     assert rec.terminal.kind == STEP_ERROR
     assert rec.k_final == rec.ks[-1] == 5
+    step = make_step("prox", f, HARMONIC)
     for k in range(5):
-        x = proximal_step(f, HARMONIC, k, x)
+        x = step(k, x)
     assert rec.final_point.tobytes() == x.tobytes()
     assert rec.grad_norms[-1] == float(np.linalg.norm(f.grad(x)))
 
@@ -447,7 +451,7 @@ def test_run_batch_rows_on_dense_quadratics(method_id):
         B = rng.standard_normal((d, d))
         A = (B + B.T) / np.max(np.abs(np.linalg.eigvalsh(B + B.T)))  # eigenvalues in [-1, 1]
         f = obj_mod.quadratic(A)
-        metric = constant_metric(np.eye(d) + A @ A) if method_id == "manifold-intrinsic" else None
+        metric = RiemannianMetric(np.eye(d) + A @ A) if method_id == "manifold-intrinsic" else None
         opts = dict(budget=400, conv_tol=1e-12, escape_radius=1e4, metric=metric)
         X0 = rng.uniform(-1.0, 1.0, size=(64, d))
         res = run_batch(method_id, f, s, X0, **opts)
@@ -605,6 +609,21 @@ def test_run_and_run_batch_reject_window_below_one():
         run("gd", f, HARMONIC, np.array([0.5, 0.5]), window=0)
     with pytest.raises(MethodError, match="window"):
         run_batch("gd", f, HARMONIC, np.array([[0.5, 0.5]]), window=0)
+
+
+def test_a_budget_of_2_to_the_63_is_a_named_error():
+    # k_final is an int64: 2^63 - 1 runs (fig1 escapes at k = 108), 2^63 raises
+    f, x0 = obj_mod.fig1(), np.array([0.5, 0.5])
+    largest = (1 << 63) - 1
+    rec = run("gd", f, HARMONIC, x0, budget=largest)
+    res = run_batch("gd", f, HARMONIC, x0[None], budget=largest)
+    assert (rec.terminal.kind, rec.k_final) == (res.terminal[0], res.k_final[0]) == \
+        (ESCAPED_REGION, 108)
+    for budget in (1 << 63, 1 << 64):
+        with pytest.raises(MethodError, match=r"budget must be below 2\^63"):
+            run("gd", f, HARMONIC, x0, budget=budget)
+        with pytest.raises(MethodError, match=r"budget must be below 2\^63"):
+            run_batch("gd", f, HARMONIC, x0[None], budget=budget)
 
 
 def test_run_and_run_batch_reject_nan_escape_radius():

@@ -22,9 +22,9 @@ def test_power_values():
 
 def test_power_partial_sum_matches_cumsum():
     s = sch.power(1.0, 1.0, 2)
-    assert math.isclose(s.partial_sum(5), H_TAIL_5, rel_tol=1e-15)
+    assert math.isclose(float(np.sum(s.values(5))), H_TAIL_5, rel_tol=1e-15)
     s2 = sch.power(2.0, 0.5, 3)
-    assert math.isclose(s2.partial_sum(100), float(np.sum(s2.values(100))),
+    assert math.isclose(float(np.sum(s2.values(100))), math.fsum(s2.value(k) for k in range(100)),
                         rel_tol=1e-13)
 
 
@@ -163,6 +163,12 @@ def test_the_factories_are_the_classes():
     ({"kind": "table", "values": [0.5], "tail": {"kind": "geometric", "c": 0.1}},
      "schedule kind 'geometric' missing field(s) ['r']"),
     ("power", "schedule config must be a dict, got str"),
+    ({"kind": ["power"], "c": 1.0},
+     "unknown schedule kind ['power']; expected one of "
+     "['constant', 'geometric', 'power', 'table']"),
+    ({"kind": {"power": 1}},
+     "unknown schedule kind {'power': 1}; expected one of "
+     "['constant', 'geometric', 'power', 'table']"),
 ])
 def test_from_config_messages_are_pinned(cfg, message):
     with pytest.raises(sch.ScheduleError) as exc:
