@@ -474,9 +474,9 @@ def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
     if prob.dynamics is None:
         raise LyapunovError("a hand-built PerronProblem has no raw dynamics; "
                             "build it with remainder_from_objective")
-    if steps < 0 or not radius > 0:
-        raise LyapunovError("the raw dynamics need steps >= 0 and a positive radius, "
-                            f"got {steps} and {radius}")
+    if steps < 0 or steps >= 1 << 63 or not radius > 0:
+        raise LyapunovError("the raw dynamics need steps >= 0, steps < 2^63 and a "
+                            f"positive radius, got {steps} and {radius}")
     res = _advance(prob.dynamics(steps), Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, 1, path)
     failed = [m for t, m in zip(res.terminal, res.message) if t == STEP_ERROR]
     if failed:
@@ -492,7 +492,7 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
     Returns (trajectory, exit_step); exit_step is the first k with
     ||z_k|| > stop_radius, or None if the trajectory stayed inside for all
     num_steps (trajectory then has num_steps+1 rows).  A hand-built
-    problem, a negative num_steps, a stop_radius that is NaN or not
+    problem, a num_steps outside [0, 2^63), a stop_radius that is NaN or not
     positive and a failed step (a non-finite iterate, say) raise
     LyapunovError.
     """

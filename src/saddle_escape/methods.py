@@ -89,21 +89,20 @@ class RiemannianMetric:
     """Constant inverse metric M^{-1} (``matrix``, any array-like); must be finite,
     symmetric positive definite."""
 
-    def __init__(self, matrix, name: str = "constant"):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise MethodError(f"inverse metric '{name}' is not square: shape {matrix.shape}")
+            raise MethodError(f"inverse metric is not square: shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
-            raise MethodError(f"inverse metric '{name}' has a non-finite entry")
+            raise MethodError("inverse metric has a non-finite entry")
         if float(np.max(np.abs(matrix - matrix.T))) > \
                 1e-10 * max(1.0, float(np.max(np.abs(matrix)))):
-            raise MethodError(f"inverse metric '{name}' is not symmetric")
+            raise MethodError("inverse metric is not symmetric")
         try:
             np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError as err:
-            raise MethodError(f"inverse metric '{name}' is not positive definite") from err
+            raise MethodError("inverse metric is not positive definite") from err
         self.matrix = matrix
-        self.name = name
 
 
 def _recursion(method_id: str, metric) -> str:

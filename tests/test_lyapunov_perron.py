@@ -537,6 +537,15 @@ def test_iterate_raw_rejects_negative_steps():
         iterate_raw(cubic_gd_problem(), np.array([0.04, 0.05]), -1)
 
 
+def test_raw_dynamics_reject_steps_past_int64():
+    # the lockstep loop counts k in int64; a larger horizon is a bad argument
+    prob = cubic_gd_problem()
+    with pytest.raises(LyapunovError, match=r"steps < 2\^63"):
+        iterate_raw(prob, np.array([0.04, 0.05]), 1 << 63)
+    with pytest.raises(LyapunovError, match=r"steps < 2\^63"):
+        shooting_oracle(prob, np.array([0.04]), bracket=0.1, steps=1 << 63)
+
+
 @pytest.mark.parametrize("z0", [[np.nan, 0.0], [1e200, 1e200]], ids=["nan", "overflow"])
 def test_iterate_raw_non_finite_iterate_is_an_error(z0):
     # gd's step error ends the run as a LyapunovError with its message; it

@@ -238,7 +238,7 @@ def test_metric_must_be_spd():
             RiemannianMetric(np.array([[bad, 0.0], [0.0, 1.0]]))
     # any array-like is a matrix of floats
     metric = RiemannianMetric([[2, 0], [0, 1]])
-    assert metric.name == "constant" and metric.matrix.dtype == float
+    assert metric.matrix.dtype == float
     assert metric.matrix.tobytes() == np.diag([2.0, 1.0]).tobytes()
 
 
