@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -39,7 +40,7 @@ from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, CONVERGENCE_WINDOW,
                       DEFAULT_BUDGET, DEFAULT_CONV_TOL, DEFAULT_ESCAPE_RADIUS, DEFAULT_STRIDE,
                       ESCAPED_REGION, STEP_ERROR, MethodError, RiemannianMetric,
                       TrajectoryRecord, _recursion, run, run_batch)
-from .objectives import DEFAULT_EIG_TOL, DEFAULT_GRAD_TOL, Objective, classify_critical_point
+from .objectives import Objective, classify_critical_point
 
 __all__ = [
     "ConfigError",
@@ -110,8 +111,6 @@ class ExperimentConfig:
     stride: int = DEFAULT_STRIDE
     output_dir: str = "."
     init: Optional[list] = None
-    grad_tol: float = DEFAULT_GRAD_TOL
-    eig_tol: float = DEFAULT_EIG_TOL
     window: int = CONVERGENCE_WINDOW
     metric: Optional[list] = None
     chart: dict = field(default_factory=dict)
@@ -135,20 +134,17 @@ class ExperimentConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or \
                 not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
-        for name in ("conv_tol", "escape_radius", "grad_tol", "eig_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                    and math.isfinite(v)):
-                raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
+        for name in ("conv_tol", "escape_radius"):
+            if not _reals(getattr(self, name), name, ()) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         box = self.init_box
         if not isinstance(box, (list, tuple)) or len(box) == 0:
             raise ConfigError("init_box must be a nonempty list of [low, high] pairs")
-        for i, pair in enumerate(box):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ConfigError(f"init_box[{i}] must be a [low, high] pair, got {pair!r}")
-            lo, hi = pair
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ConfigError(f"init_box[{i}] needs finite low <= high, got {pair!r}")
+        for i, pair in enumerate(box):  # a [low, high] pair
+            lo, hi = _reals(pair, f"init_box[{i}]", (2,)).tolist()
+            if not (lo <= hi and math.isfinite(hi - lo)):  # the draw needs a finite width
+                raise ConfigError(f"init_box[{i}] needs low <= high and a finite "
+                                  f"high - low, got {pair!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string path, got {self.output_dir!r}")
         if not isinstance(self.objective, dict):
@@ -208,15 +204,15 @@ def build_objective(spec: dict) -> Objective:
         if keys != {"matrix"}:
             raise ConfigError("quadratic objective needs exactly a 'matrix' field")
         try:
-            return objectives.quadratic(np.asarray(spec["matrix"], dtype=float))
-        except (TypeError, ValueError) as err:  # ObjectiveError is a ValueError
+            return objectives.quadratic(_reals(spec["matrix"], "objective.matrix"))
+        except objectives.ObjectiveError as err:
             raise ConfigError(f"bad quadratic matrix: {err}") from err
     if name == "cubic":
         if keys != {"a"}:
             raise ConfigError("cubic objective needs exactly an 'a' field")
         try:
-            return objectives.cubic_perturbed_saddle(float(spec["a"]))
-        except (TypeError, ValueError) as err:
+            return objectives.cubic_perturbed_saddle(_reals(spec["a"], "objective.a", ()))
+        except objectives.ObjectiveError as err:
             raise ConfigError(f"bad cubic coefficient: {err}") from err
     raise ConfigError(f"unknown objective name {name!r}")
 
@@ -231,24 +227,31 @@ def _build_schedule(spec: dict) -> sched_mod.StepSchedule:
 def _build_metric(cfg: ExperimentConfig, obj: Objective) -> Optional[RiemannianMetric]:
     if cfg.metric is None:
         return None
-    d = obj.dimension
+    M = _reals(cfg.metric, "metric", (obj.dimension, obj.dimension))
     try:
-        M = np.asarray(cfg.metric, dtype=float)
-        if M.shape != (d, d):
-            raise MethodError(f"expected a {d}x{d} matrix, got shape {M.shape}")
         return RiemannianMetric(M)
-    except (TypeError, ValueError, MethodError) as err:
+    except MethodError as err:
         raise ConfigError(f"bad metric {cfg.metric!r}: {err}") from err
 
 
-def _point(value, dim: int, name: str) -> np.ndarray:
-    """A config list of ``dim`` finite numbers as a float vector."""
+def _reals(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """A config number, or nested lists of numbers, as a float array; with
+    ``shape``, one of that shape with finite entries.  A bool or any other
+    entry that is not a real number, a ragged list or a number past the
+    float range is a ConfigError naming ``name``."""
+    entries = [value]
+    for v in entries:  # the list grows by each nested list's entries as it is read
+        v = v.tolist() if isinstance(v, np.ndarray) else v
+        if isinstance(v, (list, tuple)):
+            entries.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{name} needs real numbers, got {v!r}")
     try:
         x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
-    if x.shape != (dim,) or not np.all(np.isfinite(x)):
-        raise ConfigError(f"{name} must have {dim} finite coordinates, got {value!r}")
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"{name} needs a regular array of floats: {err}") from err
+    if shape is not None and (x.shape != shape or not np.all(np.isfinite(x))):
+        raise ConfigError(f"{name} needs finite numbers of shape {shape}, got {value!r}")
     return x
 
 
@@ -339,8 +342,9 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     ``run`` would end it.  Classifies every terminal
     (step errors get their own bucket, never dropped) and counts saddle
     hits: terminal converged_to_point whose limit classifies strict_saddle
-    and lies within SADDLE_PROXIMITY of a registered critical point (every
-    objective that ``build_objective`` makes registers the origin).
+    and lies within SADDLE_PROXIMITY of the origin, where every objective
+    that ``build_objective`` makes has its saddle.  The limit is classified
+    at :func:`classify_critical_point`'s default tolerances.
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -361,27 +365,19 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
              "grad_norm": float(grad_norms[t]), "saddle_hit": False,
              "message": res.message[t]} for t in range(cfg.trials)]
 
-    saddle_hits = 0
-    saddle_hit_inits = []
-    for row in rows:
-        if row["terminal"] != CONVERGED_TO_POINT:
-            continue
-        cls = classify_critical_point(obj, row["final"], grad_tol=cfg.grad_tol,
-                                      eig_tol=cfg.eig_tol)
-        near = min(float(np.linalg.norm(row["final"] - p)) for p in obj.critical_points) \
-            < SADDLE_PROXIMITY
-        if cls.tag == objectives.STRICT_SADDLE and near:
-            row["saddle_hit"] = True
-            saddle_hits += 1
-            saddle_hit_inits.append(row["init"])
+    for row in rows:  # a hit: a converged limit near the origin that is a strict saddle
+        if row["terminal"] == CONVERGED_TO_POINT:
+            tag = classify_critical_point(obj, row["final"]).tag
+            row["saddle_hit"] = tag == objectives.STRICT_SADDLE and \
+                float(np.linalg.norm(row["final"])) < SADDLE_PROXIMITY
+    saddle_hit_inits = [row["init"] for row in rows if row["saddle_hit"]]
 
     counts = {kind: 0 for kind in _TERMINAL_KINDS}
     for row in rows:
         counts[row["terminal"]] += 1
     if sum(counts.values()) != cfg.trials:
         raise RuntimeError("trial accounting is broken: counts do not sum to trials")
-    return AvoidanceReport(trials=cfg.trials, counts=counts,
-                           saddle_hits=saddle_hits,
+    return AvoidanceReport(trials=cfg.trials, counts=counts, saddle_hits=len(saddle_hit_inits),
                            saddle_hit_inits=saddle_hit_inits, rows=rows)
 
 
@@ -401,13 +397,12 @@ def fig1_experiment(cfg: ExperimentConfig) -> dict:
     records attached) when any of that fails.
     """
     obj = objectives.fig1()
-    x0 = _point(cfg.init if cfg.init is not None else [0.5, 0.5], obj.dimension, "init")
+    x0 = _reals(cfg.init if cfg.init is not None else [0.5, 0.5], "init", (obj.dimension,))
     records = {}
     for label, spec in FIG1_SCHEDULES:
         schedule = _build_schedule(spec)
         rec = run(cfg.method_id, obj, schedule, x0, budget=cfg.budget, conv_tol=cfg.conv_tol,
-                  escape_radius=cfg.escape_radius, stride=1, window=cfg.window,
-                  grad_tol=cfg.grad_tol, eig_tol=cfg.eig_tol, seed=cfg.seed)
+                  escape_radius=cfg.escape_radius, stride=1, window=cfg.window)
         records[label] = rec
         emit_plot_data(rec, os.path.join(cfg.output_dir, f"fig1_{label}.csv"))
 
@@ -465,14 +460,14 @@ def chart_experiment(cfg: ExperimentConfig):
         return {name: v}
 
     x_star = cfg.chart.get("critical_point")
-    if x_star is None:
-        x_star = obj.critical_points[0]  # build_objective's objectives register the origin
+    if x_star is None:  # every objective build_objective makes has its saddle at the origin
+        x_star = np.zeros(obj.dimension)
     points = option("grid_points", int).get("grid_points", 11)
     halfwidth = option("grid_halfwidth", nullable=True).get("grid_halfwidth")
     solve_options = {**option("fp_tol"), **option("fp_budget", int)}
     try:
         prob, cert = remainder_from_objective(
-            obj, _point(x_star, obj.dimension, "chart.critical_point"), schedule,
+            obj, _reals(x_star, "chart.critical_point", (obj.dimension,)), schedule,
             method=cfg.method_id, **option("delta0"),
             **option("epsilon", zero_ok=True, nullable=True),
             **option("max_halvings", int, zero_ok=True),
@@ -537,11 +532,10 @@ def single_run_experiment(cfg: ExperimentConfig) -> TrajectoryRecord:
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
     metric = _build_metric(cfg, obj)
-    rec = run(cfg.method_id, obj, schedule, _point(cfg.init, obj.dimension, "init"),
+    rec = run(cfg.method_id, obj, schedule, _reals(cfg.init, "init", (obj.dimension,)),
               budget=cfg.budget, conv_tol=cfg.conv_tol,
               escape_radius=cfg.escape_radius, stride=cfg.stride,
-              window=cfg.window, grad_tol=cfg.grad_tol, eig_tol=cfg.eig_tol,
-              metric=metric, seed=cfg.seed)
+              window=cfg.window, metric=metric)
     emit_plot_data(rec, os.path.join(cfg.output_dir, "run.csv"))
     return rec
 

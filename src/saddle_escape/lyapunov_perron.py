@@ -863,7 +863,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     # obj's raw callables, which take stacks, so that a step checks its points once
     shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
                         lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
-                        name=obj.name, vectorized=True)
+                        vectorized=True)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=horizon, tail_tol=tail_tol, order=order,
                          dynamics=lambda steps: _update(method, shifted, schedule, steps))

@@ -27,8 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .objectives import (DEFAULT_EIG_TOL, DEFAULT_GRAD_TOL, CriticalPointClass,
-                         Objective, classify_critical_point)
+from .objectives import CriticalPointClass, Objective, classify_critical_point
 from .schedules import StepSchedule
 
 __all__ = [
@@ -151,12 +150,11 @@ class Terminal:
     """How a trajectory ended.
 
     kind is one of ``escaped_region`` / ``converged_to_point`` /
-    ``budget_exhausted`` / ``step_error``; ``point`` and ``point_class`` are
-    set for convergence, ``message`` for step errors.
+    ``budget_exhausted`` / ``step_error``; ``point_class`` is set for
+    convergence, ``message`` for step errors.
     """
 
     kind: str
-    point: Optional[np.ndarray] = None
     point_class: Optional[CriticalPointClass] = None
     message: Optional[str] = None
 
@@ -165,15 +163,12 @@ class Terminal:
 class TrajectoryRecord:
     """Stride-decimated trajectory with bookkeeping for CSV export."""
 
-    method_id: str
-    schedule_id: str
     terminal: Terminal
     k_final: int
     ks: list = field(default_factory=list)
     points: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
-    seed: Optional[int] = None
 
     @property
     def final_point(self) -> np.ndarray:
@@ -183,15 +178,15 @@ class TrajectoryRecord:
 def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, *,
         budget: int = DEFAULT_BUDGET, conv_tol: float = DEFAULT_CONV_TOL,
         escape_radius: float = DEFAULT_ESCAPE_RADIUS, stride: int = DEFAULT_STRIDE,
-        window: int = CONVERGENCE_WINDOW, grad_tol: float = DEFAULT_GRAD_TOL,
-        eig_tol: float = DEFAULT_EIG_TOL,
-        metric: RiemannianMetric | None = None, seed: int | None = None) -> TrajectoryRecord:
+        window: int = CONVERGENCE_WINDOW,
+        metric: RiemannianMetric | None = None) -> TrajectoryRecord:
     """Iterate ``method_id`` from ``x0`` until escape, convergence, or budget.
 
     This is the one-row case of :func:`run_batch`: the same steps and the
     same stopping rules.  Convergence is declared after ``window``
     consecutive steps of motion below ``conv_tol`` (a Cauchy-window test);
-    the limit is then classified with :func:`classify_critical_point`.
+    the limit is then classified by :func:`classify_critical_point` at its
+    default tolerances.
     Escape means ``||x_k|| > escape_radius``; a NaN ``escape_radius``
     raises ``MethodError``.  Step errors (mirror domain
     violations, singular proximal systems, ...) terminate the run with the
@@ -211,14 +206,11 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     kept = [(k, X[0]) for k, X in path if k < k_final] + [(k_final, final)]
     terminal = Terminal(res.terminal[0], message=res.message[0])
     if terminal.kind == CONVERGED_TO_POINT:
-        terminal.point = final.copy()
-        terminal.point_class = classify_critical_point(obj, final, grad_tol=grad_tol,
-                                                       eig_tol=eig_tol)
+        terminal.point_class = classify_critical_point(obj, final)
     return TrajectoryRecord(
-        method_id=method_id, schedule_id=schedule.describe(), terminal=terminal,
-        k_final=k_final, ks=[k for k, _ in kept], points=[p for _, p in kept],
-        step_sizes=[schedule.value(k) for k, _ in kept],
-        grad_norms=[float(np.linalg.norm(obj.grad(p))) for _, p in kept], seed=seed)
+        terminal=terminal, k_final=k_final, ks=[k for k, _ in kept],
+        points=[p for _, p in kept], step_sizes=[schedule.value(k) for k, _ in kept],
+        grad_norms=[float(np.linalg.norm(obj.grad(p))) for _, p in kept])
 
 
 BatchResult = NamedTuple("BatchResult", [

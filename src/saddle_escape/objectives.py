@@ -16,7 +16,7 @@ single points only is looped over the points once, at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class EigensolverError(RuntimeError):
 
 
 class Objective:
-    """Bundle of ``eval``/``grad``/``hess`` callables plus metadata.
+    """Bundle of ``eval``/``grad``/``hess`` callables on R^d.
 
     Parameters
     ----------
@@ -64,11 +64,6 @@ class Objective:
         Ambient dimension ``d``.
     eval_fn, grad_fn, hess_fn : callables
         ``f: R^d -> R``, ``grad f: R^d -> R^d``, ``hess f: R^d -> R^{d x d}``.
-    name : str
-        Registry name ("quadratic", "fig1", "cubic", or user-defined).
-    critical_points : sequence of vectors
-        Known critical points, used by the harness to double-key
-        "converged to a registered saddle" decisions.
     vectorized : bool
         True when the callables broadcast over stacked points of shape
         (..., d).  False (the default) wraps each of them in one loop over
@@ -81,8 +76,6 @@ class Objective:
         eval_fn: Callable[[np.ndarray], float],
         grad_fn: Callable[[np.ndarray], np.ndarray],
         hess_fn: Callable[[np.ndarray], np.ndarray],
-        name: str = "custom",
-        critical_points: Sequence[np.ndarray] = (),
         vectorized: bool = False,
     ):
         if dimension < 1:
@@ -96,8 +89,6 @@ class Objective:
         self._eval = eval_fn
         self._grad = grad_fn
         self._hess = hess_fn
-        self.name = name
-        self.critical_points = [np.asarray(p, dtype=float) for p in critical_points]
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -116,7 +107,7 @@ class Objective:
         return self._hess(self._check(x))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Objective {self.name} d={self.dimension}>"
+        return f"<Objective d={self.dimension}>"
 
 
 def _each_point(fn: Callable, tail: tuple) -> Callable:
@@ -129,7 +120,7 @@ def _each_point(fn: Callable, tail: tuple) -> Callable:
     return each
 
 
-def quadratic(A: np.ndarray, name: str = "quadratic") -> Objective:
+def quadratic(A: np.ndarray) -> Objective:
     """``f(x) = 0.5 x^T A x`` for symmetric ``A``; rejects asymmetry above 1e-12.
 
     The gradient is ``A x`` and the Hessian is the constant matrix ``A``.
@@ -155,15 +146,14 @@ def quadratic(A: np.ndarray, name: str = "quadratic") -> Objective:
     def _hess(x):
         return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
-    obj = Objective(d, _eval, _grad, _hess, name=name,
-                    critical_points=[np.zeros(d)], vectorized=True)
+    obj = Objective(d, _eval, _grad, _hess, vectorized=True)
     obj.quadratic_matrix = A.copy()
     return obj
 
 
 def fig1() -> Objective:
     """The two-dimensional saddle benchmark ``f(x, y) = x^2 - y^2``."""
-    return quadratic(np.diag([2.0, -2.0]), name="fig1")
+    return quadratic(np.diag([2.0, -2.0]))
 
 
 def cubic_perturbed_saddle(a: float) -> Objective:
@@ -194,8 +184,7 @@ def cubic_perturbed_saddle(a: float) -> Objective:
         h[..., 0, 1] = h[..., 1, 0] = 2.0 * a * x
         return h
 
-    obj = Objective(2, _eval, _grad, _hess, name="cubic",
-                    critical_points=[np.zeros(2)], vectorized=True)
+    obj = Objective(2, _eval, _grad, _hess, vectorized=True)
     obj.cubic_coefficient = a
     return obj
 

@@ -11,7 +11,7 @@ to a finite step size ``alpha_k > 0``.  Four families are provided:
 Each family is one formula for ``alpha_k``, so ``value(k)`` and
 ``values(n)[k]`` give the same bits, and one declaration: its ``kind`` and
 its ``fields``, the constructor's argument names in config order, which
-``to_config``, ``describe`` and :func:`from_config` all read.  The factories
+``to_config`` and :func:`from_config` both read.  The factories
 ``power``, ``constant``, ``geometric`` and ``table`` are the classes.
 
 All schedules are positive and nonincreasing; this is validated at
@@ -71,8 +71,8 @@ class StepSchedule:
 
     A family is one formula, ``_alphas``.  ``values(n)`` evaluates it at
     ``0, ..., n-1`` and ``value(k)`` reads blocks of it: the same bits.
-    A family declares its ``kind`` and its ``fields`` once; ``to_config``,
-    ``describe`` and :func:`from_config` read that declaration."""
+    A family declares its ``kind`` and its ``fields`` once; ``to_config``
+    and :func:`from_config` read that declaration."""
 
     kind: str = "abstract"
     fields: tuple = ()  # the constructor's argument names, in config order
@@ -111,15 +111,8 @@ class StepSchedule:
             raise NotImplementedError(f"{type(self).__name__} declares no fields")
         return {"kind": self.kind, **{name: getattr(self, name) for name in self.fields}}
 
-    def describe(self) -> str:
-        """Stable human-readable identifier, e.g. ``power(c=1,p=1,offset=2)``;
-        :func:`saddle_escape.methods.run` stores it as the record's ``schedule_id``."""
-        args = (f"{name}={v:g}" if isinstance(v, float) else f"{name}={v}"
-                for name, v in self.to_config().items() if name != "kind")
-        return f"{self.kind}({','.join(args)})"
-
     def __repr__(self) -> str:  # pragma: no cover - convenience only
-        return f"<{type(self).__name__} {self.describe()}>"
+        return f"<{type(self).__name__} {self.to_config()}>"
 
 
 class PowerSchedule(StepSchedule):
@@ -236,9 +229,6 @@ class TableSchedule(StepSchedule):
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "values": self.head.tolist(), "tail": self.tail.to_config()}
-
-    def describe(self) -> str:
-        return f"{self.kind}(n={self.head.size},tail={self.tail.describe()})"
 
 
 power, constant, geometric, table = (PowerSchedule, ConstantSchedule, GeometricSchedule,

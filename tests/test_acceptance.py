@@ -168,7 +168,7 @@ def test_c05_resolvent_spectrum():
 def test_c06_multiplicative_weights():
     # worked case: uniform start, gradient (1, 0), alpha = ln 2
     lin = Objective(2, lambda x: float(x[0]), lambda x: np.array([1.0, 0.0]),
-                    lambda x: np.zeros((2, 2)), name="linear")
+                    lambda x: np.zeros((2, 2)))
     out = make_step("mirror-entropy", lin, constant(math.log(2.0)))(0, np.array([0.5, 0.5]))
     np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], rtol=0, atol=1e-12)
 
@@ -181,7 +181,7 @@ def test_c06_multiplicative_weights():
         alpha = float(rng.uniform(0.05, 1.5))
         lin = Objective(d, lambda z, g=g: float(z @ g),
                         lambda z, g=g: g.copy(),
-                        lambda z, d=d: np.zeros((d, d)), name="linear")
+                        lambda z, d=d: np.zeros((d, d)))
         out = make_step("mirror-entropy", lin, constant(alpha))(0, x)
         w = x * np.exp(-alpha * g)
         np.testing.assert_allclose(out, w / w.sum(), rtol=0, atol=1e-12)

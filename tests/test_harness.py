@@ -93,7 +93,8 @@ def test_from_json_and_bad_json(tmp_path):
 
 
 def test_build_objective_variants():
-    assert build_objective({"name": "fig1"}).name == "fig1"
+    np.testing.assert_array_equal(build_objective({"name": "fig1"}).quadratic_matrix,
+                                  np.diag([2.0, -2.0]))
     q = build_objective({"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]})
     np.testing.assert_allclose(q.quadratic_matrix, np.diag([1.0, -1.0]))
     c = build_objective({"name": "cubic", "a": 0.2})
@@ -126,10 +127,9 @@ def test_trajectory_csv_format(tmp_path):
 
 
 def test_empty_trajectory_csv_is_header_only(tmp_path):
-    rec = mth.TrajectoryRecord(method_id="gd", schedule_id="none",
-                               terminal=mth.Terminal(kind=mth.BUDGET_EXHAUSTED),
+    rec = mth.TrajectoryRecord(terminal=mth.Terminal(kind=mth.BUDGET_EXHAUSTED),
                                k_final=0, ks=[], points=[], step_sizes=[],
-                               grad_norms=[], seed=None)
+                               grad_norms=[])
     path = emit_plot_data(rec, str(tmp_path / "e.csv"))
     with open(path) as fh:
         content = fh.read()
@@ -559,6 +559,18 @@ INTRINSIC = "manifold-intrinsic"
     ("run", {"experiment": "single_run", "init": [0.5, 0.001], "budget": 1 << 63}),
     ("avoidance", {"budget": 1 << 63}),
     ("avoidance", {"schedule": {"kind": ["power"], "c": 1.0, "p": 1.0, "offset": 2}}),
+    ("avoidance", {"grad_tol": 1e-8}),
+    ("avoidance", {"eig_tol": 1e-8}),
+    ("avoidance", {"init_box": [[-1e308, 1e308], [-1.0, 1.0]]}),
+    ("avoidance", {"objective": {"name": "cubic", "a": True}}),
+    ("avoidance", {"objective": {"name": "quadratic", "matrix": [[True, 0.0], [0.0, -1.0]]}}),
+    ("run", {"experiment": "single_run", "method_id": INTRINSIC, "init": [1.0, 2.0],
+             "metric": [[True, 0.0], [0.0, 1.0]]}),
+    ("run", {"experiment": "single_run", "init": [True, 0.5]}),
+    ("fig1", {"experiment": "fig1", "init": [True, 0.5]}),
+    ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+               "chart": {"critical_point": [False, 0.0]}}),
+    ("avoidance", {"init_box": [[-1.0, True], [-1.0, 1.0]]}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
@@ -569,7 +581,9 @@ INTRINSIC = "manifold-intrinsic"
         "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric",
         "avoidance-matrix-nan", "chart-matrix-nan", "metric-nan", "metric-inf",
         "critical_point-nan", "init-nan", "fig1-init-nan", "run-budget-2^63",
-        "avoidance-budget-2^63", "schedule-kind-list"])
+        "avoidance-budget-2^63", "schedule-kind-list", "grad_tol-key", "eig_tol-key",
+        "init_box-width-overflows", "cubic-a-true", "matrix-true", "metric-true", "init-true",
+        "fig1-init-true", "critical_point-false", "init_box-true"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file
@@ -577,3 +591,21 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"grad_tol": 1e-8}, "unknown config field(s): ['grad_tol']"),
+    ({"eig_tol": 1e-8}, "unknown config field(s): ['eig_tol']"),
+    ({"init_box": [[-1.0, "a"], [-1.0, 1.0]]}, "init_box[0] needs real numbers, got 'a'"),
+    ({"init_box": [[-1.0, 1.0], [-1e308, 1e308]]},
+     "init_box[1] needs low <= high and a finite high - low, got [-1e+308, 1e+308]"),
+    ({"init_box": [[-1.0, 1.0], [-1.0, True]]}, "init_box[1] needs real numbers, got True"),
+    ({"objective": {"name": "cubic", "a": True}}, "objective.a needs real numbers, got True"),
+    ({"objective": {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, False]]}},
+     "objective.matrix needs real numbers, got False"),
+], ids=["grad_tol", "eig_tol", "init_box-text", "init_box-overflow", "init_box-true",
+        "cubic-a-true", "matrix-false"])
+def test_config_errors_name_the_entry(over, message):
+    with pytest.raises(ConfigError) as exc:
+        avoidance_experiment(make_cfg(trials=2, budget=10, **over))
+    assert message in str(exc.value)

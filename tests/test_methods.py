@@ -24,7 +24,7 @@ def linear_objective(c):
     c = np.asarray(c, dtype=float)
     d = len(c)
     return obj_mod.Objective(d, lambda x: float(x @ c), lambda x: c.copy(),
-                             lambda x: np.zeros((d, d)), name="linear")
+                             lambda x: np.zeros((d, d)))
 
 
 # ---------------------------------------------------------------------------

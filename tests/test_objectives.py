@@ -18,7 +18,7 @@ def test_quadratic_derivatives():
     assert f.eval(x) == pytest.approx(0.5 * x @ A @ x, rel=1e-15)
     np.testing.assert_allclose(f.grad(x), A @ x, rtol=1e-15)
     np.testing.assert_allclose(f.hess(x), A)
-    np.testing.assert_array_equal(f.critical_points[0], np.zeros(2))
+    np.testing.assert_array_equal(f.grad(np.zeros(2)), np.zeros(2))  # the origin is critical
 
 
 def test_quadratic_rejects_asymmetric():
@@ -140,7 +140,7 @@ def test_classify_respects_tolerances():
 
 def test_custom_objective_dimension_check():
     f = obj_mod.Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
-                          lambda x: np.zeros((2, 2)), name="flat")
+                          lambda x: np.zeros((2, 2)))
     with pytest.raises(obj_mod.ObjectiveError):
         f.grad(np.zeros(3))
 

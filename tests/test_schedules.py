@@ -101,52 +101,46 @@ def test_numpy_scalars_are_real_parameters():
     np.testing.assert_array_equal(t.values(3), [0.7, 0.6, 0.5])
 
 
-SEVEN = [  # (schedule, its to_config, its describe)
-    (lambda: sch.power(1.0, 1.0, 2),
-     {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}, "power(c=1,p=1,offset=2)"),
-    (lambda: sch.power(0.3, 0.5, 1),
-     {"kind": "power", "c": 0.3, "p": 0.5, "offset": 1}, "power(c=0.3,p=0.5,offset=1)"),
-    (lambda: sch.constant(0.25), {"kind": "constant", "c": 0.25}, "constant(c=0.25)"),
-    (lambda: sch.geometric(0.1, 0.9),
-     {"kind": "geometric", "c": 0.1, "r": 0.9}, "geometric(c=0.1,r=0.9)"),
+SEVEN = [  # (schedule, its to_config)
+    (lambda: sch.power(1.0, 1.0, 2), {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}),
+    (lambda: sch.power(0.3, 0.5, 1), {"kind": "power", "c": 0.3, "p": 0.5, "offset": 1}),
+    (lambda: sch.constant(0.25), {"kind": "constant", "c": 0.25}),
+    (lambda: sch.geometric(0.1, 0.9), {"kind": "geometric", "c": 0.1, "r": 0.9}),
     (lambda: sch.table([0.7, 0.6], sch.power(1.0, 1.0, 2)),
      {"kind": "table", "values": [0.7, 0.6],
-      "tail": {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}},
-     "table(n=2,tail=power(c=1,p=1,offset=2))"),
+      "tail": {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}}),
     (lambda: sch.table([0.9, 0.8], sch.table([0.7, 0.6], sch.power(1.0, 1.0, 2))),
      {"kind": "table", "values": [0.9, 0.8],
       "tail": {"kind": "table", "values": [0.7, 0.6],
-               "tail": {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}}},
-     "table(n=2,tail=table(n=2,tail=power(c=1,p=1,offset=2)))"),
-    # an integer offset prints as an integer, never as 1.23457e+06
+               "tail": {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}}}),
+    # an integer offset stays an integer
     (lambda: sch.power(2.5, 1.5, 1234567),
-     {"kind": "power", "c": 2.5, "p": 1.5, "offset": 1234567},
-     "power(c=2.5,p=1.5,offset=1234567)"),
+     {"kind": "power", "c": 2.5, "p": 1.5, "offset": 1234567}),
 ]
 
 
-@pytest.mark.parametrize("make, config, name", SEVEN,
+@pytest.mark.parametrize("make, config", SEVEN,
                          ids=["power-1-2", "power-0.5-1", "constant", "geometric", "table",
                               "nested-table", "power-offset-1234567"])
-def test_to_config_and_describe_are_pinned(make, config, name):
+def test_to_config_and_describe_are_pinned(make, config):
     s = make()
-    assert s.to_config() == config and s.describe() == name
+    assert s.to_config() == config
+    assert type(s.to_config().get("offset", 0)) is int
     s2 = sch.from_config(config)
-    assert (type(s2), s2.to_config(), s2.describe()) == (type(s), config, name)
+    assert (type(s2), s2.to_config()) == (type(s), config)
     np.testing.assert_array_equal(s2.values(2000), s.values(2000))
 
 
 def test_a_schedule_without_fields_has_no_config():
     with pytest.raises(NotImplementedError):
         sch.StepSchedule().to_config()
-    with pytest.raises(NotImplementedError):
-        sch.StepSchedule().describe()
 
 
 def test_the_factories_are_the_classes():
     assert (sch.power, sch.constant, sch.geometric, sch.table) == (
         sch.PowerSchedule, sch.ConstantSchedule, sch.GeometricSchedule, sch.TableSchedule)
-    assert sch.power().describe() == "power(c=1,p=1,offset=2)"  # the default 1/(k+2)
+    assert sch.power().to_config() == {"kind": "power", "c": 1.0, "p": 1.0,
+                                       "offset": 2}  # the default 1/(k+2)
     t = sch.table(values=[0.7], tail=sch.constant(0.5))
     assert t.to_config() == {"kind": "table", "values": [0.7],
                              "tail": {"kind": "constant", "c": 0.5}}
