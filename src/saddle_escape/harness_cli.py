@@ -452,7 +452,8 @@ def chart_experiment(cfg: ExperimentConfig):
             return {}
         v = cfg.chart[name]
         typed = isinstance(v, (int, float) if kind is float else int) and not isinstance(v, bool)
-        if not (v is None and nullable or typed and math.isfinite(v)
+        # an int past the float range fails the bound as inf and NaN do
+        if not (v is None and nullable or typed and abs(v) <= sys.float_info.max
                 and (v > 0 or zero_ok and v == 0)):
             what = ("nonnegative " if zero_ok else "positive ") + (
                 "finite number" if kind is float else "integer")

@@ -860,7 +860,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     if horizon is None:
         horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
                                horizon_cap=horizon_cap, tail_tol=tail_tol).horizon
-    # obj's raw callables, which take stacks, so that a step checks its points once
+    # obj's raw callables, which take stacks; the steps check no point (see methods._update)
     shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
                         lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
                         vectorized=True)

@@ -125,15 +125,16 @@ def make_step(method_id: str, obj: Objective, schedule: StepSchedule, *,
 
     It is the one-row case of the batched update that ``run`` and
     ``run_batch`` step, with alpha_k = ``schedule.value(k)``; the steps may
-    come in any order.  x must have shape (d,), and the row's step error
-    (a ``MethodError``) raises.
+    come in any order.  x must have shape (d,), else it raises
+    ``MethodError``, and so does the row's step error.
     """
     update = _update(method_id, obj, schedule, sys.maxsize, metric)  # any k may come
 
     def step(k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise MethodError(f"a one-point step takes a point of shape (d,), got {x.shape}")
+        if x.shape != (obj.dimension,):  # the update's raw callables check nothing
+            raise MethodError(f"a one-point step on d = {obj.dimension} takes a point "
+                              f"of shape (d,), got {x.shape}")
         X, error = update(k, x[None])
         if error(0) is not None:
             raise error(0)
@@ -227,7 +228,10 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
 
     Each recursion has this one batched step, and :func:`make_step` is its
-    one-row case.  ``error(j)`` is row j's step error, the ``MethodError``
+    one-row case.  Steps call the objective's raw callables (``obj._grad``,
+    ``obj._hess``), which check nothing: the rows' shape is checked once,
+    where they enter (``run``, ``run_batch``, ``make_step``, the raw
+    dynamics).  ``error(j)`` is row j's step error, the ``MethodError``
     its one-point step raises, or None.  A row with a step error is never
     finite, so it stops and only stopping rows are asked.  Where a step
     multiplies rows by a matrix (gd and the metric step on a quadratic,
@@ -262,13 +266,13 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
         return prox
     if recursion == "gd":
         def gd(k, X):
-            G = obj.grad(X)
+            G = obj._grad(X)
             return X - schedule.value(k) * G, lambda j: None if np.all(np.isfinite(G[j])) \
                 else MethodError(f"non-finite gradient at k={k}, x={X[j]}")
         return gd
     if recursion == "manifold-intrinsic":
         MT = metric.matrix.T.copy()  # C-contiguous, for the reason _resolvents gives
-        return lambda k, X: (X - schedule.value(k) * (obj.grad(X) @ MT), _NO_ERROR)
+        return lambda k, X: (X - schedule.value(k) * (obj._grad(X) @ MT), _NO_ERROR)
     if recursion == "mirror-entropy":
         return lambda k, X: _entropy(obj, schedule.value(k), X)
     if recursion == "manifold-sphere":
@@ -319,7 +323,7 @@ def _entropy(obj: Objective, alpha: float, X: np.ndarray):
         f"mirror iterate left the simplex (sum {total[j]:.12g})") for j in np.flatnonzero(off)}
     Xn, on = np.full_like(X, np.nan), X[~off]
     if on.size:  # the gradient is asked only at points on the simplex
-        Y = 1.0 + np.log(on) - alpha * obj.grad(on)
+        Y = 1.0 + np.log(on) - alpha * obj._grad(on)
         W = np.exp(Y - Y.max(axis=1, keepdims=True))  # max-shifted softmax; overflow-safe
         Xn[~off] = W / W.sum(axis=1, keepdims=True)
     return Xn, errors.get
@@ -330,7 +334,7 @@ def _sphere(obj: Objective, alpha: float, X: np.ndarray):
     tangent space (I - x x^T), move, and renormalize.  A row whose moved
     point lies within 1e-12 of the origin gets its ManifoldError and NaN."""
     P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
-    V = X - alpha * (P @ obj.grad(X)[:, :, None])[:, :, 0]
+    V = X - alpha * (P @ obj._grad(X)[:, :, None])[:, :, 0]
     norms = _row_norms(V)
     small = norms < 1e-12
     errors = {j: ManifoldError("sphere projection undefined near the origin")
@@ -348,7 +352,7 @@ def _newton(obj: Objective, schedule: StepSchedule):
     row whose Newton fails gets its own MethodError and NaN.
     """
     def residual(Z, X, alpha):
-        R = Z + alpha * obj.grad(Z) - X
+        R = Z + alpha * obj._grad(Z) - X
         return R, _row_norms(R)
 
     def newton(k, X):
@@ -359,7 +363,7 @@ def _newton(obj: Objective, schedule: StepSchedule):
             rows = np.flatnonzero(live & ~(norms <= _PROX_TOL))
             if not rows.size:
                 break
-            J = np.eye(X.shape[1]) + alpha * obj.hess(Z[rows])
+            J = np.eye(X.shape[1]) + alpha * obj._hess(Z[rows])
             try:  # one stacked solve gives each Jacobian the bits of its own
                 D = np.linalg.solve(J, -R[rows, :, None])[:, :, 0]
             except np.linalg.LinAlgError:  # one solve per row; a singular one fails its row
@@ -404,12 +408,15 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     raise ``MethodError``; an infinite radius stops a row at inf only on the
     step error ``error(j)`` names.
 
-    While no row has a quiet streak, one whole-batch bound settles most
-    steps: if the sum of all squares of X_{k+1}, or failing that the largest
-    row's, is below escape_radius^2 and the smallest squared row motion above
-    conv_tol^2, no row escapes, none starts a streak and none stops, so the
-    per-row bookkeeping is skipped.  Otherwise it runs, and so the rows get
-    the same ends and bits either way.
+    While no row has a quiet streak, whole-batch filters settle most steps:
+    if the sum of all squares of X_{k+1}, or failing that the largest row
+    sum of squares, is below escape_radius^2, and the smallest row sum of
+    squared motions is above conv_tol^2, no row escapes, none starts a
+    streak and none stops, so the per-row bookkeeping is skipped.  The row
+    sums are one BLAS product with a vector of ones.  With ``conv_tol`` <= 0
+    (or NaN) no motion is ever below it, so the motion filter and the
+    streak count are skipped.  A filter that fails hands the step to the
+    per-row code, so the rows get the same ends and bits either way.
     """
     if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
         raise MethodError("escape_radius must be a number, got NaN")
@@ -421,19 +428,21 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     if not n:
         return BatchResult(terminal, k_final, final, message)
     X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
-    # Rounding of the whole-batch bound: the per-row code takes the square
-    # root of a sum of d squares; the bound sums n*d squares for all of X
-    # and only d for the row max and the row motions.  Each is off by at
-    # most a relative (n*d)·2^-53 < 5e-10 for n*d <= 2^22, plus a few
+    # Rounding of the whole-batch filters: the per-row code takes the square
+    # root of a sum of d squares, each row sum (X * X) @ ones adds the same d
+    # squares in BLAS's order, and flat @ flat adds n*d of them.  Each is off
+    # by at most a relative (n*d)·2^-53 < 5e-10 for n*d <= 2^22, plus a few
     # 2^-53 for the roots and the thresholds, which the 1e-9 margins cover.
     # Squares below the normal range carry no relative bound, hence the
     # floor at tiny; a tiny or negative radius and a larger batch skip the
-    # bound.  NaN fails every test, and the cap at the largest double makes
-    # inf and an overflowing sum fail the radius tests.
+    # radius filter.  NaN fails every test, and the cap at the largest
+    # double makes inf and an overflowing sum fail the radius tests.
     big, tiny = np.finfo(float).max, np.finfo(float).tiny
     bounded = escape_radius >= 2.0 ** -500 and X0.size <= 1 << 22
     below = min(escape_radius * escape_radius * (1.0 - 1e-9), big) if bounded else -1.0
     above = max(conv_tol * conv_tol, tiny) * (1.0 + 1e-9)
+    moving = conv_tol > 0  # else no motion is below conv_tol and no row ever goes quiet
+    ones = np.ones(X0.shape[1])
     streak = False  # some active row has a quiet streak
     if path is not None:
         path.append((0, X0))
@@ -447,15 +456,16 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             return BatchResult(terminal, k_final, final, message)
         if path is not None and (k + 1) % stride == 0:
             path.append((k + 1, Xn))
-        D = Xn - X
+        D = Xn - X if moving else None
         if not streak:
             flat = Xn.ravel()
-            if (flat @ flat <= below or np.einsum("ij,ij->i", Xn, Xn).max() <= below) \
-                    and np.einsum("ij,ij->i", D, D).min() > above:
+            if (flat @ flat <= below or np.maximum.reduce((Xn * Xn) @ ones) <= below) \
+                    and (D is None or np.minimum.reduce((D * D) @ ones) > above):
                 X = Xn
                 continue
         # row norms as np.linalg.norm(axis=1) computes them, without its overhead
-        quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
+        if D is not None:
+            quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
         radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
         stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
         if escape_radius == np.inf:  # inf <= inf keeps a row that a step overflowed

@@ -593,6 +593,20 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, kind", [("grid_points", "positive integer"),
+                                        ("max_halvings", "nonnegative integer"),
+                                        ("delta0", "positive finite number")])
+def test_chart_option_past_the_float_range_is_a_config_error(tmp_path, capsys, name, kind):
+    # a JSON integer past the float range used to overflow math.isfinite
+    data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+            "output_dir": str(tmp_path / "o"), "chart": {name: 9 * 10 ** 399}}
+    code = main(["chart", "--config", write_cfg(tmp_path, "g.json", data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"configuration error: chart.{name} must be a {kind}, got 9000" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("over, message", [
     ({"grad_tol": 1e-8}, "unknown config field(s): ['grad_tol']"),
     ({"eig_tol": 1e-8}, "unknown config field(s): ['eig_tol']"),

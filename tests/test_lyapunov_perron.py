@@ -573,6 +573,14 @@ def test_shooting_agrees_with_picard():
     assert abs(got[0] - want[0]) < 2e-4
 
 
+def test_shooting_bits_are_pinned():
+    # the raw dynamics step gd in lockstep; a faster stepper must leave
+    # every bit of the shot where it was
+    prob = cubic_gd_problem()
+    got = shooting_oracle(prob, [0.04], bracket=prob.delta, steps=3000, width=1e-6)
+    assert got.tolist() == [-3.337860107421878e-06]
+
+
 def test_shooting_error_taxonomy():
     prob = cubic_gd_problem()
     with pytest.raises(LyapunovError, match="bracket is too small"):

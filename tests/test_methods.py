@@ -228,6 +228,21 @@ def test_one_point_steps_reject_a_stack():
             step(0, X)
 
 
+def test_one_point_steps_reject_a_point_of_the_wrong_length():
+    # the batched steps call the objective's raw callables, which check
+    # nothing, so make_step checks the length where the point comes in
+    f, s = obj_mod.cubic_perturbed_saddle(0.1), HARMONIC
+    steps = {method_id: make_step(method_id, f, s) for method_id in METHOD_IDS}
+    steps["metric"] = make_step("manifold-intrinsic", f, s,
+                                metric=RiemannianMetric(np.diag([2.0, 1.0])))
+    for name, step in steps.items():
+        for x in (np.zeros(3), [0.5, 0.5, 0.5], np.zeros(1), np.zeros(0)):
+            shape = np.shape(x)
+            with pytest.raises(MethodError, match=rf"d = 2 takes a point of shape \(d,\), "
+                                                  rf"got \({shape[0]},\)"):
+                step(0, x)
+
+
 def test_metric_must_be_spd():
     with pytest.raises(MethodError):
         RiemannianMetric(np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -508,13 +523,18 @@ def test_run_batch_thresholds_at_exact_norms_and_motions():
     wide = np.vstack([X0, [[0.0, 0.35], [0.1, -0.38], [-0.05, 0.39]]])
     norms = np.array([[np.linalg.norm(x) for x in orbit(x0)] for x0 in wide])
     assert any(col @ col > radius * radius and col.max() < radius for col in norms.T)
+    # conv_tol 0 and -1 leave no motion below it: the motion filter is off
+    # and no row may converge
+    tols = (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf), 0.0, -1.0)
     for batch in (X0, wide):
         for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
-            for conv_tol in (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf)):
+            for conv_tol in tols:
                 for window in (1, 3):
                     opts = dict(budget=budget, conv_tol=conv_tol,
                                 escape_radius=escape_radius, window=window)
                     res = run_batch("gd", f, s, batch, **opts)
+                    if conv_tol <= 0:
+                        assert CONVERGED_TO_POINT not in res.terminal
                     for i, x0 in enumerate(batch):
                         kind, k_final, final, message = reference_run(step, x0, **opts)
                         assert (res.terminal[i], res.k_final[i], res.message[i]) == \
@@ -531,6 +551,33 @@ def test_run_batch_thresholds_at_exact_norms_and_motions():
     ref = [reference_run(step, X0[1], budget=budget, conv_tol=t, escape_radius=1e3,
                          window=1)[:2] for t in (motion, np.nextafter(motion, np.inf))]
     assert ref == [(CONVERGED_TO_POINT, 32), (CONVERGED_TO_POINT, 31)]
+
+
+def test_run_batch_row_sums_decide_a_crowded_batch():
+    # 240 rows that grow outward at different rates: for several steps
+    # before the first row escapes, every row is inside the radius but
+    # their squares add up past radius^2, so flat @ flat fails and the
+    # row-sum filter decides.  The rows escape over many steps, each at the
+    # step the one-point loop gives it
+    f, s = obj_mod.fig1(), sch.power(1.0, 1.0, 3)
+    step = make_step("gd", f, s)
+    X0 = np.array([-0.2, 0.4]) * np.linspace(0.3, 1.0, 240)[:, None]
+    orbits = [X0]
+    for k in range(20):
+        orbits.append(np.array([step(k, x) for x in orbits[-1]]))
+    radius = float(np.linalg.norm(orbits[-1][-1]))
+    norms = np.array([[np.linalg.norm(x) for x in X] for X in orbits])
+    assert sum(col @ col > radius * radius and col.max() < radius for col in norms) >= 5
+    for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
+        for conv_tol in (1e-3, 0.0):
+            opts = dict(budget=200, conv_tol=conv_tol, escape_radius=escape_radius, window=2)
+            res = run_batch("gd", f, s, X0, **opts)
+            assert len(set(res.k_final.tolist())) > 10
+            for i, x0 in enumerate(X0):
+                kind, k_final, final, message = reference_run(step, x0, **opts)
+                assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                    (kind, k_final, message)
+                assert res.final[i].tobytes() == final.tobytes()
 
 
 def test_run_batch_long_step_restarts_quiet_streaks():
