@@ -68,6 +68,7 @@ FIG1_SCHEDULES = (
     ("quartic", {"kind": "power", "c": 1.0, "p": 4.0, "offset": 1}),
 )
 
+_MAX_GRID_POINTS = 1 << 20  # chart anchors: about 35 min of Picard solves at ~2 ms each
 _TERMINAL_KINDS = (ESCAPED_REGION, CONVERGED_TO_POINT, BUDGET_EXHAUSTED, STEP_ERROR)
 
 
@@ -464,6 +465,8 @@ def chart_experiment(cfg: ExperimentConfig):
     if x_star is None:  # every objective build_objective makes has its saddle at the origin
         x_star = np.zeros(obj.dimension)
     points = option("grid_points", int).get("grid_points", 11)
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError(f"chart.grid_points must be at most {_MAX_GRID_POINTS}, got {points!r}")
     halfwidth = option("grid_halfwidth", nullable=True).get("grid_halfwidth")
     solve_options = {**option("fp_tol"), **option("fp_budget", int)}
     try:

@@ -115,10 +115,10 @@ class PerronProblem:
     order : int
         1 for a remainder with only its Lipschitz modulus, 2 for one of
         quadratic order (see :func:`tail_horizon`).
-    dynamics : callable steps -> update, optional
+    dynamics : callable (k, Y) -> (Y_next, error), optional
         The method's own step on rows y = x - x*, a ``methods._update``
-        closure for a run of ``steps`` steps; the raw dynamics run it.  Set
-        by remainder_from_objective; a hand-built problem has none.
+        closure; the raw dynamics run it.  Set by remainder_from_objective;
+        a hand-built problem has none.
 
     Built once: ``tail_estimate``, ``horizon_capped`` and ``decay_rate`` by
     :func:`tail_horizon`, which raises unless alpha_0 * lambda_max < 1 and
@@ -135,7 +135,7 @@ class PerronProblem:
     horizon: int
     tail_tol: float = DEFAULT_TAIL_TOL
     order: int = 1
-    dynamics: Optional[Callable[[int], Callable]] = None
+    dynamics: Optional[Callable] = None
     tail_estimate: float = field(init=False)
     horizon_capped: bool = field(init=False)
     decay_rate: float = field(init=False)
@@ -477,7 +477,7 @@ def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
     if steps < 0 or steps >= 1 << 63 or not radius > 0:
         raise LyapunovError("the raw dynamics need steps >= 0, steps < 2^63 and a "
                             f"positive radius, got {steps} and {radius}")
-    res = _advance(prob.dynamics(steps), Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, 1, path)
+    res = _advance(prob.dynamics, Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, 1, path)
     failed = [m for t, m in zip(res.terminal, res.message) if t == STEP_ERROR]
     if failed:
         raise LyapunovError(f"the raw dynamics failed: {failed[0]}")
@@ -866,7 +866,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                         vectorized=True)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=horizon, tail_tol=tail_tol, order=order,
-                         dynamics=lambda steps: _update(method, shifted, schedule, steps))
+                         dynamics=_update(method, shifted, schedule))
     return prob, cert
 
 

@@ -21,7 +21,6 @@ stride-decimated recording.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -128,7 +127,7 @@ def make_step(method_id: str, obj: Objective, schedule: StepSchedule, *,
     come in any order.  x must have shape (d,), else it raises
     ``MethodError``, and so does the row's step error.
     """
-    update = _update(method_id, obj, schedule, sys.maxsize, metric)  # any k may come
+    update = _update(method_id, obj, schedule, metric)
 
     def step(k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -200,9 +199,9 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     x = np.array(x0, dtype=float)
     if x.shape != (obj.dimension,):
         raise MethodError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
-    update = _update(method_id, obj, schedule, budget, metric)
     path: list = []
-    res = _advance(update, x[None], budget, conv_tol, escape_radius, window, path, stride)
+    res = _advance(_update(method_id, obj, schedule, metric), x[None], budget, conv_tol,
+                   escape_radius, window, path, stride)
     k_final, final = int(res.k_final[0]), res.final[0]
     kept = [(k, X[0]) for k, X in path if k < k_final] + [(k_final, final)]
     terminal = Terminal(res.terminal[0], message=res.message[0])
@@ -223,30 +222,30 @@ _NO_ERROR = {}.get  # error(j) of an update that has no per-row step errors
 _RESOLVENT_BLOCK = 1 << 16  # doubles in one block of prox resolvents
 
 
-def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
+def _update(method_id: str, obj: Objective, schedule: StepSchedule,
             metric: RiemannianMetric | None = None):
     """``(k, X) -> (X_next, error)``: one step of ``method_id`` for every row of X.
 
     Each recursion has this one batched step, and :func:`make_step` is its
-    one-row case.  Steps call the objective's raw callables (``obj._grad``,
-    ``obj._hess``), which check nothing: the rows' shape is checked once,
-    where they enter (``run``, ``run_batch``, ``make_step``, the raw
-    dynamics).  ``error(j)`` is row j's step error, the ``MethodError``
-    its one-point step raises, or None.  A row with a step error is never
-    finite, so it stops and only stopping rows are asked.  Where a step
+    one-row case.  It never raises: ``error(j)`` is row j's step error, the
+    ``MethodError`` its one-point step raises, or None.  A row with a step
+    error is never finite, so it stops and only stopping rows are asked.
+    Steps call the objective's raw callables (``obj._grad``, ``obj._hess``),
+    which check nothing: the rows' shape is checked once, where they enter
+    (``run``, ``run_batch``, ``make_step``, the raw dynamics).  Where a step
     multiplies rows by a matrix (gd and the metric step on a quadratic,
     prox's resolvents), BLAS takes one kernel for one row and another for a
     stack: a row's bits do not depend on the batch for d <= 3, but can in
     the last places for a dense A at d >= 4.
 
-    Prox on an objective with a ``quadratic_matrix`` A takes the closed form
-    z = (I + alpha_k A)^{-1} x, any other objective :func:`_newton`.  It
-    inverts the resolvents a block of steps at a time (:func:`_resolvents`,
-    at most ``_RESOLVENT_BLOCK`` doubles and never past ``budget``), with
-    alpha_k = ``schedule.value(k)``.  Any k may come: a k outside the block
-    inverts the block that starts at k, so steps in order k = 0, 1, ... are
-    only the fast case.  A block stops before its first singular system,
-    and that step raises the ``MethodError``.
+    gd steps along G = grad f(X), the metric step along G M^{-1}, and a row
+    whose G is not finite fails.  Prox on an objective with a
+    ``quadratic_matrix`` A takes the closed form z = (I + alpha_k A)^{-1} x,
+    any other objective :func:`_newton`.  It inverts the resolvents of a
+    block of steps k, k + 1, ... at a time (:func:`_resolvents`, at most
+    ``_RESOLVENT_BLOCK`` doubles); a k outside the block inverts the block
+    that starts at k.  A block stops before its first singular system, where
+    every row fails.
     """
     recursion = _recursion(method_id, metric)
     A = getattr(obj, "quadratic_matrix", None)
@@ -258,21 +257,24 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule, budget: int,
             nonlocal k0, RT
             if not 0 <= k - k0 < len(RT):
                 k0 = k
-                RT = _resolvents(A, [schedule.value(j) for j in range(k, min(k + block, budget))])
+                RT = _resolvents(A, [schedule.value(j) for j in range(k, k + block)])
                 if not len(RT):
-                    raise MethodError(f"singular proximal system I + alpha_k A at k={k} "
-                                      f"(alpha={schedule.value(k):g})")
+                    return np.full_like(X, np.nan), dict.fromkeys(range(len(X)), MethodError(
+                        f"singular proximal system I + alpha_k A at k={k} "
+                        f"(alpha={schedule.value(k):g})")).get
             return X @ RT[k - k0], _NO_ERROR
         return prox
-    if recursion == "gd":
+    if recursion == "gd" or recursion == "manifold-intrinsic":
+        MT = None if metric is None else metric.matrix.T.copy()  # C-contiguous, see _resolvents
+
         def gd(k, X):
-            G = obj._grad(X)
-            return X - schedule.value(k) * G, lambda j: None if np.all(np.isfinite(G[j])) \
+            G = P = obj._grad(X)
+            if MT is not None:
+                with np.errstate(invalid="ignore"):  # inf * 0; the row fails on its G
+                    P = G @ MT
+            return X - schedule.value(k) * P, lambda j: None if np.all(np.isfinite(G[j])) \
                 else MethodError(f"non-finite gradient at k={k}, x={X[j]}")
         return gd
-    if recursion == "manifold-intrinsic":
-        MT = metric.matrix.T.copy()  # C-contiguous, for the reason _resolvents gives
-        return lambda k, X: (X - schedule.value(k) * (obj._grad(X) @ MT), _NO_ERROR)
     if recursion == "mirror-entropy":
         return lambda k, X: _entropy(obj, schedule.value(k), X)
     if recursion == "manifold-sphere":
@@ -399,9 +401,9 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
              window: int, path: list | None = None, stride: int = 1) -> BatchResult:
     """Advance the rows of ``X0`` in lockstep until each one stops.
 
-    One ``update(k, X)`` per k over the still-active rows; finished rows
-    leave the active set.  Each row stops at the first of: step error at k
-    (final state x_k), escape, Cauchy window (``window`` >= 1), budget.
+    One ``update(k, X)``, which never raises, per k over the still-active
+    rows; finished rows leave the active set.  Each row stops at the first
+    of: step error at k (final state x_k), escape, Cauchy window, budget.
     With ``path``, ``(k, X)`` is appended for k = 0 and every ``stride``-th
     k, X being the rows that were active for that step.  An empty ``X0``
     takes no step.  A NaN ``escape_radius`` and a budget of 2^63 or more
@@ -447,13 +449,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     if path is not None:
         path.append((0, X0))
     for k in range(budget):
-        try:
-            Xn, error = update(k, X)
-        except MethodError as err:  # one singular prox system stops every row
-            for r in rows:
-                terminal[r], message[r] = STEP_ERROR, str(err)
-            k_final[rows], final[rows] = k, X
-            return BatchResult(terminal, k_final, final, message)
+        Xn, error = update(k, X)
         if path is not None and (k + 1) % stride == 0:
             path.append((k + 1, Xn))
         D = Xn - X if moving else None
@@ -512,5 +508,5 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
     if budget < 1 or window < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
         raise MethodError(f"run_batch needs budget and window >= 1 and X0 of shape "
                           f"(n, {obj.dimension}), got {budget}, {window} and {X0.shape}")
-    return _advance(_update(method_id, obj, schedule, budget, metric=metric), X0, budget,
-                    conv_tol, escape_radius, window)
+    return _advance(_update(method_id, obj, schedule, metric), X0, budget, conv_tol,
+                    escape_radius, window)

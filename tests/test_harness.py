@@ -607,6 +607,25 @@ def test_chart_option_past_the_float_range_is_a_config_error(tmp_path, capsys, n
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("points", [(1 << 20) + 1, 10 ** 20])
+def test_chart_grid_points_past_the_bound_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           points):
+    # a grid that fits a double can still be too large to allocate or solve;
+    # the bound is checked before any anchor is solved
+    def no_chart(*args, **kwargs):
+        raise AssertionError("the grid reached chart")
+
+    monkeypatch.setattr(cli, "chart", no_chart)
+    data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+            "output_dir": str(tmp_path / "o"), "chart": {"grid_points": points}}
+    code = main(["chart", "--config", write_cfg(tmp_path, "g.json", data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"configuration error: chart.grid_points must be at most 1048576, got {points}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("over, message", [
     ({"grad_tol": 1e-8}, "unknown config field(s): ['grad_tol']"),
     ({"eig_tol": 1e-8}, "unknown config field(s): ['eig_tol']"),

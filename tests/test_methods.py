@@ -1,6 +1,7 @@
 """Step maps (gd / mirror / prox / manifold) and the shared run() driver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_batched_newton_matches_the_scalar_loop():
         f = obj_mod.cubic_perturbed_saddle(a)
         for alpha in alphas:
             s = sch.constant(alpha)
-            Z, error = mth._update("prox", f, s, 1)(0, X)
+            Z, error = mth._update("prox", f, s)(0, X)
             step = make_step("prox", f, s)
             for j, x in enumerate(X):
                 try:
@@ -180,7 +181,7 @@ def test_batched_entropy_step_is_multiplicative_weights(d):
     X = W / W.sum(axis=1, keepdims=True)
     X[0, 0], X[1] = 0.0, 1.1 * X[1]
     s = sch.constant(0.3)
-    Y, error = mth._update("mirror-entropy", f, s, 1)(0, X)
+    Y, error = mth._update("mirror-entropy", f, s)(0, X)
     step = make_step("mirror-entropy", f, s)
     for j, x in enumerate(X):
         if j < 2:
@@ -333,17 +334,53 @@ def test_run_step_error_captured():
 
 
 def test_run_step_error_records_final_state():
-    # I + alpha_5 A is singular for A = diag(1, -7), alpha_k = 1/(k+2)
+    # I + alpha_5 A is singular for A = diag(1, -7), alpha_k = 1/(k+2); the
+    # step at k = 5 gives NaN rows, which the record must not keep, also
+    # where k + 1 = 6 is a stride
     f = obj_mod.quadratic(np.diag([1.0, -7.0]))
-    x = np.array([0.3, 0.2])
-    rec = run("prox", f, HARMONIC, x, stride=10)
-    assert rec.terminal.kind == STEP_ERROR
-    assert rec.k_final == rec.ks[-1] == 5
+    x0 = np.array([0.3, 0.2])
     step = make_step("prox", f, HARMONIC)
+    xs = [x0]
     for k in range(5):
-        x = step(k, x)
-    assert rec.final_point.tobytes() == x.tobytes()
-    assert rec.grad_norms[-1] == float(np.linalg.norm(f.grad(x)))
+        xs.append(step(k, xs[-1]))
+    for stride in (1, 6, 10):
+        rec = run("prox", f, HARMONIC, x0, stride=stride)
+        assert rec.terminal.kind == STEP_ERROR
+        assert rec.k_final == rec.ks[-1] == 5
+        assert rec.ks == sorted({0, 5} | set(range(stride, 5, stride)))
+        assert not np.isnan(rec.points).any()
+        assert rec.final_point.tobytes() == xs[5].tobytes()
+        assert rec.grad_norms[-1] == float(np.linalg.norm(f.grad(xs[5])))
+
+
+@pytest.mark.parametrize("metric", [[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+def test_metric_step_fails_on_a_nonfinite_gradient_as_gd_does(metric):
+    # the gradient is inf, with no warning, where x_0 > 0.6: the metric
+    # step's product would give inf (dense metric) or inf * 0 = NaN (the
+    # identity), and the row must end as gd ends it, at k = 0
+    def grad(X):
+        return np.where(X[..., :1] > 0.6, np.inf, X)
+
+    f = obj_mod.Objective(2, lambda X: 0.5 * (X * X).sum(axis=-1), grad,
+                          lambda X: np.broadcast_to(np.eye(2), X.shape + (2,)),
+                          vectorized=True)
+    X0 = np.array([[0.7, 0.1], [0.9, -0.4]])
+    metric = RiemannianMetric(metric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0 in X0:
+            want = run("gd", f, HARMONIC, x0)
+            got = run("manifold-intrinsic", f, HARMONIC, x0, metric=metric)
+            assert (got.terminal, got.k_final) == (want.terminal, want.k_final)
+            assert got.final_point.tobytes() == want.final_point.tobytes()
+            assert want.terminal.kind == STEP_ERROR and want.k_final == 0
+            assert want.terminal.message.startswith("non-finite gradient at k=0, x=")
+        want = run_batch("gd", f, HARMONIC, X0)
+        got = run_batch("manifold-intrinsic", f, HARMONIC, X0, metric=metric)
+    assert got.terminal == want.terminal == [STEP_ERROR] * 2
+    assert got.message == want.message
+    assert got.k_final.tobytes() == want.k_final.tobytes()
+    assert got.final.tobytes() == want.final.tobytes() == X0.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -492,6 +529,23 @@ def test_prox_singular_resolvent_in_a_later_block():
     for i, x0 in enumerate(X0):
         kind, k_final, final, message = reference_run(
             step, x0, budget=mth.DEFAULT_BUDGET, conv_tol=1e-9,
+            escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
+        assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
+        assert res.final[i].tobytes() == final.tobytes()
+
+
+def test_prox_budget_before_a_singular_resolvent_in_the_block():
+    # under 1/(k+2) the singular k = 1500 lies inside the block of k = 1024,
+    # past a budget of 1400: the block stops before it and no row notices
+    f = obj_mod.quadratic(np.diag([1.0, -1502.0]))
+    X0 = np.array([[0.1, 0.0], [0.5, 0.0], [1.0, 0.0], [-2.0, 0.0]])
+    res = run_batch("prox", f, HARMONIC, X0, budget=1400)
+    assert res.terminal == [BUDGET_EXHAUSTED] * 4
+    assert list(res.k_final) == [1400] * 4
+    step = make_step("prox", f, HARMONIC)
+    for i, x0 in enumerate(X0):
+        kind, k_final, final, message = reference_run(
+            step, x0, budget=1400, conv_tol=1e-9,
             escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
         assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
         assert res.final[i].tobytes() == final.tobytes()
