@@ -220,6 +220,8 @@ BatchResult.__doc__ = """Per-row terminal kind, k_final, final point and step-er
 
 _NO_ERROR = {}.get  # error(j) of an update that has no per-row step errors
 _RESOLVENT_BLOCK = 1 << 16  # doubles in one block of prox resolvents
+_BLOCK_STEPS = 64  # most steps _advance takes in one block
+_BLOCK_DOUBLES = 1 << 14  # most doubles (steps x rows x d) in one block of states
 
 
 def _update(method_id: str, obj: Objective, schedule: StepSchedule,
@@ -239,7 +241,9 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
     the last places for a dense A at d >= 4.
 
     gd steps along G = grad f(X), the metric step along G M^{-1}, and a row
-    whose G is not finite fails.  Prox on an objective with a
+    whose G is not finite fails; it fails with the same message in the
+    entropy and sphere steps, and no product warns on it.  Any k may come
+    (``_advance`` takes steps again after a block).  Prox on an objective with a
     ``quadratic_matrix`` A takes the closed form z = (I + alpha_k A)^{-1} x,
     any other objective :func:`_newton`.  It inverts the resolvents of a
     block of steps k, k + 1, ... at a time (:func:`_resolvents`, at most
@@ -273,13 +277,18 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
                 with np.errstate(invalid="ignore"):  # inf * 0; the row fails on its G
                     P = G @ MT
             return X - schedule.value(k) * P, lambda j: None if np.all(np.isfinite(G[j])) \
-                else MethodError(f"non-finite gradient at k={k}, x={X[j]}")
+                else _gradient_error(k, X[j])
         return gd
     if recursion == "mirror-entropy":
-        return lambda k, X: _entropy(obj, schedule.value(k), X)
+        return lambda k, X: _entropy(obj, k, schedule.value(k), X)
     if recursion == "manifold-sphere":
-        return lambda k, X: _sphere(obj, schedule.value(k), X)
+        return lambda k, X: _sphere(obj, k, schedule.value(k), X)
     return _newton(obj, schedule)
+
+
+def _gradient_error(k: int, x: np.ndarray) -> MethodError:
+    """The step error of a row x whose gradient at step k is not finite."""
+    return MethodError(f"non-finite gradient at k={k}, x={x}")
 
 
 def _resolvents(A: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
@@ -312,11 +321,12 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
-def _entropy(obj: Objective, alpha: float, X: np.ndarray):
+def _entropy(obj: Objective, k: int, alpha: float, X: np.ndarray):
     """The entropy mirror step of every row x of X: grad Phi(x) = 1 + log x,
     then the softmax (the conjugate argmax), i.e. multiplicative weights
     x_i exp(-alpha g_i) / Z.  A row off the open simplex is not projected;
-    it gets its MirrorDomainError and NaN."""
+    it gets its MirrorDomainError and NaN.  A row on it whose gradient is
+    not finite gets gd's step error and NaN."""
     low, total = (X < BOUNDARY_EPS).any(axis=1), X.sum(axis=1)
     off = low | (np.abs(total - 1.0) > 1e-8)
     errors = {j: MirrorDomainError(
@@ -325,22 +335,34 @@ def _entropy(obj: Objective, alpha: float, X: np.ndarray):
         f"mirror iterate left the simplex (sum {total[j]:.12g})") for j in np.flatnonzero(off)}
     Xn, on = np.full_like(X, np.nan), X[~off]
     if on.size:  # the gradient is asked only at points on the simplex
-        Y = 1.0 + np.log(on) - alpha * obj._grad(on)
-        W = np.exp(Y - Y.max(axis=1, keepdims=True))  # max-shifted softmax; overflow-safe
+        G = obj._grad(on)
+        Y = 1.0 + np.log(on) - alpha * G
+        with np.errstate(invalid="ignore"):  # inf - inf; the row fails on its G
+            W = np.exp(Y - Y.max(axis=1, keepdims=True))  # max-shifted softmax; overflow-safe
         Xn[~off] = W / W.sum(axis=1, keepdims=True)
+        bad = np.flatnonzero(~off)[~np.isfinite(G).all(axis=1)]
+        Xn[bad] = np.nan
+        errors.update((j, _gradient_error(k, X[j])) for j in bad)
     return Xn, errors.get
 
 
-def _sphere(obj: Objective, alpha: float, X: np.ndarray):
+def _sphere(obj: Objective, k: int, alpha: float, X: np.ndarray):
     """The unit-sphere step of every row x of X: project the gradient on the
-    tangent space (I - x x^T), move, and renormalize.  A row whose moved
-    point lies within 1e-12 of the origin gets its ManifoldError and NaN."""
+    tangent space (I - x x^T), move, and renormalize.  A row whose gradient
+    is not finite gets gd's step error and NaN, and a row whose moved point
+    lies within 1e-12 of the origin its ManifoldError and NaN."""
+    G = obj._grad(X)
     P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
-    V = X - alpha * (P @ obj._grad(X)[:, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore"):  # inf * 0; the row fails on its G
+        PG = (P @ G[:, :, None])[:, :, 0]
+    V = X - alpha * PG
+    bad = ~np.isfinite(G).all(axis=1)
+    V[bad] = np.nan
     norms = _row_norms(V)
     small = norms < 1e-12
-    errors = {j: ManifoldError("sphere projection undefined near the origin")
-              for j in np.flatnonzero(small)}
+    errors = {j: _gradient_error(k, X[j]) if bad[j] else
+              ManifoldError("sphere projection undefined near the origin")
+              for j in np.flatnonzero(bad | small)}
     return V / np.where(small, np.nan, norms)[:, None], errors.get
 
 
@@ -410,15 +432,24 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     raise ``MethodError``; an infinite radius stops a row at inf only on the
     step error ``error(j)`` names.
 
-    While no row has a quiet streak, whole-batch filters settle most steps:
-    if the sum of all squares of X_{k+1}, or failing that the largest row
-    sum of squares, is below escape_radius^2, and the smallest row sum of
-    squared motions is above conv_tol^2, no row escapes, none starts a
-    streak and none stops, so the per-row bookkeeping is skipped.  The row
-    sums are one BLAS product with a vector of ones.  With ``conv_tol`` <= 0
-    (or NaN) no motion is ever below it, so the motion filter and the
-    streak count are skipped.  A filter that fails hands the step to the
-    per-row code, so the rows get the same ends and bits either way.
+    While no row has a quiet streak, the steps go in blocks of m with no
+    test between them, and then two filters check the whole block at once:
+    the largest row sum of squares of each new state is below
+    escape_radius^2, and the smallest row sum of squared motions is above
+    conv_tol^2.  Where both hold, no row escapes, none starts a streak and
+    none stops.  The steps before the first step that fails a filter are
+    kept, that step goes to the per-row code, and the later ones are
+    discarded, so the steps after a stop run on the smaller batch just as
+    they would one at a time: no row's bits depend on the block.  m starts
+    at 1, doubles after each clean block up to ``_BLOCK_STEPS`` and at most
+    ``_BLOCK_DOUBLES`` doubles of states, and is 1 again after a block that
+    fails.  A block runs with numpy's floating-point warnings turned into a
+    flag, and it ends before the first step that sets one or raises (a row
+    stepped past its escape may overflow): the per-row code takes that step
+    again outside the block, where it warns or raises just as one step at a
+    time would.  With ``conv_tol`` <= 0 (or NaN) no motion is ever below
+    it, so the motion filter and the streak count are skipped; with a tiny
+    or negative radius every step goes to the per-row code.
     """
     if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
         raise MethodError("escape_radius must be a number, got NaN")
@@ -430,37 +461,70 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     if not n:
         return BatchResult(terminal, k_final, final, message)
     X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
-    # Rounding of the whole-batch filters: the per-row code takes the square
-    # root of a sum of d squares, each row sum (X * X) @ ones adds the same d
-    # squares in BLAS's order, and flat @ flat adds n*d of them.  Each is off
-    # by at most a relative (n*d)·2^-53 < 5e-10 for n*d <= 2^22, plus a few
-    # 2^-53 for the roots and the thresholds, which the 1e-9 margins cover.
-    # Squares below the normal range carry no relative bound, hence the
-    # floor at tiny; a tiny or negative radius and a larger batch skip the
-    # radius filter.  NaN fails every test, and the cap at the largest
-    # double makes inf and an overflowing sum fail the radius tests.
+    # Rounding of the block filters: the per-row code takes the square root
+    # of a sum of d squares, and each row sum (X * X) @ ones adds the same d
+    # squares in BLAS's order.  Each is off by at most a relative d·2^-53 <
+    # 5e-10 for d <= 2^22, plus a few 2^-53 for the roots and the
+    # thresholds, which the 1e-9 margins cover.  Squares below the normal
+    # range carry no relative bound, hence the floor at tiny; a tiny or
+    # negative radius and a larger d skip the blocks.  NaN fails every test,
+    # and the cap at the largest double makes inf and an overflowing sum
+    # fail the radius test.
     big, tiny = np.finfo(float).max, np.finfo(float).tiny
-    bounded = escape_radius >= 2.0 ** -500 and X0.size <= 1 << 22
-    below = min(escape_radius * escape_radius * (1.0 - 1e-9), big) if bounded else -1.0
+    bounded = escape_radius >= 2.0 ** -500 and X0.shape[1] <= 1 << 22
+    below = min(escape_radius * escape_radius * (1.0 - 1e-9), big)
     above = max(conv_tol * conv_tol, tiny) * (1.0 + 1e-9)
     moving = conv_tol > 0  # else no motion is below conv_tol and no row ever goes quiet
     ones = np.ones(X0.shape[1])
+    fired: list = []  # the floating-point flags a block's steps set
+    flags = dict({c: "call" for c, v in np.geterr().items() if v != "ignore"},
+                 call=lambda kind, flag: fired.append(kind))
     streak = False  # some active row has a quiet streak
+    m = 1  # steps in the next block
     if path is not None:
         path.append((0, X0))
-    for k in range(budget):
-        Xn, error = update(k, X)
+    k = 0
+    while k < budget:
+        if streak or not bounded:
+            Xn, error = update(k, X)
+        else:
+            size, states = min(m, budget - k), []
+            fired.clear()
+            with np.errstate(**flags):  # a flag ends the block; the filters' flags are dropped
+                try:
+                    Y = X
+                    while len(states) < size:
+                        Y, err = update(k + len(states), Y)
+                        if fired:
+                            break
+                        states.append((Y, err))
+                except Exception:  # the step is taken again below, and raises there
+                    pass
+                kept, a = len(states), len(X)
+                if kept:  # each step's row sums of squares and of squared motions
+                    S = np.concatenate([X] + [state for state, _ in states])
+                    R = ((S[a:] * S[a:]) @ ones).reshape(kept, a)
+                    ok = np.maximum.reduce(R, axis=1) <= below  # inf and NaN fail both tests
+                    if moving:
+                        D = S[a:] - S[:-a]
+                        ok &= np.minimum.reduce(((D * D) @ ones).reshape(kept, a), axis=1) > above
+                    if not ok.all():
+                        kept = int(ok.argmin())
+            if path is not None:
+                path.extend((k + j + 1, states[j][0]) for j in range(kept)
+                            if (k + j + 1) % stride == 0)
+            if kept:
+                X, k = states[kept - 1][0], k + kept
+            if kept == size:
+                m = min(2 * m, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // X.size))
+                continue
+            m = 1
+            Xn, error = states[kept] if kept < len(states) else update(k, X)
         if path is not None and (k + 1) % stride == 0:
             path.append((k + 1, Xn))
-        D = Xn - X if moving else None
-        if not streak:
-            flat = Xn.ravel()
-            if (flat @ flat <= below or np.maximum.reduce((Xn * Xn) @ ones) <= below) \
-                    and (D is None or np.minimum.reduce((D * D) @ ones) > above):
-                X = Xn
-                continue
         # row norms as np.linalg.norm(axis=1) computes them, without its overhead
-        if D is not None:
+        if moving:
+            D = Xn - X
             quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
         radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
         stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
@@ -468,7 +532,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             for j in np.flatnonzero(np.isinf(radius) & ~stop):
                 stop[j] = error(j) is not None
         if not stop.any():
-            X, streak = Xn, bool(quiet.any())
+            X, k, streak = Xn, k + 1, bool(quiet.any())
             continue
         for j in np.flatnonzero(stop):
             err = error(j)
@@ -483,7 +547,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             r = rows[j]
             terminal[r], k_final[r], final[r], message[r] = end
         X, rows, quiet = Xn[~stop], rows[~stop], quiet[~stop]
-        streak = bool(quiet.any())
+        k, streak = k + 1, bool(quiet.any())
         if not rows.size:
             break
     final[rows] = X

@@ -383,6 +383,45 @@ def test_metric_step_fails_on_a_nonfinite_gradient_as_gd_does(metric):
     assert got.final.tobytes() == want.final.tobytes() == X0.tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("method_id, X0", [
+    ("mirror-entropy", [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5], [0.7, 0.1, 0.2]]),
+    ("manifold-sphere", [[0.6, 0.0, 0.8], [0.0, 0.6, 0.8], [0.8, 0.6, 0.0]])])
+def test_entropy_and_sphere_fail_on_a_nonfinite_gradient_as_gd_does(method_id, X0, bad):
+    # the gradient's first entry is bad where x_0 > 0.55: the softmax would
+    # take inf - inf and the tangent projection inf * 0, and each such row
+    # must end at k = 0 with gd's message, without a warning; the other
+    # rows take their usual steps
+    c = np.array([1.0, -1.0, 0.5])
+
+    def grad(X):
+        G = np.broadcast_to(c, X.shape).copy()
+        G[X[..., 0] > 0.55, 0] = bad
+        return G
+
+    f = obj_mod.Objective(3, lambda X: X @ c, grad, lambda X: np.zeros(X.shape + (3,)),
+                          vectorized=True)
+    X0 = np.array(X0)
+    step = make_step(method_id, f, HARMONIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_batch(method_id, f, HARMONIC, X0, budget=100)
+        for i, x0 in enumerate(X0):
+            rec = run(method_id, f, HARMONIC, x0, budget=100)
+            kind, k_final, final, message = reference_run(
+                step, x0, budget=100, conv_tol=mth.DEFAULT_CONV_TOL,
+                escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
+            assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                (rec.terminal.kind, rec.k_final, rec.terminal.message) == \
+                (kind, k_final, message)
+            assert res.final[i].tobytes() == rec.final_point.tobytes() == final.tobytes()
+    assert res.terminal[1] != STEP_ERROR
+    for i in (0, 2):
+        assert (res.terminal[i], res.k_final[i]) == (STEP_ERROR, 0)
+        assert res.message[i] == f"non-finite gradient at k=0, x={X0[i]}"
+        assert res.final[i].tobytes() == X0[i].tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("method_id", ["gd", "mirror-euclidean", "manifold-intrinsic"])
 def test_run_batch_matches_run(method_id, bad):
@@ -610,9 +649,9 @@ def test_run_batch_thresholds_at_exact_norms_and_motions():
 def test_run_batch_row_sums_decide_a_crowded_batch():
     # 240 rows that grow outward at different rates: for several steps
     # before the first row escapes, every row is inside the radius but
-    # their squares add up past radius^2, so flat @ flat fails and the
-    # row-sum filter decides.  The rows escape over many steps, each at the
-    # step the one-point loop gives it
+    # their squares add up past radius^2, so only each row's own sum of
+    # squares can settle those steps.  The rows escape over many steps,
+    # each at the step the one-point loop gives it
     f, s = obj_mod.fig1(), sch.power(1.0, 1.0, 3)
     step = make_step("gd", f, s)
     X0 = np.array([-0.2, 0.4]) * np.linspace(0.3, 1.0, 240)[:, None]
@@ -702,6 +741,121 @@ def test_overflowing_gd_step_stops_at_its_own_step_without_a_radius():
                 (kind, k_final, message)
             assert alone.final[0].tobytes() == final.tobytes()
     assert res.terminal[:2] == [STEP_ERROR, BUDGET_EXHAUSTED] and res.k_final[0] == 0
+
+
+def _linear_growth(grad):
+    """f = -x^2/2 on R under 1/(k+2), with ``grad`` in place of -x: where the
+    gradient is -x, gd's iterates are x_k = x_0 (k+2)/2, so a row escapes
+    radius R at the first k with k + 2 > 2R/x_0."""
+    return obj_mod.Objective(1, lambda x: -0.5 * x[..., 0] ** 2, grad,
+                             lambda x: -np.ones(x.shape + (1,)), vectorized=True)
+
+
+def _beyond(radius, how):
+    """The gradient -x inside ``radius``; outside, an overflow or an ObjectiveError."""
+    def grad(x):
+        out = np.abs(x) > radius
+        if not out.any():
+            return -x
+        if how == "raise":
+            raise obj_mod.ObjectiveError(f"gradient asked outside the radius at {x[out]}")
+        g = -x
+        g[out] = np.exp(1e3 * np.abs(x[out]))  # overflows
+        return g
+    return grad
+
+
+@pytest.mark.parametrize("how", ["overflow", "raise"])
+def test_blocks_never_show_a_step_past_a_stop(how):
+    # the gradient overflows or raises just outside the escape radius, so
+    # only a step taken after a row escaped asks it there; the blocks take
+    # such steps and must discard them without a warning or an exception.
+    # Rows converge (x0 = 0), escape at several steps, or run out of budget
+    X0 = np.array([[0.0], [0.31], [-0.47], [0.9], [1.3], [-2.1], [3.7], [0.05]])
+    opts = dict(budget=300, conv_tol=1e-12, escape_radius=20.0,
+                window=mth.CONVERGENCE_WINDOW)
+    grad = _beyond(opts["escape_radius"], how)
+    for f in (_linear_growth(grad), obj_mod.Objective(1, None, grad, None)):
+        step = make_step("gd", f, HARMONIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_batch("gd", f, HARMONIC, X0, **opts)
+            for i, x0 in enumerate(X0):
+                kind, k_final, final, message = reference_run(step, x0, **opts)
+                assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                    (kind, k_final, message)
+                assert res.final[i].tobytes() == final.tobytes()
+        assert res.terminal.count(ESCAPED_REGION) == 6
+        assert set(res.terminal) == {ESCAPED_REGION, CONVERGED_TO_POINT, BUDGET_EXHAUSTED}
+
+
+def test_blocks_warn_as_one_step_at_a_time():
+    # the gradient takes a masked log(0) at points in 4 <= |x| < 4.2, which
+    # sets numpy's divide flag while the gradient stays -x.  Rows 0 and 2
+    # escape radius 10 at steps 98 and 298; rows 1 and 3 pass through the
+    # band in the steps just after, one row at a time.  A block that stepped
+    # on past an escape and kept those warnings would warn twice for them
+    caught, flagged = [], []
+
+    def grad(x):
+        band = (np.abs(x) >= 4.0) & (np.abs(x) < 4.2)
+        seen = len(caught)
+        g = np.where(band, -x, -x + np.log(np.where(band, 0.0, 1.0)))
+        if len(caught) > seen:
+            flagged.append(x[band].tobytes())
+        return g
+
+    f = _linear_growth(grad)
+    X0 = np.array([[0.201], [8 / 101.5], [-20 / 299.5], [-8 / 301.5]])
+    opts = dict(budget=400, conv_tol=1e-12, escape_radius=10.0,
+                window=mth.CONVERGENCE_WINDOW)
+    step = make_step("gd", f, HARMONIC)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_batch("gd", f, HARMONIC, X0, **opts)
+        got = list(flagged), [str(w.message) for w in caught]
+        del caught[:], flagged[:]
+        for i, x0 in enumerate(X0):
+            kind, k_final, final, message = reference_run(step, x0, **opts)
+            assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                (kind, k_final, message)
+            assert res.final[i].tobytes() == final.tobytes()
+        want = flagged, [str(w.message) for w in caught]
+    assert res.terminal == [ESCAPED_REGION] * 3 + [BUDGET_EXHAUSTED]
+    assert list(res.k_final) == [98, 252, 298, 400]
+    # the same points warned, as many times, each once
+    assert sorted(got[0]) == sorted(want[0]) and len(set(want[0])) == len(want[0]) == 28
+    assert got[1] == want[1] == ["divide by zero encountered in log"] * 28
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_blocks_discard_at_most_64_updates_per_stop(monkeypatch, beyond):
+    # rows escape about 150 steps apart, so the blocks are back at their
+    # full length each time; with ``beyond`` their gradient overflows once
+    # they are past the radius.  Every update past the steps taken is one a
+    # block discarded after a stop
+    calls = []
+    real = mth._update
+
+    def counting(*args, **kwargs):
+        update = real(*args, **kwargs)
+
+        def counted(k, X):
+            calls.append(k)
+            return update(k, X)
+        return counted
+
+    monkeypatch.setattr(mth, "_update", counting)
+    f = _linear_growth(_beyond(10.0, "overflow") if beyond else np.negative)
+    X0 = np.array([[20.5 / (150 * j + 2)] for j in range(1, 9)] + [[0.001]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_batch("gd", f, HARMONIC, X0, budget=1500, conv_tol=1e-12,
+                        escape_radius=10.0)
+    assert res.terminal == [ESCAPED_REGION] * 8 + [BUDGET_EXHAUSTED]
+    stops = {int(k) - 1 for k in res.k_final[:8]}  # the steps at which a row stopped
+    assert len(stops) == 8 and sorted(set(calls)) == list(range(1500))
+    assert len(calls) - 1500 <= 64 * len(stops)
 
 
 def test_run_and_run_batch_reject_window_below_one():
