@@ -360,7 +360,8 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     res = run_batch(cfg.method_id, obj, schedule, inits, budget=cfg.budget,
                     conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
                     window=cfg.window, metric=metric)
-    grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an escaped point's gradient may overflow
+        grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)
     rows = [{"trial": t, "init": inits[t], "terminal": res.terminal[t],
              "k_final": int(res.k_final[t]), "final": res.final[t],
              "grad_norm": float(grad_norms[t]), "saddle_hit": False,

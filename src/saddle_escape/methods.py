@@ -207,10 +207,11 @@ def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, 
     terminal = Terminal(res.terminal[0], message=res.message[0])
     if terminal.kind == CONVERGED_TO_POINT:
         terminal.point_class = classify_critical_point(obj, final)
-    return TrajectoryRecord(
-        terminal=terminal, k_final=k_final, ks=[k for k, _ in kept],
-        points=[p for _, p in kept], step_sizes=[schedule.value(k) for k, _ in kept],
-        grad_norms=[float(np.linalg.norm(obj.grad(p))) for _, p in kept])
+    with np.errstate(over="ignore", invalid="ignore"):  # an escaped point's gradient may overflow
+        return TrajectoryRecord(
+            terminal=terminal, k_final=k_final, ks=[k for k, _ in kept],
+            points=[p for _, p in kept], step_sizes=[schedule.value(k) for k, _ in kept],
+            grad_norms=[float(np.linalg.norm(obj.grad(p))) for _, p in kept])
 
 
 BatchResult = NamedTuple("BatchResult", [
@@ -432,29 +433,34 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     raise ``MethodError``; an infinite radius stops a row at inf only on the
     step error ``error(j)`` names.
 
-    While no row has a quiet streak, the steps go in blocks of m with no
-    test between them, and then two filters check the whole block at once:
-    the largest row sum of squares of each new state is below
-    escape_radius^2, and the smallest row sum of squared motions is above
-    conv_tol^2.  Where both hold, no row escapes, none starts a streak and
-    none stops.  The steps before the first step that fails a filter are
-    kept, that step goes to the per-row code, and the later ones are
-    discarded, so the steps after a stop run on the smaller batch just as
-    they would one at a time: no row's bits depend on the block.  m starts
-    at 1, doubles after each clean block up to ``_BLOCK_STEPS`` and at most
-    ``_BLOCK_DOUBLES`` doubles of states, and is 1 again after a block that
-    fails.  A block runs with numpy's floating-point warnings turned into a
-    flag, and it ends before the first step that sets one or raises (a row
-    stepped past its escape may overflow): the per-row code takes that step
-    again outside the block, where it warns or raises just as one step at a
-    time would.  With ``conv_tol`` <= 0 (or NaN) no motion is ever below
-    it, so the motion filter and the streak count are skipped; with a tiny
-    or negative radius every step goes to the per-row code.
+    The steps go in blocks of m with no test between them, and then the
+    filters check the whole block at once: each new state's largest row sum
+    of squares is below escape_radius^2, each row's sum of squared motions
+    is surely above conv_tol^2 (loud) or surely below it (quiet), and each
+    row's quiet run, counted on from its run before the block, stays below
+    ``window``.  Where all hold, no row escapes and none converges.  The
+    steps before the first step that fails a filter are kept, that step goes
+    to the per-row code, and the later ones are discarded, so the steps
+    after a stop run on the smaller batch just as they would one at a time:
+    no row's bits depend on the block.  m starts at 1, doubles after each
+    clean block up to ``_BLOCK_STEPS`` and at most ``_BLOCK_DOUBLES``
+    doubles of states, and is 1 again after a block that fails.  A block
+    runs with numpy's floating-point warnings turned into a flag, and it
+    ends before the first step that sets one or raises (a row stepped past
+    its escape may overflow): the per-row code takes that step again
+    outside the block, where it warns or raises just as one step at a time
+    would.  A ``warnings.warn`` in the objective's own code is not held
+    back: a step that a block discards can still show one.  With
+    ``conv_tol`` <= 0 (or NaN) no motion is ever below it, so motions are
+    not tested; with a tiny or negative radius (or d > 2^22) every block is
+    one step, which the per-row code takes.  That code never warns: a
+    square past the largest double is inf, as in the norm.
     """
     if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
         raise MethodError("escape_radius must be a number, got NaN")
     if budget >= 1 << 63:  # k_final is an int64
         raise MethodError(f"budget must be below 2^63, got {budget}")
+    escape_radius, conv_tol = float(escape_radius), float(conv_tol)  # a numpy scalar square warns
     n = len(X0)
     terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
     k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()
@@ -465,89 +471,94 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     # of a sum of d squares, and each row sum (X * X) @ ones adds the same d
     # squares in BLAS's order.  Each is off by at most a relative d·2^-53 <
     # 5e-10 for d <= 2^22, plus a few 2^-53 for the roots and the
-    # thresholds, which the 1e-9 margins cover.  Squares below the normal
-    # range carry no relative bound, hence the floor at tiny; a tiny or
-    # negative radius and a larger d skip the blocks.  NaN fails every test,
-    # and the cap at the largest double makes inf and an overflowing sum
-    # fail the radius test.
+    # thresholds, which the 1e-9 margins cover; a sum within one fails its
+    # step.  A threshold below the normal range has no relative bound: loud
+    # is floored at tiny, nothing is quiet, and a tiny radius fails every
+    # step, as does a larger d.  NaN fails every test, and the caps at the
+    # largest double make inf and an overflowing sum neither inside nor quiet.
     big, tiny = np.finfo(float).max, np.finfo(float).tiny
-    bounded = escape_radius >= 2.0 ** -500 and X0.shape[1] <= 1 << 22
-    below = min(escape_radius * escape_radius * (1.0 - 1e-9), big)
+    below = min(escape_radius * escape_radius * (1.0 - 1e-9), big) \
+        if escape_radius >= 2.0 ** -500 and X0.shape[1] <= 1 << 22 else -1.0
     above = max(conv_tol * conv_tol, tiny) * (1.0 + 1e-9)
+    hush = min(conv_tol * conv_tol, big) * (1.0 - 1e-9) if conv_tol * conv_tol >= tiny else 0.0
     moving = conv_tol > 0  # else no motion is below conv_tol and no row ever goes quiet
     ones = np.ones(X0.shape[1])
     fired: list = []  # the floating-point flags a block's steps set
     flags = dict({c: "call" for c, v in np.geterr().items() if v != "ignore"},
                  call=lambda kind, flag: fired.append(kind))
-    streak = False  # some active row has a quiet streak
     m = 1  # steps in the next block
     if path is not None:
         path.append((0, X0))
     k = 0
     while k < budget:
-        if streak or not bounded:
-            Xn, error = update(k, X)
-        else:
-            size, states = min(m, budget - k), []
-            fired.clear()
-            with np.errstate(**flags):  # a flag ends the block; the filters' flags are dropped
-                try:
-                    Y = X
-                    while len(states) < size:
-                        Y, err = update(k + len(states), Y)
-                        if fired:
-                            break
-                        states.append((Y, err))
-                except Exception:  # the step is taken again below, and raises there
-                    pass
-                kept, a = len(states), len(X)
-                if kept:  # each step's row sums of squares and of squared motions
-                    S = np.concatenate([X] + [state for state, _ in states])
-                    R = ((S[a:] * S[a:]) @ ones).reshape(kept, a)
-                    ok = np.maximum.reduce(R, axis=1) <= below  # inf and NaN fail both tests
-                    if moving:
-                        D = S[a:] - S[:-a]
-                        ok &= np.minimum.reduce(((D * D) @ ones).reshape(kept, a), axis=1) > above
-                    if not ok.all():
-                        kept = int(ok.argmin())
-            if path is not None:
-                path.extend((k + j + 1, states[j][0]) for j in range(kept)
-                            if (k + j + 1) % stride == 0)
-            if kept:
-                X, k = states[kept - 1][0], k + kept
-            if kept == size:
-                m = min(2 * m, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // X.size))
-                continue
-            m = 1
-            Xn, error = states[kept] if kept < len(states) else update(k, X)
+        size, states, runs = min(m, budget - k), [], None
+        fired.clear()
+        with np.errstate(**flags):  # a flag ends the block; the filters' flags are dropped
+            try:
+                Y = X
+                while len(states) < size:
+                    Y, err = update(k + len(states), Y)
+                    if fired:
+                        break
+                    states.append((Y, err))
+            except Exception:  # the step is taken again below, and raises there
+                pass
+            kept, a = len(states), len(X)
+            if kept:  # each step's row sums of squares and of squared motions
+                S = np.concatenate([X] + [state for state, _ in states])
+                R = ((S[a:] * S[a:]) @ ones).reshape(kept, a)
+                ok = np.maximum.reduce(R, axis=1) <= below  # inf and NaN fail both tests
+                if moving:
+                    D = S[a:] - S[:-a]
+                    M = ((D * D) @ ones).reshape(kept, a)
+                    loud = M > above
+                    if not loud.all():  # each row's quiet run after each step
+                        at = np.arange(1, kept + 1)[:, None]
+                        last = np.maximum.accumulate(np.where(loud, at, 0), axis=0)
+                        runs = np.where(last > 0, at - last, at + quiet)
+                        ok &= ((loud | (M < hush)) & (runs < window)).all(axis=1)
+                if not ok.all():
+                    kept = int(ok.argmin())
+        if path is not None:
+            path.extend((k + j + 1, states[j][0]) for j in range(kept)
+                        if (k + j + 1) % stride == 0)
+        if kept:
+            X, k = states[kept - 1][0], k + kept
+            quiet = runs[kept - 1] if runs is not None else np.zeros_like(quiet)
+        if kept == size:
+            m = min(2 * m, _BLOCK_STEPS, max(1, _BLOCK_DOUBLES // X.size))
+            continue
+        m = 1
+        Xn, error = states[kept] if kept < len(states) else update(k, X)
         if path is not None and (k + 1) % stride == 0:
             path.append((k + 1, Xn))
         # row norms as np.linalg.norm(axis=1) computes them, without its overhead
-        if moving:
-            D = Xn - X
-            quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
-        radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if moving:
+                D = Xn - X
+                quiet = np.where(np.sqrt(np.add.reduce(D * D, axis=1)) < conv_tol, quiet + 1, 0)
+            radius = np.sqrt(np.add.reduce(Xn * Xn, axis=1))
         stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
         if escape_radius == np.inf:  # inf <= inf keeps a row that a step overflowed
             for j in np.flatnonzero(np.isinf(radius) & ~stop):
                 stop[j] = error(j) is not None
+        k += 1
         if not stop.any():
-            X, k, streak = Xn, k + 1, bool(quiet.any())
+            X = Xn
             continue
         for j in np.flatnonzero(stop):
             err = error(j)
             if err is None and np.any(np.isnan(Xn[j])):
-                err = f"non-finite iterate at k={k + 1}"
+                err = f"non-finite iterate at k={k}"
             if err is not None:
-                end = STEP_ERROR, k, X[j], str(err)
+                end = STEP_ERROR, k - 1, X[j], str(err)
             elif radius[j] > escape_radius:
-                end = ESCAPED_REGION, k + 1, Xn[j], None
+                end = ESCAPED_REGION, k, Xn[j], None
             else:
-                end = CONVERGED_TO_POINT, k + 1, Xn[j], None
+                end = CONVERGED_TO_POINT, k, Xn[j], None
             r = rows[j]
             terminal[r], k_final[r], final[r], message[r] = end
         X, rows, quiet = Xn[~stop], rows[~stop], quiet[~stop]
-        k, streak = k + 1, bool(quiet.any())
         if not rows.size:
             break
     final[rows] = X

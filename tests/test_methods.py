@@ -617,12 +617,13 @@ def test_run_batch_thresholds_at_exact_norms_and_motions():
     norms = np.array([[np.linalg.norm(x) for x in orbit(x0)] for x0 in wide])
     assert any(col @ col > radius * radius and col.max() < radius for col in norms.T)
     # conv_tol 0 and -1 leave no motion below it: the motion filter is off
-    # and no row may converge
+    # and no row may converge.  At window 50 row 1's quiet run goes on
+    # through several blocks before it converges
     tols = (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf), 0.0, -1.0)
     for batch in (X0, wide):
         for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
             for conv_tol in tols:
-                for window in (1, 3):
+                for window in (1, 3, 50):
                     opts = dict(budget=budget, conv_tol=conv_tol,
                                 escape_radius=escape_radius, window=window)
                     res = run_batch("gd", f, s, batch, **opts)
@@ -673,11 +674,12 @@ def test_run_batch_row_sums_decide_a_crowded_batch():
                 assert res.final[i].tobytes() == final.tobytes()
 
 
-def test_run_batch_long_step_restarts_quiet_streaks():
+def test_run_batch_long_step_restarts_quiet_streaks(monkeypatch):
     # constant steps down a slope whose gradient alternates between -1 and
     # -1/4 every 0.05: runs of 20 short steps (quiet under conv_tol 0.005)
     # alternate with 5 long ones.  With window 30 no row may converge; a
     # long step that did not restart the streaks would let them add up.
+    # Blocks of one or two steps can hold long steps only, longer ones both
     def grad(x):
         return np.where(np.floor(x / 0.05) % 2 == 0, -1.0, -0.25)
 
@@ -686,18 +688,20 @@ def test_run_batch_long_step_restarts_quiet_streaks():
     s = sch.constant(0.01)
     X0 = np.array([[0.0], [0.012], [0.031], [0.077]])
     opts = dict(budget=300, conv_tol=0.005, escape_radius=1e3, window=30)
-    res = run_batch("gd", f, s, X0, **opts)
-    assert res.terminal == [BUDGET_EXHAUSTED] * 4
     step = make_step("gd", f, s)
-    for i, x0 in enumerate(X0):
-        final = reference_run(step, x0, **opts)[2]
-        assert res.final[i].tobytes() == final.tobytes()
-        alone = run_batch("gd", f, s, x0[None], **opts)  # no other row to break a long run
-        assert alone.terminal == [BUDGET_EXHAUSTED]
-        assert alone.final[0].tobytes() == final.tobytes()
-    # with window 20 the same rows do converge, inside their first short run
-    res = run_batch("gd", f, s, X0, **dict(opts, window=20))
-    assert res.terminal == [CONVERGED_TO_POINT] * 4
+    for steps in (1, 2, 64):
+        monkeypatch.setattr(mth, "_BLOCK_STEPS", steps)
+        res = run_batch("gd", f, s, X0, **opts)
+        assert res.terminal == [BUDGET_EXHAUSTED] * 4
+        for i, x0 in enumerate(X0):
+            final = reference_run(step, x0, **opts)[2]
+            assert res.final[i].tobytes() == final.tobytes()
+            alone = run_batch("gd", f, s, x0[None], **opts)  # no other row to break a long run
+            assert alone.terminal == [BUDGET_EXHAUSTED]
+            assert alone.final[0].tobytes() == final.tobytes()
+        # with window 20 the same rows do converge, inside their first short run
+        res = run_batch("gd", f, s, X0, **dict(opts, window=20))
+        assert res.terminal == [CONVERGED_TO_POINT] * 4
 
 
 @pytest.mark.parametrize("escape_radius", [-1.0, 0.0, 1e-200, 1e300, np.inf])
@@ -718,6 +722,119 @@ def test_run_batch_extreme_escape_radii_match_reference(escape_radius):
             alone = run_batch("gd", f, HARMONIC, x0[None], **opts)
             assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
             assert alone.final[0].tobytes() == final.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the lockstep loop against the plain loop, over drawn configurations
+# ---------------------------------------------------------------------------
+
+_SCHEDULES = (HARMONIC, sch.power(1.0, 1.0, 3), sch.power(0.5, 0.5, 2), sch.power(2.0, 2.0, 2),
+              sch.constant(0.1), sch.constant(0.01), sch.geometric(0.5, 0.99))
+_ENTROPY_A = [[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+
+
+@st.composite
+def _lockstep_cases(draw):
+    """A method with an objective that fits it, its starts (some on the
+    stable set), a schedule and the stop settings; the block limits last."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 30))
+    on = draw(st.integers(0, n))  # rows on the stable set
+    method_id = draw(st.sampled_from(("gd", "prox", "mirror-euclidean",
+                                      "mirror-entropy", "manifold-sphere")))
+    if method_id == "mirror-entropy":  # the stable set of the saddle (1/4, 1/4, 1/2) is x1 = x2
+        f = obj_mod.quadratic(_ENTROPY_A)
+        X0 = rng.dirichlet(np.ones(3), size=n)
+        X0[:on, 1] = X0[:on, 0]
+        X0[:on, 2] = 1.0 - 2.0 * X0[:on, 0]
+    elif method_id == "manifold-sphere":  # the stable set of the saddles +-e2 is x1 = 0
+        f = obj_mod.quadratic(np.diag([1.0, 2.0, 3.0]))
+        X0 = rng.standard_normal((n, 3))
+        X0[:on, 0] = 0.0
+        X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
+    else:
+        name = draw(st.sampled_from(("fig1", "cubic", "diagonal")))
+        if name == "fig1":
+            f, lams = obj_mod.fig1(), np.array([2.0, -2.0])
+        elif name == "cubic":
+            f, lams = obj_mod.cubic_perturbed_saddle(draw(st.sampled_from((0.1, -0.5, 1.0)))), \
+                np.array([1.0, -1.0])
+        else:
+            lams = np.array(draw(st.lists(st.sampled_from((-1.0, -0.25, 0.0, 0.5, 1.0, 3.0)),
+                                          min_size=3, max_size=3)))
+            f = obj_mod.quadratic(np.diag(lams))
+        X0 = rng.uniform(-1.0, 1.0, size=(n, len(lams))) * draw(st.sampled_from((1e-3, 1.0, 10.0)))
+        X0[:on, lams < 0] = 0.0
+    opts = dict(budget=draw(st.sampled_from((1, 2, 3, 10, 60, 200))),
+                conv_tol=draw(st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12, 0.0, -1.0))),
+                window=draw(st.sampled_from((1, 2, 3, 50))),
+                escape_radius=draw(st.sampled_from((-1.0, 1e-200, 0.5, 2.0, 10.0, 1e3, 1e300,
+                                                    np.inf))))
+    blocks = draw(st.sampled_from((1, 2, 3, 7, 64))), draw(st.sampled_from((8, 64, 1 << 14)))
+    return method_id, f, draw(st.sampled_from(_SCHEDULES)), X0, opts, blocks
+
+
+def _warns(fn):
+    """Whether ``fn()`` warns, with every warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn()
+        except Warning:
+            return True
+    return False
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_lockstep_cases())
+def test_run_batch_rows_match_the_plain_loop_at_any_block_size(case):
+    # every row of the lockstep loop ends as the one-point loop ends it, to
+    # the bit, at any block length and block size; and where the lockstep
+    # loop warns, the one-point loop warns too.  d <= 3 only: at d >= 4 a
+    # dense product's last bits can depend on the batch (see _update).  The
+    # examples are derandomized, so every run checks the same 250
+    method_id, f, s, X0, opts, (steps, doubles) = case
+    step = make_step(method_id, f, s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mth, "_BLOCK_STEPS", steps)
+        mp.setattr(mth, "_BLOCK_DOUBLES", doubles)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_batch(method_id, f, s, X0, **opts)
+            for i, x0 in enumerate(X0):
+                kind, k_final, final, message = reference_run(step, x0, **opts)
+                assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                    (kind, k_final, message)
+                assert res.final[i].tobytes() == final.tobytes()
+        if _warns(lambda: run_batch(method_id, f, s, X0, **opts)):
+            assert _warns(lambda: [reference_run(step, x0, **opts) for x0 in X0])
+
+
+def test_a_huge_escape_radius_stops_rows_without_a_warning():
+    # on the cubic an escaping row's norm about squares with each step, so
+    # past radius 1e308 its squares overflow: the stop test takes them as
+    # inf, as the norm does, and neither it nor run's gradient norms warn.
+    # The radius is a numpy scalar, whose own square overflows with a warning
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    X0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 2))
+    opts = dict(budget=3000, conv_tol=1e-9, escape_radius=np.float64(1e308),
+                window=mth.CONVERGENCE_WINDOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_batch("gd", f, HARMONIC, X0, **opts)
+        rec = run("gd", f, HARMONIC, X0[0], **opts)
+    assert (rec.terminal.kind, rec.k_final) == (res.terminal[0], res.k_final[0])
+    assert rec.final_point.tobytes() == res.final[0].tobytes()
+    step = make_step("gd", f, HARMONIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, x0 in enumerate(X0):
+            kind, k_final, final, message = reference_run(step, x0, **opts)
+            assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                (kind, k_final, message)
+            assert res.final[i].tobytes() == final.tobytes()
+        assert np.isinf(res.final[0] @ res.final[0]) and not np.isfinite(rec.grad_norms[-1])
+    assert res.terminal.count(ESCAPED_REGION) >= 4
 
 
 def test_overflowing_gd_step_stops_at_its_own_step_without_a_radius():
