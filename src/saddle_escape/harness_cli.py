@@ -36,10 +36,9 @@ import numpy as np
 from . import objectives
 from . import schedules as sched_mod
 from .lyapunov_perron import LyapunovError, chart, remainder_from_objective
-from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, CONVERGENCE_WINDOW,
-                      DEFAULT_BUDGET, DEFAULT_CONV_TOL, DEFAULT_ESCAPE_RADIUS, DEFAULT_STRIDE,
-                      ESCAPED_REGION, STEP_ERROR, MethodError, RiemannianMetric,
-                      TrajectoryRecord, _recursion, run, run_batch)
+from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, DEFAULT_BUDGET, DEFAULT_CONV_TOL,
+                      DEFAULT_ESCAPE_RADIUS, ESCAPED_REGION, STEP_ERROR, MethodError,
+                      RiemannianMetric, TrajectoryRecord, _recursion, run, run_batch)
 from .objectives import Objective, classify_critical_point
 
 __all__ = [
@@ -88,6 +87,8 @@ class ExperimentAssertionError(RuntimeError):
 # configuration
 # ---------------------------------------------------------------------------
 
+_FIG1_OBJECTIVE = {"name": "fig1"}
+_DEFAULT_SCHEDULE = {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}
 _CHART_FIELDS = {
     "delta0", "epsilon", "max_halvings", "horizon", "horizon_cap", "fp_tol",
     "fp_budget", "grid_points", "grid_halfwidth", "critical_point",
@@ -100,19 +101,16 @@ class ExperimentConfig:
 
     experiment: str
     method_id: str = "gd"
-    objective: dict = field(default_factory=lambda: {"name": "fig1"})
-    schedule: dict = field(default_factory=lambda: {"kind": "power", "c": 1.0,
-                                                    "p": 1.0, "offset": 2})
+    objective: dict = field(default_factory=lambda: dict(_FIG1_OBJECTIVE))
+    schedule: dict = field(default_factory=lambda: dict(_DEFAULT_SCHEDULE))
     trials: int = 1000
     seed: int = 0
     init_box: list = field(default_factory=lambda: [[-1.0, 1.0], [-1.0, 1.0]])
     budget: int = DEFAULT_BUDGET
     conv_tol: float = DEFAULT_CONV_TOL
     escape_radius: float = DEFAULT_ESCAPE_RADIUS
-    stride: int = DEFAULT_STRIDE
     output_dir: str = "."
     init: Optional[list] = None
-    window: int = CONVERGENCE_WINDOW
     metric: Optional[list] = None
     chart: dict = field(default_factory=dict)
 
@@ -126,7 +124,7 @@ class ExperimentConfig:
         if recursion != "gd" and self.experiment in ("chart", "fig1"):
             raise ConfigError(f"{self.experiment} runs gd's recursion only: gd, mirror-euclidean "
                               f"or manifold-intrinsic without a metric, not {self.method_id!r}")
-        for name in ("trials", "budget", "stride", "window"):
+        for name in ("trials", "budget"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
@@ -157,6 +155,13 @@ class ExperimentConfig:
         extra = set(self.chart) - _CHART_FIELDS
         if extra:
             raise ConfigError(f"unknown chart option(s): {sorted(extra)}")
+        if self.experiment == "fig1":
+            if self.objective != _FIG1_OBJECTIVE:
+                raise ConfigError('fig1 runs on its own objective x^2 - y^2: leave out objective '
+                                  f'or give {{"name": "fig1"}}, got {self.objective!r}')
+            if self.schedule != _DEFAULT_SCHEDULE:
+                raise ConfigError("fig1 races its own three schedules: leave out schedule, "
+                                  f"got {self.schedule!r}")
 
     @classmethod
     def from_dict(cls, data: dict, default_experiment: Optional[str] = None) -> "ExperimentConfig":
@@ -359,7 +364,7 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
 
     res = run_batch(cfg.method_id, obj, schedule, inits, budget=cfg.budget,
                     conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
-                    window=cfg.window, metric=metric)
+                    metric=metric)
     with np.errstate(over="ignore", invalid="ignore"):  # an escaped point's gradient may overflow
         grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)
     rows = [{"trial": t, "init": inits[t], "terminal": res.terminal[t],
@@ -390,7 +395,8 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
 def fig1_experiment(cfg: ExperimentConfig) -> dict:
     """Three runs of gd's recursion (cfg.method_id, which ExperimentConfig
     holds to gd, mirror-euclidean or metric-less manifold-intrinsic) on
-    x^2 - y^2 from one shared init.
+    x^2 - y^2 from one shared init, one per FIG1_SCHEDULES entry; the
+    config may not name another objective or schedule.
 
     Writes one per-step CSV per schedule into cfg.output_dir, then asserts
     the qualitative picture: the 1/sqrt(k) and 1/k runs escape with the
@@ -404,7 +410,7 @@ def fig1_experiment(cfg: ExperimentConfig) -> dict:
     for label, spec in FIG1_SCHEDULES:
         schedule = _build_schedule(spec)
         rec = run(cfg.method_id, obj, schedule, x0, budget=cfg.budget, conv_tol=cfg.conv_tol,
-                  escape_radius=cfg.escape_radius, stride=1, window=cfg.window)
+                  escape_radius=cfg.escape_radius, stride=1)
         records[label] = rec
         emit_plot_data(rec, os.path.join(cfg.output_dir, f"fig1_{label}.csv"))
 
@@ -539,8 +545,7 @@ def single_run_experiment(cfg: ExperimentConfig) -> TrajectoryRecord:
     metric = _build_metric(cfg, obj)
     rec = run(cfg.method_id, obj, schedule, _reals(cfg.init, "init", (obj.dimension,)),
               budget=cfg.budget, conv_tol=cfg.conv_tol,
-              escape_radius=cfg.escape_radius, stride=cfg.stride,
-              window=cfg.window, metric=metric)
+              escape_radius=cfg.escape_radius, metric=metric)
     emit_plot_data(rec, os.path.join(cfg.output_dir, "run.csv"))
     return rec
 

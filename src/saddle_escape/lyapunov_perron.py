@@ -68,7 +68,7 @@ __all__ = [
     "DEFAULT_HORIZON_CAP",
 ]
 
-DEFAULT_TAIL_TOL = 1e-10
+DEFAULT_TAIL_TOL = 1e-10  # the horizon search stops once the dropped tail's bound is below this
 DEFAULT_FP_TOL = 1e-10  # Picard stops once the sup-distance of two iterates is below this
 DEFAULT_FP_BUDGET = 500  # Picard applications before a solve fails
 DEFAULT_HORIZON_CAP = 100_000  # the longest horizon the tail-bound search tries
@@ -110,8 +110,6 @@ class PerronProblem:
         on B(0, delta).
     horizon : int
         Sequence truncation length N; sequences have entries 0..N.
-    tail_tol : float
-        Target for truncated series tails.
     order : int
         1 for a remainder with only its Lipschitz modulus, 2 for one of
         quadratic order (see :func:`tail_horizon`).
@@ -125,6 +123,8 @@ class PerronProblem:
     E^u is nonempty, with no zero eigenvalue unless epsilon = 0; ``alphas``,
     ``factors[k, i] = 1 - alpha_k lambda_i``
     for k = 0..N and the scan runs (inverse unstable factors run backward).
+    ``tail_tol`` reads ``DEFAULT_TAIL_TOL``, the target ``tail_estimate`` is
+    measured against.
     """
 
     split: SpectralSplit
@@ -133,7 +133,6 @@ class PerronProblem:
     delta: float
     epsilon: float
     horizon: int
-    tail_tol: float = DEFAULT_TAIL_TOL
     order: int = 1
     dynamics: Optional[Callable] = None
     tail_estimate: float = field(init=False)
@@ -143,6 +142,7 @@ class PerronProblem:
     factors: np.ndarray = field(init=False, repr=False)
     stable_runs: list = field(init=False, repr=False)
     unstable_runs: list = field(init=False, repr=False)
+    tail_tol = DEFAULT_TAIL_TOL  # a class constant, not a field
 
     def __post_init__(self):
         if not (self.delta > 0):
@@ -152,7 +152,7 @@ class PerronProblem:
         # raises unless alpha_0 * lambda_max < 1: every factor the scan reads lies in (0, 1]
         _, self.tail_estimate, self.horizon_capped, self.decay_rate = tail_horizon(
             self.split, self.schedule, self.epsilon, self.delta, order=self.order,
-            horizon=self.horizon, tail_tol=self.tail_tol)
+            horizon=self.horizon)
         self.alphas = np.asarray(self.schedule.values(self.horizon + 1), dtype=float)
         f = self.factors = 1.0 - self.alphas[:, None] * self.split.eigenvalues[None, :]
         self.stable_runs = _product_runs(f[:-1, self.split.stable_indices])
@@ -678,8 +678,7 @@ class TailBound(NamedTuple):
 
 def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
                  delta: float, *, order: int = 1, horizon: Optional[int] = None,
-                 horizon_cap: int = DEFAULT_HORIZON_CAP,
-                 tail_tol: float = DEFAULT_TAIL_TOL) -> TailBound:
+                 horizon_cap: int = DEFAULT_HORIZON_CAP) -> TailBound:
     """Pick the horizon N from a bound on the tail it drops, orbit decay included.
 
     Entry 0 of T sums the unstable remainders backward,
@@ -731,10 +730,10 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
 
     gamma is the largest of lambda_s * (7/8, 6/8, ..., 1/8) with K_w < 1,
     else 0.  Unless ``horizon`` is given, N is the smallest value in
-    [min(1024, horizon_cap), horizon_cap] whose bound is below ``tail_tol``,
-    or ``horizon_cap`` if none is (``capped`` then says so).  The search
-    evaluates the bound on prefixes of doubling length, so it allocates
-    O(N), not O(horizon_cap).
+    [min(1024, horizon_cap), horizon_cap] whose bound is below
+    ``DEFAULT_TAIL_TOL`` (1e-10), or ``horizon_cap`` if none is (``capped``
+    then says so).  The search evaluates the bound on prefixes of doubling
+    length, so it allocates O(N), not O(horizon_cap).
     """
     if order not in (1, 2):
         raise LyapunovError(f"remainder order must be 1 or 2, got {order}")
@@ -758,7 +757,7 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
         lo = n = min(1024, horizon_cap)
         while True:
             tails = bounds(n)
-            met = np.flatnonzero(tails[lo - 1:] < tail_tol)
+            met = np.flatnonzero(tails[lo - 1:] < DEFAULT_TAIL_TOL)
             if met.size or n == horizon_cap:
                 break
             lo, n = n + 1, min(2 * n, horizon_cap)
@@ -766,7 +765,7 @@ def tail_horizon(split_: SpectralSplit, schedule: StepSchedule, epsilon: float,
     else:
         tails = bounds(horizon)
     tail = float(tails[horizon - 1])
-    return TailBound(int(horizon), tail, not tail < tail_tol, gamma)
+    return TailBound(int(horizon), tail, not tail < DEFAULT_TAIL_TOL, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +776,6 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
                              method: str = "gd", delta0: float = 0.1,
                              max_halvings: int = 20, horizon: Optional[int] = None,
                              horizon_cap: int = DEFAULT_HORIZON_CAP,
-                             tail_tol: float = DEFAULT_TAIL_TOL,
                              epsilon: Optional[float] = None,
                              ) -> tuple[PerronProblem, ContractionCertificate]:
     """Build the diagonal-frame remainder problem for a method at a saddle.
@@ -859,13 +857,13 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
 
     if horizon is None:
         horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
-                               horizon_cap=horizon_cap, tail_tol=tail_tol).horizon
+                               horizon_cap=horizon_cap).horizon
     # obj's raw callables, which take stacks; the steps check no point (see methods._update)
     shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
                         lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
                         vectorized=True)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
-                         epsilon=eps_val, horizon=horizon, tail_tol=tail_tol, order=order,
+                         epsilon=eps_val, horizon=horizon, order=order,
                          dynamics=_update(method, shifted, schedule))
     return prob, cert
 

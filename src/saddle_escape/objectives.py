@@ -198,19 +198,14 @@ class CriticalPointClass:
     grad_norm: float
 
 
-def classify_critical_point(
-    obj: Objective,
-    x: np.ndarray,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    eig_tol: float = DEFAULT_EIG_TOL,
-) -> CriticalPointClass:
+def classify_critical_point(obj: Objective, x: np.ndarray) -> CriticalPointClass:
     """Classify ``x`` as strict saddle / local-min candidate / degenerate / not critical.
 
-    A point is critical when ``||grad f(x)|| <= grad_tol``.  Critical points
-    split by the least Hessian eigenvalue ``m``: strict saddle when
-    ``m < -eig_tol``, degenerate when ``|m| <= eig_tol``, local-min candidate
-    when ``m > eig_tol``.  Eigensolver breakdown raises
-    :class:`EigensolverError` rather than mis-tagging the point.
+    A point is critical when ``||grad f(x)|| <= DEFAULT_GRAD_TOL`` (1e-8).
+    Critical points split by the least Hessian eigenvalue ``m`` against
+    ``DEFAULT_EIG_TOL`` (1e-8): strict saddle when ``m < -1e-8``, degenerate
+    when ``|m| <= 1e-8``, local-min candidate when ``m > 1e-8``.  Eigensolver
+    breakdown raises :class:`EigensolverError` rather than mis-tagging the point.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.dimension,):
@@ -229,11 +224,11 @@ def classify_critical_point(
         raise EigensolverError(f"Hessian eigendecomposition returned non-finite values at {x}")
     min_eig = float(eigenvalues[0])
 
-    if grad_norm > grad_tol:
+    if grad_norm > DEFAULT_GRAD_TOL:
         tag = NOT_CRITICAL
-    elif min_eig < -eig_tol:
+    elif min_eig < -DEFAULT_EIG_TOL:
         tag = STRICT_SADDLE
-    elif min_eig > eig_tol:
+    elif min_eig > DEFAULT_EIG_TOL:
         tag = LOCAL_MIN_CANDIDATE
     else:
         tag = DEGENERATE

@@ -91,25 +91,18 @@ def split(G: np.ndarray) -> SpectralSplit:
     symmetric = float(np.max(np.abs(G - G.T))) <= 1e-12 * scale
     if symmetric:
         w, V = np.linalg.eigh(G)
-        order = np.argsort(-w, kind="stable")
-        w = w[order]
-        V = V[:, order]
-        Q = V.T.copy()
-        Q_inv = V.copy()
     else:
-        wc, Vc = np.linalg.eig(G)
-        if float(np.max(np.abs(wc.imag))) > 1e-10 * scale:
+        w, V = np.linalg.eig(G)
+        if float(np.max(np.abs(w.imag))) > 1e-10 * scale:
             raise SpectralError("split needs a real spectrum; complex eigenvalues found")
-        w = wc.real
-        V = Vc.real
-        order = np.argsort(-w, kind="stable")
-        w = w[order]
-        V = V[:, order]
-        try:
-            Q = np.linalg.inv(V)
-        except np.linalg.LinAlgError as err:
-            raise SpectralError(f"eigenvector matrix is singular (defective input): {err}") from err
-        Q_inv = V.copy()
+        w, V = w.real, V.real
+    order = np.argsort(-w, kind="stable")
+    w, V = w[order], V[:, order]
+    try:
+        Q = V.T.copy() if symmetric else np.linalg.inv(V)
+    except np.linalg.LinAlgError as err:
+        raise SpectralError(f"eigenvector matrix is singular (defective input): {err}") from err
+    Q_inv = V.copy()  # C-ordered; V[:, order] is F-ordered
 
     # Sign canonicalization: flip each eigenvector so the largest-|.| entry of
     # the corresponding Q row is positive.  Keeps Q deterministic across runs.

@@ -33,7 +33,6 @@ BASE = {
     "budget": 5000,
     "conv_tol": 1e-12,
     "escape_radius": 1e3,
-    "stride": 10,
 }
 
 
@@ -60,7 +59,7 @@ def test_unknown_field_is_named():
     ("seed", -1),
     ("seed", 2 ** 64),
     ("budget", 0),
-    ("stride", 0),
+    ("stride", 0),  # stride and window are not config keys: any value is rejected
     ("window", 0),
     ("conv_tol", 0.0),
     ("escape_radius", -1.0),
@@ -168,16 +167,15 @@ def assert_matches_run(cfg):
     counts = dict.fromkeys(rep.counts, 0)
     for row in rep.rows:
         rec = mth.run(cfg.method_id, obj, schedule, row["init"], budget=cfg.budget,
-                      conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
-                      stride=cfg.stride, window=cfg.window, metric=metric)
+                      conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius, metric=metric)
         kind, k_final, final, message = reference_run(
             step, row["init"], budget=cfg.budget, conv_tol=cfg.conv_tol,
-            escape_radius=cfg.escape_radius, window=cfg.window)
+            escape_radius=cfg.escape_radius, window=mth.CONVERGENCE_WINDOW)
         counts[rec.terminal.kind] += 1
         assert row["terminal"] == rec.terminal.kind == kind
         assert row["k_final"] == rec.k_final == k_final
         assert row["message"] == rec.terminal.message == message
-        assert row["final"].tobytes() == rec.final_point.tobytes() == final.tobytes()
+        assert row["final"].tobytes() == rec.points[-1].tobytes() == final.tobytes()
         ulp = np.spacing(max(abs(row["grad_norm"]), abs(rec.grad_norms[-1])))
         assert abs(row["grad_norm"] - rec.grad_norms[-1]) <= 2 * ulp
     assert rep.counts == counts
@@ -483,7 +481,7 @@ def test_cli_seed_and_out_overrides(tmp_path):
 
 def test_cli_run_prints_its_terminal_and_writes_the_library_bytes(tmp_path, capsys):
     # an on-axis start reaches the saddle of x^2 - y^2: all three prints run
-    data = {"experiment": "single_run", "init": [0.5, 0.0], "stride": 5}
+    data = {"experiment": "single_run", "init": [0.5, 0.0]}
     out = tmp_path / "cli" / "nested"
     code = main(["run", "--config", write_cfg(tmp_path, "r.json", data), "--out", str(out)])
     assert code == 0
@@ -571,6 +569,9 @@ INTRINSIC = "manifold-intrinsic"
     ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
                "chart": {"critical_point": [False, 0.0]}}),
     ("avoidance", {"init_box": [[-1.0, True], [-1.0, 1.0]]}),
+    ("avoidance", {"window": 10}),
+    ("fig1", {"experiment": "fig1", "objective": {"name": "cubic", "a": 0.1}}),
+    ("fig1", {"experiment": "fig1", "schedule": {"kind": "constant", "c": 0.1}}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
@@ -583,7 +584,8 @@ INTRINSIC = "manifold-intrinsic"
         "critical_point-nan", "init-nan", "fig1-init-nan", "run-budget-2^63",
         "avoidance-budget-2^63", "schedule-kind-list", "grad_tol-key", "eig_tol-key",
         "init_box-width-overflows", "cubic-a-true", "matrix-true", "metric-true", "init-true",
-        "fig1-init-true", "critical_point-false", "init_box-true"])
+        "fig1-init-true", "critical_point-false", "init_box-true", "window-key",
+        "fig1-objective", "fig1-schedule"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file
@@ -629,6 +631,14 @@ def test_chart_grid_points_past_the_bound_is_a_config_error(tmp_path, capsys, mo
 @pytest.mark.parametrize("over, message", [
     ({"grad_tol": 1e-8}, "unknown config field(s): ['grad_tol']"),
     ({"eig_tol": 1e-8}, "unknown config field(s): ['eig_tol']"),
+    ({"window": 10}, "unknown config field(s): ['window']"),
+    ({"stride": 5}, "unknown config field(s): ['stride']"),
+    ({"experiment": "fig1", "objective": {"name": "cubic", "a": 0.1}},
+     "fig1 runs on its own objective x^2 - y^2: leave out objective or give "
+     "{\"name\": \"fig1\"}, got {'name': 'cubic', 'a': 0.1}"),
+    ({"experiment": "fig1", "schedule": {"kind": "power", "c": 1.0, "p": 0.5, "offset": 1}},
+     "fig1 races its own three schedules: leave out schedule, got "
+     "{'kind': 'power', 'c': 1.0, 'p': 0.5, 'offset': 1}"),
     ({"init_box": [[-1.0, "a"], [-1.0, 1.0]]}, "init_box[0] needs real numbers, got 'a'"),
     ({"init_box": [[-1.0, 1.0], [-1e308, 1e308]]},
      "init_box[1] needs low <= high and a finite high - low, got [-1e+308, 1e+308]"),
@@ -636,8 +646,8 @@ def test_chart_grid_points_past_the_bound_is_a_config_error(tmp_path, capsys, mo
     ({"objective": {"name": "cubic", "a": True}}, "objective.a needs real numbers, got True"),
     ({"objective": {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, False]]}},
      "objective.matrix needs real numbers, got False"),
-], ids=["grad_tol", "eig_tol", "init_box-text", "init_box-overflow", "init_box-true",
-        "cubic-a-true", "matrix-false"])
+], ids=["grad_tol", "eig_tol", "window", "stride", "fig1-objective", "fig1-schedule",
+        "init_box-text", "init_box-overflow", "init_box-true", "cubic-a-true", "matrix-false"])
 def test_config_errors_name_the_entry(over, message):
     with pytest.raises(ConfigError) as exc:
         avoidance_experiment(make_cfg(trials=2, budget=10, **over))

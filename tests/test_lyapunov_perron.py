@@ -798,14 +798,17 @@ def test_remainder_tail_estimate_unweighted_is_telescoped_form():
 
 
 def test_remainder_horizon_is_smallest_meeting_tail_tol():
-    # N lands in the second, third and fourth window of the doubling search
+    # a given epsilon is an order-1 remainder, certified at delta0 = 0.1 with
+    # gamma = 7/8 lambda_s; N lands in the second, third and fourth window
+    # of the doubling search (1025-2048, 2049-4096, 4097-8192)
     f = obj_mod.cubic_perturbed_saddle(0.1)
-    for tail_tol, expected in ((1e-9, 1084), (1e-10, 3017), (1e-11, 8396)):
-        prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, tail_tol=tail_tol)
+    for eps, expected in ((0.001, 1693), (0.003, 3042), (0.01, 5782)):
+        prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, epsilon=eps)
         N = prob.horizon
         assert N == expected and not prob.horizon_capped
-        assert prob.tail_estimate < tail_tol
-        assert exact_tail(prob, 2, N) < Fraction(tail_tol) <= exact_tail(prob, 2, N - 1)
+        assert prob.tail_tol == lp.DEFAULT_TAIL_TOL == 1e-10
+        assert prob.tail_estimate < prob.tail_tol
+        assert exact_tail(prob, 1, N) < Fraction(prob.tail_tol) <= exact_tail(prob, 1, N - 1)
 
 
 @pytest.mark.parametrize("cap", [1, 500, 1023, 2000])

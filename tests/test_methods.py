@@ -314,7 +314,7 @@ def test_run_convergence_classifies_limit():
     rec = run("gd", f, sch.constant(0.5), np.array([1.0, 1.0]), conv_tol=1e-12)
     assert rec.terminal.kind == CONVERGED_TO_POINT
     assert rec.terminal.point_class.tag == obj_mod.LOCAL_MIN_CANDIDATE
-    np.testing.assert_allclose(rec.final_point, [0.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(rec.points[-1], [0.0, 0.0], atol=1e-9)
 
 
 def test_run_budget_exhaustion():
@@ -349,7 +349,7 @@ def test_run_step_error_records_final_state():
         assert rec.k_final == rec.ks[-1] == 5
         assert rec.ks == sorted({0, 5} | set(range(stride, 5, stride)))
         assert not np.isnan(rec.points).any()
-        assert rec.final_point.tobytes() == xs[5].tobytes()
+        assert rec.points[-1].tobytes() == xs[5].tobytes()
         assert rec.grad_norms[-1] == float(np.linalg.norm(f.grad(xs[5])))
 
 
@@ -372,7 +372,7 @@ def test_metric_step_fails_on_a_nonfinite_gradient_as_gd_does(metric):
             want = run("gd", f, HARMONIC, x0)
             got = run("manifold-intrinsic", f, HARMONIC, x0, metric=metric)
             assert (got.terminal, got.k_final) == (want.terminal, want.k_final)
-            assert got.final_point.tobytes() == want.final_point.tobytes()
+            assert got.points[-1].tobytes() == want.points[-1].tobytes()
             assert want.terminal.kind == STEP_ERROR and want.k_final == 0
             assert want.terminal.message.startswith("non-finite gradient at k=0, x=")
         want = run_batch("gd", f, HARMONIC, X0)
@@ -414,7 +414,7 @@ def test_entropy_and_sphere_fail_on_a_nonfinite_gradient_as_gd_does(method_id, X
             assert (res.terminal[i], res.k_final[i], res.message[i]) == \
                 (rec.terminal.kind, rec.k_final, rec.terminal.message) == \
                 (kind, k_final, message)
-            assert res.final[i].tobytes() == rec.final_point.tobytes() == final.tobytes()
+            assert res.final[i].tobytes() == rec.points[-1].tobytes() == final.tobytes()
     assert res.terminal[1] != STEP_ERROR
     for i in (0, 2):
         assert (res.terminal[i], res.k_final[i]) == (STEP_ERROR, 0)
@@ -444,7 +444,7 @@ def test_run_batch_matches_run(method_id, bad):
                 assert res.terminal[i] == rec.terminal.kind
                 assert res.k_final[i] == rec.k_final
                 assert res.message[i] == rec.terminal.message
-                assert res.final[i].tobytes() == rec.final_point.tobytes()
+                assert res.final[i].tobytes() == rec.points[-1].tobytes()
                 kind, k_final, final, message = reference_run(
                     step, x0, budget=200, conv_tol=1e-12, escape_radius=radius,
                     window=mth.CONVERGENCE_WINDOW)
@@ -470,7 +470,7 @@ def test_run_batch_checks_escape_before_convergence():
                             escape_radius=1.0, window=1)
         assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == \
             ref[:2] == (res.terminal[i], 1)
-        assert res.final[i].tobytes() == rec.final_point.tobytes() == ref[2].tobytes()
+        assert res.final[i].tobytes() == rec.points[-1].tobytes() == ref[2].tobytes()
 
 
 def test_run_batch_mirror_rows_fail_alone():
@@ -528,7 +528,7 @@ def test_prox_non_diagonal_batch_run_and_reference_agree_bitwise():
         rec = run("prox", f, s, x0, **opts)
         ref = reference_run(step, x0, window=mth.CONVERGENCE_WINDOW, **opts)
         assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == ref[:2]
-        assert res.final[i].tobytes() == rec.final_point.tobytes() == ref[2].tobytes()
+        assert res.final[i].tobytes() == rec.points[-1].tobytes() == ref[2].tobytes()
 
 
 @pytest.mark.parametrize("method_id", ["gd", "prox", "manifold-intrinsic"])
@@ -550,9 +550,9 @@ def test_run_batch_rows_on_dense_quadratics(method_id):
             rec = run(method_id, f, s, x0, **opts)
             assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final)
             if d <= 3:
-                assert res.final[i].tobytes() == rec.final_point.tobytes()
+                assert res.final[i].tobytes() == rec.points[-1].tobytes()
             else:
-                np.testing.assert_allclose(res.final[i], rec.final_point, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(res.final[i], rec.points[-1], rtol=1e-12, atol=0)
 
 
 def test_prox_singular_resolvent_in_a_later_block():
@@ -785,14 +785,52 @@ def _warns(fn):
     return False
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(_lockstep_cases())
-def test_run_batch_rows_match_the_plain_loop_at_any_block_size(case):
-    # every row of the lockstep loop ends as the one-point loop ends it, to
-    # the bit, at any block length and block size; and where the lockstep
-    # loop warns, the one-point loop warns too.  d <= 3 only: at d >= 4 a
-    # dense product's last bits can depend on the batch (see _update).  The
-    # examples are derandomized, so every run checks the same 250
+def _separable(lams):
+    """f(x) = sum_i lam_i x_i^2 / 2 + x_i^4 / 4: its gradient and Hessian
+    are taken entry by entry, so no product mixes the rows of a stack."""
+    lams = np.asarray(lams, dtype=float)
+    d = len(lams)
+
+    def hess(x):
+        H = np.zeros(x.shape + (d,))
+        H[..., np.arange(d), np.arange(d)] = lams + 3.0 * x * x
+        return H
+    return obj_mod.Objective(d, lambda x: np.sum(0.5 * lams * x * x + 0.25 * x ** 4, axis=-1),
+                             lambda x: lams * x + x * x * x, hess, vectorized=True)
+
+
+@st.composite
+def _wide_lockstep_cases(draw):
+    """As _lockstep_cases at d = 4 or 6, for the steps whose rows keep their
+    own bits at any d: gd and prox's Newton on a separable objective, and
+    the entropy and sphere steps on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d = draw(st.integers(1, 30)), draw(st.sampled_from((4, 6)))
+    on = draw(st.integers(0, n))  # rows on the stable set
+    lams = np.array(draw(st.lists(st.sampled_from((-1.0, -0.25, 0.0, 0.5, 1.0, 3.0)),
+                                  min_size=d, max_size=d)))
+    method_id = draw(st.sampled_from(("gd", "prox", "mirror-entropy", "manifold-sphere")))
+    if method_id == "mirror-entropy":
+        X0 = rng.dirichlet(np.ones(d), size=n)
+    elif method_id == "manifold-sphere":
+        X0 = rng.standard_normal((n, d))
+        X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
+    else:
+        X0 = rng.uniform(-1.0, 1.0, size=(n, d)) * draw(st.sampled_from((1e-3, 1.0, 3.0, 10.0)))
+        X0[:on, lams < 0] = 0.0
+    opts = dict(budget=draw(st.sampled_from((1, 2, 3, 10, 60, 200))),
+                conv_tol=draw(st.sampled_from((1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 0.0))),
+                window=draw(st.sampled_from((1, 2, 3, 50))),
+                escape_radius=draw(st.sampled_from((0.9, 2.0, 10.0, 1e3, np.inf))))
+    blocks = draw(st.sampled_from((1, 2, 3, 7, 64))), draw(st.sampled_from((8, 64, 1 << 14)))
+    return method_id, _separable(lams), draw(st.sampled_from(_SCHEDULES)), X0, opts, blocks
+
+
+def _check_rows_match_the_plain_loop(case):
+    """Run the case's rows in lockstep, with the block limits monkeypatched,
+    and each row alone through reference_run: the same terminal, k_final,
+    message and final bits, and a warning from the batch only where the
+    plain loop warns too."""
     method_id, f, s, X0, opts, (steps, doubles) = case
     step = make_step(method_id, f, s)
     with pytest.MonkeyPatch.context() as mp:
@@ -810,6 +848,26 @@ def test_run_batch_rows_match_the_plain_loop_at_any_block_size(case):
             assert _warns(lambda: [reference_run(step, x0, **opts) for x0 in X0])
 
 
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_lockstep_cases())
+def test_run_batch_rows_match_the_plain_loop_at_any_block_size(case):
+    # every row of the lockstep loop ends as the one-point loop ends it, to
+    # the bit, at any block length and block size; and where the lockstep
+    # loop warns, the one-point loop warns too.  d <= 3 here: at d >= 4 a
+    # dense product's last bits can depend on the batch (see _update).  The
+    # examples are derandomized, so every run checks the same 250
+    _check_rows_match_the_plain_loop(case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_wide_lockstep_cases())
+def test_run_batch_rows_match_the_plain_loop_at_d_4_and_6(case):
+    # the same check at d = 4 and 6, for the steps that multiply no row by
+    # a dense matrix: gd and prox's Newton on a separable objective, and the
+    # entropy and sphere steps, whose per-row products are stacked
+    _check_rows_match_the_plain_loop(case)
+
+
 def test_a_huge_escape_radius_stops_rows_without_a_warning():
     # on the cubic an escaping row's norm about squares with each step, so
     # past radius 1e308 its squares overflow: the stop test takes them as
@@ -824,7 +882,7 @@ def test_a_huge_escape_radius_stops_rows_without_a_warning():
         res = run_batch("gd", f, HARMONIC, X0, **opts)
         rec = run("gd", f, HARMONIC, X0[0], **opts)
     assert (rec.terminal.kind, rec.k_final) == (res.terminal[0], res.k_final[0])
-    assert rec.final_point.tobytes() == res.final[0].tobytes()
+    assert rec.points[-1].tobytes() == res.final[0].tobytes()
     step = make_step("gd", f, HARMONIC)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -132,10 +132,16 @@ def test_classify_minimum_and_degenerate():
 
 
 def test_classify_respects_tolerances():
+    # both tolerances are 1e-8, and a value on the boundary is inside it:
+    # on x^2 - y^2 the gradient norm at (x, 0) is exactly 2x
     f = fig1()
-    x = np.array([1e-6, 0.0])  # grad norm 2e-6
-    assert classify_critical_point(f, x).tag == NOT_CRITICAL
-    assert classify_critical_point(f, x, grad_tol=1e-5).tag == STRICT_SADDLE
+    at, past = 5e-9, np.nextafter(5e-9, 1.0)
+    assert classify_critical_point(f, np.array([at, 0.0])).tag == STRICT_SADDLE
+    assert classify_critical_point(f, np.array([past, 0.0])).tag == NOT_CRITICAL
+    for m, tag in ((np.nextafter(-1e-8, -1.0), STRICT_SADDLE), (-1e-8, DEGENERATE),
+                   (1e-8, DEGENERATE), (np.nextafter(1e-8, 1.0), LOCAL_MIN_CANDIDATE)):
+        cls = classify_critical_point(quadratic(np.diag([1.0, m])), np.zeros(2))
+        assert (cls.tag, cls.min_eigenvalue) == (tag, m)
 
 
 def test_custom_objective_dimension_check():

@@ -44,7 +44,7 @@ def test_split_rejects_complex_spectrum():
         split(G)
 
 
-def test_zero_eigenvalue_goes_to_stable_block():
+def test_zero_eigenvalue_goes_to_unstable_block():
     # the stable block takes lambda > 0; everything else is "unstable or flat"
     sp = split(np.diag([1.0, 0.0, -1.0]))
     assert list(sp.stable_indices) == [0]
