@@ -14,10 +14,11 @@ Four experiments, selected by subcommand:
 Configs are JSON (schema = ExperimentConfig).  Exit codes: 0 success,
 1 experiment assertion failed, 2 configuration error.
 
-Reproducibility: per-trial RNG substreams come from a splittable seed
-construction (SeedSequence spawn keys), and CSV numbers are written as
-shortest round-trip decimals, so identical config + seed gives byte-identical
-numeric output.
+Reproducibility: trial t of an avoidance sweep starts at
+low + (high - low) * u, where u is the first d doubles of
+``default_rng(SeedSequence(seed, spawn_key=(t,)))``, so trial t's start does
+not depend on ``trials``; CSV numbers are written as shortest round-trip
+decimals, so identical config + seed gives byte-identical numeric output.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ FIG1_SCHEDULES = (
 )
 
 _MAX_GRID_POINTS = 1 << 20  # chart anchors: about 35 min of Picard solves at ~2 ms each
+_MAX_TRIALS = 1 << 20  # avoidance trials: about 13 s of seeding and 1 GB of report rows
 _TERMINAL_KINDS = (ESCAPED_REGION, CONVERGED_TO_POINT, BUDGET_EXHAUSTED, STEP_ERROR)
 
 
@@ -130,6 +132,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if self.budget >= 1 << 63:  # the runner counts steps in int64
             raise ConfigError(f"budget must be below 2^63, got {self.budget}")
+        if self.trials > _MAX_TRIALS:
+            raise ConfigError(f"trials must be at most {_MAX_TRIALS}, got {self.trials}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or \
                 not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
@@ -267,12 +271,12 @@ def _reals(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
 
 def _fmt(v) -> str:
     """Shortest round-trip decimal for floats; plain text otherwise."""
+    if isinstance(v, (float, np.floating)):  # the common cell, so tested first
+        return repr(float(v))
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
     return str(v)
 
 
@@ -288,6 +292,12 @@ def _write_csv(path: str, header: list, rows) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def _plain(v):
+    """An array as nested Python lists of its scalars, which ``_fmt`` writes
+    fastest and to the same bytes; anything else as it is."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def emit_plot_data(data, path: str) -> str:
@@ -311,8 +321,8 @@ def emit_plot_data(data, path: str) -> str:
                   + ["terminal", "k_final"]
                   + [f"x_final_{i + 1}" for i in range(dim)]
                   + ["grad_norm", "saddle_hit"])
-        rows = ([r["trial"], *r["init"], r["terminal"], r["k_final"], *r["final"],
-                 r["grad_norm"], r["saddle_hit"]]
+        rows = ([r["trial"], *_plain(r["init"]), r["terminal"], r["k_final"],
+                 *_plain(r["final"]), r["grad_norm"], r["saddle_hit"]]
                 for r in sorted(data.rows, key=lambda r: r["trial"]))
     else:
         raise TypeError(f"emit_plot_data cannot serialize {type(data).__name__}")
@@ -334,14 +344,21 @@ class AvoidanceReport:
     rows: list
 
 
-def _draw_init(seed: int, trial: int, box: np.ndarray) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    rng = np.random.default_rng(ss)
-    return rng.uniform(box[:, 0], box[:, 1])
+def _draw_inits(seed: int, trials: int, box: np.ndarray) -> np.ndarray:
+    """The (trials, d) starts ``avoidance_experiment`` states: the bits of
+    ``Generator.uniform(low, high)`` on each trial's stream, with the scaling
+    done once for all rows."""
+    u = np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+                  .random(len(box)) for t in range(trials)])
+    return box[:, 0] + (box[:, 1] - box[:, 0]) * u
 
 
 def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
     """Monte Carlo over seeded uniform inits from cfg.init_box.
+
+    Trial t starts at low + (high - low) * u, where u is the first d doubles
+    of ``default_rng(SeedSequence(cfg.seed, spawn_key=(t,)))``, so trial t's
+    start does not depend on cfg.trials.
 
     All trials advance in lockstep through :func:`methods.run_batch`, one
     batched step of the method's recursion per k; each trial ends as
@@ -360,7 +377,7 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
         raise ConfigError(
             f"init_box has {box.shape[0]} coordinate ranges but the objective "
             f"dimension is {obj.dimension}")
-    inits = np.stack([_draw_init(cfg.seed, t, box) for t in range(cfg.trials)])
+    inits = _draw_inits(cfg.seed, cfg.trials, box)
 
     res = run_batch(cfg.method_id, obj, schedule, inits, budget=cfg.budget,
                     conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,

@@ -16,6 +16,10 @@ loop, one point at a time, the bit reference for the batched Newton.
 recursions, one entry at a time, for the segmented cumprod scan behind
 ``lyapunov_perron.apply_T``.
 
+``reference_draw_init`` draws one avoidance trial's start with
+``Generator.uniform`` on the trial's own stream, the bit reference for the
+bulk draw in ``harness_cli``.
+
 ``validate_remainder`` spot-checks a ``PerronProblem``'s stated remainder
 properties by sampling, and ``self_consistency_error`` measures how far a
 sequence is from its own recursive step; both are checks on a problem, not
@@ -123,6 +127,14 @@ def reference_scan_T(prob, xp, E):
     log_prod = np.sum(np.log(1.0 - prob.alphas[:, None] * lam[None, Uix]), axis=0)
     V[0, Uix] = -(t - np.exp(-log_prod) * E[N, Uix])
     return V
+
+
+def reference_draw_init(seed, trial, box):
+    """Trial ``trial``'s start: uniform in ``box`` (rows [low, high]) from
+    ``default_rng(SeedSequence(seed, spawn_key=(trial,)))``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+    rng = np.random.default_rng(ss)
+    return rng.uniform(box[:, 0], box[:, 1])
 
 
 def validate_remainder(prob):

@@ -20,7 +20,7 @@ from saddle_escape.harness_cli import (AvoidanceReport, ConfigError,
                                        build_objective, chart_experiment,
                                        emit_plot_data, fig1_experiment, main,
                                        single_run_experiment)
-from reference import reference_run
+from reference import reference_draw_init, reference_run
 
 BASE = {
     "experiment": "avoidance",
@@ -137,15 +137,34 @@ def test_empty_trajectory_csv_is_header_only(tmp_path):
 
 
 def test_report_rows_sorted_by_trial(tmp_path):
-    cfg = make_cfg(trials=10)
-    rep = avoidance_experiment(cfg)
-    rep.rows.reverse()  # emission must not depend on incoming order
-    path = emit_plot_data(rep, str(tmp_path / "r.csv"))
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    assert lines[0].startswith("trial,x0_1,x0_2,terminal,k_final,")
-    trials = [int(line.split(",")[0]) for line in lines[1:]]
-    assert trials == sorted(trials)
+    # each cell is written as its own repr(float(v)), str or 0/1, whether the
+    # row holds arrays or lists, and for inf, NaN and -0.0 cells too
+    shuffled = avoidance_experiment(make_cfg(trials=10))
+    shuffled.rows.reverse()  # emission must not depend on incoming order
+    overflow = avoidance_experiment(make_cfg(  # an escaped cubic trial's gradient overflows
+        objective={"name": "cubic", "a": 0.1}, trials=5, budget=3000, escape_radius=1e308))
+    assert any(math.isinf(r["grad_norm"]) for r in overflow.rows)
+    odd = avoidance_experiment(make_cfg(trials=3, budget=100))
+    odd.rows[1]["init"] = np.array([-0.0, 0.25])
+    odd.rows[1]["final"] = np.array([math.nan, -0.0])
+    row = {"terminal": mth.CONVERGED_TO_POINT, "k_final": 7, "grad_norm": math.nan,
+           "saddle_hit": True, "message": None}
+    lists = AvoidanceReport(trials=2, counts={}, saddle_hits=1, saddle_hit_inits=[],
+                            rows=[dict(row, trial=1, init=[-0.0, 0.1], final=[1e-300, -0.0]),
+                                  dict(row, trial=0, init=[0.5, math.inf],
+                                       final=[math.nan, 5e-324])])
+    for i, rep in enumerate([shuffled, overflow, odd, lists]):
+        path = emit_plot_data(rep, str(tmp_path / f"r{i}.csv"))
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        assert lines[0] == ("trial,x0_1,x0_2,terminal,k_final,x_final_1,x_final_2,"
+                            "grad_norm,saddle_hit")
+        expected = [",".join([str(r["trial"]), *(repr(float(v)) for v in r["init"]),
+                              r["terminal"], str(r["k_final"]),
+                              *(repr(float(v)) for v in r["final"]),
+                              repr(float(r["grad_norm"])), "1" if r["saddle_hit"] else "0"])
+                    for r in sorted(rep.rows, key=lambda r: r["trial"])]
+        assert lines[1:] == expected + [""]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +262,32 @@ def test_avoidance_rerun_is_byte_identical(tmp_path):
     p2 = emit_plot_data(avoidance_experiment(cfg), str(tmp_path / "b.csv"))
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+BOXES = {"c04": [[-1.0, 1.0], [-1.0, 1.0]], "on-axis": [[-1.0, 1.0], [0.0, 0.0]],
+         "3d": [[-3.5, -0.25], [-1e-3, 7.0], [2.0, 2.5]], "1d": [[-2.0, 0.5]]}
+
+
+@pytest.mark.parametrize("box", BOXES.values(), ids=BOXES.keys())
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 40 + 3])  # 2^40 + 3 takes two entropy words
+def test_bulk_draw_is_the_per_trial_uniform_draw(seed, box):
+    box = np.asarray(box)
+    for trials in (1, 2, 1000):
+        want = np.stack([reference_draw_init(seed, t, box) for t in range(trials)])
+        got = cli._draw_inits(seed, trials, box)
+        assert got.shape == (trials, len(box))
+        assert got.tobytes() == want.tobytes()
+    assert cli._draw_inits(seed, 5, box).tobytes() == got[:5].tobytes()  # got: 1000 trials
+
+
+def test_a_trials_start_does_not_depend_on_trials(tmp_path):
+    lines = []
+    for trials in (1, 20):
+        cfg = ExperimentConfig(experiment="avoidance", trials=trials)
+        path = emit_plot_data(avoidance_experiment(cfg), str(tmp_path / f"t{trials}.csv"))
+        with open(path, encoding="utf-8") as fh:
+            lines.append(fh.read().split("\n")[1])
+    assert lines[0] == lines[1]
 
 
 def test_different_seed_changes_draws():
@@ -572,6 +617,8 @@ INTRINSIC = "manifold-intrinsic"
     ("avoidance", {"window": 10}),
     ("fig1", {"experiment": "fig1", "objective": {"name": "cubic", "a": 0.1}}),
     ("fig1", {"experiment": "fig1", "schedule": {"kind": "constant", "c": 0.1}}),
+    ("avoidance", {"trials": (1 << 20) + 1}),
+    ("avoidance", {"trials": 10 ** 20}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
@@ -585,7 +632,7 @@ INTRINSIC = "manifold-intrinsic"
         "avoidance-budget-2^63", "schedule-kind-list", "grad_tol-key", "eig_tol-key",
         "init_box-width-overflows", "cubic-a-true", "matrix-true", "metric-true", "init-true",
         "fig1-init-true", "critical_point-false", "init_box-true", "window-key",
-        "fig1-objective", "fig1-schedule"])
+        "fig1-objective", "fig1-schedule", "trials-past-the-bound", "trials-10^20"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file
@@ -646,9 +693,11 @@ def test_chart_grid_points_past_the_bound_is_a_config_error(tmp_path, capsys, mo
     ({"objective": {"name": "cubic", "a": True}}, "objective.a needs real numbers, got True"),
     ({"objective": {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, False]]}},
      "objective.matrix needs real numbers, got False"),
+    ({"trials": 10 ** 20}, "trials must be at most 1048576, got 100000000000000000000"),
 ], ids=["grad_tol", "eig_tol", "window", "stride", "fig1-objective", "fig1-schedule",
-        "init_box-text", "init_box-overflow", "init_box-true", "cubic-a-true", "matrix-false"])
+        "init_box-text", "init_box-overflow", "init_box-true", "cubic-a-true", "matrix-false",
+        "trials-past-the-bound"])
 def test_config_errors_name_the_entry(over, message):
     with pytest.raises(ConfigError) as exc:
-        avoidance_experiment(make_cfg(trials=2, budget=10, **over))
+        avoidance_experiment(make_cfg(**{"trials": 2, "budget": 10, **over}))
     assert message in str(exc.value)
