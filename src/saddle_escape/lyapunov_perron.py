@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .methods import ESCAPED_REGION, STEP_ERROR, _advance, _recursion, _update
+from .methods import ESCAPED_REGION, _advance, _recursion, _update
 from .objectives import DEFAULT_GRAD_TOL, Objective
 from .schedules import StepSchedule
 from .spectral import SpectralSplit, split
@@ -463,26 +463,35 @@ def _check_fp_budget(fp_budget: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
-             path: Optional[list] = None) -> tuple[np.ndarray, np.ndarray]:
+             path: Optional[list] = None) -> tuple[np.ndarray, np.ndarray, list]:
     """Advance the rows of Z0 in lockstep by ``prob.dynamics`` on ``methods._advance``.
 
     Rows run in y = z Q_inv^T and map back by z = y Q^T; Q is orthonormal,
-    so ||y_k|| = ||z_k||.  Returns (exits, Z): per row the first k <= steps
-    with ||z_k|| > radius (-1 if none) and z at that k (at ``steps`` if
-    none).  ``path`` collects (k, Y) for every k.
+    so ||y_k|| = ||z_k||.  Returns (exits, Z, failures): per row the first
+    k <= steps with ||z_k|| > radius (-1 if none), z at that k (at ``steps``
+    if none) and the message of its failed step (None if none; see
+    :func:`_raise_failure`).  ``path`` collects (k, Y) for every k.  A
+    ``steps`` that is not an integer (a bool is not one) or lies outside
+    [0, 2^63), and a radius that is NaN or not positive, raise LyapunovError.
     """
     if prob.dynamics is None:
         raise LyapunovError("a hand-built PerronProblem has no raw dynamics; "
                             "build it with remainder_from_objective")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise LyapunovError(f"the raw dynamics need an integer number of steps, got {steps!r}")
     if steps < 0 or steps >= 1 << 63 or not radius > 0:
         raise LyapunovError("the raw dynamics need steps >= 0, steps < 2^63 and a "
                             f"positive radius, got {steps} and {radius}")
     res = _advance(prob.dynamics, Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, 1, path)
-    failed = [m for t, m in zip(res.terminal, res.message) if t == STEP_ERROR]
+    exits = np.where(np.array(res.terminal) == ESCAPED_REGION, res.k_final, -1)
+    return exits, res.final @ prob.split.Q.T, res.message
+
+
+def _raise_failure(failures: list) -> None:
+    """Raise the first row's failed step, if any row's step failed."""
+    failed = [m for m in failures if m is not None]
     if failed:
         raise LyapunovError(f"the raw dynamics failed: {failed[0]}")
-    exits = np.where(np.array(res.terminal) == ESCAPED_REGION, res.k_final, -1)
-    return exits, res.final @ prob.split.Q.T
 
 
 def iterate_raw(prob: PerronProblem, x0, num_steps: int,
@@ -492,16 +501,17 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
     Returns (trajectory, exit_step); exit_step is the first k with
     ||z_k|| > stop_radius, or None if the trajectory stayed inside for all
     num_steps (trajectory then has num_steps+1 rows).  A hand-built
-    problem, a num_steps outside [0, 2^63), a stop_radius that is NaN or not
-    positive and a failed step (a non-finite iterate, say) raise
-    LyapunovError.
+    problem, a num_steps that is not an integer or lies outside [0, 2^63),
+    a stop_radius that is NaN or not positive and a failed step (a
+    non-finite iterate, say) raise LyapunovError.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (prob.dimension,):
         raise LyapunovError(f"x0 must have shape ({prob.dimension},), got {x.shape}")
     path: list = []
-    exits, _ = _raw_run(prob, x[None], num_steps,
-                        math.inf if stop_radius is None else stop_radius, path)
+    exits, _, failures = _raw_run(prob, x[None], num_steps,
+                                  math.inf if stop_radius is None else stop_radius, path)
+    _raise_failure(failures)
     traj = np.concatenate([Y for _, Y in path]) @ prob.split.Q.T
     return traj, (int(exits[0]) if exits[0] >= 0 else None)
 
@@ -520,30 +530,77 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
     (whose width shrinks like 1/steps).
     Returns the bracket midpoint once it is narrower than ``width``, or
     once a round cannot narrow it (its ends are adjacent doubles).  A
-    ``width`` that is NaN or not positive raises LyapunovError.
+    ``width`` that is NaN or not positive, and a ``bracket`` that is NaN,
+    zero, infinite or above half the largest double (its ends would lie
+    farther apart than a double holds), raise LyapunovError before any
+    step; a negative ``bracket`` means its absolute value.
 
-    Each round splits the bracket into 32 cells and runs the 31 interior
-    candidates through the dynamics in lockstep, one pass per round.
+    Each round splits the bracket into 32 cells, takes the sides of the 31
+    interior candidates and keeps the cell where the first candidate (from
+    the downward end) that does not exit downward closes.  A lockstep call
+    also looks one round ahead.  Near the stable point a downward start's
+    1/T (T its exit step) falls about linearly in c, so the line through
+    1/T at the two downward exits with the largest T predicts the c where
+    1/T reaches 1/(steps + 0.5), the zone's edge, and the call steps the
+    31 interior candidates of the cell that holds it as well.  When the
+    round keeps that cell, the next round reads their sides and takes no
+    step; otherwise they are dropped.  There is no look-ahead while fewer
+    than two downward exits are known, or when the predicted cell is
+    already narrower than ``width``.  The next round's candidates are the
+    same ``linspace`` of the same doubles, and a step failure among the
+    look-ahead rows is raised only if the next round reads them.  For d <= 3 a candidate's side does not depend
+    on the rows stepped beside it, so the shot is bit for bit the one a
+    call per round gives; at d >= 4 a dense product, the rotation
+    ``Z0 @ Q_inv.T`` with a dense Q or the step's own, can round
+    differently at 62 rows than at 31, so a shot can differ (see
+    :func:`~saddle_escape.methods.run_batch`).
     """
     if len(prob.split.unstable_indices) != 1:
         raise LyapunovError("shooting validation needs a one-dimensional unstable block")
     if not width > 0:
         raise LyapunovError(f"shooting width must be positive, got {width}")
+    if not 0 < abs(bracket) <= np.finfo(float).max / 2:
+        raise LyapunovError("shooting bracket must be nonzero, finite and at most half "
+                            f"the largest double, got {bracket}")
     xp = _as_stable_vector(prob, x0_plus)
     uix = int(prob.split.unstable_indices[0])
     six = prob.split.stable_indices
+    down: list = []  # (c, exit step) of every start that left B(0, delta) downward
 
-    def sides_of(cs) -> np.ndarray:
+    def sides_of(cs) -> tuple[np.ndarray, list]:
         """-1/+1 for a start that leaves B(0, delta) with that sign of the
-        unstable coordinate, 0 for one that stays inside for all steps."""
+        unstable coordinate, 0 for one that stays inside for all steps;
+        and each start's failed step (None if none)."""
+        cs = np.asarray(cs, dtype=float)
         X0 = np.zeros((len(cs), prob.dimension))
         X0[:, six] = xp[None, :]
         X0[:, uix] = cs
-        exits, X = _raw_run(prob, X0, steps, prob.delta)
-        return np.where(exits < 0, 0, np.where(X[:, uix] > 0.0, 1, -1))
+        exits, X, failures = _raw_run(prob, X0, steps, prob.delta)
+        sides = np.where(exits < 0, 0, np.where(X[:, uix] > 0.0, 1, -1))
+        down.extend(zip(cs[sides == -1].tolist(), exits[sides == -1].tolist()))
+        return sides, failures
+
+    def ahead_of(cs: np.ndarray) -> Optional[np.ndarray]:
+        """The next round's candidates if it keeps the cell of ``cs`` that
+        holds the predicted edge; None without a prediction."""
+        if len(down) < 2:
+            return None
+        (c1, t1), (c2, t2) = sorted(down, key=lambda e: e[1])[-2:]  # ties: the latest
+        rise = 1.0 / t2 - 1.0 / t1
+        if not rise:
+            return None
+        edge = c1 + (1.0 / (int(steps) + 0.5) - 1.0 / t1) * (c2 - c1) / rise
+        u = (edge - float(cs[0])) / (float(cs[-1]) - float(cs[0])) * 32.0
+        if not 0.0 <= u < 32.0:
+            return None
+        i = int(u) + 1
+        if not abs(cs[i] - cs[i - 1]) > width:  # no round would follow it
+            return None
+        return np.linspace(cs[i - 1], cs[i], 33)
 
     lo, hi = -abs(bracket), abs(bracket)
-    s_lo, s_hi = sides_of([lo, hi])
+    (s_lo, s_hi), failures = sides_of([lo, hi])
+    _raise_failure(failures)
     if s_lo == 0 and s_hi == 0:
         raise LyapunovError(
             "both bracket endpoints stay bounded for the whole horizon; "
@@ -558,9 +615,20 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
             "no stable point bracketed")
     if s_lo == 1:  # orient: lo escapes downward, hi upward
         lo, hi = hi, lo
+    ahead = None  # (bracket, sides, failures) of the round the last call looked ahead to
     while abs(hi - lo) > width:
         cs = np.linspace(lo, hi, 33)
-        interior = np.where(sides_of(cs[1:-1]) == -1, -1, 1)
+        if ahead is not None and ahead[0] == (lo, hi):
+            _, sides, failures = ahead
+            ahead = None
+        else:
+            nxt = ahead_of(cs)
+            sides, failures = sides_of(cs[1:-1] if nxt is None else
+                                       np.concatenate([cs[1:-1], nxt[1:-1]]))
+            ahead = None if nxt is None else ((nxt[0], nxt[-1]), sides[31:], failures[31:])
+            sides, failures = sides[:31], failures[:31]
+        _raise_failure(failures)
+        interior = np.where(sides == -1, -1, 1)
         # first candidate (scanning from lo) that no longer exits downward
         j = 1 + int(np.argmax(np.concatenate([interior, [1]])))
         if (cs[j - 1], cs[j]) == (lo, hi):

@@ -16,6 +16,12 @@ loop, one point at a time, the bit reference for the batched Newton.
 recursions, one entry at a time, for the segmented cumprod scan behind
 ``lyapunov_perron.apply_T``.
 
+``reference_shoot`` refines a shooting bracket with one lockstep call per
+round and no look-ahead: the bit and error reference for
+``lyapunov_perron.shooting_oracle``, whose calls also step the round after.
+It steps the library's own raw dynamics (``_raw_run``), so it checks the
+refinement, not the dynamics.
+
 ``reference_draw_init`` draws one avoidance trial's start with
 ``Generator.uniform`` on the trial's own stream, the bit reference for the
 bulk draw in ``harness_cli``.
@@ -29,7 +35,7 @@ part of building or solving one.
 import numpy as np
 
 from saddle_escape.lyapunov_perron import (LyapunovError, _eta_all, _lipschitz_quotient,
-                                           _sample_ball)
+                                           _raise_failure, _raw_run, _sample_ball)
 from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    ESCAPED_REGION, STEP_ERROR, MethodError)
 
@@ -127,6 +133,54 @@ def reference_scan_T(prob, xp, E):
     log_prod = np.sum(np.log(1.0 - prob.alphas[:, None] * lam[None, Uix]), axis=0)
     V[0, Uix] = -(t - np.exp(-log_prod) * E[N, Uix])
     return V
+
+
+def reference_shoot(prob, x0_plus, bracket, steps, width):
+    """The lower edge of the bounded zone over ``x0_plus``, one call per round.
+
+    The bracket's two ends, then per round the 31 interior candidates of
+    ``np.linspace(lo, hi, 33)`` in one ``_raw_run`` call, until the bracket
+    is narrower than ``width`` or a round cannot narrow it.  Takes what
+    ``shooting_oracle`` takes once its arguments are checked; raises its
+    errors with its messages.
+    """
+    xp = np.atleast_1d(np.asarray(x0_plus, dtype=float))
+    uix = int(prob.split.unstable_indices[0])
+    six = prob.split.stable_indices
+
+    def sides_of(cs):
+        X0 = np.zeros((len(cs), prob.dimension))
+        X0[:, six] = xp[None, :]
+        X0[:, uix] = cs
+        exits, X, failures = _raw_run(prob, X0, steps, prob.delta)
+        _raise_failure(failures)
+        return np.where(exits < 0, 0, np.where(X[:, uix] > 0.0, 1, -1))
+
+    lo, hi = -abs(bracket), abs(bracket)
+    s_lo, s_hi = sides_of([lo, hi])
+    if s_lo == 0 and s_hi == 0:
+        raise LyapunovError(
+            "both bracket endpoints stay bounded for the whole horizon; "
+            "the bracket is too small to straddle the stable point")
+    if s_lo == 0 or s_hi == 0:
+        raise LyapunovError(
+            "one bracket endpoint stays bounded for the whole horizon; "
+            "widen the bracket or increase steps")
+    if s_lo == s_hi:
+        raise LyapunovError(
+            "both bracket endpoints escape to the same side; "
+            "no stable point bracketed")
+    if s_lo == 1:  # orient: lo escapes downward, hi upward
+        lo, hi = hi, lo
+    while abs(hi - lo) > width:
+        cs = np.linspace(lo, hi, 33)
+        interior = np.where(sides_of(cs[1:-1]) == -1, -1, 1)
+        # first candidate (scanning from lo) that no longer exits downward
+        j = 1 + int(np.argmax(np.concatenate([interior, [1]])))
+        if (cs[j - 1], cs[j]) == (lo, hi):
+            break
+        lo, hi = cs[j - 1], cs[j]
+    return np.array([0.5 * (lo + hi)])
 
 
 def reference_draw_init(seed, trial, box):

@@ -5,16 +5,20 @@ implementation that evaluates every transition product with an explicit
 inner loop — the vectorized cumprod scans must reproduce those sums.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (k1_recursion, k2_exact_constant, k2_partial_power_harmonic,
                      manufactured_remainder, power_alpha, telescoped_unstable,
                      weighted_forward_sums, weighted_tail_bound, weighted_tail_sum,
                      weights)
-from reference import reference_scan_T, self_consistency_error, validate_remainder
+import reference
+from reference import (reference_scan_T, reference_shoot, self_consistency_error,
+                       validate_remainder)
 
 from saddle_escape import lyapunov_perron as lp
 from saddle_escape import methods
@@ -61,6 +65,45 @@ def cubic_gd_problem():
     """The same saddle from the objective: gd's own step drives the raw dynamics."""
     prob, _ = remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
                                        HARMONIC, horizon=4000)
+    return prob
+
+
+def rotated_saddle_gd_problem():
+    """A 3-d saddle with a dense eigenbasis, a one-dimensional unstable block
+    and gd's own step as its raw dynamics.
+
+    f(x) = x^T A x / 2 + 0.1 x0^2 x2 + 0.05 x1 x2^2, where A = R diag(1, 0.5, -1) R
+    and R is the reflection across (1, 2, 2)^perp.  Its epsilon is sampled.
+    """
+    v = np.array([1.0, 2.0, 2.0])
+    R = np.eye(3) - 2.0 / 9.0 * np.outer(v, v)
+    A = R @ np.diag([1.0, 0.5, -1.0]) @ R
+
+    def _eval(x):
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        return 0.5 * np.sum((x @ A) * x, axis=-1) + 0.1 * x0 * x0 * x2 + 0.05 * x1 * x2 * x2
+
+    def _grad(x):
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        g = x @ A
+        g[..., 0] += 0.2 * x0 * x2
+        g[..., 1] += 0.05 * x2 * x2
+        g[..., 2] += 0.1 * x0 * x0 + 0.1 * x1 * x2
+        return g
+
+    def _hess(x):
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        h = np.broadcast_to(A, x.shape[:-1] + (3, 3)).copy()
+        h[..., 0, 0] += 0.2 * x2
+        h[..., 0, 2] += 0.2 * x0
+        h[..., 2, 0] += 0.2 * x0
+        h[..., 1, 2] += 0.1 * x2
+        h[..., 2, 1] += 0.1 * x2
+        h[..., 2, 2] += 0.1 * x1
+        return h
+
+    f = obj_mod.Objective(3, _eval, _grad, _hess, vectorized=True)
+    prob, _ = remainder_from_objective(f, np.zeros(3), HARMONIC, horizon=4000)
     return prob
 
 
@@ -589,6 +632,164 @@ def test_shooting_error_taxonomy():
         # phi(0.04) ~ 6e-5 sits above the bracket, so both endpoints exit
         # downward
         shooting_oracle(prob, np.array([0.04]), bracket=1e-5, steps=6000)
+
+
+@pytest.mark.parametrize("steps", [100.5, 50.0, np.float64(50.0), np.nan, True, np.True_, "50"],
+                         ids=["fraction", "float", "np-float", "nan", "bool", "np-bool", "str"])
+def test_raw_dynamics_reject_a_step_count_that_is_not_an_integer(steps):
+    # a float step count used to run a count nobody asked for (100.5 gave
+    # 103 rows, 102 steps), a bool ran as 0 or 1 and NaN warned in a cast
+    prob = cubic_gd_problem()
+    with pytest.raises(LyapunovError, match="integer number of steps"):
+        iterate_raw(prob, np.array([0.04, 0.05]), steps)
+    with pytest.raises(LyapunovError, match="integer number of steps"):
+        shooting_oracle(prob, np.array([0.04]), bracket=0.1, steps=steps)
+
+
+def test_raw_dynamics_take_numpy_integer_step_counts():
+    prob = cubic_gd_problem()
+    want = iterate_raw(prob, np.array([0.04, 1e-3]), 100, stop_radius=0.1)
+    for steps in (np.int64(100), np.int32(100), np.uint16(100)):
+        traj, exit_step = iterate_raw(prob, np.array([0.04, 1e-3]), steps, stop_radius=0.1)
+        assert exit_step == want[1] and traj.tobytes() == want[0].tobytes()
+    assert shooting_oracle(prob, [0.04], bracket=0.1, steps=np.int64(1000), width=1e-3) \
+        .tobytes() == shooting_oracle(prob, [0.04], bracket=0.1, steps=1000, width=1e-3).tobytes()
+
+
+@pytest.mark.parametrize("bracket", [np.inf, -np.inf, 1e308, -1e308, np.nan, 0.0, -0.0],
+                         ids=["inf", "-inf", "1e308", "-1e308", "nan", "zero", "-zero"])
+def test_shooting_rejects_a_bad_bracket_before_any_step(bracket, monkeypatch):
+    # these used to warn in a product (inf), overflow in linspace (1e308),
+    # fail in the dynamics (nan) or call a zero bracket too small
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the bracket was checked")
+
+    prob = cubic_gd_problem()
+    monkeypatch.setattr(lp, "_raw_run", no_step)
+    with pytest.raises(LyapunovError, match="bracket must be nonzero, finite"):
+        shooting_oracle(prob, np.array([0.04]), bracket=bracket, steps=100)
+
+
+def test_shooting_negative_bracket_means_its_absolute_value():
+    prob = cubic_gd_problem()
+    for bracket in (prob.delta, 0.5 * np.finfo(float).max):
+        want = shooting_oracle(prob, [0.04], bracket=bracket, steps=1000, width=1e-3)
+        got = shooting_oracle(prob, [0.04], bracket=-bracket, steps=1000, width=1e-3)
+        assert got.tobytes() == want.tobytes()
+
+
+def _shoot_outcome(shoot, prob, anchor, bracket, steps, width):
+    """The shot's bits, or the error's type and message."""
+    try:
+        return "shot", shoot(prob, anchor, bracket, steps, width).tobytes()
+    except LyapunovError as err:
+        return type(err).__name__, str(err)
+
+
+@functools.cache
+def _shoot_problem(name):
+    """Each problem built once: the cubic saddle or the rotated 3-d one."""
+    return cubic_gd_problem() if name == "cubic" else rotated_saddle_gd_problem()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_shooting_look_ahead_matches_one_round_per_call(seed):
+    # the look-ahead only saves calls: at every anchor in [-delta, delta],
+    # horizon, width and bracket the shot has the bits, and an error the
+    # type and message, of one call per round.  At 1e160 delta the rotated
+    # problem's gradient overflows at the bracket ends: the step fails, with
+    # no warning.  The examples are derandomized, so every run checks the
+    # same 30
+    rng = np.random.default_rng(seed)
+    prob = _shoot_problem(rng.choice(["cubic", "rotated"]))
+    xp = rng.uniform(-prob.delta, prob.delta, len(prob.split.stable_indices))
+    steps = int(rng.choice([1, 50, 1000, 3000]))
+    width = float(rng.choice([1e-3, 1e-7, 1e-300]))
+    bracket = prob.delta * float(rng.choice([1.0, -1.0, 1e-4, 5.0, 1e150, 1e160]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _shoot_outcome(shooting_oracle, prob, xp, bracket, steps, width)
+        want = _shoot_outcome(reference_shoot, prob, xp, bracket, steps, width)
+    assert got == want
+
+
+def _recording(rows):
+    """``_raw_run`` that first appends the unstable coordinate of its rows
+    (column 1 on the cubic saddle) to ``rows``."""
+    run = lp._raw_run
+
+    def recorded(prob, Z0, *args):
+        rows.append(Z0[:, 1].copy())
+        return run(prob, Z0, *args)
+
+    return recorded
+
+
+def _cubic_failing_at(start):
+    """cubic_gd_problem's saddle, but a row whose step starts at exactly
+    ``start`` fails there (NaN gradient): only that one start fails, at k = 0,
+    since every later iterate has another stable coordinate."""
+    cubic = obj_mod.cubic_perturbed_saddle(0.1)
+
+    def grad(x):
+        g = cubic._grad(x)
+        g[(x == start).all(axis=-1)] = np.nan
+        return g
+
+    f = obj_mod.Objective(2, cubic._eval, grad, cubic._hess, vectorized=True)
+    prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon=4000)
+    return prob
+
+
+def test_shooting_raises_a_look_ahead_failure_only_where_a_round_reads_it(monkeypatch):
+    # a look-ahead row's failed step is the next round's failure when the
+    # round keeps that cell (a hit), and nobody's when it does not (a miss):
+    # one call per round never steps a missed cell.  At x0+ = 0.04, 1000
+    # steps and width 1e-7 the refinement looks ahead twice, a hit and a
+    # miss (the Hessian diag(1, -1) is diagonal, so z = x)
+    prob, xp, args = cubic_gd_problem(), 0.04, (1000, 1e-7)
+    rows, ref_rows = [], []
+    monkeypatch.setattr(lp, "_raw_run", _recording(rows))
+    monkeypatch.setattr(reference, "_raw_run", _recording(ref_rows))
+    shot = shooting_oracle(prob, [xp], prob.delta, *args)
+    assert reference_shoot(prob, [xp], prob.delta, *args).tobytes() == shot.tobytes()
+    monkeypatch.undo()
+    stepped = {c for r in ref_rows for c in r.tolist()}
+    ahead = [r[31:] for r in rows if len(r) == 62]
+    hits = [r for r in ahead if stepped.issuperset(r.tolist())]
+    misses = [r for r in ahead if not stepped.intersection(r.tolist())]
+    assert len(hits) == len(misses) == 1
+    failing = _cubic_failing_at(np.array([xp, misses[0][15]]))
+    assert shooting_oracle(failing, [xp], failing.delta, *args).tobytes() == shot.tobytes()
+    assert reference_shoot(failing, [xp], failing.delta, *args).tobytes() == shot.tobytes()
+    failing = _cubic_failing_at(np.array([xp, hits[0][15]]))
+    with pytest.raises(LyapunovError, match="failed: non-finite gradient at k=0") as got:
+        shooting_oracle(failing, [xp], failing.delta, *args)
+    with pytest.raises(LyapunovError) as want:
+        reference_shoot(failing, [xp], failing.delta, *args)
+    assert str(got.value) == str(want.value)
+
+
+def test_shooting_look_ahead_saves_calls_at_c08(monkeypatch):
+    # C08's configuration: 11 anchors, 8000 steps, width 1e-7.  One call per
+    # round makes 66 lockstep calls, 6 per anchor (the bracket ends, then 5
+    # rounds: 2 delta / 32^4 > 1e-7 > 2 delta / 32^5).  A call that looks
+    # ahead steps 62 rows; a round it predicted takes no call (a hit), and a
+    # look-ahead the round does not keep is dropped (a miss)
+    calls = []
+    prob, _ = remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
+                                       sch.power(1.0, 1.0, 2))
+    monkeypatch.setattr(lp, "_raw_run", _recording(calls))
+    anchors = np.linspace(-0.05, 0.05, 11)
+    for g in anchors:
+        shooting_oracle(prob, [g], bracket=prob.delta, steps=8000, width=1e-7)
+    rows = [len(c) for c in calls]
+    rounds = 5 * len(anchors)
+    assert rows.count(2) == len(anchors)
+    assert len(rows) <= 48
+    hits = rounds - (len(rows) - len(anchors))
+    misses = rows.count(62) - hits
+    assert hits > 0 and misses > 0
 
 
 @pytest.mark.parametrize("width", [-1.0, 0.0, np.nan])
