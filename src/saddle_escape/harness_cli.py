@@ -39,7 +39,8 @@ from . import schedules as sched_mod
 from .lyapunov_perron import LyapunovError, chart, remainder_from_objective
 from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, DEFAULT_BUDGET, DEFAULT_CONV_TOL,
                       DEFAULT_ESCAPE_RADIUS, ESCAPED_REGION, STEP_ERROR, MethodError,
-                      RiemannianMetric, TrajectoryRecord, _recursion, run, run_batch)
+                      RiemannianMetric, TrajectoryRecord, _recursion, _row_sq_sums, run,
+                      run_batch)
 from .objectives import Objective, classify_critical_point
 
 __all__ = [
@@ -383,7 +384,7 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
                     conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius,
                     metric=metric)
     with np.errstate(over="ignore", invalid="ignore"):  # an escaped point's gradient may overflow
-        grad_norms = np.linalg.norm(obj.grad(res.final), axis=1)
+        grad_norms = np.sqrt(_row_sq_sums(obj.grad(res.final)))
     rows = [{"trial": t, "init": inits[t], "terminal": res.terminal[t],
              "k_final": int(res.k_final[t]), "final": res.final[t],
              "grad_norm": float(grad_norms[t]), "saddle_hit": False,

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .methods import ESCAPED_REGION, _advance, _recursion, _update
+from .methods import ESCAPED_REGION, _advance, _recursion, _row_sq_sums, _update
 from .objectives import DEFAULT_GRAD_TOL, Objective
 from .schedules import StepSchedule
 from .spectral import SpectralSplit, split
@@ -183,28 +183,32 @@ def _product_runs(f: np.ndarray) -> list:
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
     v = rng.normal(size=(n, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= np.sqrt(_row_sq_sums(v))[:, None]
     r = radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
     return v * r
 
 
 def _lipschitz_quotient(X: np.ndarray, Y: np.ndarray, FX: np.ndarray, FY: np.ndarray) -> float:
     """Largest |F(x) - F(y)| / |x - y| over the row pairs more than 1e-12 apart, else 0.0."""
-    gaps = np.linalg.norm(X - Y, axis=1)
+    gaps = np.sqrt(_row_sq_sums(X - Y))
     keep = gaps > 1e-12
-    quot = np.linalg.norm(FX - FY, axis=1)[keep] / gaps[keep]
+    quot = np.sqrt(_row_sq_sums(FX - FY))[keep] / gaps[keep]
     return float(np.max(quot)) if quot.size else 0.0
 
 
 def sup_distance(u, v) -> float:
     """Sequence-space metric: sup over k of the Euclidean gap ||u_k - v_k||.
 
-    A truncated sequence u_0..u_N of d-vectors is an (N+1, d) array.
+    A truncated sequence u_0..u_N of d-vectors is an (N+1, d) array; a
+    pair of another shape, or of no entries, raises LyapunovError.
     """
     pu, pv = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if pu.shape != pv.shape:
         raise LyapunovError(f"sequence shapes differ: {pu.shape} vs {pv.shape}")
-    return float(np.max(np.linalg.norm(pu - pv, axis=1)))
+    if pu.ndim != 2 or not len(pu):
+        raise LyapunovError(f"a sequence is an (N+1, d) array with N >= 0, got shape {pu.shape}")
+    # the root of the largest sum is the largest root: sqrt is monotone and rounds correctly
+    return math.sqrt(np.max(_row_sq_sums(pu - pv)))
 
 
 @dataclass(frozen=True)
@@ -362,7 +366,8 @@ def apply_T(prob: PerronProblem, x0_plus, u) -> np.ndarray:
     0-th entry independent of u; the fixed point then steps forward
     consistently under the raw dynamics from its own entry 0.
 
-    Raises LyapunovError if any output entry leaves B(0, delta*(1+1e-6)).
+    Raises LyapunovError, naming the first such entry, if any output entry
+    is not in B(0, delta*(1+1e-6)): one that leaves it or is not finite.
     """
     U = np.asarray(u, dtype=float)
     if U.shape != (prob.horizon + 1, prob.dimension):
@@ -375,13 +380,14 @@ def apply_T(prob: PerronProblem, x0_plus, u) -> np.ndarray:
             f"anchor |x0_plus| = {np.linalg.norm(xp):.6g} lies outside B(0, delta={prob.delta})")
     E = _eta_all(prob, U)
     V = _scan_T(prob, xp, E)
-    norms = np.linalg.norm(V, axis=1)
+    sq = _row_sq_sums(V)
     limit = prob.delta * (1.0 + 1e-6)
-    if float(np.max(norms)) > limit:
-        bad = int(np.argmax(norms > limit))
+    if not math.sqrt(np.max(sq)) <= limit:  # NaN fails too; per-row roots only here
+        norms = np.sqrt(sq)
+        bad = int(np.argmax(~(norms <= limit)))
         raise LyapunovError(
             f"operator image leaves the certified neighborhood at entry {bad}: "
-            f"|v_{bad}| = {norms[bad]:.6g} > delta*(1+1e-6) = {limit:.6g}")
+            f"|v_{bad}| = {norms[bad]:.6g}, not <= delta*(1+1e-6) = {limit:.6g}")
     return V
 
 

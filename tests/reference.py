@@ -16,6 +16,11 @@ loop, one point at a time, the bit reference for the batched Newton.
 recursions, one entry at a time, for the segmented cumprod scan behind
 ``lyapunov_perron.apply_T``.
 
+``reference_solve`` is the Picard loop of ``solve_stable_point`` with
+``np.linalg.norm`` row norms, the bit reference for the column-sum row
+norms of ``apply_T`` and ``sup_distance``.  It steps the library's own
+operator (``_scan_T``), so it checks the loop and its norms, not the scan.
+
 ``reference_shoot`` refines a shooting bracket with one lockstep call per
 round and no look-ahead: the bit and error reference for
 ``lyapunov_perron.shooting_oracle``, whose calls also step the round after.
@@ -34,8 +39,9 @@ part of building or solving one.
 
 import numpy as np
 
-from saddle_escape.lyapunov_perron import (LyapunovError, _eta_all, _lipschitz_quotient,
-                                           _raise_failure, _raw_run, _sample_ball)
+from saddle_escape.lyapunov_perron import (LyapunovError, StablePointResult, _eta_all,
+                                           _lipschitz_quotient, _raise_failure, _raw_run,
+                                           _sample_ball, _scan_T)
 from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    ESCAPED_REGION, STEP_ERROR, MethodError)
 
@@ -133,6 +139,31 @@ def reference_scan_T(prob, xp, E):
     log_prod = np.sum(np.log(1.0 - prob.alphas[:, None] * lam[None, Uix]), axis=0)
     V[0, Uix] = -(t - np.exp(-log_prod) * E[N, Uix])
     return V
+
+
+def reference_solve(prob, x0_plus, fp_tol, fp_budget):
+    """Picard-iterate T from the zero sequence until the sup-distance of two
+    iterates, max_k ``np.linalg.norm(u_k - v_k)``, is below ``fp_tol``.
+
+    Each image's rows must all have ``np.linalg.norm`` <= delta*(1+1e-6).
+    Takes what ``solve_stable_point`` takes once its arguments are checked;
+    returns its ``StablePointResult``, and raises LyapunovError where it does.
+    """
+    xp = np.atleast_1d(np.asarray(x0_plus, dtype=float))
+    limit = prob.delta * (1.0 + 1e-6)
+    u = np.zeros((prob.horizon + 1, prob.dimension))
+    history = []
+    for j in range(fp_budget):
+        v = _scan_T(prob, xp, _eta_all(prob, u))
+        if not np.all(np.linalg.norm(v, axis=1) <= limit):
+            raise LyapunovError("operator image leaves the certified neighborhood")
+        r = float(np.max(np.linalg.norm(u - v, axis=1)))
+        history.append(r)
+        u = v
+        if r < fp_tol:
+            return StablePointResult(u[0, prob.split.unstable_indices].copy(), u, r, j + 1,
+                                     history)
+    raise LyapunovError(f"Picard iteration did not reach fp_tol={fp_tol:g}")
 
 
 def reference_shoot(prob, x0_plus, bracket, steps, width):

@@ -291,6 +291,97 @@ def test_sup_distance():
     assert sup_distance(A, B) == 5.0
 
 
+@pytest.mark.parametrize("shape", [(5,), (0, 2), (2, 3, 2)], ids=["1-D", "no-entries", "3-D"])
+def test_sup_distance_rejects_a_pair_that_is_not_a_sequence(shape):
+    # these were numpy's AxisError, a zero-size ValueError and a number
+    with pytest.raises(LyapunovError, match=r"\(N\+1, d\) array"):
+        sup_distance(np.zeros(shape), np.ones(shape))
+
+
+def test_a_non_finite_image_is_a_named_error():
+    # eta is NaN in the stable coordinate at k = 7 for every u, and the forward
+    # scan carries it to entries 8..N.  The largest row norm is then NaN,
+    # which "> limit" let through: the solve ran its whole budget on NaN
+    calls = []
+    cubic = cubic_problem(horizon=50)
+
+    def eta(ks, Z):
+        calls.append(len(ks))
+        E = cubic.eta(ks, Z)
+        E[ks == 7, 0] = np.nan
+        return E
+
+    prob = PerronProblem(split=cubic.split, schedule=HARMONIC, eta=eta, delta=cubic.delta,
+                         epsilon=cubic.epsilon, horizon=50)
+    with pytest.raises(LyapunovError, match=r"at entry 8: \|v_8\| = nan, not <="):
+        apply_T(prob, np.array([0.04]), np.zeros((51, 2)))
+    calls.clear()
+    with pytest.raises(LyapunovError, match="at entry 8"):
+        solve_stable_point(prob, np.array([0.04]))
+    assert len(calls) == 1  # one application
+    ch = chart(prob, [0.02])
+    assert ch.partial and ch.phi == [None]
+    assert [float(g[0]) for g, _ in ch.failures] == [0.02, 0.0, 1e-2, -1e-2, 1e-3, -1e-3]
+    assert all("at entry 8" in msg for _, msg in ch.failures)
+
+
+def nine_dim_problem():
+    """A hand-built 9-d problem, eight stable coordinates and one unstable:
+    from d = 8 on, the row norms run numpy's own reduce."""
+    sp = split(np.diag([1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, -1.0]))
+    c = 0.02
+
+    def eta(ks, Z):
+        return alphas_at(ks)[:, None] * c * (Z * np.roll(Z, 1, axis=1))
+
+    return PerronProblem(split=sp, schedule=HARMONIC, eta=eta, delta=0.5,
+                         epsilon=2 * c * 0.5, horizon=2000)
+
+
+@functools.cache
+def _picard_problem(name):
+    if name == "cubic-chart":
+        return remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
+                                        HARMONIC)[0]
+    return {"rotated-3d": rotated_saddle_gd_problem, "synthetic-3d": synthetic_problem,
+            "hand-built-9d": nine_dim_problem}[name]()
+
+
+def _picard_anchors(prob):
+    """The default chart's anchors on a one-dimensional stable block (the
+    11-point grid over [-delta/2, delta/2], 0 and the probes); otherwise 0,
+    the probes and three seeded points of norm delta/4."""
+    d_s = len(prob.split.stable_indices)
+    probes = [s * h * e for h in (1e-2, 1e-3) for e in np.eye(d_s) for s in (1.0, -1.0)]
+    if d_s == 1:
+        grid = [np.array([g]) for g in np.linspace(-prob.delta / 2, prob.delta / 2, 11)]
+    else:
+        grid = list(np.random.default_rng(0).normal(size=(3, d_s)))
+        grid = [prob.delta / 4 * g / np.linalg.norm(g) for g in grid]
+    return grid + [np.zeros(d_s)] + probes
+
+
+def _bits(x):
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cubic-chart", "rotated-3d", "synthetic-3d", "hand-built-9d"])
+def test_picard_solves_match_the_norm_loop_bit_for_bit(name):
+    # apply_T and sup_distance sum each row's squares by columns (d < 8) or
+    # by numpy's reduce; np.linalg.norm(axis=1) takes the root of that reduce
+    prob = _picard_problem(name)
+    iterations = []
+    for x0_plus in _picard_anchors(prob):
+        res = solve_stable_point(prob, x0_plus)
+        ref = reference.reference_solve(prob, x0_plus, lp.DEFAULT_FP_TOL, lp.DEFAULT_FP_BUDGET)
+        assert res.iterations == ref.iterations
+        for field in ("x0_minus", "residual", "history", "sequence"):
+            assert _bits(getattr(res, field)) == _bits(getattr(ref, field)), field
+        iterations.append(res.iterations)
+    assert max(iterations) >= 4
+
+
 # ---------------------------------------------------------------------------
 # contraction bounds
 # ---------------------------------------------------------------------------

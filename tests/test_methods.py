@@ -1085,3 +1085,64 @@ def test_empty_run_batch_takes_no_step(monkeypatch):
         assert res.k_final.shape == (0,) and res.final.shape == (0, 2)
     run_batch("gd", obj_mod.fig1(), HARMONIC, np.array([[0.5, 0.5]]), budget=3)
     assert calls == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# row norms
+# ---------------------------------------------------------------------------
+
+def _laid_out(A, layout):
+    """A copy of A in C order, Fortran order, or as a view with a row stride
+    of two rows and a negative column stride."""
+    if layout == "C":
+        return np.ascontiguousarray(A)
+    if layout == "F":
+        return np.asfortranarray(A)
+    n, d = A.shape
+    V = np.zeros((2 * n, 3 * d))[1::2, ::-3]
+    V[...] = A
+    return V
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_sq_sums_are_the_reduce_bit_for_bit(d, layout):
+    # entries over 300 decades, with -0.0, +0.0, subnormals, +-inf and NaN
+    # mixed in; no square overflows, so nothing may warn
+    rng = np.random.default_rng(d)
+    special = np.array([-0.0, 0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan])
+    for n in (1, 2, 31, 1000, 3018):
+        A = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-150, 150, size=(n, d))
+        mask = rng.uniform(size=(n, d)) < 0.1
+        A[mask] = rng.choice(special, size=int(mask.sum()))
+        D = _laid_out(A, layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sq = mth._row_sq_sums(D)
+            assert sq.tobytes() == np.add.reduce(D * D, axis=1).tobytes(), n
+            assert np.sqrt(sq).tobytes() == np.linalg.norm(D, axis=1).tobytes(), n
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_sq_sums_warn_on_overflow_as_the_norm_does(d):
+    # a square past the largest double warns in the multiply, as the norm
+    # does; a sum of finite squares past it warns in the add ("in reduce" in
+    # the norm); both give inf
+    D = np.full((31, d), 0.5)
+    D[7, d - 1] = 1e200
+    for sq_of in (mth._row_sq_sums, lambda D: np.linalg.norm(D, axis=1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+                sq_of(D)
+    if d > 1:
+        D[7] = 1e154
+        for sq_of in (mth._row_sq_sums, lambda D: np.linalg.norm(D, axis=1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RuntimeWarning, match="overflow encountered in"):
+                    sq_of(D)
+    with np.errstate(over="ignore"):
+        sq = mth._row_sq_sums(D)
+        assert sq[7] == np.inf
+        assert sq.tobytes() == np.add.reduce(D * D, axis=1).tobytes()
