@@ -38,8 +38,7 @@ print("  expansion by 1/(1-alpha*lam) on the unstable one")
 from saddle_escape import Objective
 
 lin_grad = np.array([1.0, 0.0])
-lin = Objective(2, lambda z: float(z @ lin_grad), lambda z: lin_grad.copy(),
-                lambda z: np.zeros((2, 2)))
+lin = Objective(2, lambda z: lin_grad.copy(), lambda z: np.zeros((2, 2)))  # f = <(1,0), x>
 out = make_step("mirror-entropy", lin, constant(math.log(2.0)))(0, np.array([0.5, 0.5]))
 print()
 print("entropy mirror step from the uniform distribution, f = <(1,0), x>,")

@@ -3,10 +3,10 @@ Lyapunov-Perron stable-manifold certificates at strict saddles.
 
 Layout:
 
-- schedules: step-size sequences (power / constant / geometric / table)
-  with divergent-sum classification.
-- objectives: test objectives with gradients, Hessians, and critical-point
-  classification.
+- schedules: step-size sequences (power / constant / geometric) with
+  divergent-sum classification.
+- objectives: test objectives as gradients and Hessians (no f: the methods
+  are first order), and critical-point classification.
 - spectral: symmetric eigensplits into stable/unstable blocks and exact
   linear trajectory products.
 - methods: gradient descent, mirror descent, proximal point, and the two
@@ -22,8 +22,7 @@ Layout:
 
 from .schedules import (CONVERGENT, DIVERGENT, ConstantSchedule,
                         GeometricSchedule, PowerSchedule, ScheduleError,
-                        StepSchedule, TableSchedule, constant, from_config,
-                        geometric, power, table)
+                        StepSchedule, constant, from_config, geometric, power)
 from .objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE, NOT_CRITICAL,
                          STRICT_SADDLE, CriticalPointClass, EigensolverError,
                          Objective, ObjectiveError, classify_critical_point,

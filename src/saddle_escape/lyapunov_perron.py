@@ -488,7 +488,7 @@ def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
     if steps < 0 or steps >= 1 << 63 or not radius > 0:
         raise LyapunovError("the raw dynamics need steps >= 0, steps < 2^63 and a "
                             f"positive radius, got {steps} and {radius}")
-    res = _advance(prob.dynamics, Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, 1, path)
+    res = _advance(prob.dynamics, Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, path)
     exits = np.where(np.array(res.terminal) == ESCAPED_REGION, res.k_final, -1)
     return exits, res.final @ prob.split.Q.T, res.message
 
@@ -933,9 +933,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
                                horizon_cap=horizon_cap).horizon
     # obj's raw callables, which take stacks; the steps check no point (see methods._update)
-    shifted = Objective(sp.dimension, lambda y: obj._eval(x_star + y),
-                        lambda y: obj._grad(x_star + y), lambda y: obj._hess(x_star + y),
-                        vectorized=True)
+    shifted = Objective(sp.dimension, lambda y: obj._grad(x_star + y),
+                        lambda y: obj._hess(x_star + y), vectorized=True)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=horizon, order=order,
                          dynamics=_update(method, shifted, schedule))

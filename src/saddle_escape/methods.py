@@ -174,30 +174,28 @@ class TrajectoryRecord:
 def run(method_id: str, obj: Objective, schedule: StepSchedule, x0: np.ndarray, *,
         budget: int = DEFAULT_BUDGET, conv_tol: float = DEFAULT_CONV_TOL,
         escape_radius: float = DEFAULT_ESCAPE_RADIUS, stride: int = DEFAULT_STRIDE,
-        window: int = CONVERGENCE_WINDOW,
         metric: RiemannianMetric | None = None) -> TrajectoryRecord:
     """Iterate ``method_id`` from ``x0`` until escape, convergence, or budget.
 
     This is the one-row case of :func:`run_batch`: the same steps and the
-    same stopping rules.  Convergence is declared after ``window``
-    consecutive steps of motion below ``conv_tol`` (a Cauchy-window test);
-    the limit is then classified by :func:`classify_critical_point` at its
-    default tolerances.
-    Escape means ``||x_k|| > escape_radius``; a NaN ``escape_radius``
-    raises ``MethodError``.  Step errors (mirror domain
-    violations, singular proximal systems, ...) terminate the run with the
-    ``step_error`` tag instead of raising.  Points are recorded every
-    ``stride`` steps plus the final state.
+    same stopping rules.  Convergence is declared after
+    ``CONVERGENCE_WINDOW`` (50) consecutive steps of motion below
+    ``conv_tol`` (a Cauchy-window test); the limit is then classified by
+    :func:`classify_critical_point` at its default tolerances.  Escape
+    means ``||x_k|| > escape_radius``; a NaN ``escape_radius`` raises
+    ``MethodError``.  Step errors (mirror domain violations, singular
+    proximal systems, ...) terminate the run with the ``step_error`` tag
+    instead of raising.  Points are recorded every ``stride`` steps plus
+    the final state.
     """
-    if budget < 1 or stride < 1 or window < 1:
-        raise MethodError(f"run needs budget, stride and window >= 1, "
-                          f"got {budget}, {stride} and {window}")
+    if budget < 1 or stride < 1:
+        raise MethodError(f"run needs budget and stride >= 1, got {budget} and {stride}")
     x = np.array(x0, dtype=float)
     if x.shape != (obj.dimension,):
         raise MethodError(f"x0 must have shape ({obj.dimension},), got {x.shape}")
     path: list = []
     res = _advance(_update(method_id, obj, schedule, metric), x[None], budget, conv_tol,
-                   escape_radius, window, path, stride)
+                   escape_radius, path, stride)
     k_final, final = int(res.k_final[0]), res.final[0]
     kept = [(k, X[0]) for k, X in path if k < k_final] + [(k_final, final)]
     terminal = Terminal(res.terminal[0], message=res.message[0])
@@ -439,7 +437,7 @@ def _newton(obj: Objective, schedule: StepSchedule):
 
 
 def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius: float,
-             window: int, path: list | None = None, stride: int = 1) -> BatchResult:
+             path: list | None = None, stride: int = 1) -> BatchResult:
     """Advance the rows of ``X0`` in lockstep until each one stops.
 
     One ``update(k, X)``, which never raises, per k over the still-active
@@ -456,23 +454,23 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     of squares is below escape_radius^2, each row's sum of squared motions
     is surely above conv_tol^2 (loud) or surely below it (quiet), and each
     row's quiet run, counted on from its run before the block, stays below
-    ``window``.  Where all hold, no row escapes and none converges.  The
-    steps before the first step that fails a filter are kept, that step goes
-    to the per-row code, and the later ones are discarded, so the steps
-    after a stop run on the smaller batch just as they would one at a time:
-    no row's bits depend on the block.  m starts at 1, doubles after each
-    clean block up to ``_BLOCK_STEPS`` and at most ``_BLOCK_DOUBLES``
-    doubles of states, and is 1 again after a block that fails.  A block
-    runs with numpy's floating-point warnings turned into a flag, and it
-    ends before the first step that sets one or raises (a row stepped past
-    its escape may overflow): the per-row code takes that step again
-    outside the block, where it warns or raises just as one step at a time
-    would.  A ``warnings.warn`` in the objective's own code is not held
+    ``CONVERGENCE_WINDOW``.  Where all hold, no row escapes and none
+    converges.  The steps before the first step that fails a filter are
+    kept, that step goes to the per-row code, and the later ones are
+    discarded, so the steps after a stop run on the smaller batch just as
+    they would one at a time: no row's bits depend on the block.  m starts
+    at 1, doubles after each clean block up to ``_BLOCK_STEPS`` and at most
+    ``_BLOCK_DOUBLES`` doubles of states, and is 1 again after a block that
+    fails.  A block runs with numpy's floating-point warnings turned into a
+    flag, and it ends before the first step that sets one or raises (a row
+    stepped past its escape may overflow): the per-row code takes that step
+    again outside the block, where it warns or raises just as one step at a
+    time would.  A ``warnings.warn`` in the objective's own code is not held
     back: a step that a block discards can still show one.  With
     ``conv_tol`` <= 0 (or NaN) no motion is ever below it, so motions are
     not tested; with a tiny or negative radius (or d > 2^22) every block is
-    one step, which the per-row code takes.  That code never warns: a
-    square past the largest double is inf, as in the norm.
+    one step, which the per-row code takes.  That code never warns: a square
+    past the largest double is inf, as in the norm.
     """
     if np.isnan(escape_radius):  # no row could escape, and every row would stop at once
         raise MethodError("escape_radius must be a number, got NaN")
@@ -540,7 +538,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
                         at = np.arange(1, kept + 1)[:, None]
                         last = np.maximum.accumulate(np.where(loud, at, 0), axis=0)
                         runs = np.where(last > 0, at - last, at + quiet)
-                        ok &= ((loud | (M < hush)) & (runs < window)).all(axis=1)
+                        ok &= ((loud | (M < hush)) & (runs < CONVERGENCE_WINDOW)).all(axis=1)
                 if not ok.all():
                     kept = int(ok.argmin())
         if path is not None:
@@ -561,7 +559,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             if moving:
                 quiet = np.where(np.sqrt(_row_sq_sums(Xn - X)) < conv_tol, quiet + 1, 0)
             radius = np.sqrt(_row_sq_sums(Xn))
-        stop = ~(radius <= escape_radius) | (quiet >= window)  # a NaN radius stops too
+        stop = ~(radius <= escape_radius) | (quiet >= CONVERGENCE_WINDOW)  # a NaN radius stops too
         if escape_radius == np.inf:  # inf <= inf keeps a row that a step overflowed
             for j in np.flatnonzero(np.isinf(radius) & ~stop):
                 stop[j] = error(j) is not None
@@ -590,7 +588,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
 
 def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,
               budget: int = DEFAULT_BUDGET, conv_tol: float = DEFAULT_CONV_TOL,
-              escape_radius: float = DEFAULT_ESCAPE_RADIUS, window: int = CONVERGENCE_WINDOW,
+              escape_radius: float = DEFAULT_ESCAPE_RADIUS,
               metric: RiemannianMetric | None = None) -> BatchResult:
     """Run every row of ``X0`` to the terminal :func:`run` would give it.
 
@@ -603,8 +601,8 @@ def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.nda
     ``run``'s in the last places (see :func:`_update`).
     """
     X0 = np.asarray(X0, dtype=float)
-    if budget < 1 or window < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
-        raise MethodError(f"run_batch needs budget and window >= 1 and X0 of shape "
-                          f"(n, {obj.dimension}), got {budget}, {window} and {X0.shape}")
+    if budget < 1 or X0.ndim != 2 or X0.shape[1] != obj.dimension:
+        raise MethodError(f"run_batch needs budget >= 1 and X0 of shape "
+                          f"(n, {obj.dimension}), got {budget} and {X0.shape}")
     return _advance(_update(method_id, obj, schedule, metric), X0, budget, conv_tol,
-                    escape_radius, window)
+                    escape_radius)

@@ -1,6 +1,8 @@
 """Twice-differentiable test objectives with exact gradient/Hessian oracles.
 
-The built-in objectives are the ones the experiments need:
+An objective is its gradient and Hessian: the methods are first order and
+never evaluate f, so the formulas for f below only name them.  The
+built-in objectives are the ones the experiments need:
 
 - ``quadratic(A)``: ``f(x) = 0.5 x^T A x`` for symmetric ``A``.
 - ``fig1()``: the saddle benchmark ``f(x, y) = x^2 - y^2`` (``A = diag(2, -2)``).
@@ -56,26 +58,26 @@ class EigensolverError(RuntimeError):
 
 
 class Objective:
-    """Bundle of ``eval``/``grad``/``hess`` callables on R^d.
+    """Bundle of the ``grad``/``hess`` callables of some f on R^d (no f itself).
 
     Parameters
     ----------
     dimension : int
         Ambient dimension ``d``.
-    eval_fn, grad_fn, hess_fn : callables
-        ``f: R^d -> R``, ``grad f: R^d -> R^d``, ``hess f: R^d -> R^{d x d}``.
-    vectorized : bool
+    grad_fn, hess_fn : callables
+        ``grad f: R^d -> R^d`` and ``hess f: R^d -> R^{d x d}``.
+    vectorized : bool, keyword-only
         True when the callables broadcast over stacked points of shape
         (..., d).  False (the default) wraps each of them in one loop over
-        the points, so ``eval``/``grad``/``hess`` take stacks either way.
+        the points, so ``grad``/``hess`` take stacks either way.
     """
 
     def __init__(
         self,
         dimension: int,
-        eval_fn: Callable[[np.ndarray], float],
         grad_fn: Callable[[np.ndarray], np.ndarray],
         hess_fn: Callable[[np.ndarray], np.ndarray],
+        *,
         vectorized: bool = False,
     ):
         if dimension < 1:
@@ -83,10 +85,8 @@ class Objective:
         self.dimension = int(dimension)
         if not vectorized:
             d = self.dimension
-            eval_fn = _each_point(eval_fn, ())
             grad_fn = _each_point(grad_fn, (d,))
             hess_fn = _each_point(hess_fn, (d, d))
-        self._eval = eval_fn
         self._grad = grad_fn
         self._hess = hess_fn
 
@@ -96,9 +96,6 @@ class Objective:
             raise ObjectiveError(
                 f"point has shape {x.shape}, objective expects (..., {self.dimension})")
         return x
-
-    def eval(self, x: np.ndarray) -> float | np.ndarray:
-        return self._eval(self._check(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self._grad(self._check(x))
@@ -137,16 +134,13 @@ def quadratic(A: np.ndarray) -> Objective:
         raise ObjectiveError("quadratic matrix is not symmetric (tolerance 1e-12)")
     d = A.shape[0]
 
-    def _eval(x):
-        return 0.5 * np.sum((x @ A) * x, axis=-1)
-
     def _grad(x):
         return x @ A  # A symmetric, so x @ A == A @ x for single points
 
     def _hess(x):
         return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
-    obj = Objective(d, _eval, _grad, _hess, vectorized=True)
+    obj = Objective(d, _grad, _hess, vectorized=True)
     obj.quadratic_matrix = A.copy()
     return obj
 
@@ -167,10 +161,6 @@ def cubic_perturbed_saddle(a: float) -> Objective:
     if not np.isfinite(a) or abs(a) > 1.0:
         raise ObjectiveError(f"cubic_perturbed_saddle needs |a| <= 1, got a={a}")
 
-    def _eval(z):
-        x, y = z[..., 0], z[..., 1]
-        return 0.5 * x * x - 0.5 * y * y + a * x * x * y
-
     def _grad(z):
         x, y = z[..., 0], z[..., 1]
         g = np.empty(z.shape)
@@ -184,7 +174,7 @@ def cubic_perturbed_saddle(a: float) -> Objective:
         h[..., 0, 1] = h[..., 1, 0] = 2.0 * a * x
         return h
 
-    obj = Objective(2, _eval, _grad, _hess, vectorized=True)
+    obj = Objective(2, _grad, _hess, vectorized=True)
     obj.cubic_coefficient = a
     return obj
 

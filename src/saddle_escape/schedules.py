@@ -1,24 +1,22 @@
 """Deterministic step-size schedules for first-order methods.
 
 A schedule is an immutable object mapping the iteration counter ``k`` (0-based)
-to a finite step size ``alpha_k > 0``.  Four families are provided:
+to a finite step size ``alpha_k > 0``.  Three families are provided:
 
 - ``power(c, p, offset)``:     ``alpha_k = c / (k + offset)**p``
 - ``constant(c)``:             ``alpha_k = c``
 - ``geometric(c, r)``:         ``alpha_k = c * r**k``
-- ``table(values, tail)``:     explicit leading values, then a tail schedule
 
 Each family is one formula for ``alpha_k``, so ``value(k)`` and
 ``values(n)[k]`` give the same bits, and one declaration: its ``kind`` and
 its ``fields``, the constructor's argument names in config order, which
 ``to_config`` and :func:`from_config` both read.  The factories
-``power``, ``constant``, ``geometric`` and ``table`` are the classes.
+``power``, ``constant`` and ``geometric`` are the classes.
 
 All schedules are positive and nonincreasing; this is validated at
-construction (a table whose tail starts above its last explicit value is
-rejected).  Whether ``sum_k alpha_k`` diverges decides the long-run behaviour
-of the induced dynamics, so every schedule can classify its own series by the
-p-test, without numerical summation.
+construction.  Whether ``sum_k alpha_k`` diverges decides the long-run
+behaviour of the induced dynamics, so every schedule can classify its own
+series by the p-test, without numerical summation.
 
 Schedules serialize to plain JSON-able dicts, e.g.::
 
@@ -41,11 +39,9 @@ __all__ = [
     "PowerSchedule",
     "ConstantSchedule",
     "GeometricSchedule",
-    "TableSchedule",
     "power",
     "constant",
     "geometric",
-    "table",
     "from_config",
 ]
 
@@ -186,54 +182,8 @@ class GeometricSchedule(StepSchedule):
         return CONVERGENT
 
 
-class TableSchedule(StepSchedule):
-    """Explicit leading ``values`` followed by a ``tail`` schedule.
-
-    ``alpha_k = values[k]`` for ``k < len(values)`` and the tail's formula
-    at ``k - len(values)`` afterwards.  The joint sequence
-    must stay nonincreasing, so ``tail.value(0) <= values[-1]`` is enforced
-    at construction.  The values are kept as the array ``head``.
-    """
-
-    kind, fields = "table", ("values", "tail")
-
-    def __init__(self, values: Sequence[float], tail: StepSchedule):
-        head_arr = np.asarray(values, dtype=object)
-        if head_arr.ndim != 1 or head_arr.size == 0:
-            raise ScheduleError("table schedule needs a nonempty 1-D value list")
-        for v in head_arr:
-            _check_reals(self.kind, values=v)
-        head_arr = head_arr.astype(float)
-        if not np.all((head_arr > 0) & np.isfinite(head_arr)):
-            raise ScheduleError("table schedule values must be finite and strictly positive")
-        if np.any(np.diff(head_arr) > 0):
-            raise ScheduleError("table schedule values must be nonincreasing")
-        if not isinstance(tail, StepSchedule):
-            raise ScheduleError(f"table tail must be a StepSchedule, got {type(tail).__name__}")
-        if tail.value(0) > head_arr[-1]:
-            raise ScheduleError(
-                "table tail starts above the last table value "
-                f"({tail.value(0)} > {head_arr[-1]}), violating monotonicity"
-            )
-        self.head = head_arr
-        self.tail = tail
-
-    def _alphas(self, ks: np.ndarray) -> np.ndarray:
-        n = self.head.size
-        head = self.head[np.minimum(ks, n - 1).astype(np.intp)]
-        return np.where(ks < n, head, self.tail._alphas(np.maximum(ks - n, 0.0)))
-
-    def classify_sum(self) -> str:
-        # A finite head never changes convergence; defer to the tail.
-        return self.tail.classify_sum()
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "values": self.head.tolist(), "tail": self.tail.to_config()}
-
-
-power, constant, geometric, table = (PowerSchedule, ConstantSchedule, GeometricSchedule,
-                                     TableSchedule)
-_KINDS = {cls.kind: cls for cls in (power, constant, geometric, table)}
+power, constant, geometric = PowerSchedule, ConstantSchedule, GeometricSchedule
+_KINDS = {cls.kind: cls for cls in (power, constant, geometric)}
 
 
 def from_config(cfg: dict) -> StepSchedule:
@@ -254,7 +204,4 @@ def from_config(cfg: dict) -> StepSchedule:
     missing = [f for f in cls.fields if f not in cfg]
     if missing:
         raise ScheduleError(f"schedule kind {kind!r} missing field(s) {missing}")
-    args = {f: cfg[f] for f in cls.fields}
-    if "tail" in args:  # a table's tail is a schedule config of its own
-        args["tail"] = from_config(args["tail"])
-    return cls(**args)
+    return cls(**{f: cfg[f] for f in cls.fields})

@@ -153,6 +153,16 @@ def prox_diag_step(x: list[float], eigs: list[float], alpha: float) -> list[floa
     return [xi / (1.0 + alpha * li) for xi, li in zip(x, eigs)]
 
 
+def quadratic_value(A: list[list[float]], x: list[float]) -> float:
+    """f(x) = x^T A x / 2, summed term by term."""
+    return 0.5 * sum(xi * aij * xj for xi, row in zip(x, A) for aij, xj in zip(row, x))
+
+
+def cubic_value(x: float, y: float, a: float) -> float:
+    """f(x,y) = x^2/2 - y^2/2 + a x^2 y."""
+    return 0.5 * x * x - 0.5 * y * y + a * x * x * y
+
+
 def cubic_grad(x: float, y: float, a: float) -> tuple[float, float]:
     """Gradient of f(x,y) = x^2/2 - y^2/2 + a x^2 y."""
     return (x + 2.0 * a * x * y, -y + a * x * x)

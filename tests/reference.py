@@ -31,6 +31,10 @@ refinement, not the dynamics.
 ``Generator.uniform`` on the trial's own stream, the bit reference for the
 bulk draw in ``harness_cli``.
 
+``TableSchedule`` gives explicit leading step sizes and then a tail
+schedule's formula from its own k = 0: the schedule of the retired
+``table`` kind, which C09 still checks the forward bound on.
+
 ``validate_remainder`` spot-checks a ``PerronProblem``'s stated remainder
 properties by sampling, and ``self_consistency_error`` measures how far a
 sequence is from its own recursive step; both are checks on a problem, not
@@ -44,13 +48,16 @@ from saddle_escape.lyapunov_perron import (LyapunovError, StablePointResult, _et
                                            _sample_ball, _scan_T)
 from saddle_escape.methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT,
                                    ESCAPED_REGION, STEP_ERROR, MethodError)
+from saddle_escape.schedules import StepSchedule
+
+WINDOW = 50  # consecutive short steps that declare convergence
 
 
-def reference_run(step, x0, *, budget, conv_tol, escape_radius, window):
+def reference_run(step, x0, *, budget, conv_tol, escape_radius):
     """Iterate ``step(k, x)`` from ``x0``; return (kind, k_final, final point, message).
 
     Stopping order per step: step error at k (final point x_k), escape
-    (||x_{k+1}|| > escape_radius), ``window`` consecutive steps shorter than
+    (||x_{k+1}|| > escape_radius), ``WINDOW`` consecutive steps shorter than
     ``conv_tol``, then the budget.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -67,7 +74,7 @@ def reference_run(step, x0, *, budget, conv_tol, escape_radius, window):
         if float(np.linalg.norm(x)) > escape_radius:
             return ESCAPED_REGION, k + 1, x, None
         quiet = quiet + 1 if motion < conv_tol else 0
-        if quiet >= window:
+        if quiet >= WINDOW:
             return CONVERGED_TO_POINT, k + 1, x, None
     return BUDGET_EXHAUSTED, budget, x, None
 
@@ -220,6 +227,19 @@ def reference_draw_init(seed, trial, box):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     rng = np.random.default_rng(ss)
     return rng.uniform(box[:, 0], box[:, 1])
+
+
+class TableSchedule(StepSchedule):
+    """``alpha_k = values[k]`` for ``k < len(values)``, then ``tail``'s
+    ``alpha_{k - len(values)}``; the caller keeps the sequence nonincreasing."""
+
+    def __init__(self, values, tail):
+        self.head, self.tail = np.asarray(values, dtype=float), tail
+
+    def _alphas(self, ks):
+        n = self.head.size
+        head = self.head[np.minimum(ks, n - 1).astype(np.intp)]
+        return np.where(ks < n, head, self.tail._alphas(np.maximum(ks - n, 0.0)))
 
 
 def validate_remainder(prob):

@@ -189,7 +189,7 @@ def assert_matches_run(cfg):
                       conv_tol=cfg.conv_tol, escape_radius=cfg.escape_radius, metric=metric)
         kind, k_final, final, message = reference_run(
             step, row["init"], budget=cfg.budget, conv_tol=cfg.conv_tol,
-            escape_radius=cfg.escape_radius, window=mth.CONVERGENCE_WINDOW)
+            escape_radius=cfg.escape_radius)
         counts[rec.terminal.kind] += 1
         assert row["terminal"] == rec.terminal.kind == kind
         assert row["k_final"] == rec.k_final == k_final
@@ -569,11 +569,10 @@ INTRINSIC = "manifold-intrinsic"
     ("avoidance", {"objective": {"name": "quadratic", "matrix": "x"}}),
     ("avoidance", {"schedule": {"kind": "power", "c": "x", "p": 1.0, "offset": 2}}),
     ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
-    ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
     ("avoidance", {"schedule": {"kind": "constant", "c": math.inf}}),
     ("avoidance", {"schedule": {"kind": "power", "c": True, "p": 1.0, "offset": 2}}),
     ("avoidance", {"schedule": {"kind": "geometric", "c": 0.1, "r": None}}),
-    ("avoidance", {"schedule": {"kind": "table", "values": [True], "tail": BASE["schedule"]}}),
+    ("avoidance", {"schedule": {"kind": "table", "values": [0.5], "tail": BASE["schedule"]}}),
     ("avoidance", {"output_dir": 5}),
     ("avoidance", {"output_dir": "taken"}),
     ("run", {"experiment": "single_run", "init": [1.0, 2.0], "output_dir": "taken"}),
@@ -622,8 +621,8 @@ INTRINSIC = "manifold-intrinsic"
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
-        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
-        "constant-c-inf", "power-c-true", "geometric-r-null", "table-values-true",
+        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text",
+        "constant-c-inf", "power-c-true", "geometric-r-null", "table-kind",
         "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
         "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
         "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric",
@@ -694,9 +693,11 @@ def test_chart_grid_points_past_the_bound_is_a_config_error(tmp_path, capsys, mo
     ({"objective": {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, False]]}},
      "objective.matrix needs real numbers, got False"),
     ({"trials": 10 ** 20}, "trials must be at most 1048576, got 100000000000000000000"),
+    ({"schedule": {"kind": "table", "values": [0.5], "tail": {"kind": "constant", "c": 0.1}}},
+     "unknown schedule kind 'table'; expected one of ['constant', 'geometric', 'power']"),
 ], ids=["grad_tol", "eig_tol", "window", "stride", "fig1-objective", "fig1-schedule",
         "init_box-text", "init_box-overflow", "init_box-true", "cubic-a-true", "matrix-false",
-        "trials-past-the-bound"])
+        "trials-past-the-bound", "table-kind"])
 def test_config_errors_name_the_entry(over, message):
     with pytest.raises(ConfigError) as exc:
         avoidance_experiment(make_cfg(**{"trials": 2, "budget": 10, **over}))

@@ -79,10 +79,6 @@ def rotated_saddle_gd_problem():
     R = np.eye(3) - 2.0 / 9.0 * np.outer(v, v)
     A = R @ np.diag([1.0, 0.5, -1.0]) @ R
 
-    def _eval(x):
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        return 0.5 * np.sum((x @ A) * x, axis=-1) + 0.1 * x0 * x0 * x2 + 0.05 * x1 * x2 * x2
-
     def _grad(x):
         x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
         g = x @ A
@@ -102,7 +98,7 @@ def rotated_saddle_gd_problem():
         h[..., 2, 2] += 0.1 * x1
         return h
 
-    f = obj_mod.Objective(3, _eval, _grad, _hess, vectorized=True)
+    f = obj_mod.Objective(3, _grad, _hess, vectorized=True)
     prob, _ = remainder_from_objective(f, np.zeros(3), HARMONIC, horizon=4000)
     return prob
 
@@ -827,7 +823,7 @@ def _cubic_failing_at(start):
         g[(x == start).all(axis=-1)] = np.nan
         return g
 
-    f = obj_mod.Objective(2, cubic._eval, grad, cubic._hess, vectorized=True)
+    f = obj_mod.Objective(2, grad, cubic._hess, vectorized=True)
     prob, _ = remainder_from_objective(f, np.zeros(2), HARMONIC, horizon=4000)
     return prob
 
@@ -1001,7 +997,7 @@ def test_remainder_without_halvings_raises_when_uncertified():
 def test_remainder_samples_epsilon_without_an_analytic_modulus():
     # the cubic's callables without its cubic_coefficient: epsilon is sampled
     cub = obj_mod.cubic_perturbed_saddle(0.1)
-    obj = obj_mod.Objective(2, cub._eval, cub._grad, cub._hess, vectorized=True)
+    obj = obj_mod.Objective(2, cub._grad, cub._hess, vectorized=True)
     prob, cert = remainder_from_objective(obj, np.zeros(2), HARMONIC)
     again, cert2 = remainder_from_objective(obj, np.zeros(2), HARMONIC)
     assert cert.valid and prob.order == 1 and prob.delta == 0.1

@@ -24,8 +24,7 @@ def linear_objective(c):
     """f(x) = <c, x> on R^len(c); constant gradient, zero Hessian."""
     c = np.asarray(c, dtype=float)
     d = len(c)
-    return obj_mod.Objective(d, lambda x: float(x @ c), lambda x: c.copy(),
-                             lambda x: np.zeros((d, d)))
+    return obj_mod.Objective(d, lambda x: c.copy(), lambda x: np.zeros((d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +39,7 @@ def test_gd_step_formula():
 
 
 def test_gd_step_rejects_nonfinite_gradient():
-    f = obj_mod.Objective(1, lambda x: float("nan"),
-                          lambda x: np.array([float("nan")]),
-                          lambda x: np.zeros((1, 1)))
+    f = obj_mod.Objective(1, lambda x: np.array([float("nan")]), lambda x: np.zeros((1, 1)))
     with pytest.raises(MethodError):
         make_step("gd", f, HARMONIC)(0, np.array([1.0]))
 
@@ -117,7 +114,7 @@ def test_prox_newton_matches_closed_form(seed):
     alpha = float(rng.uniform(0.01, 0.2))
     s = sch.constant(alpha)
     # the same callables without quadratic_matrix take prox's Newton route
-    plain = obj_mod.Objective(3, f.eval, f.grad, f.hess, vectorized=True)
+    plain = obj_mod.Objective(3, f.grad, f.hess, vectorized=True)
     closed = make_step("prox", f, s)(0, x)
     newton = make_step("prox", plain, s)(0, x)
     np.testing.assert_allclose(newton, closed, atol=1e-10, rtol=1e-10)
@@ -325,9 +322,7 @@ def test_run_budget_exhaustion():
 
 
 def test_run_step_error_captured():
-    f = obj_mod.Objective(1, lambda x: float(x[0] ** 2),
-                          lambda x: np.array([float("inf")]),
-                          lambda x: np.eye(1))
+    f = obj_mod.Objective(1, lambda x: np.array([float("inf")]), lambda x: np.eye(1))
     rec = run("gd", f, HARMONIC, np.array([1.0]))
     assert rec.terminal.kind == STEP_ERROR
     assert rec.k_final == 0
@@ -361,8 +356,7 @@ def test_metric_step_fails_on_a_nonfinite_gradient_as_gd_does(metric):
     def grad(X):
         return np.where(X[..., :1] > 0.6, np.inf, X)
 
-    f = obj_mod.Objective(2, lambda X: 0.5 * (X * X).sum(axis=-1), grad,
-                          lambda X: np.broadcast_to(np.eye(2), X.shape + (2,)),
+    f = obj_mod.Objective(2, grad, lambda X: np.broadcast_to(np.eye(2), X.shape + (2,)),
                           vectorized=True)
     X0 = np.array([[0.7, 0.1], [0.9, -0.4]])
     metric = RiemannianMetric(metric)
@@ -399,8 +393,7 @@ def test_entropy_and_sphere_fail_on_a_nonfinite_gradient_as_gd_does(method_id, X
         G[X[..., 0] > 0.55, 0] = bad
         return G
 
-    f = obj_mod.Objective(3, lambda X: X @ c, grad, lambda X: np.zeros(X.shape + (3,)),
-                          vectorized=True)
+    f = obj_mod.Objective(3, grad, lambda X: np.zeros(X.shape + (3,)), vectorized=True)
     X0 = np.array(X0)
     step = make_step(method_id, f, HARMONIC)
     with warnings.catch_warnings():
@@ -410,7 +403,7 @@ def test_entropy_and_sphere_fail_on_a_nonfinite_gradient_as_gd_does(method_id, X
             rec = run(method_id, f, HARMONIC, x0, budget=100)
             kind, k_final, final, message = reference_run(
                 step, x0, budget=100, conv_tol=mth.DEFAULT_CONV_TOL,
-                escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
+                escape_radius=mth.DEFAULT_ESCAPE_RADIUS)
             assert (res.terminal[i], res.k_final[i], res.message[i]) == \
                 (rec.terminal.kind, rec.k_final, rec.terminal.message) == \
                 (kind, k_final, message)
@@ -432,8 +425,7 @@ def test_run_batch_matches_run(method_id, bad):
 
     X0 = np.array([[0.0], [1e-3], [0.5], [1.0], [-2.0], [4.9]])
     for vectorized in (True, False):  # callables that broadcast, and ones looped over points
-        f = obj_mod.Objective(1, lambda x: -0.5 * x[..., 0] ** 2, grad,
-                              lambda x: -np.eye(1), vectorized=vectorized)
+        f = obj_mod.Objective(1, grad, lambda x: -np.eye(1), vectorized=vectorized)
         for radius in (3.0, 1e3):
             res = run_batch(method_id, f, HARMONIC, X0, budget=200, conv_tol=1e-12,
                             escape_radius=radius)
@@ -446,8 +438,7 @@ def test_run_batch_matches_run(method_id, bad):
                 assert res.message[i] == rec.terminal.message
                 assert res.final[i].tobytes() == rec.points[-1].tobytes()
                 kind, k_final, final, message = reference_run(
-                    step, x0, budget=200, conv_tol=1e-12, escape_radius=radius,
-                    window=mth.CONVERGENCE_WINDOW)
+                    step, x0, budget=200, conv_tol=1e-12, escape_radius=radius)
                 assert (res.terminal[i], res.k_final[i], res.message[i]) == \
                     (kind, k_final, message)
                 assert res.final[i].tobytes() == final.tobytes()
@@ -456,20 +447,20 @@ def test_run_batch_matches_run(method_id, bad):
 
 
 def test_run_batch_checks_escape_before_convergence():
-    # conv_tol 1e9 and window 1 make every step quiet: after one step,
-    # (0, 1.8) escapes radius 1 while (0, 0.2) converges, as in run
-    X0 = np.array([[0.1, 0.1], [0.1, 0.9]])
-    res = run_batch("gd", obj_mod.fig1(), HARMONIC, X0, conv_tol=1e9, window=1,
-                    escape_radius=1.0)
+    # conv_tol 1e9 makes every step quiet, so both rows end at the 50th
+    # step, as in run: (0.1, 0) stays inside radius 0.45 and converges,
+    # while (0, 1e-3), at y_k = 1e-3 (k+2)(k+3)/6 under 1/(k+2), is inside
+    # at k = 49 (0.442) and escapes at k = 50 (0.459)
+    X0 = np.array([[0.1, 0.0], [0.0, 1e-3]])
+    res = run_batch("gd", obj_mod.fig1(), HARMONIC, X0, conv_tol=1e9, escape_radius=0.45)
     assert res.terminal == [CONVERGED_TO_POINT, ESCAPED_REGION]
     step = make_step("gd", obj_mod.fig1(), HARMONIC)
     for i, x0 in enumerate(X0):
-        rec = run("gd", obj_mod.fig1(), HARMONIC, x0, conv_tol=1e9, window=1,
-                  escape_radius=1.0)
+        rec = run("gd", obj_mod.fig1(), HARMONIC, x0, conv_tol=1e9, escape_radius=0.45)
         ref = reference_run(step, x0, budget=mth.DEFAULT_BUDGET, conv_tol=1e9,
-                            escape_radius=1.0, window=1)
+                            escape_radius=0.45)
         assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == \
-            ref[:2] == (res.terminal[i], 1)
+            ref[:2] == (res.terminal[i], 50)
         assert res.final[i].tobytes() == rec.points[-1].tobytes() == ref[2].tobytes()
 
 
@@ -486,8 +477,7 @@ def test_run_batch_mirror_rows_fail_alone():
     step = make_step("mirror-entropy", f, HARMONIC)
     for i, x0 in enumerate(X0):
         kind, k_final, final, message = reference_run(
-            step, x0, budget=200, conv_tol=1e-9, escape_radius=mth.DEFAULT_ESCAPE_RADIUS,
-            window=mth.CONVERGENCE_WINDOW)
+            step, x0, budget=200, conv_tol=1e-9, escape_radius=mth.DEFAULT_ESCAPE_RADIUS)
         assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
         assert res.final[i].tobytes() == final.tobytes()
 
@@ -526,7 +516,7 @@ def test_prox_non_diagonal_batch_run_and_reference_agree_bitwise():
     step = make_step("prox", f, s)
     for i, x0 in enumerate(X0):
         rec = run("prox", f, s, x0, **opts)
-        ref = reference_run(step, x0, window=mth.CONVERGENCE_WINDOW, **opts)
+        ref = reference_run(step, x0, **opts)
         assert (res.terminal[i], res.k_final[i]) == (rec.terminal.kind, rec.k_final) == ref[:2]
         assert res.final[i].tobytes() == rec.points[-1].tobytes() == ref[2].tobytes()
 
@@ -568,7 +558,7 @@ def test_prox_singular_resolvent_in_a_later_block():
     for i, x0 in enumerate(X0):
         kind, k_final, final, message = reference_run(
             step, x0, budget=mth.DEFAULT_BUDGET, conv_tol=1e-9,
-            escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
+            escape_radius=mth.DEFAULT_ESCAPE_RADIUS)
         assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
         assert res.final[i].tobytes() == final.tobytes()
 
@@ -585,7 +575,7 @@ def test_prox_budget_before_a_singular_resolvent_in_the_block():
     for i, x0 in enumerate(X0):
         kind, k_final, final, message = reference_run(
             step, x0, budget=1400, conv_tol=1e-9,
-            escape_radius=mth.DEFAULT_ESCAPE_RADIUS, window=mth.CONVERGENCE_WINDOW)
+            escape_radius=mth.DEFAULT_ESCAPE_RADIUS)
         assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
         assert res.final[i].tobytes() == final.tobytes()
 
@@ -617,34 +607,52 @@ def test_run_batch_thresholds_at_exact_norms_and_motions():
     norms = np.array([[np.linalg.norm(x) for x in orbit(x0)] for x0 in wide])
     assert any(col @ col > radius * radius and col.max() < radius for col in norms.T)
     # conv_tol 0 and -1 leave no motion below it: the motion filter is off
-    # and no row may converge.  At window 50 row 1's quiet run goes on
-    # through several blocks before it converges
+    # and no row may converge.  Row 1's quiet run goes on through several
+    # blocks before it converges
     tols = (motion, np.nextafter(motion, 0.0), np.nextafter(motion, np.inf), 0.0, -1.0)
     for batch in (X0, wide):
         for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
             for conv_tol in tols:
-                for window in (1, 3, 50):
-                    opts = dict(budget=budget, conv_tol=conv_tol,
-                                escape_radius=escape_radius, window=window)
-                    res = run_batch("gd", f, s, batch, **opts)
-                    if conv_tol <= 0:
-                        assert CONVERGED_TO_POINT not in res.terminal
-                    for i, x0 in enumerate(batch):
-                        kind, k_final, final, message = reference_run(step, x0, **opts)
-                        assert (res.terminal[i], res.k_final[i], res.message[i]) == \
-                            (kind, k_final, message)
-                        assert res.final[i].tobytes() == final.tobytes()
-                        alone = run_batch("gd", f, s, x0[None], **opts)
-                        assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
-                        assert alone.final[0].tobytes() == final.tobytes()
+                opts = dict(budget=budget, conv_tol=conv_tol, escape_radius=escape_radius)
+                res = run_batch("gd", f, s, batch, **opts)
+                if conv_tol <= 0:
+                    assert CONVERGED_TO_POINT not in res.terminal
+                for i, x0 in enumerate(batch):
+                    kind, k_final, final, message = reference_run(step, x0, **opts)
+                    assert (res.terminal[i], res.k_final[i], res.message[i]) == \
+                        (kind, k_final, message)
+                    assert res.final[i].tobytes() == final.tobytes()
+                    alone = run_batch("gd", f, s, x0[None], **opts)
+                    assert (alone.terminal[0], alone.k_final[0]) == (kind, k_final)
+                    assert alone.final[0].tobytes() == final.tobytes()
     # the neighbours decide: row 3 escapes one step later at its exact norm,
-    # and row 1 turns quiet one step later at its exact motion
-    ref = [reference_run(step, X0[3], budget=budget, conv_tol=0.0, escape_radius=r,
-                         window=1)[:2] for r in (radius, np.nextafter(radius, 0.0))]
+    # and row 1 turns quiet one step later at its exact motion (its quiet
+    # run starts at step 32 or 31 and reaches 50 steps at 81 or 80)
+    ref = [reference_run(step, X0[3], budget=budget, conv_tol=0.0, escape_radius=r)[:2]
+           for r in (radius, np.nextafter(radius, 0.0))]
     assert ref == [(ESCAPED_REGION, 21), (ESCAPED_REGION, 20)]
-    ref = [reference_run(step, X0[1], budget=budget, conv_tol=t, escape_radius=1e3,
-                         window=1)[:2] for t in (motion, np.nextafter(motion, np.inf))]
-    assert ref == [(CONVERGED_TO_POINT, 32), (CONVERGED_TO_POINT, 31)]
+    ref = [reference_run(step, X0[1], budget=budget, conv_tol=t, escape_radius=1e3)[:2]
+           for t in (motion, np.nextafter(motion, np.inf))]
+    assert ref == [(CONVERGED_TO_POINT, 81), (CONVERGED_TO_POINT, 80)]
+
+
+def test_run_batch_quiet_run_spans_several_blocks():
+    # the row at the saddle never moves, so its quiet run starts at step 1
+    # and reaches the 50-step window at k = 50.  Blocks start at k = 0, 1,
+    # 3, 7, 15, 31 and 63, so the run goes on through five blocks and ends
+    # inside the sixth.  The rows on the stable axis converge much later,
+    # and the others escape
+    f, s = obj_mod.fig1(), sch.power(1.0, 1.0, 3)
+    X0 = np.array([[0.0, 0.0], [0.3, 0.0], [-0.8, 0.0], [0.5, 1e-2], [0.0, -0.2]])
+    opts = dict(budget=2000, conv_tol=1e-9, escape_radius=1e3)
+    res = run_batch("gd", f, s, X0, **opts)
+    assert res.terminal == [CONVERGED_TO_POINT] * 3 + [ESCAPED_REGION] * 2
+    assert res.k_final[0] == 50 and min(res.k_final[1:]) > 63
+    step = make_step("gd", f, s)
+    for i, x0 in enumerate(X0):
+        kind, k_final, final, message = reference_run(step, x0, **opts)
+        assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
+        assert res.final[i].tobytes() == final.tobytes()
 
 
 def test_run_batch_row_sums_decide_a_crowded_batch():
@@ -664,7 +672,7 @@ def test_run_batch_row_sums_decide_a_crowded_batch():
     assert sum(col @ col > radius * radius and col.max() < radius for col in norms) >= 5
     for escape_radius in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)):
         for conv_tol in (1e-3, 0.0):
-            opts = dict(budget=200, conv_tol=conv_tol, escape_radius=escape_radius, window=2)
+            opts = dict(budget=200, conv_tol=conv_tol, escape_radius=escape_radius)
             res = run_batch("gd", f, s, X0, **opts)
             assert len(set(res.k_final.tolist())) > 10
             for i, x0 in enumerate(X0):
@@ -675,19 +683,21 @@ def test_run_batch_row_sums_decide_a_crowded_batch():
 
 
 def test_run_batch_long_step_restarts_quiet_streaks(monkeypatch):
-    # constant steps down a slope whose gradient alternates between -1 and
-    # -1/4 every 0.05: runs of 20 short steps (quiet under conv_tol 0.005)
-    # alternate with 5 long ones.  With window 30 no row may converge; a
-    # long step that did not restart the streaks would let them add up.
+    # constant steps down a slope whose gradient is -1 on bands 0.05 wide
+    # and -1/4 in the gaps between them: runs of short steps (quiet under
+    # conv_tol 0.005) alternate with 5 long ones.  With gaps 0.1125 wide,
+    # runs of 45 short steps, no row may converge; a long step that did not
+    # restart the streaks would let them add up past the 50-step window.
     # Blocks of one or two steps can hold long steps only, longer ones both
-    def grad(x):
-        return np.where(np.floor(x / 0.05) % 2 == 0, -1.0, -0.25)
+    def slope(gap):
+        def grad(x):
+            return np.where(x % (0.05 + gap) < 0.05, -1.0, -0.25)
+        return obj_mod.Objective(1, grad, lambda x: np.zeros((1, 1)), vectorized=True)
 
-    f = obj_mod.Objective(1, lambda x: -x[..., 0], grad, lambda x: np.zeros((1, 1)),
-                          vectorized=True)
+    f = slope(0.1125)
     s = sch.constant(0.01)
     X0 = np.array([[0.0], [0.012], [0.031], [0.077]])
-    opts = dict(budget=300, conv_tol=0.005, escape_radius=1e3, window=30)
+    opts = dict(budget=300, conv_tol=0.005, escape_radius=1e3)
     step = make_step("gd", f, s)
     for steps in (1, 2, 64):
         monkeypatch.setattr(mth, "_BLOCK_STEPS", steps)
@@ -699,19 +709,23 @@ def test_run_batch_long_step_restarts_quiet_streaks(monkeypatch):
             alone = run_batch("gd", f, s, x0[None], **opts)  # no other row to break a long run
             assert alone.terminal == [BUDGET_EXHAUSTED]
             assert alone.final[0].tobytes() == final.tobytes()
-        # with window 20 the same rows do converge, inside their first short run
-        res = run_batch("gd", f, s, X0, **dict(opts, window=20))
+        # with gaps 0.2 wide, runs of 80 short steps, the same rows do
+        # converge, inside their first short run
+        res = run_batch("gd", slope(0.2), s, X0, **opts)
         assert res.terminal == [CONVERGED_TO_POINT] * 4
 
 
 @pytest.mark.parametrize("escape_radius", [-1.0, 0.0, 1e-200, 1e300, np.inf])
 def test_run_batch_extreme_escape_radii_match_reference(escape_radius):
-    # a negative or zero radius lets no row stay; 1e300 is finite, so a
-    # row whose squared norm overflows escapes it; inf lets every row stay
+    # a negative radius lets no row stay, and a zero one only the rows at
+    # 0; 1e300 is finite, so a row whose squared norm overflows escapes it;
+    # inf lets every row stay.  The last two rows reach 0 at step 1 and
+    # converge where they stay, at k = 51 and 50 (the last one's first step
+    # is already short)
     f = obj_mod.fig1()
     X0 = np.array([[0.5, 1e-3], [0.0, 1e160], [-0.3, 0.0], [1e-170, 0.0]])
     step = make_step("gd", f, HARMONIC)
-    opts = dict(budget=50, conv_tol=1e-12, escape_radius=escape_radius, window=3)
+    opts = dict(budget=100, conv_tol=1e-12, escape_radius=escape_radius)
     with np.errstate(over="ignore"):  # the squares of the second row overflow
         res = run_batch("gd", f, HARMONIC, X0, **opts)
         for i, x0 in enumerate(X0):
@@ -765,9 +779,8 @@ def _lockstep_cases(draw):
             f = obj_mod.quadratic(np.diag(lams))
         X0 = rng.uniform(-1.0, 1.0, size=(n, len(lams))) * draw(st.sampled_from((1e-3, 1.0, 10.0)))
         X0[:on, lams < 0] = 0.0
-    opts = dict(budget=draw(st.sampled_from((1, 2, 3, 10, 60, 200))),
+    opts = dict(budget=draw(st.sampled_from((1, 2, 3, 10, 50, 51, 60, 200))),
                 conv_tol=draw(st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12, 0.0, -1.0))),
-                window=draw(st.sampled_from((1, 2, 3, 50))),
                 escape_radius=draw(st.sampled_from((-1.0, 1e-200, 0.5, 2.0, 10.0, 1e3, 1e300,
                                                     np.inf))))
     blocks = draw(st.sampled_from((1, 2, 3, 7, 64))), draw(st.sampled_from((8, 64, 1 << 14)))
@@ -795,8 +808,7 @@ def _separable(lams):
         H = np.zeros(x.shape + (d,))
         H[..., np.arange(d), np.arange(d)] = lams + 3.0 * x * x
         return H
-    return obj_mod.Objective(d, lambda x: np.sum(0.5 * lams * x * x + 0.25 * x ** 4, axis=-1),
-                             lambda x: lams * x + x * x * x, hess, vectorized=True)
+    return obj_mod.Objective(d, lambda x: lams * x + x * x * x, hess, vectorized=True)
 
 
 @st.composite
@@ -818,9 +830,8 @@ def _wide_lockstep_cases(draw):
     else:
         X0 = rng.uniform(-1.0, 1.0, size=(n, d)) * draw(st.sampled_from((1e-3, 1.0, 3.0, 10.0)))
         X0[:on, lams < 0] = 0.0
-    opts = dict(budget=draw(st.sampled_from((1, 2, 3, 10, 60, 200))),
+    opts = dict(budget=draw(st.sampled_from((1, 2, 3, 10, 50, 51, 60, 200))),
                 conv_tol=draw(st.sampled_from((1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 0.0))),
-                window=draw(st.sampled_from((1, 2, 3, 50))),
                 escape_radius=draw(st.sampled_from((0.9, 2.0, 10.0, 1e3, np.inf))))
     blocks = draw(st.sampled_from((1, 2, 3, 7, 64))), draw(st.sampled_from((8, 64, 1 << 14)))
     return method_id, _separable(lams), draw(st.sampled_from(_SCHEDULES)), X0, opts, blocks
@@ -875,8 +886,7 @@ def test_a_huge_escape_radius_stops_rows_without_a_warning():
     # The radius is a numpy scalar, whose own square overflows with a warning
     f = obj_mod.cubic_perturbed_saddle(0.1)
     X0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 2))
-    opts = dict(budget=3000, conv_tol=1e-9, escape_radius=np.float64(1e308),
-                window=mth.CONVERGENCE_WINDOW)
+    opts = dict(budget=3000, conv_tol=1e-9, escape_radius=np.float64(1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run_batch("gd", f, HARMONIC, X0, **opts)
@@ -903,7 +913,7 @@ def test_overflowing_gd_step_stops_at_its_own_step_without_a_radius():
     f = obj_mod.cubic_perturbed_saddle(0.1)
     X0 = np.array([[1e200, 1e200], [0.0, 1e160], [0.5, 1e-3]])
     step = make_step("gd", f, HARMONIC)
-    opts = dict(budget=50, conv_tol=1e-12, escape_radius=np.inf, window=3)
+    opts = dict(budget=50, conv_tol=1e-12, escape_radius=np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         res = run_batch("gd", f, HARMONIC, X0, **opts)
         for i, x0 in enumerate(X0):
@@ -922,8 +932,7 @@ def _linear_growth(grad):
     """f = -x^2/2 on R under 1/(k+2), with ``grad`` in place of -x: where the
     gradient is -x, gd's iterates are x_k = x_0 (k+2)/2, so a row escapes
     radius R at the first k with k + 2 > 2R/x_0."""
-    return obj_mod.Objective(1, lambda x: -0.5 * x[..., 0] ** 2, grad,
-                             lambda x: -np.ones(x.shape + (1,)), vectorized=True)
+    return obj_mod.Objective(1, grad, lambda x: -np.ones(x.shape + (1,)), vectorized=True)
 
 
 def _beyond(radius, how):
@@ -947,10 +956,9 @@ def test_blocks_never_show_a_step_past_a_stop(how):
     # such steps and must discard them without a warning or an exception.
     # Rows converge (x0 = 0), escape at several steps, or run out of budget
     X0 = np.array([[0.0], [0.31], [-0.47], [0.9], [1.3], [-2.1], [3.7], [0.05]])
-    opts = dict(budget=300, conv_tol=1e-12, escape_radius=20.0,
-                window=mth.CONVERGENCE_WINDOW)
+    opts = dict(budget=300, conv_tol=1e-12, escape_radius=20.0)
     grad = _beyond(opts["escape_radius"], how)
-    for f in (_linear_growth(grad), obj_mod.Objective(1, None, grad, None)):
+    for f in (_linear_growth(grad), obj_mod.Objective(1, grad, None)):
         step = make_step("gd", f, HARMONIC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -982,8 +990,7 @@ def test_blocks_warn_as_one_step_at_a_time():
 
     f = _linear_growth(grad)
     X0 = np.array([[0.201], [8 / 101.5], [-20 / 299.5], [-8 / 301.5]])
-    opts = dict(budget=400, conv_tol=1e-12, escape_radius=10.0,
-                window=mth.CONVERGENCE_WINDOW)
+    opts = dict(budget=400, conv_tol=1e-12, escape_radius=10.0)
     step = make_step("gd", f, HARMONIC)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1031,14 +1038,6 @@ def test_blocks_discard_at_most_64_updates_per_stop(monkeypatch, beyond):
     stops = {int(k) - 1 for k in res.k_final[:8]}  # the steps at which a row stopped
     assert len(stops) == 8 and sorted(set(calls)) == list(range(1500))
     assert len(calls) - 1500 <= 64 * len(stops)
-
-
-def test_run_and_run_batch_reject_window_below_one():
-    f = obj_mod.fig1()
-    with pytest.raises(MethodError, match="window"):
-        run("gd", f, HARMONIC, np.array([0.5, 0.5]), window=0)
-    with pytest.raises(MethodError, match="window"):
-        run_batch("gd", f, HARMONIC, np.array([[0.5, 0.5]]), window=0)
 
 
 def test_a_budget_of_2_to_the_63_is_a_named_error():

@@ -1,9 +1,14 @@
-"""Objective values, derivatives, and critical-point classification."""
+"""Objective derivatives, and critical-point classification.
+
+An objective carries no f; the closed-form f's in ``oracles.py`` stand in
+for it where a gradient is checked against finite differences.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import cubic_value, quadratic_value
 from saddle_escape import objectives as obj_mod
 from saddle_escape.objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE,
                                       NOT_CRITICAL, STRICT_SADDLE,
@@ -11,11 +16,19 @@ from saddle_escape.objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE,
                                       cubic_perturbed_saddle, fig1, quadratic)
 
 
+def _central_differences(value, z, h=1e-6):
+    """The gradient of ``value`` at ``z`` by central differences."""
+    e = h * np.eye(len(z))
+    return np.array([(value(*(z + e[i])) - value(*(z - e[i]))) / (2 * h)
+                     for i in range(len(z))])
+
+
 def test_quadratic_derivatives():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     f = quadratic(A)
     x = np.array([1.0, -2.0])
-    assert f.eval(x) == pytest.approx(0.5 * x @ A @ x, rel=1e-15)
+    fd = _central_differences(lambda *z: quadratic_value(A.tolist(), z), x)
+    np.testing.assert_allclose(f.grad(x), fd, rtol=1e-8)
     np.testing.assert_allclose(f.grad(x), A @ x, rtol=1e-15)
     np.testing.assert_allclose(f.hess(x), A)
     np.testing.assert_array_equal(f.grad(np.zeros(2)), np.zeros(2))  # the origin is critical
@@ -41,32 +54,32 @@ def test_quadratic_batched_gradient_matches_rows():
 def _looped_cubic():
     # the cubic's callables taken one point at a time, as a user would write them
     f = cubic_perturbed_saddle(0.3)
-    return obj_mod.Objective(2, lambda x: float(f.eval(x)), f.grad, f.hess)
+    return obj_mod.Objective(2, f.grad, f.hess)
 
 
 @pytest.mark.parametrize("make", [
     fig1, lambda: quadratic(np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, -3.0]])),
     lambda: cubic_perturbed_saddle(0.3), _looped_cubic], ids=["fig1", "dense", "cubic", "looped"])
 def test_callables_take_stacks(make):
-    # eval, grad and hess take (d,), (n, d) and (n, m, d) and give each
-    # point's values stacked: (...,), (..., d) and (..., d, d)
+    # grad and hess take (d,), (n, d) and (n, m, d) and give each point's
+    # values stacked: (..., d) and (..., d, d)
     f = make()
     d = f.dimension
     X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 3, d))
     for x in (X[0, 0], X[0], X):
         lead = x.shape[:-1]
-        E, G, H = np.asarray(f.eval(x)), f.grad(x), f.hess(x)
-        assert (E.shape, G.shape, H.shape) == (lead, lead + (d,), lead + (d, d))
+        G, H = f.grad(x), f.hess(x)
+        assert (G.shape, H.shape) == (lead + (d,), lead + (d, d))
         for i in np.ndindex(lead):
-            assert E[i] == f.eval(x[i])
             assert G[i].tobytes() == f.grad(x[i]).tobytes()
             assert H[i].tobytes() == f.hess(x[i]).tobytes()
 
 
 def test_fig1_is_x2_minus_y2():
-    f = fig1()
-    assert f.eval(np.array([3.0, 2.0])) == pytest.approx(9.0 - 4.0)
-    np.testing.assert_allclose(f.grad(np.array([3.0, 2.0])), [6.0, -4.0])
+    f, z = fig1(), np.array([3.0, 2.0])
+    fd = _central_differences(lambda x, y: quadratic_value([[2.0, 0.0], [0.0, -2.0]], [x, y]), z)
+    np.testing.assert_allclose(f.grad(z), fd, rtol=1e-8)
+    np.testing.assert_allclose(f.grad(z), [6.0, -4.0])
     np.testing.assert_allclose(f.hess(np.zeros(2)), np.diag([2.0, -2.0]))
 
 
@@ -77,12 +90,10 @@ def test_cubic_gradient_worked_value():
                                rtol=1e-15)
 
 
-def test_cubic_eval_and_hessian():
+def test_cubic_hessian():
     a = 0.1
     f = cubic_perturbed_saddle(a)
     z = np.array([0.3, -0.2])
-    expect = 0.5 * z[0] ** 2 - 0.5 * z[1] ** 2 + a * z[0] ** 2 * z[1]
-    assert f.eval(z) == pytest.approx(expect, rel=1e-15)
     np.testing.assert_allclose(f.hess(np.zeros(2)), np.diag([1.0, -1.0]))
     H = f.hess(z)
     np.testing.assert_allclose(H, H.T)
@@ -94,13 +105,9 @@ def test_cubic_eval_and_hessian():
 @given(a=st.floats(-0.5, 0.5), x=st.floats(-2, 2), y=st.floats(-2, 2))
 def test_cubic_gradient_is_fd_consistent(a, x, y):
     f = cubic_perturbed_saddle(a) if a != 0 else cubic_perturbed_saddle(0.1)
-    z = np.array([x, y])
-    h = 1e-6
-    fd = np.array([
-        (f.eval(z + [h, 0]) - f.eval(z - [h, 0])) / (2 * h),
-        (f.eval(z + [0, h]) - f.eval(z - [0, h])) / (2 * h),
-    ])
-    np.testing.assert_allclose(f.grad(z), fd, atol=1e-7, rtol=1e-6)
+    fd = _central_differences(lambda x, y: cubic_value(x, y, f.cubic_coefficient),
+                              np.array([x, y]))
+    np.testing.assert_allclose(f.grad(np.array([x, y])), fd, atol=1e-7, rtol=1e-6)
 
 
 def test_cubic_batched_gradient_matches_rows():
@@ -145,17 +152,26 @@ def test_classify_respects_tolerances():
 
 
 def test_custom_objective_dimension_check():
-    f = obj_mod.Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
-                          lambda x: np.zeros((2, 2)))
+    f = obj_mod.Objective(2, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)))
     with pytest.raises(obj_mod.ObjectiveError):
         f.grad(np.zeros(3))
+
+
+def test_vectorized_is_keyword_only():
+    # an objective has no f: a call that still passes one, or passes
+    # vectorized by position, would bind its callables to the wrong roles
+    f = cubic_perturbed_saddle(0.1)
+    with pytest.raises(TypeError):
+        obj_mod.Objective(2, lambda x: 0.0, f.grad, f.hess)
+    with pytest.raises(TypeError):
+        obj_mod.Objective(2, f.grad, f.hess, True)
 
 
 @pytest.mark.parametrize("make", [fig1, _looped_cubic], ids=["fig1", "looped"])
 @pytest.mark.parametrize("x", [np.float64(1.0), np.array(1.0)], ids=["scalar", "0-d"])
 def test_a_0d_point_is_an_objective_error(make, x):
     f = make()
-    for call in (f.eval, f.grad, f.hess):
+    for call in (f.grad, f.hess):
         with pytest.raises(obj_mod.ObjectiveError, match=r"shape \(\)"):
             call(x)
 
@@ -164,6 +180,6 @@ def test_looped_callables_take_an_empty_stack():
     # an empty stack gives fig1's shapes, not apply_along_axis's ValueError
     f, g = fig1(), _looped_cubic()
     for x, lead in ((np.zeros((0, 2)), (0,)), (np.zeros((3, 0, 2)), (3, 0))):
-        shapes = [lead, lead + (2,), lead + (2, 2)]
-        assert [np.shape(f.eval(x)), f.grad(x).shape, f.hess(x).shape] == shapes
-        assert [g.eval(x).shape, g.grad(x).shape, g.hess(x).shape] == shapes
+        shapes = [lead + (2,), lead + (2, 2)]
+        assert [f.grad(x).shape, f.hess(x).shape] == shapes
+        assert [g.grad(x).shape, g.hess(x).shape] == shapes

@@ -1,5 +1,6 @@
 """Every public name resolves: each module's ``__all__``, the package's imports,
-and each library function the benchmark's tracer wraps by name."""
+and each library function the benchmark's tracer wraps by name.  Retired
+names stay retired."""
 
 import ast
 import importlib
@@ -30,6 +31,15 @@ def test_every_name_the_package_imports_resolves():
     for module, attr in imports:
         assert getattr(saddle_escape, attr) is \
             getattr(importlib.import_module(f"saddle_escape.{module}"), attr)
+
+
+def test_retired_names_stay_retired():
+    # no run reached the table kind or f itself; a test-side TableSchedule
+    # in tests/reference.py carries the table case that C09 checks
+    schedules = importlib.import_module("saddle_escape.schedules")
+    for module in (saddle_escape, schedules):
+        assert not {"table", "TableSchedule"} & set(dir(module))
+    assert not hasattr(saddle_escape.Objective, "eval")
 
 
 def test_every_traced_function_exists():
