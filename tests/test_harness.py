@@ -569,10 +569,12 @@ INTRINSIC = "manifold-intrinsic"
     ("avoidance", {"objective": {"name": "quadratic", "matrix": "x"}}),
     ("avoidance", {"schedule": {"kind": "power", "c": "x", "p": 1.0, "offset": 2}}),
     ("avoidance", {"schedule": {"kind": "geometric", "c": 1, "r": "x"}}),
+    # table is no longer a schedule kind: both configs are unknown-kind errors
+    ("avoidance", {"schedule": {"kind": "table", "values": ["a"], "tail": BASE["schedule"]}}),
     ("avoidance", {"schedule": {"kind": "constant", "c": math.inf}}),
     ("avoidance", {"schedule": {"kind": "power", "c": True, "p": 1.0, "offset": 2}}),
     ("avoidance", {"schedule": {"kind": "geometric", "c": 0.1, "r": None}}),
-    ("avoidance", {"schedule": {"kind": "table", "values": [0.5], "tail": BASE["schedule"]}}),
+    ("avoidance", {"schedule": {"kind": "table", "values": [True], "tail": BASE["schedule"]}}),
     ("avoidance", {"output_dir": 5}),
     ("avoidance", {"output_dir": "taken"}),
     ("run", {"experiment": "single_run", "init": [1.0, 2.0], "output_dir": "taken"}),
@@ -621,8 +623,8 @@ INTRINSIC = "manifold-intrinsic"
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
-        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text",
-        "constant-c-inf", "power-c-true", "geometric-r-null", "table-kind",
+        "cubic-a-text", "matrix-text", "power-c-text", "geometric-r-text", "table-values-text",
+        "constant-c-inf", "power-c-true", "geometric-r-null", "table-values-true",
         "output_dir-int", "avoidance-output_dir-file", "run-output_dir-file",
         "fig1-output_dir-file", "chart-output_dir-file", "chart-method-prox",
         "chart-metric", "grid_halfwidth-beyond-delta", "fig1-method-prox", "fig1-metric",
