@@ -102,7 +102,8 @@ class PerronProblem:
         Vanishing step sizes alpha_k.
     eta : callable (ks, Z) -> matrix
         Remainder in the diagonal frame, row i is eta(ks[i], Z[i]), and
-        eta(k, 0) = 0.
+        eta(k, 0) = 0.  Z and the result may have either layout; the
+        solver hands it column-major sequences (see :func:`apply_T`).
     delta : float
         Radius of the certified neighborhood B(0, delta).
     epsilon : float
@@ -125,6 +126,10 @@ class PerronProblem:
     for k = 0..N and the scan runs (inverse unstable factors run backward).
     ``tail_tol`` reads ``DEFAULT_TAIL_TOL``, the target ``tail_estimate`` is
     measured against.
+
+    Sequences are column-major (Fortran-ordered) (N+1, d) arrays, and the
+    eta of :func:`remainder_from_objective` takes its frame products on their
+    transposes with C-contiguous frame matrices: see :func:`apply_T`.
     """
 
     split: SpectralSplit
@@ -353,7 +358,20 @@ def _eta_all(prob: PerronProblem, U: np.ndarray) -> np.ndarray:
 def apply_T(prob: PerronProblem, x0_plus, u) -> np.ndarray:
     """One application of the Lyapunov-Perron operator T to the sequence u.
 
-    u and the result are (N+1, d) arrays, row k the entry u_k.
+    u and the result are (N+1, d) arrays, row k the entry u_k.  u may have
+    either layout; the result is column-major, as every sequence of the
+    solver is, so each coordinate's N+1 entries are contiguous and no
+    elementwise step loops over the d axis.  The frame products of
+    :func:`remainder_from_objective` run on the sequences' transposes,
+    ``Q_inv @ Z.T`` for ``Z @ Q_inv.T``, with C-contiguous frame matrices,
+    because OpenBLAS takes a slower path for an operand that is a transposed
+    view.  On the default chart's (3018, 2) arrays (numpy 2.4.6, OpenBLAS
+    0.3.31 on one thread) that product takes 3.0 us against 12.5 us,
+    x* + w 6.0 us against 19.3 us and alpha_k * psi 5.2 us against 12.3 us.
+    From two rows on both orders of a product give the same bits (one row
+    runs another BLAS kernel), so the layer keeps the row-major bits for an
+    objective whose gradient rounds the same for either layout of its
+    points, as the built-in ones do (a matrix-vector product may not).
 
     In the diagonal frame, with B/C the coordinate-wise products of
     (1 - alpha_j lambda) over the stable/unstable blocks:
@@ -396,14 +414,18 @@ def _scan_T(prob: PerronProblem, xp: np.ndarray, E: np.ndarray) -> np.ndarray:
     stable v+_{k+1} = f_k v+_k + eta+_k forward from v+_0 = xp, and the
     unstable t_m = (eta-_m + t_{m+1}) / g_m from t_{N+1} = 0, v-_m = -t_m,
     as the same recursion run backward with factors 1/g_m and inputs
-    eta-_m / g_m.  Entry 0 drops the (N, 0) term eta-_N / prod_{j<=N} g_j."""
-    S, Uix = prob.split.stable_indices, prob.split.unstable_indices
-    V = np.empty_like(E)
+    eta-_m / g_m.  Entry 0 drops the (N, 0) term eta-_N / prod_{j<=N} g_j.
+    The eigenvalues descend, so E^s is the first d_s coordinates and each
+    block is a slice: the scans write into column views of V."""
+    d_s = len(prob.split.stable_indices)
+    S, Uix = slice(0, d_s), slice(d_s, None)
+    V = np.empty(E.shape, order="F")
     V[0, S] = xp
-    V[1:, S] = _scan(prob.stable_runs, xp, E[:-1, S])
+    _scan(prob.stable_runs, xp, E[:-1, S], V[1:, S])
     # row r of the backward scan is t_{N-r}
-    t = _scan(prob.unstable_runs, np.zeros(len(Uix)), E[::-1, Uix] / prob.factors[::-1, Uix])
-    V[::-1, Uix] = 0.0 - t  # not -t: a zero entry stays +0.0
+    t = E[::-1, Uix] / prob.factors[::-1, Uix]
+    _scan(prob.unstable_runs, np.zeros(t.shape[1]), t, t)
+    np.subtract(0.0, t, out=V[::-1, Uix])  # not -t: a zero entry stays +0.0
     dropped = E[-1, Uix]
     for _, _, P in prob.unstable_runs:
         dropped = dropped * P[-1]
@@ -411,16 +433,20 @@ def _scan_T(prob: PerronProblem, xp: np.ndarray, E: np.ndarray) -> np.ndarray:
     return V
 
 
-def _scan(runs: list, v: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Rows v_1..v_n of v_{k+1} = f_k v_k + E[k] from v_0 = v, for factors
-    f_k in (0, 1] whose cumprods per run (a, b, P) are ``runs``: within a
-    run, v_{k+1} = P_k (v_a + sum_{a<=i<=k} E[i] / P_i), and the state is
-    carried across each cut."""
-    out = np.empty_like(E)
+def _scan(runs: list, v: np.ndarray, E: np.ndarray, out: np.ndarray) -> None:
+    """Write rows v_1..v_n of v_{k+1} = f_k v_k + E[k] from v_0 = v into
+    ``out``, which may be E itself, for factors f_k in (0, 1] whose
+    cumprods per run (a, b, P) are ``runs``: within a run, v_{k+1} =
+    P_k (v_a + sum_{a<=i<=k} E[i] / P_i), and the state is carried across
+    each cut.  Each step runs in place; a sum and a product round the same
+    in either operand order."""
     for a, b, P in runs:
-        out[a:b] = P * (v + np.cumsum(E[a:b] / P, axis=0))
-        v = out[b - 1]
-    return out
+        seg = out[a:b]
+        np.divide(E[a:b], P, out=seg)
+        np.cumsum(seg, axis=0, out=seg)
+        seg += v
+        seg *= P
+        v = seg[-1]
 
 
 class StablePointResult(NamedTuple):
@@ -444,7 +470,7 @@ def solve_stable_point(prob: PerronProblem, x0_plus, fp_tol: float = DEFAULT_FP_
     """
     _check_fp_budget(fp_budget)
     xp = _as_stable_vector(prob, x0_plus)
-    u = np.zeros((prob.horizon + 1, prob.dimension))
+    u = np.zeros((prob.horizon + 1, prob.dimension), order="F")
     history: list = []
     for j in range(fp_budget):
         v = apply_T(prob, xp, u)
@@ -488,6 +514,8 @@ def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
     if steps < 0 or steps >= 1 << 63 or not radius > 0:
         raise LyapunovError("the raw dynamics need steps >= 0, steps < 2^63 and a "
                             f"positive radius, got {steps} and {radius}")
+    # rotations on the transposed views, unlike apply_T: a one-row product takes
+    # another BLAS kernel, and iterate_raw's bits on a dense frame rest on this one
     res = _advance(prob.dynamics, Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, path)
     exits = np.where(np.array(res.terminal) == ESCAPED_REGION, res.k_final, -1)
     return exits, res.final @ prob.split.Q.T, res.message
@@ -898,15 +926,17 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
             f"x_star is not a critical point: |grad| = {np.linalg.norm(g_star):.3e}")
     H = np.asarray(obj.hess(x_star), dtype=float)
     sp = split(H)  # _certify and the problem reject an empty stable or unstable block
-    Q, Qi = sp.Q, sp.Q_inv
+    # products on the sequences' transposes, M @ Z.T = (Z @ M.T).T with the same
+    # bits from two rows on, with contiguous operands; see apply_T
+    Q, Qi, H = (np.ascontiguousarray(M) for M in (sp.Q, sp.Q_inv, H))
 
     def psi_batch(Z: np.ndarray) -> np.ndarray:
-        W = Z @ Qi.T
+        Wt = Qi @ Z.T
         # H w - grad, not -(grad - H w): a zero remainder stays +0.0
-        return (W @ H.T - np.asarray(obj.grad(x_star[None, :] + W))) @ Q.T
+        return (Q @ (H @ Wt - np.asarray(obj.grad(x_star + Wt.T)).T)).T
 
     def eta(ks, Z):  # k <= N: prob, built below, holds alpha_0..alpha_N
-        return prob.alphas[np.asarray(ks)][:, None] * psi_batch(np.asarray(Z, dtype=float))
+        return (prob.alphas[np.asarray(ks)] * psi_batch(np.asarray(Z, dtype=float)).T).T
 
     if epsilon is not None:  # epsilon's source, delta -> epsilon, and the remainder's order
         modulus, order = (lambda _: float(epsilon)), 1

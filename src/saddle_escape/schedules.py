@@ -107,8 +107,9 @@ class StepSchedule:
             raise NotImplementedError(f"{type(self).__name__} declares no fields")
         return {"kind": self.kind, **{name: getattr(self, name) for name in self.fields}}
 
-    def __repr__(self) -> str:  # pragma: no cover - convenience only
-        return f"<{type(self).__name__} {self.to_config()}>"
+    def __repr__(self) -> str:  # a family with no fields shows its class name only
+        name = type(self).__name__
+        return f"<{name} {self.to_config()}>" if self.fields else f"<{name}>"
 
 
 class PowerSchedule(StepSchedule):

@@ -21,6 +21,10 @@ recursions, one entry at a time, for the segmented cumprod scan behind
 norms of ``apply_T`` and ``sup_distance``.  It steps the library's own
 operator (``_scan_T``), so it checks the loop and its norms, not the scan.
 
+``reference_eta`` is the remainder of ``remainder_from_objective`` as
+row-major products on transposed views, the bit reference for its eta,
+which takes the same products on column-major sequences.
+
 ``reference_shoot`` refines a shooting bracket with one lockstep call per
 round and no look-ahead: the bit and error reference for
 ``lyapunov_perron.shooting_oracle``, whose calls also step the round after.
@@ -171,6 +175,16 @@ def reference_solve(prob, x0_plus, fp_tol, fp_budget):
             return StablePointResult(u[0, prob.split.unstable_indices].copy(), u, r, j + 1,
                                      history)
     raise LyapunovError(f"Picard iteration did not reach fp_tol={fp_tol:g}")
+
+
+def reference_eta(obj, x_star, split_, alphas, ks, Z):
+    """eta(k, z) = alpha_k (H w - grad f(x* + w)) Q^T with w = z Q_inv^T and H
+    the Hessian at x*, for the rows z of Z at the steps ks, by row-major
+    products on the transposed views ``Q_inv.T``, ``H.T`` and ``Q.T``."""
+    H = np.asarray(obj.hess(x_star), dtype=float)
+    W = Z @ split_.Q_inv.T
+    return alphas[ks][:, None] * (
+        (W @ H.T - np.asarray(obj.grad(x_star[None, :] + W))) @ split_.Q.T)
 
 
 def reference_shoot(prob, x0_plus, bracket, steps, width):

@@ -17,8 +17,8 @@ from oracles import (k1_recursion, k2_exact_constant, k2_partial_power_harmonic,
                      weighted_forward_sums, weighted_tail_bound, weighted_tail_sum,
                      weights)
 import reference
-from reference import (reference_scan_T, reference_shoot, self_consistency_error,
-                       validate_remainder)
+from reference import (reference_eta, reference_scan_T, reference_shoot,
+                       self_consistency_error, validate_remainder)
 
 from saddle_escape import lyapunov_perron as lp
 from saddle_escape import methods
@@ -376,6 +376,75 @@ def test_picard_solves_match_the_norm_loop_bit_for_bit(name):
             assert _bits(getattr(res, field)) == _bits(getattr(ref, field)), field
         iterations.append(res.iterations)
     assert max(iterations) >= 4
+
+
+def rotated_saddle(eigenvalues, cubic):
+    """f = sum_i lambda_i y_i^2 / 2 + cubic * y_0^2 y_{d-1} in the coordinates
+    y = x R of a seeded dense rotation R, a saddle whose frame is dense; with
+    cubic = 0 it is the rotated quadratic, built by ``quadratic``.  Its
+    gradient takes products with whole matrices only, which round the same
+    for either layout of its points."""
+    d, ev = len(eigenvalues), np.asarray(eigenvalues, dtype=float)
+    R = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))[0]
+    if not cubic:
+        return obj_mod.quadratic(R @ np.diag(ev) @ R.T)
+
+    def _grad(x):
+        y = x @ R
+        g = y * ev
+        g[..., 0] += 2.0 * cubic * y[..., 0] * y[..., -1]
+        g[..., -1] += cubic * y[..., 0] ** 2
+        return g @ R.T
+
+    def _hess(x):
+        y = x @ R
+        h = np.broadcast_to(np.diag(ev), x.shape[:-1] + (d, d)).copy()
+        h[..., 0, 0] += 2.0 * cubic * y[..., -1]
+        h[..., 0, -1] += 2.0 * cubic * y[..., 0]
+        h[..., -1, 0] += 2.0 * cubic * y[..., 0]
+        return R @ h @ R.T
+
+    return obj_mod.Objective(d, _grad, _hess, vectorized=True)
+
+
+@pytest.mark.parametrize("eigenvalues,cubic", [
+    ((1.0, -1.0), 0.0), ((1.0, -1.0), 0.1), ((1.0, 0.8, -0.9, -1.1), 0.1),
+], ids=["rotated-quadratic", "rotated-cubic", "rotated-4d"])
+def test_picard_layout_keeps_the_bits(eigenvalues, cubic):
+    # sequences are column-major and the frame products run on contiguous
+    # operands; neither the layout of an input nor that of the products
+    # moves a bit, from two rows on (OpenBLAS's kernels)
+    f = rotated_saddle(eigenvalues, cubic)
+    x_star = np.zeros(f.dimension)
+    prob, _ = remainder_from_objective(f, x_star, HARMONIC, epsilon=0.05)
+    assert np.all(np.abs(prob.split.Q) > 1e-3)  # a dense frame
+    n, d_s = prob.horizon + 1, len(prob.split.stable_indices)
+    ks = np.arange(n)
+    U = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, f.dimension)) * prob.delta / 4
+    for m in (2, 3, 17, n):
+        ref = reference_eta(f, x_star, prob.split, prob.alphas, ks[:m], U[:m])
+        for Z in (U[:m], np.asfortranarray(U[:m])):
+            assert _bits(prob.eta(ks[:m], Z)) == _bits(ref)
+
+    xp = np.full(d_s, prob.delta / (4 * np.sqrt(d_s)))
+    V = apply_T(prob, xp, U)
+    assert V.flags.f_contiguous
+    assert _bits(apply_T(prob, xp, np.asfortranarray(U))) == _bits(V)
+    E = prob.eta(ks, U)
+    assert _bits(lp._scan_T(prob, xp, np.ascontiguousarray(E))) == _bits(lp._scan_T(prob, xp, E))
+
+    # the same solve on the row-major eta, which reads and returns row-major arrays
+    def row_major_eta(ks, Z):
+        return reference_eta(f, x_star, prob.split, prob.alphas, ks, np.ascontiguousarray(Z))
+
+    row_major = PerronProblem(split=prob.split, schedule=HARMONIC, eta=row_major_eta,
+                              delta=prob.delta, epsilon=prob.epsilon, horizon=prob.horizon)
+    res, ref = solve_stable_point(prob, xp), solve_stable_point(row_major, xp)
+    assert res.sequence.flags.f_contiguous
+    if cubic:  # the rotated quadratic's remainder is (near) zero, and its solve short
+        assert np.any(E != 0.0) and res.iterations >= 4
+    for field in ("x0_minus", "residual", "history", "sequence"):
+        assert _bits(getattr(res, field)) == _bits(getattr(ref, field)), field
 
 
 # ---------------------------------------------------------------------------

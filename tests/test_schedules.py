@@ -44,6 +44,13 @@ def test_table_splices_head_then_tail():
     assert t.value(2) == 0.5
 
 
+def test_repr_shows_the_config_or_the_class_name():
+    assert repr(sch.power(1.0, 1.0, 2)) == \
+        "<PowerSchedule {'kind': 'power', 'c': 1.0, 'p': 1.0, 'offset': 2}>"
+    # a family that declares no fields has no config; C09's messages show it all the same
+    assert repr(TableSchedule([0.2, 0.1], sch.power(1, 1, 20))) == "<TableSchedule>"
+
+
 def test_classification():
     assert sch.power(1.0, 1.0, 2).classify_sum() == sch.DIVERGENT
     assert sch.power(1.0, 0.5, 1).classify_sum() == sch.DIVERGENT

@@ -2,8 +2,9 @@
 
 Runs, in this one process and with ``sys.settrace`` watching every call:
 
-- the four CLI subcommands on the small configs of CI's Demos step, its two
-  cubic avoidance configs, its configs that must exit 2, and ``--help``
+- the four CLI subcommands on the small configs of CI's Demos step, its
+  prox, sphere and metric avoidance configs, its two cubic avoidance
+  configs, its configs that must exit 2, and ``--help``
 - the five demos, each as ``python demos/<name>.py`` would run it
 - one pass of each perfbench workload at seed 0, through
   ``perfbench/workloads.py`` as it stands
@@ -35,13 +36,20 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "saddle_escape"
 
-# CI's Demos step: the configs each subcommand runs once, the two cubic
-# avoidance configs, and the configs that are named config errors (exit 2)
+# CI's Demos step: the configs each subcommand runs once, the prox, sphere
+# and metric avoidance configs, the two cubic avoidance configs, and the
+# configs that are named config errors (exit 2)
 CLI_RUNS = [
     ("run", {"experiment": "single_run", "init": [0.5, 0.001], "budget": 2000}, 0),
     ("avoidance", {"experiment": "avoidance", "trials": 10, "budget": 2000}, 0),
     ("fig1", {"experiment": "fig1"}, 0),
     ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1}}, 0),
+    ("avoidance", {"experiment": "avoidance", "method_id": "prox",
+                   "objective": {"name": "cubic", "a": 0.1}, "trials": 10, "budget": 2000}, 0),
+    ("avoidance", {"experiment": "avoidance", "method_id": "manifold-sphere",
+                   "objective": {"name": "fig1"}, "trials": 10, "budget": 2000}, 0),
+    ("avoidance", {"experiment": "avoidance", "method_id": "manifold-intrinsic",
+                   "metric": [[2, 0], [0, 1]], "trials": 10, "budget": 2000}, 0),
     ("avoidance", {"experiment": "avoidance", "objective": {"name": "cubic", "a": 0.1},
                    "trials": 20, "budget": 5000}, 0),
     ("avoidance", {"experiment": "avoidance", "objective": {"name": "cubic", "a": 0.1},
