@@ -41,7 +41,7 @@ from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, DEFAULT_BUDGET, DEFA
                       DEFAULT_ESCAPE_RADIUS, ESCAPED_REGION, STEP_ERROR, MethodError,
                       RiemannianMetric, TrajectoryRecord, _recursion, _row_sq_sums, run,
                       run_batch)
-from .objectives import Objective, classify_critical_point
+from .objectives import Objective, _require_critical, classify_critical_point
 
 __all__ = [
     "ConfigError",
@@ -466,7 +466,7 @@ def chart_experiment(cfg: ExperimentConfig):
     ExperimentAssertionError carrying the largest certifiable epsilon.  The
     method is gd, mirror-euclidean or metric-less manifold-intrinsic, the
     ids that run gd's recursion (ExperimentConfig rejects any other).  A
-    grid_halfwidth above delta/2, which ``chart`` rejects, is a ConfigError.
+    non-critical critical_point or a grid_halfwidth above delta/2 is a ConfigError.
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -489,6 +489,8 @@ def chart_experiment(cfg: ExperimentConfig):
     x_star = cfg.chart.get("critical_point")
     if x_star is None:  # every objective build_objective makes has its saddle at the origin
         x_star = np.zeros(obj.dimension)
+    x_star = _reals(x_star, "chart.critical_point", (obj.dimension,))
+    _require_critical(obj, x_star, ConfigError, "chart.critical_point")
     points = option("grid_points", int).get("grid_points", 11)
     if points > _MAX_GRID_POINTS:
         raise ConfigError(f"chart.grid_points must be at most {_MAX_GRID_POINTS}, got {points!r}")
@@ -496,8 +498,7 @@ def chart_experiment(cfg: ExperimentConfig):
     solve_options = {**option("fp_tol"), **option("fp_budget", int)}
     try:
         prob, cert = remainder_from_objective(
-            obj, _reals(x_star, "chart.critical_point", (obj.dimension,)), schedule,
-            method=cfg.method_id, **option("delta0"),
+            obj, x_star, schedule, method=cfg.method_id, **option("delta0"),
             **option("epsilon", zero_ok=True, nullable=True),
             **option("max_halvings", int, zero_ok=True),
             **option("horizon", int, nullable=True), **option("horizon_cap", int))

@@ -28,7 +28,7 @@ the one formula for K, and a PerronProblem works out its own tail bound.
 
 Everything in this module works in the diagonal frame (coordinates z = Q x of
 :class:`~saddle_escape.spectral.SpectralSplit`); conversion happens at the
-boundary, in :func:`remainder_from_objective`.
+boundary, in :func:`remainder_from_objective` and in the raw dynamics.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .methods import ESCAPED_REGION, _advance, _recursion, _row_sq_sums, _update
-from .objectives import DEFAULT_GRAD_TOL, Objective
+from .objectives import Objective, _require_critical
 from .schedules import StepSchedule
 from .spectral import SpectralSplit, split
 
@@ -114,10 +114,12 @@ class PerronProblem:
     order : int
         1 for a remainder with only its Lipschitz modulus, 2 for one of
         quadratic order (see :func:`tail_horizon`).
-    dynamics : callable (k, Y) -> (Y_next, error), optional
-        The method's own step on rows y = x - x*, a ``methods._update``
-        closure; the raw dynamics run it.  Set by remainder_from_objective;
-        a hand-built problem has none.
+    dynamics : callable (k, X) -> (X_next, error), optional
+        The method's own step on rows x, the ``methods._update`` closure that
+        ``run_batch`` steps; the raw dynamics run it.  Set by
+        remainder_from_objective; a hand-built problem has none.
+    x_star : ndarray, optional
+        The critical point x*, set with ``dynamics`` or not at all (see :func:`_raw_run`).
 
     Built once: ``tail_estimate``, ``horizon_capped`` and ``decay_rate`` by
     :func:`tail_horizon`, which raises unless alpha_0 * lambda_max < 1 and
@@ -140,6 +142,7 @@ class PerronProblem:
     horizon: int
     order: int = 1
     dynamics: Optional[Callable] = None
+    x_star: Optional[np.ndarray] = None
     tail_estimate: float = field(init=False)
     horizon_capped: bool = field(init=False)
     decay_rate: float = field(init=False)
@@ -154,6 +157,8 @@ class PerronProblem:
             raise LyapunovError(f"delta must be positive, got {self.delta}")
         if self.epsilon < 0:
             raise LyapunovError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if (self.dynamics is None) != (self.x_star is None):  # the raw dynamics need both
+            raise LyapunovError("dynamics and x_star are set together or not at all")
         # raises unless alpha_0 * lambda_max < 1: every factor the scan reads lies in (0, 1]
         _, self.tail_estimate, self.horizon_capped, self.decay_rate = tail_horizon(
             self.split, self.schedule, self.epsilon, self.delta, order=self.order,
@@ -498,11 +503,11 @@ def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
              path: Optional[list] = None) -> tuple[np.ndarray, np.ndarray, list]:
     """Advance the rows of Z0 in lockstep by ``prob.dynamics`` on ``methods._advance``.
 
-    Rows run in y = z Q_inv^T and map back by z = y Q^T; Q is orthonormal,
-    so ||y_k|| = ||z_k||.  Returns (exits, Z, failures): per row the first
-    k <= steps with ||z_k|| > radius (-1 if none), z at that k (at ``steps``
-    if none) and the message of its failed step (None if none; see
-    :func:`_raise_failure`).  ``path`` collects (k, Y) for every k.  A
+    Rows run as the method's own iterates x = x* + z Q_inv^T, those ``run_batch``
+    takes from there, and map back by z = (x - x*) Q^T.  Returns (exits, Z, failures):
+    per row the first k <= steps with ||x_k - x*|| > radius (||z_k|| for an orthonormal
+    Q; -1 if none), z at that k (at ``steps`` if none) and the message of its failed
+    step (None if none; see :func:`_raise_failure`).  ``path`` collects (k, X) for every k.  A
     ``steps`` that is not an integer (a bool is not one) or lies outside
     [0, 2^63), and a radius that is NaN or not positive, raise LyapunovError.
     """
@@ -516,9 +521,10 @@ def _raw_run(prob: PerronProblem, Z0: np.ndarray, steps: int, radius: float,
                             f"positive radius, got {steps} and {radius}")
     # rotations on the transposed views, unlike apply_T: a one-row product takes
     # another BLAS kernel, and iterate_raw's bits on a dense frame rest on this one
-    res = _advance(prob.dynamics, Z0 @ prob.split.Q_inv.T, steps, 0.0, radius, path)
+    res = _advance(prob.dynamics, prob.x_star + Z0 @ prob.split.Q_inv.T, steps, 0.0, radius,
+                   path, centre=prob.x_star)
     exits = np.where(np.array(res.terminal) == ESCAPED_REGION, res.k_final, -1)
-    return exits, res.final @ prob.split.Q.T, res.message
+    return exits, (res.final - prob.x_star) @ prob.split.Q.T, res.message
 
 
 def _raise_failure(failures: list) -> None:
@@ -532,12 +538,12 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
                 stop_radius: Optional[float] = None) -> tuple[np.ndarray, Optional[int]]:
     """Run the method's own step (``prob.dynamics``) from x0 in the diagonal frame.
 
-    Returns (trajectory, exit_step); exit_step is the first k with
-    ||z_k|| > stop_radius, or None if the trajectory stayed inside for all
-    num_steps (trajectory then has num_steps+1 rows).  A hand-built
-    problem, a num_steps that is not an integer or lies outside [0, 2^63),
-    a stop_radius that is NaN or not positive and a failed step (a
-    non-finite iterate, say) raise LyapunovError.
+    Returns (trajectory, exit_step): the iterates x as z = (x - x*) Q^T and
+    the first k with ||x_k - x*|| > stop_radius (see :func:`_raw_run`), or
+    None if the trajectory stayed inside for all num_steps (trajectory then
+    has num_steps+1 rows).  A hand-built problem, a num_steps that is not an
+    integer or lies outside [0, 2^63), a stop_radius that is NaN or not
+    positive and a failed step (a non-finite iterate, say) raise LyapunovError.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (prob.dimension,):
@@ -546,7 +552,7 @@ def iterate_raw(prob: PerronProblem, x0, num_steps: int,
     exits, _, failures = _raw_run(prob, x[None], num_steps,
                                   math.inf if stop_radius is None else stop_radius, path)
     _raise_failure(failures)
-    traj = np.concatenate([Y for _, Y in path]) @ prob.split.Q.T
+    traj = (np.concatenate([X for _, X in path]) - prob.x_star) @ prob.split.Q.T
     return traj, (int(exits[0]) if exits[0] >= 0 else None)
 
 
@@ -555,9 +561,9 @@ def shooting_oracle(prob: PerronProblem, x0_plus, bracket: float, steps: int,
     """Independent chart value by bracket refinement on the raw dynamics.
 
     Requires a one-dimensional unstable block and ``prob.dynamics``, the
-    method's own step.  Refines the unstable
-    coordinate c in [-bracket, +bracket] on the signed outcome of "does the
-    trajectory from (x0_plus, c) leave B(0, delta) (||z_k|| > delta)
+    method's own step.  Refines the unstable coordinate c in
+    [-bracket, +bracket] on the signed outcome of "does the trajectory from
+    (x0_plus, c) leave the ball ||x_k - x*|| <= delta (see :func:`_raw_run`)
     upward or downward within `steps` iterations"; trajectories that stay
     bounded for the whole horizon are treated as not-yet-escaped-downward,
     so the refinement converges to the lower edge of the bounded zone
@@ -904,9 +910,9 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     invalid.  Unless ``horizon`` is given, :func:`tail_horizon` searches
     for it.  The problem gets that
     ``horizon`` and ``order`` and works out its own ``tail_estimate`` and
-    ``horizon_capped``; the method's own step on y = x - x* is its
-    ``dynamics``.  Its ``eta`` reads alpha_k from the problem's ``alphas``,
-    so it takes k <= N only.
+    ``horizon_capped``; its ``dynamics`` is the update ``run_batch`` steps and
+    its ``x_star`` the critical point.  Its ``eta`` reads alpha_k from the
+    problem's ``alphas``, so it takes k <= N only.
 
     Returns (PerronProblem, ContractionCertificate).  ``method`` is an id
     whose recursion is gd's: gd, mirror-euclidean or manifold-intrinsic.  The
@@ -920,10 +926,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     if max_halvings < 0:
         raise LyapunovError(f"max_halvings must be >= 0, got {max_halvings}")
     x_star = np.asarray(x_star, dtype=float)
-    g_star = np.asarray(obj.grad(x_star), dtype=float)
-    if float(np.linalg.norm(g_star)) > DEFAULT_GRAD_TOL:
-        raise LyapunovError(
-            f"x_star is not a critical point: |grad| = {np.linalg.norm(g_star):.3e}")
+    _require_critical(obj, x_star, LyapunovError, "x_star")
     H = np.asarray(obj.hess(x_star), dtype=float)
     sp = split(H)  # _certify and the problem reject an empty stable or unstable block
     # products on the sequences' transposes, M @ Z.T = (Z @ M.T).T with the same
@@ -962,12 +965,9 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     if horizon is None:
         horizon = tail_horizon(sp, schedule, eps_val, delta, order=order,
                                horizon_cap=horizon_cap).horizon
-    # obj's raw callables, which take stacks; the steps check no point (see methods._update)
-    shifted = Objective(sp.dimension, lambda y: obj._grad(x_star + y),
-                        lambda y: obj._hess(x_star + y), vectorized=True)
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=horizon, order=order,
-                         dynamics=_update(method, shifted, schedule))
+                         dynamics=_update(method, obj, schedule), x_star=x_star)
     return prob, cert
 
 

@@ -437,15 +437,16 @@ def _newton(obj: Objective, schedule: StepSchedule):
 
 
 def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius: float,
-             path: list | None = None, stride: int = 1) -> BatchResult:
+             path: list | None = None, stride: int = 1, *, centre=0.0) -> BatchResult:
     """Advance the rows of ``X0`` in lockstep until each one stops.
 
-    One ``update(k, X)``, which never raises, per k over the still-active
-    rows; finished rows leave the active set.  Each row stops at the first
-    of: step error at k (final state x_k), escape, Cauchy window, budget.
-    With ``path``, ``(k, X)`` is appended for k = 0 and every ``stride``-th
-    k, X being the rows that were active for that step.  An empty ``X0``
-    takes no step.  A NaN ``escape_radius`` and a budget of 2^63 or more
+    One ``update(k, X)``, which never raises, per k over the still-active rows;
+    finished rows leave the active set.  Each row stops at the first of: step
+    error at k (final state x_k), escape (||x_k - centre|| > escape_radius; the
+    raw dynamics' centre is x*, and x - 0.0 is x, bit for bit), Cauchy window,
+    budget.  With ``path``, ``(k, X)`` is appended for k = 0 and every
+    ``stride``-th k, X being the rows that were active for that step.  An empty
+    ``X0`` takes no step.  A NaN ``escape_radius`` and a budget of 2^63 or more
     raise ``MethodError``; an infinite radius stops a row at inf only on the
     step error ``error(j)`` names.
 
@@ -528,7 +529,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
             kept, a = len(states), len(X)
             if kept:  # each step's row sums of squares and of squared motions
                 S = np.concatenate([X] + [state for state, _ in states])
-                R = ((S[a:] * S[a:]) @ ones).reshape(kept, a)
+                R = (np.square(S[a:] - centre) @ ones).reshape(kept, a)
                 ok = np.maximum.reduce(R, axis=1) <= below  # inf and NaN fail both tests
                 if moving:
                     D = S[a:] - S[:-a]
@@ -558,7 +559,7 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
         with np.errstate(over="ignore", invalid="ignore"):
             if moving:
                 quiet = np.where(np.sqrt(_row_sq_sums(Xn - X)) < conv_tol, quiet + 1, 0)
-            radius = np.sqrt(_row_sq_sums(Xn))
+            radius = np.sqrt(_row_sq_sums(Xn - centre))
         stop = ~(radius <= escape_radius) | (quiet >= CONVERGENCE_WINDOW)  # a NaN radius stops too
         if escape_radius == np.inf:  # inf <= inf keeps a row that a step overflowed
             for j in np.flatnonzero(np.isinf(radius) & ~stop):

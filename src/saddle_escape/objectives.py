@@ -188,6 +188,14 @@ class CriticalPointClass:
     grad_norm: float
 
 
+def _require_critical(obj: Objective, x: np.ndarray, error: type, name: str) -> None:
+    """Raise ``error`` unless ||grad f(x)|| <= DEFAULT_GRAD_TOL (a NaN norm is not)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a far point's gradient may overflow
+        norm = float(np.linalg.norm(obj.grad(x)))
+    if not norm <= DEFAULT_GRAD_TOL:
+        raise error(f"{name} = {x.tolist()} is not a critical point: |grad| = {norm:.3e}")
+
+
 def classify_critical_point(obj: Objective, x: np.ndarray) -> CriticalPointClass:
     """Classify ``x`` as strict saddle / local-min candidate / degenerate / not critical.
 

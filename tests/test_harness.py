@@ -620,6 +620,8 @@ INTRINSIC = "manifold-intrinsic"
     ("fig1", {"experiment": "fig1", "schedule": {"kind": "constant", "c": 0.1}}),
     ("avoidance", {"trials": (1 << 20) + 1}),
     ("avoidance", {"trials": 10 ** 20}),
+    ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+               "chart": {"critical_point": [0.3, 0.0]}}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
@@ -633,7 +635,8 @@ INTRINSIC = "manifold-intrinsic"
         "avoidance-budget-2^63", "schedule-kind-list", "grad_tol-key", "eig_tol-key",
         "init_box-width-overflows", "cubic-a-true", "matrix-true", "metric-true", "init-true",
         "fig1-init-true", "critical_point-false", "init_box-true", "window-key",
-        "fig1-objective", "fig1-schedule", "trials-past-the-bound", "trials-10^20"])
+        "fig1-objective", "fig1-schedule", "trials-past-the-bound", "trials-10^20",
+        "critical_point-not-critical"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file
@@ -641,6 +644,23 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command
     code = main([command, "--config", write_cfg(tmp_path, "g.json", data)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_chart_critical_point_that_is_not_critical_is_a_config_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # bad input, not a failed contraction: named before any certificate work
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the point reached remainder_from_objective")
+
+    monkeypatch.setattr(cli, "remainder_from_objective", no_certificate)
+    data = {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
+            "output_dir": str(tmp_path / "o"), "chart": {"critical_point": [0.3, 0.0]}}
+    code = main(["chart", "--config", write_cfg(tmp_path, "g.json", data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("configuration error: chart.critical_point = [0.3, 0.0] is not a critical "
+            "point: |grad| = 3.001e-01") in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name, kind", [("grid_points", "positive integer"),

@@ -5,6 +5,7 @@ implementation that evaluates every transition product with an explicit
 inner loop — the vectorized cumprod scans must reproduce those sums.
 """
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -694,8 +695,9 @@ def test_iterate_raw_on_manifold_stays_bounded():
 
 def test_iterate_raw_matches_plain_loop():
     # iterate_raw is the one-row case of the lockstep loop shooting uses, on
-    # gd's own step; its bits and exit step are those of plain one-point gd
-    # (the Hessian diag(1, -1) is already diagonal, so z = x)
+    # gd's own step; its bits and exit step are those of plain one-point gd.
+    # Here x* = 0 and Q = I, so the loop starts at z0 itself;
+    # test_raw_dynamics_step_the_methods_own_iterate has x* != 0 and a dense Q
     prob = cubic_gd_problem()
     step = methods.make_step("gd", obj_mod.cubic_perturbed_saddle(0.1), HARMONIC)
     exits = []
@@ -716,6 +718,39 @@ def test_iterate_raw_matches_plain_loop():
     assert None in exits and any(e is not None for e in exits)
 
 
+@pytest.mark.parametrize("angle", [0.0, 0.3], ids=["diagonal", "rotated"])
+def test_raw_dynamics_step_the_methods_own_iterate(angle):
+    # the cubic saddle moved to c (and turned by angle, for a dense frame Q):
+    # iterate_raw is plain one-point gd from x* + z0 Q_inv^T, bit for bit,
+    # mapped back by (x - x*) Q^T, and it exits at the first k with
+    # ||x_k - x*|| > r
+    c = np.array([0.3, -0.2])
+    R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    base = obj_mod.cubic_perturbed_saddle(0.1)
+    f = obj_mod.Objective(2, lambda X: base._grad((X - c) @ R.T) @ R,
+                          lambda X: R.T @ base._hess((X - c) @ R.T) @ R, vectorized=True)
+    prob, _ = remainder_from_objective(f, c, HARMONIC, horizon=4000)
+    assert prob.x_star.tolist() == c.tolist()
+    Q, Q_inv = prob.split.Q, prob.split.Q_inv
+    step = methods.make_step("gd", f, HARMONIC)
+    exits = []
+    for z0, radius in (([0.04, 0.0], 0.1), ([0.05, 0.01], 0.1), ([0.0, -0.02], 0.1),
+                       ([0.04, 1e-3], 0.1), ([0.04, 0.0], None)):
+        traj, exit_step = iterate_raw(prob, np.array(z0), 3000, stop_radius=radius)
+        x = (c + np.array([z0]) @ Q_inv.T)[0]
+        want, want_exit = [x], None
+        for k in range(3000):
+            x = step(k, x)
+            want.append(x)
+            if radius is not None and np.linalg.norm(x - c) > radius:
+                want_exit = k + 1
+                break
+        assert exit_step == want_exit
+        assert traj.tobytes() == ((np.array(want) - c) @ Q.T).tobytes()
+        exits.append(exit_step)
+    assert None in exits and any(e is not None for e in exits)
+
+
 def test_raw_dynamics_need_the_methods_own_step():
     # a hand-built problem has a remainder but no method to step
     prob = cubic_problem()
@@ -723,6 +758,14 @@ def test_raw_dynamics_need_the_methods_own_step():
         iterate_raw(prob, np.array([0.04, 0.0]), 10)
     with pytest.raises(LyapunovError, match="no raw dynamics"):
         shooting_oracle(prob, np.array([0.04]), bracket=0.1, steps=10)
+
+
+def test_raw_dynamics_need_x_star_with_the_step():
+    # the raw dynamics step x and stop on ||x - x*||: the two fields go together
+    with pytest.raises(LyapunovError, match="set together"):
+        dataclasses.replace(cubic_gd_problem(), x_star=None)
+    with pytest.raises(LyapunovError, match="set together"):
+        dataclasses.replace(cubic_problem(), x_star=np.zeros(2))
 
 
 @pytest.mark.parametrize("stop_radius", [np.nan, 0.0, -0.1])
@@ -1080,8 +1123,16 @@ def test_remainder_samples_epsilon_without_an_analytic_modulus():
 
 def test_remainder_rejects_noncritical_point():
     f = obj_mod.cubic_perturbed_saddle(0.1)
-    with pytest.raises(LyapunovError):
+    with pytest.raises(LyapunovError, match=r"^x_star = \[0.3, 0.3\] is not a critical "
+                                            r"point: \|grad\| = 4.311e-01$"):
         remainder_from_objective(f, np.array([0.3, 0.3]), HARMONIC)
+
+
+def test_remainder_rejects_a_nan_gradient():
+    # a NaN norm is not at most the tolerance: named here, not by the split
+    f = obj_mod.cubic_perturbed_saddle(0.1)
+    with pytest.raises(LyapunovError, match=r"is not a critical point: \|grad\| = nan$"):
+        remainder_from_objective(f, np.array([np.nan, 0.0]), HARMONIC)
 
 
 def test_remainder_gd_only():
