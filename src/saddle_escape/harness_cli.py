@@ -17,8 +17,10 @@ Configs are JSON (schema = ExperimentConfig).  Exit codes: 0 success,
 Reproducibility: trial t of an avoidance sweep starts at
 low + (high - low) * u, where u is the first d doubles of
 ``default_rng(SeedSequence(seed, spawn_key=(t,)))``, so trial t's start does
-not depend on ``trials``; CSV numbers are written as shortest round-trip
-decimals, so identical config + seed gives byte-identical numeric output.
+not depend on ``trials``.  The sweep computes those doubles for all trials
+at once, in integer arrays, with the bits numpy's own per-trial draw gives.
+CSV numbers are written as shortest round-trip decimals, so identical
+config + seed gives byte-identical numeric output.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +45,7 @@ from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, DEFAULT_BUDGET, DEFA
                       RiemannianMetric, TrajectoryRecord, _recursion, _row_sq_sums, run,
                       run_batch)
 from .objectives import Objective, _require_critical, classify_critical_point
+from .spectral import split
 
 __all__ = [
     "ConfigError",
@@ -70,7 +74,7 @@ FIG1_SCHEDULES = (
 )
 
 _MAX_GRID_POINTS = 1 << 20  # chart anchors: about 35 min of Picard solves at ~2 ms each
-_MAX_TRIALS = 1 << 20  # avoidance trials: about 13 s of seeding and 1 GB of report rows
+_MAX_TRIALS = 1 << 20  # avoidance trials: about 1 GB of report rows; the draw is 0.4-0.8 s
 _TERMINAL_KINDS = (ESCAPED_REGION, CONVERGED_TO_POINT, BUDGET_EXHAUSTED, STEP_ERROR)
 
 
@@ -270,35 +274,31 @@ def _reals(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal for floats; plain text otherwise."""
-    if isinstance(v, (float, np.floating)):  # the common cell, so tested first
-        return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+def _floats(values) -> map:
+    """Each value (a float or a numpy float) as its shortest round-trip decimal."""
+    return map(repr, map(float, values))
 
 
-def _write_csv(path: str, header: list, rows) -> str:
-    """Write a header line and one line of ``_fmt`` cells per row, making the
-    file's directory first (a ConfigError if it cannot be made); returns the path."""
+def _point_columns(points) -> list:
+    """The coordinate columns of a sequence of points, as ``_floats``; none
+    for no points."""
+    return [_floats(c) for c in zip(*(p.tolist() if isinstance(p, np.ndarray) else p
+                                       for p in points))]
+
+
+def _write_csv(path: str, header: list, columns: list) -> str:
+    """Write a header line and one line per row of ``columns``, each an
+    iterable of cell strings, making the file's directory first (a
+    ConfigError if it cannot be made); returns the path."""
     directory = os.path.dirname(path) or "."
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create output_dir {directory!r}: {err}") from err
-    lines = [",".join(header)] + [",".join(_fmt(c) for c in row) for row in rows]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
-
-
-def _plain(v):
-    """An array as nested Python lists of its scalars, which ``_fmt`` writes
-    fastest and to the same bytes; anything else as it is."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def emit_plot_data(data, path: str) -> str:
@@ -307,13 +307,15 @@ def emit_plot_data(data, path: str) -> str:
 
     Trajectory columns: k, x_1..x_d, step_size, grad_norm (one row per
     recorded stride).  Report columns: one row per trial, sorted by trial
-    index.  An empty trajectory yields a header-only file.
+    index.  An empty trajectory yields a header-only file.  Each column is
+    formatted by its type, as a whole: floats as shortest round-trip
+    decimals, integers as ``str``, saddle_hit as 1 or 0.
     """
     if isinstance(data, TrajectoryRecord):
         dim = len(data.points[0]) if data.points else 0
         header = ["k"] + [f"x_{i + 1}" for i in range(dim)] + ["step_size", "grad_norm"]
-        rows = ([k, *pt, a, g] for k, pt, a, g in
-                zip(data.ks, data.points, data.step_sizes, data.grad_norms))
+        columns = [map(str, data.ks), *_point_columns(data.points),
+                   _floats(data.step_sizes), _floats(data.grad_norms)]
     elif isinstance(data, AvoidanceReport):
         if not data.rows:
             raise ConfigError("cannot emit an avoidance report with no rows")
@@ -322,12 +324,14 @@ def emit_plot_data(data, path: str) -> str:
                   + ["terminal", "k_final"]
                   + [f"x_final_{i + 1}" for i in range(dim)]
                   + ["grad_norm", "saddle_hit"])
-        rows = ([r["trial"], *_plain(r["init"]), r["terminal"], r["k_final"],
-                 *_plain(r["final"]), r["grad_norm"], r["saddle_hit"]]
-                for r in sorted(data.rows, key=lambda r: r["trial"]))
+        trial, init, terminal, k_final, final, grad_norm, hit = zip(*map(
+            itemgetter("trial", "init", "terminal", "k_final", "final", "grad_norm",
+                       "saddle_hit"), sorted(data.rows, key=itemgetter("trial"))))
+        columns = [map(str, trial), *_point_columns(init), terminal, map(str, k_final),
+                   *_point_columns(final), _floats(grad_norm), ("1" if h else "0" for h in hit)]
     else:
         raise TypeError(f"emit_plot_data cannot serialize {type(data).__name__}")
-    return _write_csv(path, header, rows)
+    return _write_csv(path, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +349,97 @@ class AvoidanceReport:
     rows: list
 
 
+_M32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashes(h: int, mult: int):
+    """SeedSequence's hash constants from ``h``: each hashmix takes the
+    current one and the next, ``h * mult``."""
+    while True:
+        h_next = h * mult & _M32
+        yield h, h_next
+        h = h_next
+
+
+def _hashmix(v, hashes):
+    """SeedSequence's hashmix of v, an int or a uint32 array (which wraps)."""
+    h, h_next = next(hashes)
+    v = (v ^ h) * h_next & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words, ints or uint32 arrays."""
+    r = ((0xCA01F9DD * x & _M32) - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _carry(limbs: list) -> list:
+    """A number mod 2^128 in four 32-bit limbs, low first, with the carries passed up."""
+    for k in range(3):
+        limbs[k + 1] += limbs[k] >> 32
+        limbs[k] &= _M32
+    limbs[3] &= _M32
+    return limbs
+
+
+def _pcg_step(state: list, inc: list) -> list:
+    """One step of PCG64's LCG, state * _PCG64_MULT + inc mod 2^128, on
+    32-bit limbs held in uint64 arrays: each limb product fits in 64 bits."""
+    cols = [c.copy() for c in inc]
+    for i in range(4):
+        for j in range(4 - i):
+            p = state[i] * (_PCG64_MULT >> 32 * j & _M32)
+            cols[i + j] += p & _M32
+            if i + j < 3:
+                cols[i + j + 1] += p >> 32
+    return _carry(cols)
+
+
+def _pcg64_streams(seed: int, trials: int) -> tuple:
+    """The PCG64 (state, inc) of ``default_rng(SeedSequence(seed, spawn_key=(t,)))``
+    for each trial t, as 32-bit limbs: numpy's seeding, run on all trials at once.
+
+    Trial t's SeedSequence entropy is the seed's 32-bit words, padded to 4
+    (a seed below 2^128), then t (below 2^32); so the pool those four words
+    mix to is shared, and only t is hashed per trial, in uint32 arrays.
+    ``generate_state(4, uint64)`` gives v0..v3, and PCG64 starts at state 0
+    with inc = (v2:v3) << 1 | 1, steps, adds (v0:v1) and steps.
+    """
+    ha = _hashes(0x43B0D7E5, 0x931E8875)
+    pool = [_hashmix(seed >> 32 * i & _M32, ha) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], ha))
+    t = np.arange(trials, dtype=np.uint32)
+    pool = [_mix(p, _hashmix(t, ha)) for p in pool]
+    hb = _hashes(0x8B51F9DD, 0x58F38DED)
+    w = [_hashmix(pool[i % 4], hb).astype(np.uint64) for i in range(8)]
+    # limbs low first: v_i = w[2i] | w[2i + 1] << 32, and (v2:v3) = v2 << 64 | v3
+    seq = [w[6], w[7], w[4], w[5]]
+    inc = [(seq[k] << 1 | (seq[k - 1] >> 31 if k else 1)) & _M32 for k in range(4)]
+    return _pcg_step(_carry([a + b for a, b in zip(inc, [w[2], w[3], w[0], w[1]])]), inc), inc
+
+
 def _draw_inits(seed: int, trials: int, box: np.ndarray) -> np.ndarray:
     """The (trials, d) starts ``avoidance_experiment`` states: the bits of
-    ``Generator.uniform(low, high)`` on each trial's stream, with the scaling
-    done once for all rows."""
-    u = np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-                  .random(len(box)) for t in range(trials)])
-    return box[:, 0] + (box[:, 1] - box[:, 0]) * u
+    ``Generator.uniform(low, high)`` on each trial's stream (see
+    :func:`_pcg64_streams`).  Each draw steps every stream and outputs
+    XSL-RR x; its double u = (x >> 11) * 2^-53 becomes low + (high - low) * u,
+    scaled in place."""
+    state, inc = _pcg64_streams(seed, trials)
+    u = np.empty((trials, len(box)))
+    for j in range(len(box)):
+        state = _pcg_step(state, inc)
+        x = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0])
+        r = state[3] >> 26
+        u[:, j] = (x >> r | x << (64 - r & 63)) >> 11
+    u *= 2.0 ** -53
+    u *= box[:, 1] - box[:, 0]
+    u += box[:, 0]
+    return u
 
 
 def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
@@ -359,7 +447,8 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
 
     Trial t starts at low + (high - low) * u, where u is the first d doubles
     of ``default_rng(SeedSequence(cfg.seed, spawn_key=(t,)))``, so trial t's
-    start does not depend on cfg.trials.
+    start does not depend on cfg.trials.  :func:`_draw_inits` draws all
+    starts in one pass over integer arrays, with those bits.
 
     All trials advance in lockstep through :func:`methods.run_batch`, one
     batched step of the method's recursion per k; each trial ends as
@@ -466,7 +555,9 @@ def chart_experiment(cfg: ExperimentConfig):
     ExperimentAssertionError carrying the largest certifiable epsilon.  The
     method is gd, mirror-euclidean or metric-less manifold-intrinsic, the
     ids that run gd's recursion (ExperimentConfig rejects any other).  A
-    non-critical critical_point or a grid_halfwidth above delta/2 is a ConfigError.
+    critical_point that is not critical, or whose Hessian has no positive
+    eigenvalue or none <= 0 (a local minimum or maximum: no saddle to chart),
+    and a grid_halfwidth above delta/2 are ConfigErrors.
     """
     obj = build_objective(cfg.objective)
     schedule = _build_schedule(cfg.schedule)
@@ -491,6 +582,10 @@ def chart_experiment(cfg: ExperimentConfig):
         x_star = np.zeros(obj.dimension)
     x_star = _reals(x_star, "chart.critical_point", (obj.dimension,))
     _require_critical(obj, x_star, ConfigError, "chart.critical_point")
+    stable = split(obj.hess(x_star)).eigenvalues > 0  # the blocks remainder_from_objective splits
+    if stable.all() or not stable.any():
+        raise ConfigError(f"chart.critical_point = {x_star.tolist()} is not a saddle: the Hessian "
+                          f"has no {'eigenvalue <= 0' if stable.all() else 'positive eigenvalue'}")
     points = option("grid_points", int).get("grid_points", 11)
     if points > _MAX_GRID_POINTS:
         raise ConfigError(f"chart.grid_points must be at most {_MAX_GRID_POINTS}, got {points!r}")
@@ -525,9 +620,10 @@ def chart_experiment(cfg: ExperimentConfig):
     header = ([f"x0_plus_{i + 1}" for i in range(d_s)]
               + [f"x0_minus_{i + 1}" for i in range(d_u)]
               + ["residual", "picard_iters"])
+    kept = [i for i, p in enumerate(ch.phi) if p is not None]
     _write_csv(os.path.join(cfg.output_dir, "chart.csv"), header,  # makes output_dir
-               ([*g, *p, r, it] for g, p, r, it in
-                zip(ch.grid, ch.phi, ch.residuals, ch.picard_iters) if p is not None))
+               [*_point_columns(ch.grid[i] for i in kept), *_point_columns(ch.phi[i] for i in kept),
+                _floats(ch.residuals[i] for i in kept), [str(ch.picard_iters[i]) for i in kept]])
 
     summary = {
         "K1": cert.k1, "K2": cert.k2, "K": cert.k,

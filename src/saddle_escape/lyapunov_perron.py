@@ -912,7 +912,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     ``horizon`` and ``order`` and works out its own ``tail_estimate`` and
     ``horizon_capped``; its ``dynamics`` is the update ``run_batch`` steps and
     its ``x_star`` the critical point.  Its ``eta`` reads alpha_k from the
-    problem's ``alphas``, so it takes k <= N only.
+    problem's ``alphas`` array (not from the problem, so the two form no
+    reference cycle), and it takes k <= N only.
 
     Returns (PerronProblem, ContractionCertificate).  ``method`` is an id
     whose recursion is gd's: gd, mirror-euclidean or manifold-intrinsic.  The
@@ -938,8 +939,8 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
         # H w - grad, not -(grad - H w): a zero remainder stays +0.0
         return (Q @ (H @ Wt - np.asarray(obj.grad(x_star + Wt.T)).T)).T
 
-    def eta(ks, Z):  # k <= N: prob, built below, holds alpha_0..alpha_N
-        return (prob.alphas[np.asarray(ks)] * psi_batch(np.asarray(Z, dtype=float)).T).T
+    def eta(ks, Z):  # k <= N: alphas, bound below to the problem's alpha_0..alpha_N
+        return (alphas[np.asarray(ks)] * psi_batch(np.asarray(Z, dtype=float)).T).T
 
     if epsilon is not None:  # epsilon's source, delta -> epsilon, and the remainder's order
         modulus, order = (lambda _: float(epsilon)), 1
@@ -968,6 +969,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     prob = PerronProblem(split=sp, schedule=schedule, eta=eta, delta=delta,
                          epsilon=eps_val, horizon=horizon, order=order,
                          dynamics=_update(method, obj, schedule), x_star=x_star)
+    alphas = prob.alphas  # eta holds the array, not the problem: no reference cycle
     return prob, cert
 
 

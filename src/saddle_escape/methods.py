@@ -450,6 +450,12 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     raise ``MethodError``; an infinite radius stops a row at inf only on the
     step error ``error(j)`` names.
 
+    The rows that stop at a step are settled together: each ends escaped if
+    its radius is above escape_radius, else converged.  Only a row with a
+    non-finite entry is asked ``error(j)``, since ``_update`` never gives a
+    row with a step error a finite state; it ends as a step error, at its
+    state before the step, if it has one or if it holds a NaN.
+
     The steps go in blocks of m with no test between them, and then the
     filters check the whole block at once: each new state's largest row sum
     of squares is below escape_radius^2, each row's sum of squared motions
@@ -479,10 +485,10 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
         raise MethodError(f"budget must be below 2^63, got {budget}")
     escape_radius, conv_tol = float(escape_radius), float(conv_tol)  # a numpy scalar square warns
     n = len(X0)
-    terminal, message = [BUDGET_EXHAUSTED] * n, [None] * n
+    terminal, message = np.full(n, BUDGET_EXHAUSTED, dtype=object), [None] * n
     k_final, final = np.full(n, budget, dtype=np.int64), X0.copy()
     if not n:
-        return BatchResult(terminal, k_final, final, message)
+        return BatchResult([], k_final, final, message)
     X, rows, quiet = X0, np.arange(n), np.zeros(n, dtype=np.int64)  # active rows only
     # Rounding of the block filters: the per-row code takes the square root
     # of a sum of d squares, and each row sum (X * X) @ ones adds the same d
@@ -568,23 +574,22 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
         if not stop.any():
             X = Xn
             continue
-        for j in np.flatnonzero(stop):
+        done = np.flatnonzero(stop)
+        ended = rows[done]
+        terminal[ended], k_final[ended], final[ended] = CONVERGED_TO_POINT, k, Xn[done]
+        terminal[ended[radius[done] > escape_radius]] = ESCAPED_REGION
+        for j in done[~np.isfinite(Xn[done]).all(axis=1)]:  # a finite row has no step error
             err = error(j)
             if err is None and np.any(np.isnan(Xn[j])):
                 err = f"non-finite iterate at k={k}"
             if err is not None:
-                end = STEP_ERROR, k - 1, X[j], str(err)
-            elif radius[j] > escape_radius:
-                end = ESCAPED_REGION, k, Xn[j], None
-            else:
-                end = CONVERGED_TO_POINT, k, Xn[j], None
-            r = rows[j]
-            terminal[r], k_final[r], final[r], message[r] = end
+                r = rows[j]
+                terminal[r], k_final[r], final[r], message[r] = STEP_ERROR, k - 1, X[j], str(err)
         X, rows, quiet = Xn[~stop], rows[~stop], quiet[~stop]
         if not rows.size:
             break
     final[rows] = X
-    return BatchResult(terminal, k_final, final, message)
+    return BatchResult(terminal.tolist(), k_final, final, message)
 
 
 def run_batch(method_id: str, obj: Objective, schedule: StepSchedule, X0: np.ndarray, *,

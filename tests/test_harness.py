@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import saddle_escape
 from saddle_escape import harness_cli as cli
@@ -280,6 +281,25 @@ def test_bulk_draw_is_the_per_trial_uniform_draw(seed, box):
     assert cli._draw_inits(seed, 5, box).tobytes() == got[:5].tobytes()  # got: 1000 trials
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 64), st.integers(1, 6))
+def test_bulk_draw_rows_are_the_per_trial_draws(seed, trials, d):
+    # the vectorized SeedSequence and PCG64 steps against numpy's own, row by row
+    box = np.column_stack([-np.arange(1.0, d + 1), np.linspace(0.5, 7.0, d)])
+    got = cli._draw_inits(seed, trials, box)
+    for t in range(trials):
+        assert got[t].tobytes() == reference_draw_init(seed, t, box).tobytes()
+
+
+def test_bulk_draw_at_the_trials_bound_matches_sampled_rows():
+    seed, trials, box = 2 ** 64 - 1, cli._MAX_TRIALS, np.array([[-1.0, 1.0], [0.0, 3.0]])
+    got = cli._draw_inits(seed, trials, box)
+    assert trials == 2 ** 20 and got.shape == (trials, 2)
+    sampled = np.random.default_rng(0).integers(trials, size=30).tolist()
+    for t in [0, 1, 2 ** 16, 2 ** 20 - 2, 2 ** 20 - 1] + sampled:
+        assert got[t].tobytes() == reference_draw_init(seed, t, box).tobytes()
+
+
 def test_a_trials_start_does_not_depend_on_trials(tmp_path):
     lines = []
     for trials in (1, 20):
@@ -548,6 +568,9 @@ def test_cli_seed_override_is_checked_by_the_config(tmp_path, capsys):
 
 QUADRATIC = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
 INTRINSIC = "manifold-intrinsic"
+LOCAL_MIN = {"name": "quadratic", "matrix": [[1.0, 0.0], [0.0, 2.0]]}
+LOCAL_MAX = {"name": "quadratic", "matrix": [[-1.0, 0.0], [0.0, -2.0]]}
+SHIFTED = {"kind": "power", "c": 1.0, "p": 1.0, "offset": 3}  # alpha_0 * lambda_max = 2/3 < 1
 
 
 @pytest.mark.parametrize("command,over", [
@@ -622,6 +645,8 @@ INTRINSIC = "manifold-intrinsic"
     ("avoidance", {"trials": 10 ** 20}),
     ("chart", {"experiment": "chart", "objective": {"name": "cubic", "a": 0.1},
                "chart": {"critical_point": [0.3, 0.0]}}),
+    ("chart", {"experiment": "chart", "objective": LOCAL_MIN, "schedule": SHIFTED}),
+    ("chart", {"experiment": "chart", "objective": LOCAL_MAX}),
 ], ids=["metric-asymmetric", "metric-text", "metric-1x1", "metric-for-gd",
         "metric-for-mirror-euclidean", "init-3d", "init-text",
         "fig1-init-text", "grid_points-text", "delta0-null", "delta0-zero", "critical_point-1d",
@@ -636,7 +661,7 @@ INTRINSIC = "manifold-intrinsic"
         "init_box-width-overflows", "cubic-a-true", "matrix-true", "metric-true", "init-true",
         "fig1-init-true", "critical_point-false", "init_box-true", "window-key",
         "fig1-objective", "fig1-schedule", "trials-past-the-bound", "trials-10^20",
-        "critical_point-not-critical"])
+        "critical_point-not-critical", "chart-local-min", "chart-local-max"])
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, over):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")  # an output_dir of "taken" names this file
@@ -660,6 +685,26 @@ def test_chart_critical_point_that_is_not_critical_is_a_config_error(tmp_path, c
     assert code == 2
     assert ("configuration error: chart.critical_point = [0.3, 0.0] is not a critical "
             "point: |grad| = 3.001e-01") in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("objective, schedule, missing", [
+    (LOCAL_MIN, SHIFTED, "eigenvalue <= 0"), (LOCAL_MAX, BASE["schedule"], "positive eigenvalue")],
+    ids=["local-min", "local-max"])
+def test_chart_at_a_local_minimum_or_maximum_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               objective, schedule, missing):
+    # no saddle to chart: bad input named before any certificate work, not a
+    # failed contraction
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the point reached remainder_from_objective")
+
+    monkeypatch.setattr(cli, "remainder_from_objective", no_certificate)
+    data = {"experiment": "chart", "objective": objective, "schedule": schedule,
+            "output_dir": str(tmp_path / "o")}
+    code = main(["chart", "--config", write_cfg(tmp_path, "g.json", data)])
+    assert code == 2
+    assert ("configuration error: chart.critical_point = [0.0, 0.0] is not a saddle: "
+            f"the Hessian has no {missing}") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

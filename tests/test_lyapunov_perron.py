@@ -7,7 +7,9 @@ inner loop — the vectorized cumprod scans must reproduce those sums.
 
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +215,22 @@ def test_default_chart_scans_in_one_run():
                                        HARMONIC)
     assert [(a, b) for a, b, _ in prob.stable_runs] == [(0, prob.horizon)]
     assert [(a, b) for a, b, _ in prob.unstable_runs] == [(0, prob.horizon + 1)]
+
+
+def test_a_problem_is_freed_without_the_cyclic_collector():
+    # its eta holds the alphas array, not the problem: the problem and its
+    # horizon-long arrays go with the last reference, not at a collection
+    gc.disable()
+    try:
+        prob, _ = remainder_from_objective(obj_mod.cubic_perturbed_saddle(0.1), np.zeros(2),
+                                           HARMONIC)
+        gone = weakref.ref(prob)
+        eta = prob.eta
+        del prob
+        assert gone() is None
+        assert eta(np.zeros(1, dtype=int), np.zeros((1, 2))).tolist() == [[0.0, 0.0]]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("lam_max", [3.0, 10.0, 100.0])

@@ -879,6 +879,33 @@ def test_run_batch_rows_match_the_plain_loop_at_d_4_and_6(case):
     _check_rows_match_the_plain_loop(case)
 
 
+def test_rows_that_stop_at_one_step_each_end_as_the_plain_loop_ends_them():
+    # gd at alpha = 1 on a 1-D field that is piecewise constant: at the step to
+    # k = 50 two rows converge (no motion since k = 0), one escapes radius
+    # 50.5, three fail and one goes on to the budget.  The failing rows meet a
+    # gradient of +inf, -inf (their new states are -inf and +inf, no NaN) and
+    # NaN; the two inf rows are also past the escape radius, and must still
+    # end as step errors
+    def grad(x):
+        return np.select([x >= 1.0, x >= 0.5, x > -0.5, x > -49.75, x > -50.1, x > -50.4],
+                         [-1.0, -1e-3, 0.0, 1.0, np.inf, -np.inf], np.nan)
+
+    f = obj_mod.Objective(1, grad, lambda x: np.zeros(x.shape + (1,)), vectorized=True)
+    s, opts = sch.constant(1.0), dict(budget=100, conv_tol=1e-6, escape_radius=50.5)
+    X0 = np.array([[0.0], [0.25], [1.0], [-1.0], [-1.25], [-1.5], [0.6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_batch("gd", f, s, X0, **opts)
+    assert res.terminal == [CONVERGED_TO_POINT] * 2 + [ESCAPED_REGION] + [STEP_ERROR] * 3 \
+        + [BUDGET_EXHAUSTED]
+    assert res.k_final.tolist() == [50, 50, 50, 49, 49, 49, 100]
+    step = make_step("gd", f, s)
+    for i, x0 in enumerate(X0):
+        kind, k_final, final, message = reference_run(step, x0, **opts)
+        assert (res.terminal[i], res.k_final[i], res.message[i]) == (kind, k_final, message)
+        assert res.final[i].tobytes() == final.tobytes()
+
+
 def test_a_huge_escape_radius_stops_rows_without_a_warning():
     # on the cubic an escaping row's norm about squares with each step, so
     # past radius 1e308 its squares overflow: the stop test takes them as
