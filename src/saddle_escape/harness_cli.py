@@ -44,8 +44,7 @@ from .methods import (BUDGET_EXHAUSTED, CONVERGED_TO_POINT, DEFAULT_BUDGET, DEFA
                       DEFAULT_ESCAPE_RADIUS, ESCAPED_REGION, STEP_ERROR, MethodError,
                       RiemannianMetric, TrajectoryRecord, _recursion, _row_sq_sums, run,
                       run_batch)
-from .objectives import Objective, _require_critical, classify_critical_point
-from .spectral import split
+from .objectives import Objective, _require_critical, _require_saddle, classify_critical_point
 
 __all__ = [
     "ConfigError",
@@ -582,10 +581,7 @@ def chart_experiment(cfg: ExperimentConfig):
         x_star = np.zeros(obj.dimension)
     x_star = _reals(x_star, "chart.critical_point", (obj.dimension,))
     _require_critical(obj, x_star, ConfigError, "chart.critical_point")
-    stable = split(obj.hess(x_star)).eigenvalues > 0  # the blocks remainder_from_objective splits
-    if stable.all() or not stable.any():
-        raise ConfigError(f"chart.critical_point = {x_star.tolist()} is not a saddle: the Hessian "
-                          f"has no {'eigenvalue <= 0' if stable.all() else 'positive eigenvalue'}")
+    _require_saddle(obj.hess(x_star), x_star, ConfigError, "chart.critical_point")
     points = option("grid_points", int).get("grid_points", 11)
     if points > _MAX_GRID_POINTS:
         raise ConfigError(f"chart.grid_points must be at most {_MAX_GRID_POINTS}, got {points!r}")

@@ -40,9 +40,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .methods import ESCAPED_REGION, _advance, _recursion, _row_sq_sums, _update
-from .objectives import Objective, _require_critical
+from .objectives import Objective, _require_critical, _require_saddle
 from .schedules import StepSchedule
-from .spectral import SpectralSplit, split
+from .spectral import SpectralSplit
 
 __all__ = [
     "LyapunovError",
@@ -915,6 +915,10 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     problem's ``alphas`` array (not from the problem, so the two form no
     reference cycle), and it takes k <= N only.
 
+    An ``x_star`` that is not a critical point, or whose Hessian has no
+    positive eigenvalue or none <= 0 (a local minimum or maximum), raises a
+    LyapunovError that names it, before any certificate work.
+
     Returns (PerronProblem, ContractionCertificate).  ``method`` is an id
     whose recursion is gd's: gd, mirror-euclidean or manifold-intrinsic.  The
     others raise NotImplementedError: prox linearizes differently, and
@@ -929,7 +933,7 @@ def remainder_from_objective(obj: Objective, x_star, schedule: StepSchedule, *,
     x_star = np.asarray(x_star, dtype=float)
     _require_critical(obj, x_star, LyapunovError, "x_star")
     H = np.asarray(obj.hess(x_star), dtype=float)
-    sp = split(H)  # _certify and the problem reject an empty stable or unstable block
+    sp = _require_saddle(H, x_star, LyapunovError, "x_star")
     # products on the sequences' transposes, M @ Z.T = (Z @ M.T).T with the same
     # bits from two rows on, with contiguous operands; see apply_T
     Q, Qi, H = (np.ascontiguousarray(M) for M in (sp.Q, sp.Q_inv, H))

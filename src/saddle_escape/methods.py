@@ -265,13 +265,14 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
         return prox
     if recursion == "gd" or recursion == "manifold-intrinsic":
         MT = None if metric is None else metric.matrix.T.copy()  # C-contiguous, see _resolvents
+        grad, value = obj._grad, schedule.value
 
         def gd(k, X):
-            G = P = obj._grad(X)
+            G = P = grad(X)
             if MT is not None:
                 with np.errstate(invalid="ignore"):  # inf * 0; the row fails on its G
                     P = G @ MT
-            return X - schedule.value(k) * P, lambda j: None if np.all(np.isfinite(G[j])) \
+            return X - value(k) * P, lambda j: None if np.all(np.isfinite(G[j])) \
                 else _gradient_error(k, X[j])
         return gd
     if recursion == "mirror-entropy":
@@ -521,15 +522,17 @@ def _advance(update, X0: np.ndarray, budget: int, conv_tol: float, escape_radius
     k = 0
     while k < budget:
         size, states, runs = min(m, budget - k), [], None
+        append = states.append
         fired.clear()
         with np.errstate(**flags):  # a flag ends the block; the filters' flags are dropped
             try:
                 Y = X
-                while len(states) < size:
-                    Y, err = update(k + len(states), Y)
+                for j in range(k, k + size):
+                    state = update(j, Y)
                     if fired:
                         break
-                    states.append((Y, err))
+                    append(state)
+                    Y = state[0]
             except Exception:  # the step is taken again below, and raises there
                 pass
             kept, a = len(states), len(X)

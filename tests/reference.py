@@ -25,6 +25,11 @@ operator (``_scan_T``), so it checks the loop and its norms, not the scan.
 row-major products on transposed views, the bit reference for its eta,
 which takes the same products on column-major sequences.
 
+``reference_cubic_grad`` is the cubic saddle's gradient as two plain
+expressions assigned through a tuple, the bit reference for the kernel
+in ``objectives.cubic_perturbed_saddle``, which writes each column once
+through its last ufunc's ``out``.
+
 ``reference_shoot`` refines a shooting bracket with one lockstep call per
 round and no look-ahead: the bit and error reference for
 ``lyapunov_perron.shooting_oracle``, whose calls also step the round after.
@@ -185,6 +190,17 @@ def reference_eta(obj, x_star, split_, alphas, ks, Z):
     W = Z @ split_.Q_inv.T
     return alphas[ks][:, None] * (
         (W @ H.T - np.asarray(obj.grad(x_star[None, :] + W))) @ split_.Q.T)
+
+
+def reference_cubic_grad(a):
+    """z -> grad f(z) for f = x^2/2 - y^2/2 + a x^2 y on a (..., 2) stack, by
+    ``x + 2.0 * a * x * y`` and ``-y + a * x * x``."""
+    def grad(z):
+        x, y = z[..., 0], z[..., 1]
+        g = np.empty(z.shape)
+        g[..., 0], g[..., 1] = x + 2.0 * a * x * y, -y + a * x * x
+        return g
+    return grad
 
 
 def reference_shoot(prob, x0_plus, bracket, steps, width):

@@ -1153,6 +1153,21 @@ def test_remainder_rejects_a_nan_gradient():
         remainder_from_objective(f, np.array([np.nan, 0.0]), HARMONIC)
 
 
+@pytest.mark.parametrize("H, missing", [(np.diag([1.0, 2.0]), "eigenvalue <= 0"),
+                                        (np.diag([-1.0, -2.0]), "positive eigenvalue")],
+                         ids=["local-min", "local-max"])
+def test_remainder_at_a_local_minimum_or_maximum_names_x_star(monkeypatch, H, missing):
+    # no saddle: named by the split's rule before any certificate work, not
+    # by _certify's step bound or tail_horizon's missing eigenvalue
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the point reached _certify")
+
+    monkeypatch.setattr(lp, "_certify", no_certificate)
+    with pytest.raises(LyapunovError, match=r"^x_star = \[0.0, 0.0\] is not a saddle: "
+                                            rf"the Hessian has no {missing}$"):
+        remainder_from_objective(obj_mod.quadratic(H), np.zeros(2), HARMONIC)
+
+
 def test_remainder_gd_only():
     f = obj_mod.cubic_perturbed_saddle(0.1)
     for method in ("prox", "mirror-entropy", "manifold-sphere"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cubic_value, quadratic_value
+from reference import reference_cubic_grad
 from saddle_escape import objectives as obj_mod
 from saddle_escape.objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE,
                                       NOT_CRITICAL, STRICT_SADDLE,
@@ -116,6 +117,58 @@ def test_cubic_batched_gradient_matches_rows():
     G = f.grad(X)
     for i, x in enumerate(X):
         np.testing.assert_allclose(G[i], f.grad(x))
+
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e-160,
+          1.3e154, -1.3e154, 1e155, 1.7976931348623157e308, -1e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(-1.0, 1.0), lead=st.sampled_from([(), (1,), "n", "3n"]),
+       n=st.integers(0, 40), layout=st.sampled_from(["C", "F", "strided"]), data=st.data())
+def test_cubic_grad_bits_are_the_plain_expressions(a, lead, n, layout, data):
+    # the kernel writes each column through its last ufunc's out; every
+    # non-NaN entry has the bits of the tuple-assigned expressions, from
+    # subnormals to past overflow, in any layout (a strided out may take
+    # another SIMD loop).  A NaN's sign may differ (-y + t flips a NaN y's
+    # sign bit before the add, t - y need not), so NaNs match by position only
+    shape = {"n": (n,), "3n": (3, n)}.get(lead, lead) + (2,)
+    base_shape = (2 * shape[0],) + shape[1:] if layout == "strided" else shape
+    entries = st.one_of(st.floats(), st.floats(-1e170, 1e170), st.sampled_from(_EDGES))
+    values = data.draw(st.lists(entries, min_size=int(np.prod(base_shape)),
+                                max_size=int(np.prod(base_shape))))
+    Z = np.array(values, dtype=float).reshape(base_shape)
+    Z = {"C": Z, "F": np.asfortranarray(Z), "strided": Z[::2]}[layout]
+    with np.errstate(all="ignore"):
+        want = reference_cubic_grad(a)(Z)
+        got = cubic_perturbed_saddle(a).grad(Z)
+    assert got.shape == want.shape == shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_each_point_stacks_match_apply_along_axis():
+    # a user objective on R^3 written one point at a time.  apply_along_axis
+    # raises on an empty stack, whose shapes
+    # test_looped_callables_take_an_empty_stack pins
+    def grad(p):
+        return np.array([p[0] * p[1] - np.sin(p[2]), p[0] ** 2 + p[2], np.exp(p[1]) - p[0]])
+
+    def hess(p):
+        return np.array([[p[1], p[0], 0.0], [2.0 * p[0], 0.0, 1.0], [-1.0, np.exp(p[1]), 0.0]])
+
+    f = obj_mod.Objective(3, grad, hess)
+    X = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 6, 3))
+    stacks = {"(d,)": X[0, 0], "(1, d)": X[0, :1], "(n, d)": X[0], "(k, n, d)": X,
+              "view": X[:, ::2, :][::-1]}
+    assert not stacks["view"].flags.c_contiguous
+    for name, x in stacks.items():
+        for fn, call in ((grad, f.grad), (hess, f.hess)):
+            want = np.apply_along_axis(fn, -1, x)
+            got = call(x)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_classify_strict_saddle():
