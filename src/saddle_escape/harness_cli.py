@@ -64,8 +64,10 @@ __all__ = [
 SADDLE_PROXIMITY = 1e-4  # "converged to the saddle" needs the limit this close
 EXPERIMENTS = ("avoidance", "fig1", "chart", "single_run")
 
-# figure-1 schedules; offsets keep alpha_0 * lambda_max away from the
-# degenerate factor -1 for the harmonic case (lambda_max = 2 on x^2 - y^2)
+# figure-1 schedules.  On x^2 - y^2 (lambda_max = 2) the first stable factor
+# 1 - 2 alpha_0 is -1 for sqrt and quartic (alpha_0 = 1) and 0 for harmonic
+# (alpha_0 = 1/2): gd's first harmonic step maps every start onto the
+# unstable axis, so no schedule here meets the paper's alpha_k < 1/L
 FIG1_SCHEDULES = (
     ("sqrt", {"kind": "power", "c": 1.0, "p": 0.5, "offset": 1}),
     ("harmonic", {"kind": "power", "c": 1.0, "p": 1.0, "offset": 2}),
@@ -73,7 +75,8 @@ FIG1_SCHEDULES = (
 )
 
 _MAX_GRID_POINTS = 1 << 20  # chart anchors: about 35 min of Picard solves at ~2 ms each
-_MAX_TRIALS = 1 << 20  # avoidance trials: about 1 GB of report rows; the draw is 0.4-0.8 s
+_MAX_TRIALS = 1 << 20  # avoidance trials: about 1 GB of report rows; the draw is 0.2-0.4 s
+_DRAW_CHUNK = 1 << 16  # avoidance starts drawn at a time: under 20 MB of integer temporaries
 _TERMINAL_KINDS = (ESCAPED_REGION, CONVERGED_TO_POINT, BUDGET_EXHAUSTED, STEP_ERROR)
 
 
@@ -396,9 +399,10 @@ def _pcg_step(state: list, inc: list) -> list:
     return _carry(cols)
 
 
-def _pcg64_streams(seed: int, trials: int) -> tuple:
+def _pcg64_streams(seed: int, trials: range) -> tuple:
     """The PCG64 (state, inc) of ``default_rng(SeedSequence(seed, spawn_key=(t,)))``
-    for each trial t, as 32-bit limbs: numpy's seeding, run on all trials at once.
+    for each trial t in ``trials``, as 32-bit limbs: numpy's seeding, run on
+    those trials at once.
 
     Trial t's SeedSequence entropy is the seed's 32-bit words, padded to 4
     (a seed below 2^128), then t (below 2^32); so the pool those four words
@@ -412,7 +416,7 @@ def _pcg64_streams(seed: int, trials: int) -> tuple:
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], ha))
-    t = np.arange(trials, dtype=np.uint32)
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
     pool = [_mix(p, _hashmix(t, ha)) for p in pool]
     hb = _hashes(0x8B51F9DD, 0x58F38DED)
     w = [_hashmix(pool[i % 4], hb).astype(np.uint64) for i in range(8)]
@@ -427,14 +431,18 @@ def _draw_inits(seed: int, trials: int, box: np.ndarray) -> np.ndarray:
     ``Generator.uniform(low, high)`` on each trial's stream (see
     :func:`_pcg64_streams`).  Each draw steps every stream and outputs
     XSL-RR x; its double u = (x >> 11) * 2^-53 becomes low + (high - low) * u,
-    scaled in place."""
-    state, inc = _pcg64_streams(seed, trials)
+    scaled in place.  The streams are run _DRAW_CHUNK trials at a time, which
+    bounds the integer temporaries; trial t's stream depends on seed and t
+    only, so the chunks do not move a bit."""
     u = np.empty((trials, len(box)))
-    for j in range(len(box)):
-        state = _pcg_step(state, inc)
-        x = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0])
-        r = state[3] >> 26
-        u[:, j] = (x >> r | x << (64 - r & 63)) >> 11
+    for start in range(0, trials, _DRAW_CHUNK):
+        rows = u[start:start + _DRAW_CHUNK]
+        state, inc = _pcg64_streams(seed, range(start, start + len(rows)))
+        for j in range(len(box)):
+            state = _pcg_step(state, inc)
+            x = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0])
+            r = state[3] >> 26
+            rows[:, j] = (x >> r | x << (64 - r & 63)) >> 11
     u *= 2.0 ** -53
     u *= box[:, 1] - box[:, 0]
     u += box[:, 0]
@@ -446,8 +454,8 @@ def avoidance_experiment(cfg: ExperimentConfig) -> AvoidanceReport:
 
     Trial t starts at low + (high - low) * u, where u is the first d doubles
     of ``default_rng(SeedSequence(cfg.seed, spawn_key=(t,)))``, so trial t's
-    start does not depend on cfg.trials.  :func:`_draw_inits` draws all
-    starts in one pass over integer arrays, with those bits.
+    start does not depend on cfg.trials.  :func:`_draw_inits` draws the
+    starts in chunks of integer arrays, with those bits.
 
     All trials advance in lockstep through :func:`methods.run_batch`, one
     batched step of the method's recursion per k; each trial ends as

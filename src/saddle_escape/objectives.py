@@ -87,8 +87,8 @@ class Objective:
         self.dimension = int(dimension)
         if not vectorized:
             d = self.dimension
-            grad_fn = _each_point(grad_fn, (d,))
-            hess_fn = _each_point(hess_fn, (d, d))
+            grad_fn = _each_point(grad_fn, (d,), "gradient")
+            hess_fn = _each_point(hess_fn, (d, d), "Hessian")
         self._grad = grad_fn
         self._hess = hess_fn
 
@@ -109,15 +109,23 @@ class Objective:
         return f"<Objective d={self.dimension}>"
 
 
-def _each_point(fn: Callable, tail: tuple) -> Callable:
+def _each_point(fn: Callable, tail: tuple, name: str) -> Callable:
     """``fn`` of one point, applied to each point of a (..., d) stack; its
-    value at one point has shape ``tail``, which an empty stack keeps.  One
-    Python loop over the points gives ``np.apply_along_axis``'s values, with
-    a quarter of its overhead on a one-point stack."""
+    value at one point must have shape ``tail``, which an empty stack keeps.
+    One Python loop over the points gives ``np.apply_along_axis``'s values,
+    with a quarter of its overhead on a one-point stack.  A value of another
+    shape raises ObjectiveError, naming the callable by ``name``."""
+    def at(p):
+        v = fn(p)
+        if np.shape(v) != tail:
+            raise ObjectiveError(
+                f"the {name} returned shape {np.shape(v)} at a point, expected {tail}")
+        return v
+
     def each(x):
         if x.ndim == 1:
-            return fn(x)
-        return np.array([fn(p) for p in x.reshape(-1, x.shape[-1])]).reshape(x.shape[:-1] + tail)
+            return at(x)
+        return np.array([at(p) for p in x.reshape(-1, x.shape[-1])]).reshape(x.shape[:-1] + tail)
     return each
 
 

@@ -291,6 +291,17 @@ def test_bulk_draw_rows_are_the_per_trial_draws(seed, trials, d):
         assert got[t].tobytes() == reference_draw_init(seed, t, box).tobytes()
 
 
+def test_bulk_draw_across_chunk_edges_matches_sampled_rows(monkeypatch):
+    # a chunk of 1000 trials puts edges at every multiple of 1000
+    monkeypatch.setattr(cli, "_DRAW_CHUNK", 1000)
+    seed, trials, box = 12345, 4321, np.array([[-1.0, 1.0], [0.0, 3.0], [-5.0, -2.0]])
+    got = cli._draw_inits(seed, trials, box)
+    assert got.shape == (trials, 3)
+    edges = [t for e in range(1000, trials, 1000) for t in (e - 1, e)]
+    for t in [0, 1, trials - 1] + edges + list(range(2990, 3010)):
+        assert got[t].tobytes() == reference_draw_init(seed, t, box).tobytes()
+
+
 def test_bulk_draw_at_the_trials_bound_matches_sampled_rows():
     seed, trials, box = 2 ** 64 - 1, cli._MAX_TRIALS, np.array([[-1.0, 1.0], [0.0, 3.0]])
     got = cli._draw_inits(seed, trials, box)
@@ -343,6 +354,20 @@ def test_fig1_ids_that_run_gd_write_gd_bytes(tmp_path):
         name = f"fig1_{label}.csv"
         assert (tmp_path / "mirror-euclidean" / name).read_bytes() == \
             (tmp_path / "gd" / name).read_bytes()
+
+
+def test_fig1_schedules_first_stable_factors_are_degenerate():
+    # FIG1_SCHEDULES' comment: on x^2 - y^2 alpha_0 * lambda_max is 2, 1, 2,
+    # so the first stable factor 1 - 2 alpha_0 is -1, 0, -1, and gd's first
+    # harmonic step maps every start onto the unstable axis
+    obj = obj_mod.fig1()
+    lam = float(np.linalg.eigvalsh(obj.hess(np.zeros(2)))[-1])
+    schedules = {label: cli._build_schedule(spec) for label, spec in cli.FIG1_SCHEDULES}
+    assert list(schedules) == ["sqrt", "harmonic", "quartic"]
+    assert [s.value(0) * lam for s in schedules.values()] == [2.0, 1.0, 2.0]
+    step = mth.make_step("gd", obj, schedules["harmonic"])
+    for x0 in np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 2)):
+        assert step(0, x0).tolist() == [0.0, 2.0 * x0[1]]
 
 
 def test_fig1_experiment_assertion_failure_keeps_records(tmp_path):

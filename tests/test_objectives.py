@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import cubic_value, quadratic_value
 from reference import reference_cubic_grad
 from saddle_escape import objectives as obj_mod
+from saddle_escape.methods import run
 from saddle_escape.objectives import (DEGENERATE, LOCAL_MIN_CANDIDATE,
                                       NOT_CRITICAL, STRICT_SADDLE,
                                       classify_critical_point,
                                       cubic_perturbed_saddle, fig1, quadratic)
+from saddle_escape.schedules import power
 
 
 def _central_differences(value, z, h=1e-6):
@@ -236,3 +238,22 @@ def test_looped_callables_take_an_empty_stack():
         shapes = [lead + (2,), lead + (2, 2)]
         assert [f.grad(x).shape, f.hess(x).shape] == shapes
         assert [g.grad(x).shape, g.hess(x).shape] == shapes
+
+
+@pytest.mark.parametrize("x", [np.zeros(2), np.zeros((4, 2)), np.zeros((3, 1, 2))],
+                         ids=["point", "stack", "stack-3d"])
+def test_a_callable_value_of_the_wrong_shape_is_an_objective_error(x):
+    f = obj_mod.Objective(2, lambda p: np.ones(3), lambda p: np.eye(3))
+    with pytest.raises(obj_mod.ObjectiveError,
+                       match=r"^the gradient returned shape \(3,\) at a point, expected \(2,\)$"):
+        f.grad(x)
+    with pytest.raises(obj_mod.ObjectiveError,
+                       match=r"^the Hessian returned shape \(3, 3\) at a point, expected \(2, 2\)$"):
+        f.hess(x)
+
+
+def test_run_on_a_gradient_of_the_wrong_shape_names_it():
+    # numpy's bare "cannot reshape array of size 3 into shape (1,2)" before the check
+    f = obj_mod.Objective(2, lambda p: np.ones(3), lambda p: np.eye(2))
+    with pytest.raises(obj_mod.ObjectiveError, match=r"gradient returned shape \(3,\)"):
+        run("gd", f, power(1.0, 1.0, 2), np.array([0.5, 0.1]), budget=10)
