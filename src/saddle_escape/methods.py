@@ -233,7 +233,10 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
     multiplies rows by a matrix (gd and the metric step on a quadratic,
     prox's resolvents), BLAS takes one kernel for one row and another for a
     stack: a row's bits do not depend on the batch for d <= 3, but can in
-    the last places for a dense A at d >= 4.
+    the last places for a dense A at d >= 4.  The prox and metric products
+    are ``X.dot(RT[i])`` and ``G.dot(MT)``: on these 2-D operands ``.dot``
+    calls BLAS's kernel for ``@`` with the same bits, without the matmul
+    gufunc's dispatch, which costs about as much as a small product.
 
     gd steps along G = grad f(X), the metric step along G M^{-1}, and a row
     whose G is not finite fails; it fails with the same message in the
@@ -261,7 +264,7 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
                     return np.full_like(X, np.nan), dict.fromkeys(range(len(X)), MethodError(
                         f"singular proximal system I + alpha_k A at k={k} "
                         f"(alpha={schedule.value(k):g})")).get
-            return X @ RT[k - k0], _NO_ERROR
+            return X.dot(RT[k - k0]), _NO_ERROR
         return prox
     if recursion == "gd" or recursion == "manifold-intrinsic":
         MT = None if metric is None else metric.matrix.T.copy()  # C-contiguous, see _resolvents
@@ -271,7 +274,7 @@ def _update(method_id: str, obj: Objective, schedule: StepSchedule,
             G = P = grad(X)
             if MT is not None:
                 with np.errstate(invalid="ignore"):  # inf * 0; the row fails on its G
-                    P = G @ MT
+                    P = G.dot(MT)
             return X - value(k) * P, lambda j: None if np.all(np.isfinite(G[j])) \
                 else _gradient_error(k, X[j])
         return gd
@@ -290,13 +293,14 @@ def _gradient_error(k: int, x: np.ndarray) -> MethodError:
 def _resolvents(A: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
     """Transposed resolvents ((I + alpha A)^{-1})^T, one per alpha, up to the first singular one.
 
-    ``X @ RT[i]`` applies the i-th resolvent to each row of X.  One stacked
+    ``X.dot(RT[i])`` applies the i-th resolvent to each row of X.  One stacked
     inverse; each matrix gets the bits its own ``np.linalg.inv`` gives it.
     An explicit inverse times the rows keeps each row's bits independent of
     how many rows there are for d <= 3, which a multi-right-hand-side solve
-    does not, and so does storing the transposes C-contiguous: ``X @ R.T``
+    does not, and so does storing the transposes C-contiguous: ``X.dot(R.T)``
     on the F-ordered view takes one BLAS path for a single row and another
-    for many.  If a matrix is singular, the result stops just before it.
+    for many, as ``@`` does.  If a matrix is singular, the result stops just
+    before it.
     """
     M = np.eye(A.shape[0]) + np.asarray(alphas, dtype=float)[:, None, None] * A
     try:

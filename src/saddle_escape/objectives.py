@@ -147,6 +147,7 @@ def quadratic(A: np.ndarray) -> Objective:
     d = A.shape[0]
 
     def _grad(x):
+        # @, not .dot: on an (..., d) stack .dot takes another kernel, other bits at d >= 4
         return x @ A  # A symmetric, so x @ A == A @ x for single points
 
     def _hess(x):
@@ -174,17 +175,19 @@ def cubic_perturbed_saddle(a: float) -> Objective:
     layout these are the bits of the plain expressions ``x + 2.0 * a * x * y``
     and ``-y + a * x * x`` wherever those are not NaN, since ``t - y`` is
     exactly ``-y + t`` in IEEE arithmetic; only a NaN's sign may differ.
+    The coefficients 2a and a are 0-d float64 arrays: the same multiply as a
+    Python float's, without its scalar conversion in every ufunc call.
     """
     a = float(a)
     if not np.isfinite(a) or abs(a) > 1.0:
         raise ObjectiveError(f"cubic_perturbed_saddle needs |a| <= 1, got a={a}")
-    a2 = 2.0 * a
+    a2, a1 = np.array(2.0 * a), np.array(a)
 
     def _grad(z):
         x, y = z[..., 0], z[..., 1]
         g = np.empty(z.shape)
         np.add(x, a2 * x * y, g[..., 0])
-        np.subtract(a * x * x, y, g[..., 1])
+        np.subtract(a1 * x * x, y, g[..., 1])
         return g
 
     def _hess(z):

@@ -545,6 +545,35 @@ def test_run_batch_rows_on_dense_quadratics(method_id):
                 np.testing.assert_allclose(res.final[i], rec.points[-1], rtol=1e-12, atol=0)
 
 
+def test_dot_bits_of_the_step_products():
+    # the prox and metric steps multiply rows by a matrix through ndarray.dot,
+    # which on 2-D operands calls BLAS's kernel for @ without the matmul
+    # gufunc's dispatch: the same bits at every d, n and layout tried, for a
+    # diagonal and a dense symmetric matrix
+    rng = np.random.default_rng(37)
+    for d in (1, 2, 3, 4, 6, 33):
+        B = rng.standard_normal((d, d))
+        for M in (np.diag(rng.standard_normal(d)), (B + B.T) / 2):
+            for n in (1, 2, 31, 1000):
+                X = rng.uniform(-1.0, 1.0, size=(n, d))
+                for Y in (X, np.asfortranarray(X)):
+                    assert Y.dot(M).tobytes() == (Y @ M).tobytes(), (d, n, Y.flags.f_contiguous)
+    # one prox step and one metric step against the @ expressions they replace
+    s = sch.power(1.0, 1.0, 3)
+    for d in (2, 4):
+        B = rng.standard_normal((d, d))
+        A = (B + B.T) / np.max(np.abs(np.linalg.eigvalsh(B + B.T)))
+        f = obj_mod.quadratic(A)
+        metric = RiemannianMetric(np.eye(d) + A @ A)
+        for n in (1, 31):
+            X = rng.uniform(-1.0, 1.0, size=(n, d))
+            Z, _ = mth._update("prox", f, s)(5, X)
+            assert Z.tobytes() == (X @ mth._resolvents(A, [s.value(5)])[0]).tobytes()
+            Z, _ = mth._update("manifold-intrinsic", f, s, metric)(5, X)
+            want = X - s.value(5) * (f._grad(X) @ metric.matrix.T.copy())
+            assert Z.tobytes() == want.tobytes()
+
+
 def test_prox_singular_resolvent_in_a_later_block():
     # I + alpha_k diag(1, -1502) is singular at k = 1500 under 1/(k+2), in the
     # second block of resolvents: every row stops there with the step error

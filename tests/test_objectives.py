@@ -150,6 +150,17 @@ def test_cubic_grad_bits_are_the_plain_expressions(a, lead, n, layout, data):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+@pytest.mark.parametrize("d", [4, 6])
+def test_quadratic_grad_on_a_stack_keeps_matmul_bits(d):
+    # quadratic's gradient takes (..., d) stacks; on a 3-D stack ndarray.dot
+    # takes another kernel than @, with other bits at d >= 4, so it keeps @
+    rng = np.random.default_rng(d)
+    B = rng.standard_normal((d, d))
+    A = B + B.T
+    Z = rng.uniform(-1.0, 1.0, size=(3, 5, d))
+    assert obj_mod.quadratic(A).grad(Z).tobytes() == (Z @ A).tobytes()
+
+
 def test_each_point_stacks_match_apply_along_axis():
     # a user objective on R^3 written one point at a time.  apply_along_axis
     # raises on an empty stack, whose shapes
